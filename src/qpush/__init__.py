@@ -12,21 +12,20 @@ per-coordinate closed forms, which is what the decentralized network
 flow-control simulator exploits.
 """
 
-from .baseline import DualState, dsg_run, dual_step, make_dual_oracle
+from .baseline import DualState, dsg_run, dual_step
 from .errors import ConfigurationError, NonConvergenceError, NumericalDomainError
 from .netflow import (NumProblem, Topology, beta_bounds, build_num_program,
                       load_topology, simulate_decentralized)
-from .oracles import (SeparableOracle, Subproblem, dispatch,
-                      log1p_quadratic_minimizer, log_quadratic_minimizer,
-                      make_oracle, solve_projected_gradient,
-                      solve_scalar_convex, solve_separable_quadratic)
+from .oracles import (SeparableOracle, Subproblem, log1p_quadratic_minimizer,
+                      log_quadratic_minimizer, make_oracle,
+                      solve_projected_gradient, solve_scalar_convex,
+                      solve_separable_quadratic)
 from .problems import (ExperimentProblem, QpInstance, build_flow_power_program,
                        fig1_num_instance, fig1_reference, fig1_topology,
                        generate_qp, get_problem, half_hop_alpha,
                        qp_coordinate_update, qp_reference_optimum)
 from .program import (BoxSet, ConstraintTerms, ConvexProgram, CoordinateTerms,
-                      SpectralEstimate, clamp_to_box, evaluate, frobenius_bound,
-                      load_program, spectral_norm)
+                      evaluate, load_program, spectral_norm)
 from .report import (RunReport, SlopeResult, parse_trace_csv, plot_trace,
                      render_convergence_svg, slope_check, write_summary,
                      write_trace_csv)

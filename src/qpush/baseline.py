@@ -14,17 +14,15 @@ linear objective over a box); the convention here is the low endpoint
 when a coordinate's coefficient is exactly zero.
 """
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
-from .oracles import log1p_quadratic_minimizer
+from .oracles import SeparableOracle
 from .program import evaluate
-from .report import TraceRecorder
+from .solver import _drive
 
-__all__ = ["DualState", "make_dual_oracle", "dual_step", "dsg_run"]
+__all__ = ["DualState", "dual_step", "dsg_run"]
 
 
 @dataclass
@@ -42,87 +40,24 @@ class DualState:
     last_drift: tuple = (float("nan"), float("nan"))
 
 
-class LagrangianOracle:
-    """Per-coordinate minimizer of f(x) + lambda.g(x) over the box.
-
-    Handles the same separable term classes as the prox oracle but with
-    no quadratic pushback, so flat coordinates resolve bang-bang by the
-    sign of their coefficient (low endpoint on an exact zero).
-    """
+class LagrangianOracle(SeparableOracle):
+    """Per-coordinate minimizer of f(x) + lambda.g(x) over the box: the
+    separable oracle at alpha = 0, with no quadratic pushback."""
 
     name = "lagrangian-closed-form"
 
     def __init__(self, program):
-        if not program.separable:
-            raise ConfigurationError("dual subgradient baseline needs separable structure")
-        obj = program.objective_terms
-        cons = program.constraint_terms
-        self.lo = program.box.lo
-        self.hi = program.box.hi
-        self.obj_quad = obj.quad
-        self.obj_lin = obj.lin
-        self.logw = obj.log_weight
-        self.lin_T = np.ascontiguousarray(cons.lin.T)
-        self.has_cons_quad = bool(cons.quad.any())
-        self.quad_T = np.ascontiguousarray(cons.quad.T) if self.has_cons_quad else None
-        nl_cols = cons.neglog1p.any(axis=0)
-        log_cols = self.logw > 0
-        self.idx_log = np.flatnonzero(log_cols)
-        self.idx_nl1p = np.flatnonzero(nl_cols)
-        self.idx_plain = np.flatnonzero(~(log_cols | nl_cols))
-        self.nl1p_T = np.ascontiguousarray(cons.neglog1p[:, self.idx_nl1p].T) if self.idx_nl1p.size else None
-        self.eff_lo_log = np.maximum(self.lo[self.idx_log], 1e-12)
+        super().__init__(program)
+        self.center = np.zeros(program.n)
 
     def __call__(self, lam):
-        lin = self.obj_lin + self.lin_T @ lam
-        quad = self.obj_quad.copy()
-        if self.has_cons_quad:
-            wq = self.quad_T @ lam
-            if np.any(wq < 0):
-                raise ConfigurationError("negative multiplier on a quadratic constraint row")
-            quad = quad + wq
-        x = np.empty_like(lin)
-        ip = self.idx_plain
-        a, b = quad[ip], lin[ip]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            vertex = np.where(a > 0, -b / (2.0 * a), np.where(b < 0, np.inf, -np.inf))
-        # -inf clips to the low endpoint, covering the b == 0 convention
-        x[ip] = np.clip(vertex, self.lo[ip], self.hi[ip])
-        il = self.idx_log
-        if il.size:
-            a, b, w = quad[il], lin[il], self.logw[il]
-            with np.errstate(divide="ignore", invalid="ignore"):
-                root = np.where(a > 0,
-                                (-b + np.sqrt(b * b + 8.0 * a * w)) / (4.0 * a),
-                                np.where(b > 0, w / b, np.inf))
-            x[il] = np.clip(root, self.eff_lo_log, self.hi[il])
-        inl = self.idx_nl1p
-        if inl.size:
-            d = self.nl1p_T @ lam
-            a, b = quad[inl], lin[inl]
-            pos = a > 0
-            root = np.empty(inl.size)
-            if pos.any():
-                root[pos] = log1p_quadratic_minimizer(a[pos], b[pos], d[pos],
-                                                      self.lo[inl][pos], self.hi[inl][pos])
-            flat = ~pos
-            if flat.any():
-                bf, df = b[flat], d[flat]
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    r = np.where(bf > 0, df / bf - 1.0, np.inf)
-                root[flat] = np.clip(r, self.lo[inl][flat], self.hi[inl][flat])
-            x[inl] = root
-        return x
-
-
-def make_dual_oracle(program):
-    return LagrangianOracle(program)
+        return self.solve(lam, self.center, 0.0)
 
 
 def dual_step(state, program, oracle=None):
     """One dual subgradient iteration; returns the mutated state."""
     if oracle is None:
-        oracle = make_dual_oracle(program)
+        oracle = LagrangianOracle(program)
     x = oracle(state.lam)
     f, g = evaluate(program, x)
     gamma = state.step
@@ -156,34 +91,22 @@ def dsg_run(program, x_init_ignored, gamma, T, oracle=None, record_every=None,
     """
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    if T < 1:
-        raise ValueError("T must be at least 1")
     if oracle is None:
-        oracle = make_dual_oracle(program)
+        oracle = LagrangianOracle(program)
     state = DualState(t=0, lam=np.zeros(program.m), x_bar=None, step=float(gamma),
                       cum_g=np.zeros(program.m))
-    recorder = TraceRecorder(T, record_every)
-    started = time.perf_counter()
-    for _ in range(T):
+
+    def advance(t):
         dual_step(state, program, oracle)
         if np.any(state.lam < 0):
             raise AssertionError("multiplier projection failed")
-        if recorder.wants(state.t):
-            f_xbar, g_xbar = evaluate(program, state.x_bar)
-            recorder.add(state.t, state.x_last, state.x_bar, state.lam,
-                         state.f_last, state.g_last, f_xbar, g_xbar,
-                         state.cum_g, state.last_drift[0], state.last_drift[1])
-    wall = time.perf_counter() - started
+
+    def row():
+        return (state.x_last, state.x_bar, state.lam, state.f_last, state.g_last,
+                state.cum_g, state.last_drift[0], state.last_drift[1])
+
     x_init = np.zeros(program.n) if x_init_ignored is None else np.asarray(x_init_ignored, dtype=float)
-    return recorder.build(
-        algorithm="dsg",
-        problem=label,
-        alpha=None,
-        gamma=float(gamma),
-        iterations=T,
-        mode="inequality",
-        oracle=getattr(oracle, "name", type(oracle).__name__),
-        x_init=x_init,
-        wall_time=wall,
-        program=program,
-    )
+    return _drive(T, record_every, advance, row, algorithm="dsg", problem=label,
+                  alpha=None, gamma=float(gamma), mode="inequality",
+                  oracle=getattr(oracle, "name", type(oracle).__name__),
+                  x_init=x_init, program=program)

@@ -27,9 +27,9 @@ import numpy as np
 from .baseline import dsg_run
 from .errors import ConfigurationError, NonConvergenceError, NumericalDomainError
 from .problems import PROBLEM_NAMES, get_problem, half_hop_alpha
-from .program import frobenius_bound, load_program, spectral_norm
-from .report import (plot_trace, slope_check, write_full_trace_csv,
-                     write_summary, write_trace_csv)
+from .program import load_program
+from .report import (plot_trace, write_full_trace_csv, write_summary,
+                     write_trace_csv)
 from .solver import run, verify_bounds
 
 __all__ = ["main", "run_command", "build_parser"]
@@ -87,9 +87,9 @@ def _resolve_x_init(args, program):
 def _beta_summary(program):
     info = {"beta_hint": program.beta_hint}
     if program.structure == "linear":
-        est = spectral_norm(program.A)
-        info["beta_spectral"] = est.value
-        info["beta_frobenius"] = frobenius_bound(program.A)
+        # every linear program the CLI loads carries sigma_max(A) as its hint
+        info["beta_spectral"] = program.beta_hint
+        info["beta_frobenius"] = float(np.linalg.norm(program.A))
     return info
 
 
@@ -234,11 +234,6 @@ def plot_command(args):
                title=args.problem or os.path.basename(args.trace))
     print(f"wrote {svg}")
     return 0
-
-
-def slope_command_value(trace_columns, f_star, window):
-    """Helper used by tests and notebooks: decay slope of a trace dict."""
-    return slope_check(trace_columns["t"], trace_columns["f_xbar"] - f_star, window)
 
 
 def _add_problem_args(p):

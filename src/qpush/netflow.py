@@ -19,15 +19,14 @@ prices of links their paths use.
 """
 
 import json
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigurationError
 from .oracles import LOG_DOMAIN_FLOOR, log_quadratic_minimizer
-from .program import BoxSet, ConstraintTerms, ConvexProgram, CoordinateTerms, evaluate, spectral_norm
-from .report import TraceRecorder
+from .program import BoxSet, ConstraintTerms, ConvexProgram, CoordinateTerms, spectral_norm
+from .solver import _drive
 
 __all__ = [
     "Topology",
@@ -89,12 +88,6 @@ class Topology:
     @property
     def S(self):
         return len(self.source_paths)
-
-    def source_of(self, k):
-        for s, ks in enumerate(self.source_paths):
-            if k in ks:
-                return s
-        raise KeyError(k)
 
     @property
     def hop_counts(self):
@@ -217,7 +210,7 @@ def build_num_program(topology, utilities, x_max, y_max):
 
     ``utilities`` is the per-source weight vector of w_s log(y_s) terms.
     The resulting program is linear-constraint tagged with g(z) = Az - b
-    and carries the estimated spectral norm of A as its Lipschitz hint.
+    and carries the spectral norm of A as its Lipschitz hint.
     """
     num = NumProblem(topology, utilities,
                      np.broadcast_to(np.asarray(x_max, dtype=float), (topology.K,)),
@@ -228,9 +221,10 @@ def build_num_program(topology, utilities, x_max, y_max):
         lin=np.zeros(K + S),
         log_weight=np.concatenate([np.zeros(K), num.utility_weights]),
     )
-    cons = ConstraintTerms(num.A, num.b)
+    A = num.A
+    cons = ConstraintTerms(A, num.b)
     box = BoxSet(np.zeros(K + S), np.concatenate([num.x_max, num.y_max]))
-    beta = spectral_norm(num.A).value
+    beta = spectral_norm(A)
     return ConvexProgram.from_terms(obj, cons, box, beta_hint=beta)
 
 
@@ -251,7 +245,7 @@ def beta_bounds(topology, tol=1e-9):
     loose_bound = float(np.sqrt((L + 1) * K + S))
     if hop_bound > loose_bound + tol:
         raise AssertionError("hop bound exceeded the loose bound")
-    sigma = spectral_norm(topology.stacked_matrix()).value
+    sigma = spectral_norm(topology.stacked_matrix())
     if sigma > hop_bound + tol:
         raise AssertionError("spectral norm exceeded the hop bound")
     return hop_bound, loose_bound
@@ -362,11 +356,11 @@ def simulate_decentralized(topology, utilities, x_max, y_max, alpha,
 
     price_messages_per_round = sum(len(lp) for lp in topology.link_paths)
     rate_messages_per_round = price_messages_per_round
-    recorder = TraceRecorder(T, record_every)
     cum_g = np.zeros(L + S)
-    x_bar = None
-    started = time.perf_counter()
-    for t in range(T):
+    x_bar = z = g_z = queues = queues_before = None
+
+    def advance(t):
+        nonlocal x_bar, z, g_z, cum_g, queues, queues_before
         queues_before = np.array([a.queue for a in links] + [a.queue for a in sources])
         link_prices = {l: links[l].price for l in range(L)}
         for s in source_order:
@@ -382,22 +376,20 @@ def simulate_decentralized(topology, utilities, x_max, y_max, alpha,
         x_bar = z.copy() if x_bar is None else x_bar * (t / (t + 1.0)) + z / (t + 1.0)
         g_z = program.constraint_values(z)
         cum_g += g_z
-        if recorder.wants(t + 1):
-            delta = 0.5 * float(queues @ queues) - 0.5 * float(queues_before @ queues_before)
-            dbound = float(queues_before @ g_z) + float(g_z @ g_z)
-            f_xbar, g_xbar = evaluate(program, x_bar)
-            recorder.add(t + 1, z, x_bar, queues, program.objective_value(z),
-                         g_z, f_xbar, g_xbar, cum_g, delta, dbound)
-    wall = time.perf_counter() - started
-    return recorder.build(
+
+    def row():
+        delta = 0.5 * float(queues @ queues) - 0.5 * float(queues_before @ queues_before)
+        dbound = float(queues_before @ g_z) + float(g_z @ g_z)
+        return z, x_bar, queues, program.objective_value(z), g_z, cum_g, delta, dbound
+
+    return _drive(
+        T, record_every, advance, row,
         algorithm="vq-decentralized",
         problem=label,
         alpha=float(alpha),
-        iterations=T,
         mode="inequality",
         oracle="agent-message-passing",
         x_init=z_init,
-        wall_time=wall,
         program=program,
         extras={
             "price_messages": T * price_messages_per_round,

@@ -9,7 +9,8 @@ subproblem strongly convex with modulus 2*alpha, so the minimizer is
 unique and no tie-breaking is ever needed.  When the program carries
 separable descriptors the minimization splits into independent scalar
 problems with exact solutions; otherwise a projected-gradient fallback
-is used.
+is used.  The separable solver also takes alpha = 0, the plain
+Lagrangian of the dual subgradient baseline.
 """
 
 from dataclasses import dataclass
@@ -27,7 +28,6 @@ __all__ = [
     "solve_projected_gradient",
     "SeparableOracle",
     "make_oracle",
-    "dispatch",
 ]
 
 # Boxes with lo = 0 on log-utility coordinates are read as the closure of
@@ -185,6 +185,10 @@ class SeparableOracle:
     scalar minimizer, so a solve is a handful of vector operations.
     Coordinates are independent; any execution order gives the same
     result.
+
+    At alpha = 0 a coordinate with no curvature is flat or log-shaped:
+    it goes to the endpoint its slope points to, or to the stationary
+    point of its log term, and to the low endpoint on an exact zero slope.
     """
 
     name = "separable-closed-form"
@@ -222,20 +226,38 @@ class SeparableOracle:
                 # negative weights on quadratic rows would break convexity
                 raise ConfigurationError("negative weight on a quadratic constraint row")
             quad = quad + wq
-        x = np.empty_like(x_prev)
-        iq = self.idx_quad
-        x[iq] = np.clip(-lin[iq] / (2.0 * quad[iq]), self.lo[iq], self.hi[iq])
-        il = self.idx_log
-        if il.size:
-            x[il] = log_quadratic_minimizer(quad[il], lin[il], self.logw[il],
-                                            self.eff_lo_log, self.hi[il])
-        ip = self.idx_nl1p
+        il, ip = self.idx_log, self.idx_nl1p
         if ip.size:
             d = self.nl1p_T @ weights
             if np.any(d < 0):
                 raise ConfigurationError("negative weight on a log(1+z) constraint row")
+        flat = None
+        if not (alpha > 0 or quad.all()):
+            flat = quad == 0
+            # -inf and inf clip to the low and high endpoints
+            target = np.where(lin < 0, np.inf, -np.inf)
+            w_over_b = np.divide(self.logw[il], lin[il], out=np.full(il.size, np.inf),
+                                 where=lin[il] > 0)
+            target[il] = np.maximum(w_over_b, LOG_DOMAIN_FLOOR)
+            if ip.size:
+                target[ip] = np.divide(d, lin[ip], out=np.full(ip.size, np.inf),
+                                       where=lin[ip] > 0) - 1.0
+            x_flat = np.clip(target, self.lo, self.hi)
+            if flat.all():
+                return x_flat
+            # any positive stand-in keeps the closed forms below finite
+            quad = np.where(flat, 1.0, quad)
+        x = np.empty_like(x_prev)
+        iq = self.idx_quad
+        x[iq] = np.clip(-lin[iq] / (2.0 * quad[iq]), self.lo[iq], self.hi[iq])
+        if il.size:
+            x[il] = log_quadratic_minimizer(quad[il], lin[il], self.logw[il],
+                                            self.eff_lo_log, self.hi[il])
+        if ip.size:
             x[ip] = log1p_quadratic_minimizer(quad[ip], lin[ip], d,
                                               self.lo[ip], self.hi[ip])
+        if flat is not None:
+            x[flat] = x_flat[flat]
         return x
 
     def __call__(self, weights, x_prev, alpha):
@@ -260,9 +282,3 @@ def make_oracle(program):
     if program.separable:
         return SeparableOracle(program)
     return _ProjectedGradientOracle(program)
-
-
-def dispatch(sub):
-    """Route a subproblem to the closed-form separable solver when the
-    structure permits, and to projected gradient otherwise."""
-    return make_oracle(sub.program)(sub.weights, sub.x_prev, sub.alpha)

@@ -135,7 +135,7 @@ def build_flow_power_program(topology, utilities, x_max=None, y_max=None,
     box = BoxSet(np.zeros(n), np.concatenate([num.x_max, num.y_max, p_max]))
     pattern = lin.copy()
     pattern[:L, K + S:] = np.eye(L)
-    beta = spectral_norm(pattern).value
+    beta = spectral_norm(pattern)
     return ConvexProgram.from_terms(obj, cons, box, beta_hint=beta)
 
 

@@ -32,11 +32,8 @@ __all__ = [
     "CoordinateTerms",
     "ConstraintTerms",
     "ConvexProgram",
-    "SpectralEstimate",
     "evaluate",
     "spectral_norm",
-    "frobenius_bound",
-    "clamp_to_box",
     "load_program",
 ]
 
@@ -79,12 +76,6 @@ class BoxSet:
     def contains(self, x, tol=0.0):
         x = _vector(x, self.dim, name="x")
         return bool(np.all(x >= self.lo - tol) and np.all(x <= self.hi + tol))
-
-
-def clamp_to_box(x, box):
-    """Componentwise projection min(max(x, lo), hi); idempotent."""
-    x = _vector(x, box.dim, name="x")
-    return box.clamp(x)
 
 
 @dataclass(frozen=True)
@@ -306,23 +297,12 @@ def evaluate(program, x):
     return program.objective_value(x), program.constraint_values(x)
 
 
-@dataclass(frozen=True)
-class SpectralEstimate:
-    """Largest-singular-value estimate from power iteration."""
+def spectral_norm(A):
+    """sigma_max(A), the largest singular value of a finite matrix.
 
-    value: float
-    iterations: int
-    residual: float
-
-
-def spectral_norm(A, tol=1e-12, max_iter=10000):
-    """Estimate sigma_max(A) by power iteration on the Gram matrix.
-
-    The start vector is the normalized all-ones vector, so the estimate is
-    deterministic.  Iteration stops once successive Rayleigh quotients
-    differ by less than ``tol`` (or at ``max_iter``).  A start that is
-    orthogonal to the leading singular space shows up as early stagnation;
-    one deterministic restart from ``v + e_0`` recovers from it.
+    The square root of the largest eigenvalue of the smaller Gram matrix
+    (A A^T or A^T A), from a symmetric eigensolver: exact up to rounding,
+    unlike an iterative estimate that approaches sigma_max from below.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2:
@@ -330,50 +310,9 @@ def spectral_norm(A, tol=1e-12, max_iter=10000):
     if not np.all(np.isfinite(A)):
         raise ValueError("matrix entries must be finite")
     if not A.any():
-        return SpectralEstimate(0.0, 0, 0.0)
-
-    gram = A.T @ A
-    n = gram.shape[0]
-    v = np.ones(n) / np.sqrt(n)
-    prev = -np.inf
-    diff = np.inf
-    restarted = False
-    kick = 0
-    used = 0
-    while used < max_iter:
-        w = gram @ v
-        used += 1
-        norm_w = np.linalg.norm(w)
-        if norm_w <= np.finfo(float).tiny * n:
-            # start landed in the null space; kick along a basis axis
-            v = np.zeros(n)
-            v[kick % n] = 1.0
-            kick += 1
-            prev = -np.inf
-            continue
-        rayleigh = float(v @ w)
-        diff = abs(rayleigh - prev)
-        v = w / norm_w
-        if diff < tol:
-            if not restarted:
-                restarted = True
-                e0 = np.zeros(n)
-                e0[0] = 1.0
-                v = v + e0
-                v /= np.linalg.norm(v)
-                prev = -np.inf
-                continue
-            return SpectralEstimate(float(np.sqrt(max(rayleigh, 0.0))), used, diff)
-        prev = rayleigh
-    return SpectralEstimate(float(np.sqrt(max(prev, 0.0))), used, diff)
-
-
-def frobenius_bound(A):
-    """Frobenius norm sqrt(sum A_ij^2); an upper bound on sigma_max(A)."""
-    A = np.asarray(A, dtype=float)
-    if not np.all(np.isfinite(A)):
-        raise ValueError("matrix entries must be finite")
-    return float(np.sqrt((A * A).sum()))
+        return 0.0
+    gram = A @ A.T if A.shape[0] <= A.shape[1] else A.T @ A
+    return float(np.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0)))
 
 
 _OBJECTIVE_KINDS = ("linear", "diag-quadratic", "neg-log-utility")
@@ -424,5 +363,5 @@ def load_program(source):
     else:
         raise ConfigurationError(f"unknown objective kind {kind!r}; expected one of {_OBJECTIVE_KINDS}")
     cons = ConstraintTerms(A, b)
-    beta = spectral_norm(A).value if A.any() else 0.0
+    beta = spectral_norm(A)
     return ConvexProgram.from_terms(terms, cons, box, beta_hint=beta)

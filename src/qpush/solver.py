@@ -221,6 +221,40 @@ def step(state, program, oracle=None, validate=True):
     return state
 
 
+def _drive(T, record_every, advance, row, **config):
+    """The iteration loop shared by every runner.
+
+    ``advance(t)`` performs iteration t (t iterations done before it)
+    and ``row()`` returns (x, xbar, Q, f(x), g(x), cum_g, drift,
+    drift_bound) for the trace row it leaves.  Rows are recorded on the
+    recorder's schedule together with the evaluation at xbar; on
+    NonConvergenceError the rows recorded so far are attached to the
+    exception as ``partial_report``.  ``config`` goes to the report and
+    names the ``program``.
+    """
+    if T < 1:
+        raise ValueError("T must be at least 1")
+    program = config["program"]
+    recorder = TraceRecorder(T, record_every)
+    started = time.perf_counter()
+    for t in range(T):
+        try:
+            advance(t)
+        except NonConvergenceError as exc:
+            # hand back whatever was recorded up to the failure
+            if recorder.rows:
+                exc.partial_report = recorder.build(
+                    iterations=t, wall_time=time.perf_counter() - started, **config)
+            raise
+        if recorder.wants(t + 1):
+            x, x_bar, Q, f_x, g_x, cum_g, drift, drift_bound = row()
+            f_xbar, g_xbar = evaluate(program, x_bar)
+            recorder.add(t + 1, x, x_bar, Q, f_x, g_x, f_xbar, g_xbar, cum_g,
+                         drift, drift_bound)
+    return recorder.build(iterations=T, wall_time=time.perf_counter() - started,
+                          **config)
+
+
 def run(program, x_init, alpha, T, oracle=None, mode="inequality",
         record_every=None, validate=True, label="program"):
     """Run ``T`` iterations and collect a trace.
@@ -230,42 +264,20 @@ def run(program, x_init, alpha, T, oracle=None, mode="inequality",
     iterate x(t-1), the queue Q(t), the running average xbar(t) and the
     drift of the step that produced them.  Deterministic given inputs.
     """
-    if T < 1:
-        raise ValueError("T must be at least 1")
     if oracle is None:
         oracle = make_oracle(program)
     state = init(program, x_init, alpha, mode)
-    recorder = TraceRecorder(T, record_every)
 
-    def build(iterations, wall):
-        return recorder.build(
-            algorithm="vq",
-            problem=label,
-            alpha=alpha,
-            iterations=iterations,
-            mode=state.mode,
-            oracle=getattr(oracle, "name", type(oracle).__name__),
-            x_init=np.asarray(x_init, dtype=float).copy(),
-            wall_time=wall,
-            program=program,
-        )
+    def row():
+        drift = state.last_drift
+        return (state.x_prev, state.x_bar, state.Q, state.f_prev, state.g_prev,
+                state.cum_g, drift.delta, drift.bound)
 
-    started = time.perf_counter()
-    for _ in range(T):
-        try:
-            step(state, program, oracle, validate=validate)
-        except NonConvergenceError as exc:
-            # hand back whatever was recorded up to the failure
-            if recorder.rows:
-                exc.partial_report = build(state.t, time.perf_counter() - started)
-            raise
-        if recorder.wants(state.t):
-            f_xbar, g_xbar = evaluate(program, state.x_bar)
-            recorder.add(state.t, state.x_prev, state.x_bar, state.Q,
-                         state.f_prev, state.g_prev, f_xbar, g_xbar,
-                         state.cum_g, state.last_drift.delta,
-                         state.last_drift.bound)
-    return build(T, time.perf_counter() - started)
+    return _drive(T, record_every,
+                  lambda t: step(state, program, oracle, validate=validate), row,
+                  algorithm="vq", problem=label, alpha=alpha, mode=state.mode,
+                  oracle=getattr(oracle, "name", type(oracle).__name__),
+                  x_init=np.asarray(x_init, dtype=float).copy(), program=program)
 
 
 # ---------------------------------------------------------------------------
@@ -431,19 +443,16 @@ def kkt_residual(program, x, lam, boundary_tol=1e-9):
 def derive_reference(program, alpha, T, x_init=None, oracle=None):
     """Derive (x*, lambda*) from a long tight solve.
 
-    Runs ``T`` iterations without recording and returns the final iterate
+    Runs ``T`` iterations without validation and returns the final iterate
     with the final weight vector W = Q + g(x) as the multiplier estimate,
     plus the KKT residual of the pair.  Callers decide whether the
     residual is small enough for their purpose.
     """
     if x_init is None:
         x_init = program.box.clamp(np.zeros(program.n))
-    if oracle is None:
-        oracle = make_oracle(program)
-    state = init(program, x_init, alpha)
-    for _ in range(T):
-        step(state, program, oracle, validate=False)
-    lam = state.Q + state.g_prev
-    x = state.x_prev
+    report = run(program, x_init, alpha, T, oracle=oracle, record_every=T, validate=False)
+    # the last row holds x(T-1), Q(T) and g(x(T-1))
+    x = report.x[-1]
+    lam = report.Q[-1] + report.g_x[-1]
     return TightReference(x=x, lam=lam, f=program.objective_value(x),
                           kkt=kkt_residual(program, x, lam))

@@ -6,7 +6,12 @@ import warnings
 import numpy as np
 
 from qpush import (AlphaBelowCurvatureWarning, BoxSet, ConstraintTerms,
-                   ConvexProgram, CoordinateTerms, Topology, frobenius_bound)
+                   ConvexProgram, CoordinateTerms, Topology)
+
+
+def frobenius_bound(A):
+    """Frobenius norm sqrt(sum A_ij^2); an upper bound on sigma_max(A)."""
+    return float(np.sqrt((A * A).sum()))
 
 
 def random_box(rng, n):

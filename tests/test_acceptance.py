@@ -35,7 +35,7 @@ def test_criterion_1_fig1_num_optimum(fig1_vq_run):
 
 
 def test_criterion_2_beta_spectral_values(fig1_instance):
-    sigma = qp.spectral_norm(fig1_instance.topology.stacked_matrix()).value
+    sigma = qp.spectral_norm(fig1_instance.topology.stacked_matrix())
     assert sigma == pytest.approx(2.4307, abs=1e-3)
     topo, w, xm, ym = qp.fig1_topology()
     beta_fp = qp.build_flow_power_program(topo, w, y_max=ym).beta_hint

@@ -3,8 +3,10 @@ import pytest
 
 import qpush as qp
 from qpush import BoxSet, ConstraintTerms, ConvexProgram, CoordinateTerms
-from qpush.baseline import DualState, dual_step, make_dual_oracle
+from qpush.baseline import DualState, LagrangianOracle, dual_step
 from qpush.report import TRACE_COLUMNS, write_trace_csv
+
+from helpers import grid_minimize
 
 
 def one_dim_program():
@@ -67,7 +69,57 @@ def test_flat_coordinate_tie_breaks_low():
         BoxSet([-1.0], [1.0]),
         beta_hint=0.0,
     )
-    assert make_dual_oracle(prog)(np.zeros(1))[0] == -1.0
+    assert LagrangianOracle(prog)(np.zeros(1))[0] == -1.0
+
+
+def test_lagrangian_oracle_matches_grid_search():
+    # curved plain (0), flat slopes +, -, 0 (1-3), log with positive and
+    # zero slope (4, 7), log1p with positive and zero slope (5, 8), and a
+    # coordinate curved only by the quadratic row (6)
+    n = 9
+    obj = CoordinateTerms(
+        quad=np.array([1.0, 0, 0, 0, 0, 0, 0, 0, 0]),
+        lin=np.array([-1.0, 2.0, -1.5, 0.0, 0.0, 0.25, -1.0, 0.0, 0.0]),
+        log_weight=np.array([0, 0, 0, 0, 1.0, 0, 0, 2.0, 0]),
+    )
+    lin = np.zeros((2, n))
+    lin[0, [0, 4]] = [0.5, 1.0]
+    quad = np.zeros((2, n))
+    quad[0, 6] = 0.5
+    neglog1p = np.zeros((2, n))
+    neglog1p[1, [5, 8]] = 1.0
+    # lower bounds above -1 keep every log1p(x) finite
+    box = BoxSet([0.0, -0.5, -0.5, -0.5, 0.0, 0.0, 0.0, 0.0, 0.0],
+                 [2.0, 1.0, 1.0, 0.5, 3.0, 5.0, 2.0, 3.0, 5.0])
+    prog = ConvexProgram.from_terms(
+        obj, ConstraintTerms(lin, np.array([1.0, 0.0]), quad=quad, neglog1p=neglog1p),
+        box, beta_hint=1.0)
+    lam = np.array([0.8, 1.2])
+    out = LagrangianOracle(prog)(lam)
+    assert out[3] == -0.5  # exact zero slope: low endpoint
+    assert (out[1], out[2], out[7], out[8]) == (-0.5, 1.0, 3.0, 5.0)
+
+    def lagrangian(x):
+        return prog.objective_value(x) + float(lam @ prog.constraint_values(x))
+
+    for i in range(n):
+        def coord_fun(z, i=i):
+            trial = out.copy()
+            trial[i] = z
+            return lagrangian(trial)
+
+        lo = max(box.lo[i], 1e-9) if i in (4, 7) else box.lo[i]
+        ref = grid_minimize(coord_fun, lo, box.hi[i])
+        assert out[i] == pytest.approx(ref, abs=1e-6)
+
+
+def test_flow_power_final_objectives_are_pinned():
+    # stored benchmark values; the dsg run takes the all-flat alpha = 0 path
+    prog = qp.get_problem("fig1-flow-power").program
+    vq = qp.run(prog, np.zeros(prog.n), 10.0, 4000)
+    dsg = qp.dsg_run(prog, None, 0.01, 4000)
+    assert vq.final["f_xbar"] == pytest.approx(0.5355682084129887, abs=1e-12)
+    assert dsg.final["f_xbar"] == pytest.approx(0.3659583162321476, abs=1e-12)
 
 
 def test_dsg_run_t1_and_validation():
@@ -99,7 +151,7 @@ def test_dsg_multipliers_stay_nonnegative(fig1_instance):
 
 def test_dsg_log_utility_uses_scalar_solver(fig1_instance):
     prog = fig1_instance.program
-    oracle = make_dual_oracle(prog)
+    oracle = LagrangianOracle(prog)
     lam = np.zeros(12)
     lam[9:] = 2.0  # price the three source rows
     x = oracle(lam)

@@ -74,7 +74,7 @@ def test_beta_bounds_fig1(fig1_instance):
     assert loose == pytest.approx(np.sqrt((9 + 1) * 7 + 3))
     assert loose == pytest.approx(np.sqrt(73), abs=1e-12)
     assert hop <= loose
-    assert qp.spectral_norm(topo.stacked_matrix()).value <= hop + 1e-9
+    assert qp.spectral_norm(topo.stacked_matrix()) <= hop + 1e-9
 
 
 def test_beta_bounds_single_link():

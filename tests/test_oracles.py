@@ -4,7 +4,7 @@ import pytest
 import qpush as qp
 from qpush import BoxSet, ConstraintTerms, ConvexProgram, CoordinateTerms
 from qpush.errors import NonConvergenceError, NumericalDomainError
-from qpush.oracles import (SeparableOracle, Subproblem, dispatch,
+from qpush.oracles import (SeparableOracle, Subproblem,
                            log1p_quadratic_minimizer, log_quadratic_minimizer,
                            make_oracle, solve_projected_gradient,
                            solve_scalar_convex, solve_separable_quadratic)
@@ -129,7 +129,7 @@ def test_dispatch_routes():
         beta_hint=np.sqrt(2.0),
     )
     assert make_oracle(general).name == "projected-gradient"
-    out = dispatch(Subproblem(general, np.array([0.5]), np.zeros(n), 2.0))
+    out = make_oracle(general)(np.array([0.5]), np.zeros(n), 2.0)
     assert general.box.contains(out, tol=1e-12)
 
 
@@ -140,7 +140,7 @@ def test_dispatch_flow_power_matches_grid_search():
     W = rng.uniform(0.0, 2.0, fp.m)
     x_prev = random_point_in(fp.box, rng)
     alpha = 10.0
-    out = dispatch(Subproblem(fp, W, x_prev, alpha))
+    out = make_oracle(fp)(W, x_prev, alpha)
     # check three coordinates of each kind against brute force
     oracle = make_oracle(fp)
     sub_value = Subproblem(fp, W, x_prev, alpha).value

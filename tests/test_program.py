@@ -14,7 +14,7 @@ def linear_program(A, b, c, lo, hi):
         CoordinateTerms.linear(c),
         ConstraintTerms(A, b),
         BoxSet(lo, hi),
-        beta_hint=qp.spectral_norm(A).value,
+        beta_hint=qp.spectral_norm(A),
     )
 
 
@@ -61,14 +61,13 @@ def test_linear_constraints_match_matrix_product():
 
 def test_clamp_to_box():
     box = BoxSet(np.zeros(3), np.ones(3))
-    assert np.array_equal(qp.clamp_to_box(np.array([-1.0, 0.5, 2.0]), box),
-                          [0.0, 0.5, 1.0])
+    assert np.array_equal(box.clamp(np.array([-1.0, 0.5, 2.0])), [0.0, 0.5, 1.0])
     inside = np.array([0.2, 0.9, 0.0])
-    out = qp.clamp_to_box(inside, box)
+    out = box.clamp(inside)
     assert np.array_equal(out, inside)
-    assert np.array_equal(qp.clamp_to_box(out, box), out)  # idempotent
+    assert np.array_equal(box.clamp(out), out)  # idempotent
     point = BoxSet([0.3, 0.3], [0.3, 0.3])
-    assert np.array_equal(qp.clamp_to_box(np.array([9.0, -9.0]), point), [0.3, 0.3])
+    assert np.array_equal(point.clamp(np.array([9.0, -9.0])), [0.3, 0.3])
 
 
 def test_box_validation():
@@ -79,56 +78,70 @@ def test_box_validation():
 
 
 def test_spectral_norm_diagonal():
-    est = qp.spectral_norm(np.diag([3.0, 1.0]))
-    assert est.value == pytest.approx(3.0, abs=1e-9)
-    assert est.residual <= 1e-12
+    assert qp.spectral_norm(np.diag([3.0, 1.0])) == pytest.approx(3.0, abs=1e-9)
 
 
 def test_spectral_norm_fig1_stacked_matrix(fig1_instance):
     A = fig1_instance.topology.stacked_matrix()
-    est = qp.spectral_norm(A)
-    assert est.value == pytest.approx(2.4307, abs=1e-3)
+    assert qp.spectral_norm(A) == pytest.approx(2.4307, abs=1e-3)
 
 
 def test_spectral_norm_rank_one():
-    est = qp.spectral_norm(np.ones((2, 2)))
-    assert est.value == pytest.approx(2.0, abs=1e-9)
+    assert qp.spectral_norm(np.ones((2, 2))) == pytest.approx(2.0, abs=1e-9)
 
 
 def test_spectral_norm_zero_matrix():
-    est = qp.spectral_norm(np.zeros((3, 4)))
-    assert est.value == 0.0 and est.residual == 0.0 and est.iterations == 0
+    assert qp.spectral_norm(np.zeros((3, 4))) == 0.0
 
 
 def test_spectral_norm_start_orthogonal_to_top_space():
     # the all-ones start lies in the null space of this Gram matrix
     A = np.array([[1.0, -1.0], [-1.0, 1.0]])
-    assert qp.spectral_norm(A).value == pytest.approx(2.0, abs=1e-9)
+    assert qp.spectral_norm(A) == pytest.approx(2.0, abs=1e-9)
 
 
 def test_spectral_norm_row_permutation_invariant():
     rng = np.random.default_rng(11)
     A = rng.normal(size=(6, 4))
     perm = rng.permutation(6)
-    a = qp.spectral_norm(A).value
-    b = qp.spectral_norm(A[perm]).value
+    a = qp.spectral_norm(A)
+    b = qp.spectral_norm(A[perm])
     assert a == pytest.approx(b, abs=1e-10)
+
+
+def test_spectral_norm_matches_svd():
+    rng = np.random.default_rng(19)
+    for shape in ((3, 9), (40, 7), (25, 60), (60, 25)):
+        A = rng.normal(size=shape)
+        low_rank = rng.normal(size=(shape[0], 2)) @ rng.normal(size=(2, shape[1]))
+        for M in (A, low_rank):
+            exact = np.linalg.norm(M, 2)
+            assert abs(qp.spectral_norm(M) - exact) <= 1e-12 * exact
+
+
+def test_spectral_norm_rejects_bad_input():
+    with pytest.raises(ValueError):
+        qp.spectral_norm(np.ones(3))
+    with pytest.raises(ValueError):
+        qp.spectral_norm(np.array([[1.0, np.nan]]))
+    with pytest.raises(ValueError):
+        qp.spectral_norm(np.array([[np.inf, 0.0]]))
 
 
 def test_frobenius_dominates_spectral():
     rng = np.random.default_rng(13)
     for _ in range(50):
         A = rng.normal(size=(rng.integers(1, 7), rng.integers(1, 7)))
-        assert qp.frobenius_bound(A) >= qp.spectral_norm(A).value - 1e-9
+        assert np.linalg.norm(A) >= qp.spectral_norm(A) - 1e-9
 
 
 def test_frobenius_examples(fig1_instance):
-    assert qp.frobenius_bound(np.diag([3.0, 4.0])) == pytest.approx(5.0)
-    assert qp.frobenius_bound(np.zeros((2, 5))) == 0.0
+    assert np.linalg.norm(np.diag([3.0, 4.0])) == pytest.approx(5.0)
+    assert np.linalg.norm(np.zeros((2, 5))) == 0.0
     A = fig1_instance.topology.stacked_matrix()
     nonzeros = int((A != 0).sum())  # direct entry scan
     assert nonzeros == 22
-    assert qp.frobenius_bound(A) == pytest.approx(np.sqrt(nonzeros), abs=1e-12)
+    assert np.linalg.norm(A) == pytest.approx(np.sqrt(nonzeros), abs=1e-12)
 
 
 def test_program_json_round_trip(tmp_path):
