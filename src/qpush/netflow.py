@@ -20,6 +20,7 @@ prices of links their paths use.
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -70,8 +71,11 @@ class Topology:
         seen = [k for ks in source_paths for k in ks]
         if sorted(seen) != list(range(K)):
             raise ConfigurationError("source path sets must partition the path indices")
-        link_paths = tuple(
-            tuple(k for k in range(K) if l in path_links[k]) for l in range(L))
+        link_paths = [[] for _ in range(L)]
+        for k, links in enumerate(path_links):
+            for l in links:
+                link_paths[l].append(k)
+        link_paths = tuple(tuple(ks) for ks in link_paths)
         object.__setattr__(self, "cap", cap)
         object.__setattr__(self, "path_links", path_links)
         object.__setattr__(self, "source_paths", source_paths)
@@ -110,13 +114,24 @@ class Topology:
         return T
 
     def stacked_matrix(self):
-        """A = [[R, 0], [-T, I]] of shape (L+S) x (K+S)."""
+        """A = [[R, 0], [-T, I]] of shape (L+S) x (K+S), built once per
+        topology and shared read-only."""
+        return self._stacked
+
+    @cached_property
+    def _stacked(self):
         L, K, S = self.L, self.K, self.S
         A = np.zeros((L + S, K + S))
         A[:L, :K] = self.R
         A[L:, :K] = -self.T
         A[L:, K:] = np.eye(S)
+        A.flags.writeable = False
         return A
+
+    @cached_property
+    def _sigma(self):
+        """Spectral norm of the stacked matrix, computed once."""
+        return spectral_norm(self._stacked)
 
     @classmethod
     def from_paths(cls, capacities, paths):
@@ -221,11 +236,9 @@ def build_num_program(topology, utilities, x_max, y_max):
         lin=np.zeros(K + S),
         log_weight=np.concatenate([np.zeros(K), num.utility_weights]),
     )
-    A = num.A
-    cons = ConstraintTerms(A, num.b)
+    cons = ConstraintTerms(num.A, num.b)
     box = BoxSet(np.zeros(K + S), np.concatenate([num.x_max, num.y_max]))
-    beta = spectral_norm(A)
-    return ConvexProgram.from_terms(obj, cons, box, beta_hint=beta)
+    return ConvexProgram.from_terms(obj, cons, box, beta_hint=topology._sigma)
 
 
 def beta_bounds(topology, tol=1e-9):
@@ -245,7 +258,7 @@ def beta_bounds(topology, tol=1e-9):
     loose_bound = float(np.sqrt((L + 1) * K + S))
     if hop_bound > loose_bound + tol:
         raise AssertionError("hop bound exceeded the loose bound")
-    sigma = spectral_norm(topology.stacked_matrix())
+    sigma = topology._sigma
     if sigma > hop_bound + tol:
         raise AssertionError("spectral norm exceeded the hop bound")
     return hop_bound, loose_bound

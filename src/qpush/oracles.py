@@ -186,6 +186,11 @@ class SeparableOracle:
     Coordinates are independent; any execution order gives the same
     result.
 
+    The class index sets, the log weights and the box with its log floor
+    are taken once, and the per-class multiples of the curvature
+    obj_quad + alpha are kept for the last alpha seen, so a solve does
+    only the arithmetic that depends on the weights.
+
     At alpha = 0 a coordinate with no curvature is flat or log-shaped:
     it goes to the endpoint its slope points to, or to the stationary
     point of its log term, and to the low endpoint on an exact zero slope.
@@ -203,6 +208,7 @@ class SeparableOracle:
         self.hi = program.box.hi
         self.obj_quad = obj.quad
         self.obj_lin = obj.lin
+        self._has_obj_lin = bool(obj.lin.any())
         self.logw = obj.log_weight
         self.lin_T = np.ascontiguousarray(cons.lin.T)
         self.has_cons_quad = bool(cons.quad.any())
@@ -215,28 +221,54 @@ class SeparableOracle:
         self.idx_nl1p = np.flatnonzero(nl_cols)
         self.idx_quad = np.flatnonzero(~(log_cols | nl_cols))
         self.nl1p_T = np.ascontiguousarray(cons.neglog1p[:, self.idx_nl1p].T) if self.idx_nl1p.size else None
-        self.eff_lo_log = np.maximum(self.lo[self.idx_log], LOG_DOMAIN_FLOOR)
+        self._logw_l = self.logw[self.idx_log]
+        # the box, with log coordinates raised to the domain floor
+        self._lo_eff = self.lo.copy()
+        self._lo_eff[self.idx_log] = np.maximum(self.lo[self.idx_log], LOG_DOMAIN_FLOOR)
+        # (alpha, obj_quad + alpha, its class constants), one tuple so that a
+        # reader never pairs one alpha's curvature with another's constants
+        self._curvature = (None, None, None)
+
+    def _class_constants(self, quad):
+        """Curvature multiples each class's closed form uses: 2a (quadratic),
+        (8a)w and 4a (log), 2a, 8a and 4a (log1p), with a = quad there."""
+        two_q = 2.0 * quad[self.idx_quad] if self.idx_quad.size else None
+        log_c = nl_c = None
+        if self.idx_log.size:
+            a = quad[self.idx_log]
+            log_c = ((8.0 * a) * self._logw_l, 4.0 * a)
+        if self.idx_nl1p.size:
+            a = quad[self.idx_nl1p]
+            nl_c = (2.0 * a, 8.0 * a, 4.0 * a)
+        return two_q, log_c, nl_c
 
     def solve(self, weights, x_prev, alpha):
-        lin = self.obj_lin + self.lin_T @ weights - (2.0 * alpha) * x_prev
-        quad = self.obj_quad + alpha
+        lin = self.lin_T @ weights
+        if self._has_obj_lin:
+            lin = self.obj_lin + lin
+        lin = lin - (2.0 * alpha) * x_prev
+        curvature = self._curvature
+        if alpha != curvature[0]:
+            quad = self.obj_quad + alpha
+            curvature = self._curvature = (alpha, quad, self._class_constants(quad))
+        quad = curvature[1]
         if self.has_cons_quad:
             wq = self.quad_T @ weights
-            if np.any(wq < 0):
+            if (wq < 0).any():
                 # negative weights on quadratic rows would break convexity
                 raise ConfigurationError("negative weight on a quadratic constraint row")
             quad = quad + wq
         il, ip = self.idx_log, self.idx_nl1p
         if ip.size:
             d = self.nl1p_T @ weights
-            if np.any(d < 0):
+            if (d < 0).any():
                 raise ConfigurationError("negative weight on a log(1+z) constraint row")
         flat = None
         if not (alpha > 0 or quad.all()):
             flat = quad == 0
             # -inf and inf clip to the low and high endpoints
             target = np.where(lin < 0, np.inf, -np.inf)
-            w_over_b = np.divide(self.logw[il], lin[il], out=np.full(il.size, np.inf),
+            w_over_b = np.divide(self._logw_l, lin[il], out=np.full(il.size, np.inf),
                                  where=lin[il] > 0)
             target[il] = np.maximum(w_over_b, LOG_DOMAIN_FLOOR)
             if ip.size:
@@ -247,15 +279,31 @@ class SeparableOracle:
                 return x_flat
             # any positive stand-in keeps the closed forms below finite
             quad = np.where(flat, 1.0, quad)
-        x = np.empty_like(x_prev)
-        iq = self.idx_quad
-        x[iq] = np.clip(-lin[iq] / (2.0 * quad[iq]), self.lo[iq], self.hi[iq])
-        if il.size:
-            x[il] = log_quadratic_minimizer(quad[il], lin[il], self.logw[il],
-                                            self.eff_lo_log, self.hi[il])
-        if ip.size:
-            x[ip] = log1p_quadratic_minimizer(quad[ip], lin[ip], d,
-                                              self.lo[ip], self.hi[ip])
+        if flat is None and not self.has_cons_quad:
+            two_q, log_c, nl_c = curvature[2]
+        else:
+            two_q, log_c, nl_c = self._class_constants(quad)
+        # unconstrained stationary point of each class, then one clip to the box
+        x = np.empty_like(lin)
+        if two_q is not None:
+            iq = self.idx_quad
+            x[iq] = -lin[iq] / two_q
+        if log_c is not None:
+            # positive root of 2a z^2 + b z - w = 0, as in log_quadratic_minimizer
+            eight_aw, four_a = log_c
+            b = lin[il]
+            x[il] = (-b + np.sqrt(b * b + eight_aw)) / four_a
+        if nl_c is not None:
+            # larger root of 2a z^2 + (2a+b) z + (b-d) = 0, as in
+            # log1p_quadratic_minimizer; the cancellation-free form where 2a+b > 0
+            two_a, eight_a, four_a = nl_c
+            b = lin[ip]
+            s = two_a + b
+            sq = np.sqrt((two_a - b) ** 2 + eight_a * d)
+            root = (sq - s) / four_a
+            np.divide(2.0 * (d - b), s + sq, out=root, where=s > 0)
+            x[ip] = root
+        x = np.minimum(np.maximum(x, self._lo_eff), self.hi)
         if flat is not None:
             x[flat] = x_flat[flat]
         return x

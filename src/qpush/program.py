@@ -40,10 +40,10 @@ __all__ = [
 
 def _vector(x, n=None, name="vector"):
     v = np.asarray(x, dtype=float)
-    if v.ndim == 0 and n is not None:
-        v = np.full(n, float(v))
     if v.ndim != 1:
-        raise ValueError(f"{name} must be one-dimensional, got shape {v.shape}")
+        if v.ndim != 0 or n is None:
+            raise ValueError(f"{name} must be one-dimensional, got shape {v.shape}")
+        v = np.full(n, float(v))
     if n is not None and v.shape[0] != n:
         raise ValueError(f"{name} has length {v.shape[0]}, expected {n}")
     return v
@@ -96,7 +96,10 @@ class CoordinateTerms:
         object.__setattr__(self, "quad", quad)
         object.__setattr__(self, "lin", lin)
         object.__setattr__(self, "log_weight", logw)
-        object.__setattr__(self, "_log_idx", np.flatnonzero(logw > 0))
+        log_idx = np.flatnonzero(logw > 0)
+        object.__setattr__(self, "_log_idx", log_idx)
+        object.__setattr__(self, "_log_w", logw[log_idx])
+        object.__setattr__(self, "_has_lin", bool(lin.any()))
         object.__setattr__(self, "_has_quad", bool(quad.any()))
 
     @property
@@ -110,13 +113,13 @@ class CoordinateTerms:
         return cls(z, lin, z)
 
     def value(self, x):
-        v = float(self.lin @ x)
+        v = float(self.lin @ x) if self._has_lin else 0.0
         if self._has_quad:
             v += float(self.quad @ (x * x))
         idx = self._log_idx
         if idx.size:
             with np.errstate(divide="ignore"):
-                v -= float(self.log_weight[idx] @ np.log(x[idx]))
+                v -= float(self._log_w @ np.log(x[idx]))
         return v
 
     def gradient(self, x):

@@ -21,16 +21,26 @@ Runtime invariants maintained on inequality rows (checked each step when
 * queues stay nonnegative and the weights W stay nonnegative,
 * |Q_k(t)| >= |g_k(x(t-1))| for t >= 1 (reversed at t = 0),
 * the Lyapunov drift of 0.5||Q||^2 never exceeds Q(t).g(x(t)) + ||g(x(t))||^2,
-* Q_k(t) >= sum_{tau<t} g_k(x(tau)).
+* Q_k(t) >= sum_{tau<t} g_k(x(tau)) (on every row, equality rows included).
+
+The four vector checks are written into the rows of one boolean buffer
+that a single reduction tests; only when it finds a violation is the first
+failing check looked up, and its message is raised as an AssertionError.
+
+Every step, validated or not, tests the oracle's iterate and then the
+evaluated f and g for finiteness, one reduction each, and raises
+NumericalDomainError naming the iteration that produced a non-finite
+value, before it can reach the queues.
 """
 
+import math
 import time
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, NonConvergenceError
+from .errors import ConfigurationError, NonConvergenceError, NumericalDomainError
 from .oracles import make_oracle
 from .program import evaluate
 from .report import TraceRecorder
@@ -51,6 +61,16 @@ __all__ = [
 ]
 
 INVARIANT_TOL = 1e-9
+
+# messages of the four vector invariants, in the order they are checked;
+# the drift check sits between the third and the fourth
+_VECTOR_INVARIANTS = (
+    "queue invariant violated: Q_k < 0",
+    "weight invariant violated: Q_k + g_k(x_prev) < 0",
+    "queue lower bound violated: |Q_k(t+1)| < |g_k(x(t))|",
+    "queue fell below the cumulative constraint sum",
+)
+_DRIFT_INVARIANT = "drift exceeded its upper bound"
 
 
 class AlphaBelowCurvatureWarning(UserWarning):
@@ -81,6 +101,7 @@ class SolverState:
     cum_g: np.ndarray
     f_prev: float = float("nan")
     last_drift: DriftRecord = None
+    _work: object = field(default=None, repr=False, compare=False)
 
     @property
     def mode(self):
@@ -120,10 +141,33 @@ def queue_update(Q, g_now, mode="inequality"):
     g_now = np.asarray(g_now, dtype=float)
     if Q.shape != g_now.shape:
         raise ValueError("queue and constraint vectors must have equal length")
-    eq = _parse_mode(mode, Q.shape[0]) if not isinstance(mode, np.ndarray) else mode
     plus = Q + g_now
-    out = np.where(eq, plus, np.maximum(-g_now, plus))
-    return out
+    if isinstance(mode, str) and mode == "inequality":
+        return np.maximum(-g_now, plus)
+    eq = _parse_mode(mode, Q.shape[0]) if not isinstance(mode, np.ndarray) else mode
+    return np.where(eq, plus, np.maximum(-g_now, plus))
+
+
+class _Workspace:
+    """Per-run buffers of a step: the queue-update mode, the invariant
+    flags, float scratch and the flags of the finiteness tests."""
+
+    __slots__ = ("queue_mode", "ineq", "flags", "rows", "vector_rows", "a", "b",
+                 "finite_x", "finite_g")
+
+    def __init__(self, eq_mask, n):
+        m = eq_mask.shape[0]
+        has_eq = bool(eq_mask.any())
+        self.queue_mode = eq_mask if has_eq else "inequality"
+        self.ineq = ~eq_mask if has_eq else None
+        self.flags = np.zeros((len(_VECTOR_INVARIANTS), m), dtype=bool)
+        self.rows = tuple(self.flags)
+        # the first three invariants hold on inequality rows only
+        self.vector_rows = self.flags[:3]
+        self.a = np.empty(m)
+        self.b = np.empty(m)
+        self.finite_x = np.empty(n, dtype=bool)
+        self.finite_g = np.empty(m, dtype=bool)
 
 
 def init(program, x_init, alpha, mode="inequality"):
@@ -165,22 +209,33 @@ def init(program, x_init, alpha, mode="inequality"):
         alpha=float(alpha),
         eq_mask=eq_mask,
         cum_g=np.zeros(program.m),
+        _work=_Workspace(eq_mask, program.n),
     )
 
 
-def _check_invariants(state, Q_next, g_now, delta, bound):
-    ineq = ~state.eq_mask
-    if np.any(state.Q[ineq] < 0):
-        raise AssertionError("queue invariant violated: Q_k < 0")
-    W = state.Q + state.g_prev
-    if np.any(W[ineq] < -INVARIANT_TOL):
-        raise AssertionError("weight invariant violated: Q_k + g_k(x_prev) < 0")
-    if np.any(np.abs(Q_next[ineq]) < np.abs(g_now[ineq]) - INVARIANT_TOL):
-        raise AssertionError("queue lower bound violated: |Q_k(t+1)| < |g_k(x(t))|")
-    if delta > bound + INVARIANT_TOL:
-        raise AssertionError("drift exceeded its upper bound")
-    if np.any(Q_next < state.cum_g + g_now - (state.t + 1) * 1e-12 - INVARIANT_TOL):
-        raise AssertionError("queue fell below the cumulative constraint sum")
+def _check_invariants(work, t, Q, W, Q_next, g_now, cum_next, delta, bound):
+    """Test every runtime invariant of step t with one reduction.
+
+    Each vector check writes its violations into one row of the flag
+    buffer; the rows are scanned in order only when the reduction finds
+    one, so the message is that of the first check that fails.
+    """
+    queue, weight, lower, cumulative = work.rows
+    a, b = work.a, work.b
+    np.less(Q, 0.0, out=queue)
+    np.less(W, -INVARIANT_TOL, out=weight)
+    np.less(np.abs(Q_next, out=a), np.subtract(np.abs(g_now, out=b), INVARIANT_TOL, out=b),
+            out=lower)
+    np.subtract(cum_next, (t + 1) * 1e-12, out=a)
+    np.less(Q_next, np.subtract(a, INVARIANT_TOL, out=a), out=cumulative)
+    if work.ineq is not None:
+        np.logical_and(work.vector_rows, work.ineq, out=work.vector_rows)
+    drift_failed = delta > bound + INVARIANT_TOL
+    if drift_failed or np.logical_or.reduce(work.flags, axis=None):
+        for row, message in zip(work.rows[:3], _VECTOR_INVARIANTS):
+            if row.any():
+                raise AssertionError(message)
+        raise AssertionError(_DRIFT_INVARIANT if drift_failed else _VECTOR_INVARIANTS[3])
 
 
 def step(state, program, oracle=None, validate=True):
@@ -191,27 +246,37 @@ def step(state, program, oracle=None, validate=True):
     """
     if oracle is None:
         oracle = make_oracle(program)
-    W = state.Q + state.g_prev
+    work = state._work
+    if work is None:
+        work = state._work = _Workspace(state.eq_mask, program.n)
+    t = state.t
+    Q = state.Q
+    W = Q + state.g_prev
     try:
         x_new = oracle(W, state.x_prev, state.alpha)
     except NonConvergenceError as exc:
         raise NonConvergenceError(
-            f"primal oracle failed at iteration {state.t}: {exc}",
+            f"primal oracle failed at iteration {t}: {exc}",
             iterate=exc.iterate, residual=exc.residual,
             iterations=exc.iterations) from exc
+    if not np.logical_and.reduce(np.isfinite(x_new, out=work.finite_x)):
+        raise NumericalDomainError(f"primal oracle returned a non-finite iterate at iteration {t}")
     f_new, g_new = evaluate(program, x_new)
-    Q_next = queue_update(state.Q, g_new, state.eq_mask)
-    L = 0.5 * float(state.Q @ state.Q)
+    if not (math.isfinite(f_new) and np.logical_and.reduce(np.isfinite(g_new, out=work.finite_g))):
+        raise NumericalDomainError(
+            f"objective or constraint value is not finite at iteration {t}")
+    Q_next = queue_update(Q, g_new, work.queue_mode)
+    L = 0.5 * float(Q @ Q)
     delta = 0.5 * float(Q_next @ Q_next) - L
-    bound = float(state.Q @ g_new) + float(g_new @ g_new)
+    bound = float(Q @ g_new) + float(g_new @ g_new)
+    cum_g = state.cum_g + g_new
     if validate:
-        _check_invariants(state, Q_next, g_new, delta, bound)
-    t = state.t
+        _check_invariants(work, t, Q, W, Q_next, g_new, cum_g, delta, bound)
     if state.x_bar is None:
         state.x_bar = x_new.copy()
     else:
         state.x_bar = state.x_bar * (t / (t + 1.0)) + x_new / (t + 1.0)
-    state.cum_g += g_new
+    state.cum_g = cum_g
     state.last_drift = DriftRecord(t=t, L=L, delta=delta, bound=bound)
     state.x_prev = x_new
     state.g_prev = g_new

@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 import qpush as qp
-from qpush import BoxSet, ConstraintTerms, ConvexProgram, CoordinateTerms
+from qpush import BoxSet, ConstraintTerms, ConvexProgram, CoordinateTerms, solver
 from qpush.report import record_schedule
-from qpush.solver import AlphaBelowCurvatureWarning
+from qpush.solver import INVARIANT_TOL, AlphaBelowCurvatureWarning
 
 from helpers import (grid_minimize, quiet_alpha_warnings, random_alpha,
                      random_point_in, random_separable_program)
@@ -291,3 +293,161 @@ def test_derive_reference_small_program():
     z_star, _, f_star = qp.fig1_reference()
     assert ref.f == pytest.approx(f_star, abs=1e-6)
     assert np.abs(ref.x - z_star).max() < 1e-3
+
+
+# ---------------------------------------------------------------------------
+# Runtime invariants, one step at a time.  From Q = 0 and g(x_prev) = 0 a
+# fixed oracle moves to g(x) = -1 on both rows of g(x) = x, so every check
+# holds with room to spare; each case then pushes one invariant past its
+# bound by ``miss`` on one row.
+
+INVARIANT_MESSAGES = {
+    "queue": "queue invariant violated: Q_k < 0",
+    "weight": "weight invariant violated: Q_k + g_k(x_prev) < 0",
+    "lower": "queue lower bound violated: |Q_k(t+1)| < |g_k(x(t))|",
+    "drift": "drift exceeded its upper bound",
+    "cumulative": "queue fell below the cumulative constraint sum",
+}
+
+
+def _invariant_step(monkeypatch, mode, invariant, row, miss):
+    prog = offset_program([0.0, 0.0])
+    state = qp.init(prog, np.zeros(2), 1.0, mode)
+    g_new = np.array([-1.0, -1.0])
+    real_update = solver.queue_update
+    true_next = real_update(state.Q, g_new, state.eq_mask)
+
+    def patch_queue(change):
+        def faulty(Q, g, mode="inequality"):
+            out = real_update(Q, g, mode)
+            out[row] = change(out[row])
+            return out
+        monkeypatch.setattr(solver, "queue_update", faulty)
+
+    if invariant == "queue":
+        # Q_k = -miss, with W_k = 0 and the running sum kept equal to Q_k
+        state.Q[row] = -miss
+        state.g_prev[row] = miss
+        state.cum_g[row] = -miss
+    elif invariant == "weight":
+        state.g_prev[row] = -miss
+    elif invariant == "lower":
+        # an update that brings |Q_k(t+1)| miss below |g_k|
+        patch_queue(lambda q: q - math.copysign(miss, q))
+    elif invariant == "drift":
+        # an update that makes the drift exceed its bound (2) by miss
+        others = float(true_next @ true_next) - true_next[row] ** 2
+        patch_queue(lambda q: math.sqrt(2.0 * (2.0 + miss) - others))
+    elif invariant == "cumulative":
+        state.cum_g[row] = true_next[row] - g_new[row] + miss
+    qp.step(state, prog, oracle=lambda W, x_prev, alpha: g_new.copy())
+
+
+def _expect(monkeypatch, mode, invariant, row, miss, raises):
+    with monkeypatch.context() as patch:
+        if raises:
+            with pytest.raises(AssertionError) as err:
+                _invariant_step(patch, mode, invariant, row, miss)
+            assert str(err.value) == INVARIANT_MESSAGES[invariant]
+        else:
+            _invariant_step(patch, mode, invariant, row, miss)
+
+
+@pytest.mark.parametrize("mode", ["inequality", ["inequality", "equality"]])
+@pytest.mark.parametrize("invariant", sorted(INVARIANT_MESSAGES))
+def test_invariant_fails_by_ten_tolerances_and_passes_by_a_tenth(monkeypatch, mode, invariant):
+    # row 0 is an inequality row in both modes
+    _expect(monkeypatch, mode, invariant, 0, 10 * INVARIANT_TOL, raises=True)
+    # the queue check has no tolerance: any negative queue fails it
+    _expect(monkeypatch, mode, invariant, 0, 0.1 * INVARIANT_TOL,
+            raises=invariant == "queue")
+
+
+@pytest.mark.parametrize("invariant", ["queue", "weight", "lower", "cumulative"])
+def test_equality_rows_check_only_the_cumulative_sum(monkeypatch, invariant):
+    mixed = ["inequality", "equality"]
+    _expect(monkeypatch, mixed, invariant, 1, 10 * INVARIANT_TOL,
+            raises=invariant == "cumulative")
+    _expect(monkeypatch, mixed, invariant, 1, 0.1 * INVARIANT_TOL, raises=False)
+
+
+def overflow_program():
+    """g(x) = 1e308 (x_1 + x_2) overflows at the first iterate."""
+    return ConvexProgram.from_terms(
+        CoordinateTerms.linear([-1e308, -1e308]),
+        ConstraintTerms([[1e308, 1e308]], [0.0]),
+        BoxSet([0.0, 0.0], [1e308, 1e308]),
+        beta_hint=1.0,
+    )
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_non_finite_evaluation_raises_at_the_step_that_makes_it():
+    prog = overflow_program()
+    with pytest.raises(qp.NumericalDomainError, match="iteration 0"):
+        qp.run(prog, np.zeros(2), 1.0, 50)
+    with pytest.raises(qp.NumericalDomainError, match="iteration 0"):
+        qp.run(prog, np.zeros(2), 1.0, 50, validate=False)
+
+
+def test_non_finite_iterate_raises_before_evaluation():
+    prog = one_dim_program()
+    state = qp.init(prog, np.array([0.0]), 1.0)
+    qp.step(state, prog)
+    with pytest.raises(qp.NumericalDomainError, match="non-finite iterate at iteration 1"):
+        qp.step(state, prog, oracle=lambda W, x_prev, alpha: np.array([np.nan]))
+    assert state.t == 1
+
+
+# Final values of two runs at a fixed alpha, as the kernel produced them
+# before its operations were regrouped; every digit must survive.
+
+FIG1_NUM_T1E4 = {
+    "f_xbar": -1.654471805697292,
+    "Q": [0.5999999999999996, 0.5999999999999996, 0.40000000000000036,
+          1.2499999999999982, 1.2499999999999982, 0.5999999999999966,
+          1.2499999999999996, 0.40000000000000324, 0.04154620073843718,
+          1.2499999999999976, 1.2499999999999987, 1.2499999999999982],
+    "x_bar": [0.4001956968324501, 0.4001956968324501, 0.5993396498998573,
+              0.5993396498998573, 0.40015741429166, 0.5994977105937119,
+              0.9989819514492464, 0.8005154076594286, 1.5989617140913865,
+              1.59860466204296],
+}
+
+# nonzero entries of x_bar; the other 55 are exactly 0
+QP_SEED1_T2000_XBAR = {
+    2: 0.9930769007996174, 5: 0.15100807534177102, 9: 0.3165023080471638,
+    12: 0.9959950745782188, 14: 4.0266165712731064e-05, 15: 0.167803377922512,
+    17: 0.13625872679486248, 24: 0.026075446636336982, 25: 0.25634938304597127,
+    26: 0.9963931614531861, 29: 0.23173081964297873, 31: 0.378525994444975,
+    32: 0.8631919457384227, 35: 0.4736287694165151, 36: 0.08845329563830266,
+    38: 0.9957778114446987, 43: 0.9966049998746207, 44: 0.6490438534590163,
+    45: 0.39898074483049, 47: 2.048750483405118e-05, 49: 0.3510016083115832,
+    51: 0.42251915840969373, 52: 0.9963242255314517, 53: 0.9935234498504573,
+    58: 0.6066226299859251, 61: 0.753544588120352, 62: 0.9875652263806247,
+    64: 0.5824211761683665, 65: 0.9964946838963882, 67: 0.00045380851618987127,
+    69: 0.6983277874396885, 70: 0.6922754262476114, 72: 0.9877530949001055,
+    76: 0.6574374262772905, 77: 0.9936462131005794, 80: 0.3995365239424788,
+    81: 0.6113692506302825, 82: 0.0001915197181084894, 85: 0.8412459808395536,
+    87: 0.7629252867455733, 90: 0.6456137000051856, 91: 0.14717868231965142,
+    92: 0.5168029903653166, 94: 0.12008787341237033, 98: 0.8111913186308634,
+}
+
+
+def test_fig1_num_final_values_are_pinned(fig1_instance):
+    prog = fig1_instance.program
+    rep = qp.run(prog, np.zeros(prog.n), 10.0, 10_000)
+    assert rep.f_xbar[-1] == FIG1_NUM_T1E4["f_xbar"]
+    assert rep.Q[-1].tolist() == FIG1_NUM_T1E4["Q"]
+    assert rep.x_bar[-1].tolist() == FIG1_NUM_T1E4["x_bar"]
+
+
+def test_qp_seed1_final_values_are_pinned(qp_seed1):
+    program = qp_seed1.program()
+    alpha = 0.5 * qp_seed1.beta() ** 2 + 1.0
+    rep = qp.run(program, np.zeros(program.n), alpha, 2000)
+    assert rep.f_xbar[-1] == -168.55981281780277
+    assert rep.Q[-1].tolist() == [5.236228571646411]
+    want = np.zeros(program.n)
+    want[list(QP_SEED1_T2000_XBAR)] = list(QP_SEED1_T2000_XBAR.values())
+    assert rep.x_bar[-1].tolist() == want.tolist()
