@@ -13,7 +13,8 @@ flow-control simulator exploits.
 """
 
 from .baseline import DualState, dsg_run, dual_step
-from .errors import ConfigurationError, NonConvergenceError, NumericalDomainError
+from .errors import (ConfigurationError, InvariantViolation, NonConvergenceError,
+                     NumericalDomainError)
 from .netflow import (NumProblem, Topology, beta_bounds, build_num_program,
                       load_topology, simulate_decentralized)
 from .oracles import (SeparableOracle, Subproblem, log1p_quadratic_minimizer,

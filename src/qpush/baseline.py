@@ -14,10 +14,12 @@ linear objective over a box); the convention here is the low endpoint
 when a coordinate's coefficient is exactly zero.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import InvariantViolation, NumericalDomainError
 from .oracles import SeparableOracle
 from .program import evaluate
 from .solver import _drive
@@ -55,18 +57,25 @@ class LagrangianOracle(SeparableOracle):
 
 
 def dual_step(state, program, oracle=None):
-    """One dual subgradient iteration; returns the mutated state."""
+    """One dual subgradient iteration; returns the mutated state.  A
+    non-finite iterate, f or g raises NumericalDomainError naming t."""
     if oracle is None:
         oracle = LagrangianOracle(program)
+    t = state.t
     x = oracle(state.lam)
+    if not np.logical_and.reduce(np.isfinite(x)):
+        raise NumericalDomainError(
+            f"Lagrangian oracle returned a non-finite iterate at iteration {t}")
     f, g = evaluate(program, x)
+    if not (math.isfinite(f) and np.logical_and.reduce(np.isfinite(g))):
+        raise NumericalDomainError(
+            f"objective or constraint value is not finite at iteration {t}")
     gamma = state.step
     lam_next = np.maximum(state.lam + gamma * g, 0.0)
     L = 0.5 * float(state.lam @ state.lam)
     delta = 0.5 * float(lam_next @ lam_next) - L
     # ||max(lam + gamma g, 0)||^2 <= ||lam + gamma g||^2
     bound = gamma * float(state.lam @ g) + 0.5 * gamma * gamma * float(g @ g)
-    t = state.t
     if state.x_bar is None:
         state.x_bar = x.copy()
     else:
@@ -99,7 +108,8 @@ def dsg_run(program, x_init_ignored, gamma, T, oracle=None, record_every=None,
     def advance(t):
         dual_step(state, program, oracle)
         if np.any(state.lam < 0):
-            raise AssertionError("multiplier projection failed")
+            raise InvariantViolation("multiplier projection failed", "multiplier", t,
+                                     float(state.lam.min()))
 
     def row():
         return (state.x_last, state.x_bar, state.lam, state.f_last, state.g_last,

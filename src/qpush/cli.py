@@ -14,7 +14,9 @@ margins, and a log-log convergence SVG.  ``verify`` re-runs a problem
 and checks the trace against the certified decay bounds from a
 reference file ``{"f_star":.., "x_star":[..], "lambda_star":[..],
 "beta":..}``; it exits 4 when a bound is violated.  Exit codes: 0 ok,
-2 configuration error, 3 numerical failure, 4 bound violation.
+2 configuration error, 3 numerical failure (a non-finite value, an
+oracle that does not converge, or an ``InvariantViolation``: a runtime
+invariant failed beyond its rounding tolerance), 4 bound violation.
 """
 
 import argparse
@@ -25,7 +27,8 @@ import sys
 import numpy as np
 
 from .baseline import dsg_run
-from .errors import ConfigurationError, NonConvergenceError, NumericalDomainError
+from .errors import (ConfigurationError, InvariantViolation, NonConvergenceError,
+                     NumericalDomainError)
 from .problems import PROBLEM_NAMES, get_problem, half_hop_alpha
 from .program import load_program
 from .report import (plot_trace, write_full_trace_csv, write_summary,
@@ -306,6 +309,10 @@ def main(argv=None):
         return 2
     except (NonConvergenceError, NumericalDomainError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
+    except InvariantViolation as exc:
+        print(f"numerical failure: {exc} at iteration {exc.t}, margin {exc.margin:.3e}",
+              file=sys.stderr)
         return 3
 
 

@@ -1,6 +1,7 @@
 """Exception types shared across the solver stack."""
 
-__all__ = ["ConfigurationError", "NumericalDomainError", "NonConvergenceError"]
+__all__ = ["ConfigurationError", "NumericalDomainError", "NonConvergenceError",
+           "InvariantViolation"]
 
 
 class ConfigurationError(ValueError):
@@ -22,3 +23,14 @@ class NonConvergenceError(RuntimeError):
         self.iterate = iterate
         self.residual = residual
         self.iterations = iterations
+
+
+class InvariantViolation(AssertionError):
+    """Runtime invariant ``name`` failed at iteration ``t``, missing its
+    bound, tolerance included, by ``margin`` (negative)."""
+
+    def __init__(self, message, name, t, margin):
+        super().__init__(message)
+        self.name = name
+        self.t = t
+        self.margin = margin

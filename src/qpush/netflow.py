@@ -11,20 +11,21 @@ source.  The rate-allocation problem
 is assembled into a linear-constraint program on z = (x, y) with
 g(z) = A z - b, A = [[R, 0], [-T, I]] and b = (c, 0).
 
-:func:`simulate_decentralized` runs the same iteration as the central
-solver but with per-link and per-source agents exchanging price and
-rate messages in synchronous rounds, which is how the method deploys in
-a network: links only see the paths crossing them, sources only see the
-prices of links their paths use.
+:func:`simulate_decentralized` runs the same iteration as per-link and
+per-source agents exchanging messages in synchronous rounds, as the
+method deploys in a network: a link sums only the rates of the paths
+crossing it, a source only the prices of the links its paths use.  Each
+such sum is one segment of an incidence index array of the topology.
 """
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, NumericalDomainError
 from .oracles import LOG_DOMAIN_FLOOR, log_quadratic_minimizer
 from .program import BoxSet, ConstraintTerms, ConvexProgram, CoordinateTerms, spectral_norm
 from .solver import _drive
@@ -45,13 +46,16 @@ class Topology:
 
     ``path_links[k]`` is the set of links used by path k; every path
     belongs to exactly one source and ``source_paths`` partitions the
-    path indices.  ``link_paths`` (the transpose view) is derived.
+    path indices.  The incidence is also kept as read-only index arrays:
+    ``_pl_path``, ``_pl_link`` hold the (path, link) pairs sorted by path,
+    then link (R^T in CSR form); ``_lp_link``, ``_lp_path`` the same pairs
+    sorted by link, then path (R in CSR form); ``_sp_source``, ``_sp_path``
+    each source's paths in ``source_paths`` order (T in CSR form).
     """
 
     cap: np.ndarray
     path_links: tuple
     source_paths: tuple
-    link_paths: tuple = field(init=False)
 
     def __post_init__(self):
         cap = np.asarray(self.cap, dtype=float)
@@ -71,15 +75,19 @@ class Topology:
         seen = [k for ks in source_paths for k in ks]
         if sorted(seen) != list(range(K)):
             raise ConfigurationError("source path sets must partition the path indices")
-        link_paths = [[] for _ in range(L)]
-        for k, links in enumerate(path_links):
-            for l in links:
-                link_paths[l].append(k)
-        link_paths = tuple(tuple(ks) for ks in link_paths)
+        pl_path = np.array([k for k, links in enumerate(path_links) for _ in links], dtype=np.intp)
+        pl_link = np.array([l for links in path_links for l in links], dtype=np.intp)
+        by_link = np.argsort(pl_link, kind="stable")
+        sp_source = np.array([s for s, ks in enumerate(source_paths) for _ in ks], dtype=np.intp)
+        sp_path = np.array(seen, dtype=np.intp)
         object.__setattr__(self, "cap", cap)
         object.__setattr__(self, "path_links", path_links)
         object.__setattr__(self, "source_paths", source_paths)
-        object.__setattr__(self, "link_paths", link_paths)
+        for name, a in (("_pl_path", pl_path), ("_pl_link", pl_link),
+                        ("_lp_link", pl_link[by_link]), ("_lp_path", pl_path[by_link]),
+                        ("_sp_source", sp_source), ("_sp_path", sp_path)):
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
 
     @property
     def L(self):
@@ -94,23 +102,27 @@ class Topology:
         return len(self.source_paths)
 
     @property
+    def link_paths(self):
+        """The paths through each link, in increasing order."""
+        ends = np.cumsum(np.bincount(self._lp_link, minlength=self.L))[:-1]
+        return tuple(tuple(ks.tolist()) for ks in np.split(self._lp_path, ends))
+
+    @property
     def hop_counts(self):
-        return np.array([len(links) for links in self.path_links])
+        return np.bincount(self._pl_path, minlength=self.K)
 
     @property
     def R(self):
         """Link-path incidence, L x K 0/1."""
         R = np.zeros((self.L, self.K))
-        for k, links in enumerate(self.path_links):
-            R[list(links), k] = 1.0
+        R[self._lp_link, self._lp_path] = 1.0
         return R
 
     @property
     def T(self):
         """Source-path incidence, S x K 0/1."""
         T = np.zeros((self.S, self.K))
-        for s, ks in enumerate(self.source_paths):
-            T[s, list(ks)] = 1.0
+        T[self._sp_source, self._sp_path] = 1.0
         return T
 
     def stacked_matrix(self):
@@ -122,9 +134,9 @@ class Topology:
     def _stacked(self):
         L, K, S = self.L, self.K, self.S
         A = np.zeros((L + S, K + S))
-        A[:L, :K] = self.R
-        A[L:, :K] = -self.T
-        A[L:, K:] = np.eye(S)
+        A[self._lp_link, self._lp_path] = 1.0
+        A[L + self._sp_source, self._sp_path] = -1.0
+        A[L + np.arange(S), K + np.arange(S)] = 1.0
         A.flags.writeable = False
         return A
 
@@ -264,150 +276,84 @@ def beta_bounds(topology, tol=1e-9):
     return hop_bound, loose_bound
 
 
-class _LinkAgent:
-    """Holds one link's queue and price; sees only path rates through it."""
-
-    def __init__(self, capacity, paths):
-        self.capacity = capacity
-        self.paths = paths
-        self.queue = 0.0
-        self.price = 0.0
-
-    def start(self, rates):
-        total = sum(rates[k] for k in self.paths)
-        self.queue = max(0.0, self.capacity - total)
-        self.price = self.queue + total - self.capacity
-
-    def round(self, rates):
-        total = sum(rates[k] for k in self.paths)
-        load = total - self.capacity
-        self.queue = max(-load, self.queue + load)
-        self.price = self.queue + load
-
-
-class _SourceAgent:
-    """Holds one source's paths, rates, queue and price."""
-
-    def __init__(self, paths, path_links, weight, x_max, y_max, alpha):
-        self.paths = paths
-        self.path_links = {k: path_links[k] for k in paths}
-        self.weight = weight
-        self.x_max = {k: x_max[k] for k in paths}
-        self.y_max = y_max
-        self.alpha = alpha
-        self.rates = {}
-        self.total_rate = 0.0
-        self.y = 0.0
-        self.queue = 0.0
-        self.price = 0.0
-
-    def start(self, x_init, y_init):
-        self.rates = {k: x_init[k] for k in self.paths}
-        self.total_rate = sum(self.rates.values())
-        self.y = y_init
-        gap = self.y - self.total_rate
-        self.queue = max(0.0, -gap)
-        self.price = self.queue + gap
-
-    def round(self, link_prices):
-        alpha = self.alpha
-        for k in self.paths:
-            path_price = sum(link_prices[l] for l in self.path_links[k])
-            step = (path_price - self.price) / (2.0 * alpha)
-            self.rates[k] = min(max(self.rates[k] - step, 0.0), self.x_max[k])
-        self.total_rate = sum(self.rates[k] for k in self.paths)
-        self.y = float(log_quadratic_minimizer(
-            alpha, self.price - 2.0 * alpha * self.y, self.weight,
-            LOG_DOMAIN_FLOOR, self.y_max))
-        gap = self.y - self.total_rate
-        self.queue = max(-gap, self.queue + gap)
-        self.price = self.queue + gap
-
-
 def simulate_decentralized(topology, utilities, x_max, y_max, alpha,
-                           x_init, y_init, T, record_every=None,
-                           schedule=None, label="num"):
+                           x_init, y_init, T, record_every=None, label="num"):
     """Run the per-agent iteration for ``T`` synchronous rounds.
 
-    Each round has two phases with a barrier between them: every source
-    reads the link prices of the previous round, moves its path rates by
-    the closed-form prox step, solves its scalar rate problem, and
-    updates its own queue and price; then every link reads the new path
-    rates, applies the queue transition and publishes its next price.
-    Agents within a phase touch disjoint state, so the processing order
-    (overridable via ``schedule`` = (link_order, source_order)) cannot
-    change the result.
+    Each round has two phases with a barrier between them.  First every
+    source reads the previous round's prices of the links on its paths,
+    moves its path rates by the closed-form prox step, solves its scalar
+    rate problem and updates its own queue and price.  Then every link
+    sums the new rates of the paths through it, applies the queue
+    transition and publishes its next price.  A phase is one array
+    operation over all agents, each reading only its own segments of the
+    topology's incidence arrays, so no processing order exists.
 
     The trace row at t records exactly what the centralized solver would
     record: z(t-1) = (x(t-1), y(t-1)) and the stacked queue vector Q(t).
-    Price and rate message totals are accumulated in ``extras``.
+    ``extras`` counts one price and one rate message per (link, path)
+    pair and round.  Non-finite rates or constraint values in a round, or
+    a non-finite recorded objective, raise NumericalDomainError naming t.
     """
-    num = NumProblem(topology,
-                     np.asarray(utilities, dtype=float),
-                     np.broadcast_to(np.asarray(x_max, dtype=float), (topology.K,)).copy(),
-                     np.broadcast_to(np.asarray(y_max, dtype=float), (topology.S,)).copy())
-    program = num.program()
+    program = build_num_program(topology, utilities, x_max, y_max)
     L, K, S = topology.L, topology.K, topology.S
-    x_init = np.broadcast_to(np.asarray(x_init, dtype=float), (K,)).copy()
-    y_init = np.broadcast_to(np.asarray(y_init, dtype=float), (S,)).copy()
-    z_init = np.concatenate([x_init, y_init])
+    x = np.broadcast_to(np.asarray(x_init, dtype=float), (K,)).copy()
+    y = np.broadcast_to(np.asarray(y_init, dtype=float), (S,)).copy()
+    z_init = np.concatenate([x, y])
     if not program.box.contains(z_init):
         raise ValueError("initial rates lie outside their boxes")
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    link_order, source_order = schedule if schedule is not None else (range(L), range(S))
+    cap, x_max, y_max = topology.cap, program.box.hi[:K], program.box.hi[K:]
+    w = program.objective_terms.log_weight[K:]
+    # the row of each path's source in the stacked price vector
+    source_row = np.empty(K, dtype=np.intp)
+    source_row[topology._sp_path] = L + topology._sp_source
+    two_alpha = 2.0 * alpha
 
-    links = [_LinkAgent(topology.cap[l], topology.link_paths[l]) for l in range(L)]
-    sources = [_SourceAgent(topology.source_paths[s], topology.path_links,
-                            num.utility_weights[s], num.x_max, num.y_max[s], alpha)
-               for s in range(S)]
-    rates = dict(enumerate(x_init))
-    for l in link_order:
-        links[l].start(rates)
-    for s in source_order:
-        sources[s].start(rates, y_init[s])
+    def loads(x, y):
+        """R x - c and y - T x: one segment sum per link and per source."""
+        return np.concatenate([
+            np.bincount(topology._lp_link, x[topology._lp_path], L) - cap,
+            y - np.bincount(topology._sp_source, x[topology._sp_path], S)])
 
-    price_messages_per_round = sum(len(lp) for lp in topology.link_paths)
-    rate_messages_per_round = price_messages_per_round
+    load = loads(x, y)
+    Q = np.maximum(0.0, -load)
+    price = Q + load
     cum_g = np.zeros(L + S)
-    x_bar = z = g_z = queues = queues_before = None
+    x_bar = z = g_z = Q_before = last_t = None
 
     def advance(t):
-        nonlocal x_bar, z, g_z, cum_g, queues, queues_before
-        queues_before = np.array([a.queue for a in links] + [a.queue for a in sources])
-        link_prices = {l: links[l].price for l in range(L)}
-        for s in source_order:
-            sources[s].round(link_prices)
-        rates = {k: src.rates[k] for src in sources for k in src.paths}
-        for l in link_order:
-            links[l].round(rates)
-        z = np.concatenate([
-            np.array([rates[k] for k in range(K)]),
-            np.array([src.y for src in sources]),
-        ])
-        queues = np.array([a.queue for a in links] + [a.queue for a in sources])
+        nonlocal x, y, Q, price, x_bar, z, g_z, cum_g, Q_before, last_t
+        path_price = np.bincount(topology._pl_path, price[topology._pl_link], K)
+        x = np.minimum(np.maximum(x - (path_price - price[source_row]) / two_alpha, 0.0), x_max)
+        y = log_quadratic_minimizer(alpha, price[L:] - two_alpha * y, w, LOG_DOMAIN_FLOOR, y_max)
+        z = np.concatenate([x, y])
+        if not np.logical_and.reduce(np.isfinite(z)):
+            raise NumericalDomainError(f"agents computed a non-finite rate at iteration {t}")
+        load = loads(x, y)
+        Q_before = Q
+        Q = np.maximum(-load, Q + load)
+        price = Q + load
         x_bar = z.copy() if x_bar is None else x_bar * (t / (t + 1.0)) + z / (t + 1.0)
         g_z = program.constraint_values(z)
+        if not np.logical_and.reduce(np.isfinite(g_z)):
+            raise NumericalDomainError(f"constraint value is not finite at iteration {t}")
         cum_g += g_z
+        last_t = t
 
     def row():
-        delta = 0.5 * float(queues @ queues) - 0.5 * float(queues_before @ queues_before)
-        dbound = float(queues_before @ g_z) + float(g_z @ g_z)
-        return z, x_bar, queues, program.objective_value(z), g_z, cum_g, delta, dbound
+        f_z = program.objective_value(z)
+        if not math.isfinite(f_z):
+            raise NumericalDomainError(f"objective value is not finite at iteration {last_t}")
+        delta = 0.5 * float(Q @ Q) - 0.5 * float(Q_before @ Q_before)
+        dbound = float(Q_before @ g_z) + float(g_z @ g_z)
+        return z, x_bar, Q, f_z, g_z, cum_g, delta, dbound
 
-    return _drive(
-        T, record_every, advance, row,
-        algorithm="vq-decentralized",
-        problem=label,
-        alpha=float(alpha),
-        mode="inequality",
-        oracle="agent-message-passing",
-        x_init=z_init,
-        program=program,
-        extras={
-            "price_messages": T * price_messages_per_round,
-            "rate_messages": T * rate_messages_per_round,
-            "price_messages_per_round": price_messages_per_round,
-            "rate_messages_per_round": rate_messages_per_round,
-        },
-    )
+    per_round = int(topology._lp_link.size)
+    return _drive(T, record_every, advance, row, algorithm="vq-decentralized", problem=label,
+                  alpha=float(alpha), mode="inequality", oracle="agent-message-passing",
+                  x_init=z_init, program=program,
+                  extras={"price_messages": T * per_round, "rate_messages": T * per_round,
+                          "price_messages_per_round": per_round,
+                          "rate_messages_per_round": per_round})

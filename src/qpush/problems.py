@@ -126,9 +126,7 @@ def build_flow_power_program(topology, utilities, x_max=None, y_max=None,
         log_weight=np.concatenate([np.zeros(K), num.utility_weights, np.zeros(L)]),
     )
     lin = np.zeros((L + S, n))
-    lin[:L, :K] = topology.R
-    lin[L:, :K] = -topology.T
-    lin[L:, K:K + S] = np.eye(S)
+    lin[:, :K + S] = topology.stacked_matrix()
     neglog1p = np.zeros((L + S, n))
     neglog1p[:L, K + S:] = np.eye(L)
     cons = ConstraintTerms(lin, np.zeros(L + S), neglog1p=neglog1p)

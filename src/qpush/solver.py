@@ -23,9 +23,15 @@ Runtime invariants maintained on inequality rows (checked each step when
 * the Lyapunov drift of 0.5||Q||^2 never exceeds Q(t).g(x(t)) + ||g(x(t))||^2,
 * Q_k(t) >= sum_{tau<t} g_k(x(tau)) (on every row, equality rows included).
 
+The drift's rounding error grows with its terms, so the drift check
+allows max(1e-9, (m+4) eps M), M = 0.5||Q(t+1)||^2 + ||Q(t)||^2 + 1.5||g||^2
+bounding the dot products it is built from (Higham, Accuracy and
+Stability of Numerical Algorithms, ch. 3); at desk scale that is 1e-9.
+
 The four vector checks are written into the rows of one boolean buffer
 that a single reduction tests; only when it finds a violation is the first
-failing check looked up, and its message is raised as an AssertionError.
+failing check looked up and raised as an InvariantViolation, an
+AssertionError carrying the invariant's name, t and margin.
 
 Every step, validated or not, tests the oracle's iterate and then the
 evaluated f and g for finiteness, one reduction each, and raises
@@ -40,7 +46,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, NonConvergenceError, NumericalDomainError
+from .errors import (ConfigurationError, InvariantViolation, NonConvergenceError,
+                     NumericalDomainError)
 from .oracles import make_oracle
 from .program import evaluate
 from .report import TraceRecorder
@@ -61,14 +68,15 @@ __all__ = [
 ]
 
 INVARIANT_TOL = 1e-9
+_EPS = float(np.finfo(float).eps)
 
-# messages of the four vector invariants, in the order they are checked;
-# the drift check sits between the third and the fourth
+# names and messages of the four vector invariants, in the order they are
+# checked; the drift check sits between the third and the fourth
 _VECTOR_INVARIANTS = (
-    "queue invariant violated: Q_k < 0",
-    "weight invariant violated: Q_k + g_k(x_prev) < 0",
-    "queue lower bound violated: |Q_k(t+1)| < |g_k(x(t))|",
-    "queue fell below the cumulative constraint sum",
+    ("queue", "queue invariant violated: Q_k < 0"),
+    ("weight", "weight invariant violated: Q_k + g_k(x_prev) < 0"),
+    ("lower", "queue lower bound violated: |Q_k(t+1)| < |g_k(x(t))|"),
+    ("cumulative", "queue fell below the cumulative constraint sum"),
 )
 _DRIFT_INVARIANT = "drift exceeded its upper bound"
 
@@ -213,12 +221,13 @@ def init(program, x_init, alpha, mode="inequality"):
     )
 
 
-def _check_invariants(work, t, Q, W, Q_next, g_now, cum_next, delta, bound):
+def _check_invariants(work, t, Q, W, Q_next, g_now, cum_next, delta, bound, L, gg):
     """Test every runtime invariant of step t with one reduction.
 
     Each vector check writes its violations into one row of the flag
     buffer; the rows are scanned in order only when the reduction finds
-    one, so the message is that of the first check that fails.
+    one, so the error is that of the first check that fails.  ``L`` is
+    0.5||Q||^2 and ``gg`` is ||g||^2.
     """
     queue, weight, lower, cumulative = work.rows
     a, b = work.a, work.b
@@ -230,12 +239,22 @@ def _check_invariants(work, t, Q, W, Q_next, g_now, cum_next, delta, bound):
     np.less(Q_next, np.subtract(a, INVARIANT_TOL, out=a), out=cumulative)
     if work.ineq is not None:
         np.logical_and(work.vector_rows, work.ineq, out=work.vector_rows)
-    drift_failed = delta > bound + INVARIANT_TOL
+    drift_tol = INVARIANT_TOL
+    if delta > bound + drift_tol:
+        # |Q.g| <= L + gg/2, so M = 0.5||Q'||^2 + 2L + 1.5gg bounds the terms
+        drift_tol = max(drift_tol, (Q.shape[0] + 4) * _EPS * (delta + 3.0 * L + 1.5 * gg))
+    drift_failed = delta > bound + drift_tol
     if drift_failed or np.logical_or.reduce(work.flags, axis=None):
-        for row, message in zip(work.rows[:3], _VECTOR_INVARIANTS):
+        margins = (Q, W + INVARIANT_TOL,
+                   np.abs(Q_next) - (np.abs(g_now) - INVARIANT_TOL),
+                   Q_next - ((cum_next - (t + 1) * 1e-12) - INVARIANT_TOL))
+        for i, (name, message) in enumerate(_VECTOR_INVARIANTS):
+            if i == 3 and drift_failed:
+                raise InvariantViolation(_DRIFT_INVARIANT, "drift", t,
+                                         bound + drift_tol - delta)
+            row = work.rows[i]
             if row.any():
-                raise AssertionError(message)
-        raise AssertionError(_DRIFT_INVARIANT if drift_failed else _VECTOR_INVARIANTS[3])
+                raise InvariantViolation(message, name, t, float(margins[i][row].min()))
 
 
 def step(state, program, oracle=None, validate=True):
@@ -268,10 +287,11 @@ def step(state, program, oracle=None, validate=True):
     Q_next = queue_update(Q, g_new, work.queue_mode)
     L = 0.5 * float(Q @ Q)
     delta = 0.5 * float(Q_next @ Q_next) - L
-    bound = float(Q @ g_new) + float(g_new @ g_new)
+    gg = float(g_new @ g_new)
+    bound = float(Q @ g_new) + gg
     cum_g = state.cum_g + g_new
     if validate:
-        _check_invariants(work, t, Q, W, Q_next, g_new, cum_g, delta, bound)
+        _check_invariants(work, t, Q, W, Q_next, g_new, cum_g, delta, bound, L, gg)
     if state.x_bar is None:
         state.x_bar = x_new.copy()
     else:

@@ -116,3 +116,10 @@ def auglag_pg_qp_reference(qpi, rho=50.0, outer=40, inner=200000, tol=1e-10):
             break
         lam = lam_new
     return x, lam, float(P @ (x * x) + c @ x)
+
+
+def overflow_network():
+    """Two paths of rate cap 1e308 sharing one unit link: started at their
+    caps, the link's load overflows.  Returns (topology, x_max, y_max)."""
+    topo = Topology.from_paths([1.0], [(0, [0]), (0, [0])])
+    return topo, np.array([1e308, 1e308]), np.array([1.0])

@@ -6,7 +6,7 @@ from qpush import BoxSet, ConstraintTerms, ConvexProgram, CoordinateTerms
 from qpush.baseline import DualState, LagrangianOracle, dual_step
 from qpush.report import TRACE_COLUMNS, write_trace_csv
 
-from helpers import grid_minimize
+from helpers import grid_minimize, overflow_network
 
 
 def one_dim_program():
@@ -130,6 +130,20 @@ def test_dsg_run_t1_and_validation():
         qp.dsg_run(prog, None, 0.0, 10)
     with pytest.raises(ValueError):
         qp.dsg_run(prog, None, 0.01, 0)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_dsg_raises_on_the_first_non_finite_iteration():
+    topo, x_max, y_max = overflow_network()
+    prog = qp.build_num_program(topo, [1.0], x_max, y_max)
+    # lambda(0) = 0 puts both rates at 0; iteration 0 leaves the source a
+    # positive multiplier, which sends both rates to 1e308 at iteration 1
+    with pytest.raises(qp.NumericalDomainError,
+                       match="constraint value is not finite at iteration 1"):
+        qp.dsg_run(prog, None, 1.0, 5)
+    state = fresh_state(prog.m, gamma=1.0, lam=[0.0, 1.0])
+    with pytest.raises(qp.NumericalDomainError, match="non-finite iterate at iteration 0"):
+        dual_step(state, prog, oracle=lambda lam: np.full(prog.n, np.nan))
 
 
 def test_dsg_zero_constraints_reduce_to_repeated_minimization():

@@ -127,6 +127,19 @@ def test_config_error_exit_codes(tmp_path):
     assert missing == 2
 
 
+def test_invariant_violation_exits_3(tmp_path, monkeypatch, capsys):
+    real_update = qp.solver.queue_update
+
+    def faulty(Q, g, mode="inequality"):
+        return real_update(Q, g, mode) - 1.0   # queues 1 below their transition
+
+    monkeypatch.setattr(qp.solver, "queue_update", faulty)
+    code = main(["run", "--problem", "fig1-num", "--alpha", "10", "--T", "50",
+                 "--out", str(tmp_path)])
+    assert code == 3
+    assert "at iteration 0" in capsys.readouterr().err
+
+
 def test_verify_passes_and_fails(tmp_path):
     good = reference_file(tmp_path)
     out = tmp_path / "ok"

@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import numpy as np
@@ -6,8 +7,9 @@ import pytest
 import qpush as qp
 from qpush import Topology
 from qpush.errors import ConfigurationError
+from qpush.oracles import LOG_DOMAIN_FLOOR
 
-from helpers import random_topology
+from helpers import overflow_network, random_topology
 
 
 def single_link_topology():
@@ -23,6 +25,24 @@ def test_topology_incidence_consistency(fig1_instance):
         for l in links:
             assert k in topo.link_paths[l]
     assert topo.R.shape == (9, 7) and topo.T.shape == (3, 7)
+
+
+def test_incidence_arrays():
+    # link 1 carries no path; path 1 crosses links 0 and 2
+    topo = Topology([1.0, 1.0, 1.0], ((2, 0), (0,), (2,)), ((2, 0), (1,)))
+    assert topo._pl_path.tolist() == [0, 0, 1, 2]
+    assert topo._pl_link.tolist() == [0, 2, 0, 2]
+    assert topo._lp_link.tolist() == [0, 0, 2, 2]
+    assert topo._lp_path.tolist() == [0, 1, 0, 2]
+    assert topo._sp_source.tolist() == [0, 0, 1]
+    assert topo._sp_path.tolist() == [2, 0, 1]
+    assert topo.link_paths == ((0, 1), (), (0, 2))
+    assert topo.hop_counts.tolist() == [2, 1, 1]
+    for name in ("_pl_path", "_pl_link", "_lp_link", "_lp_path", "_sp_source", "_sp_path"):
+        assert not getattr(topo, name).flags.writeable
+    assert np.array_equal(topo.R, [[1, 1, 0], [0, 0, 0], [1, 0, 1]])
+    assert np.array_equal(topo.T, [[1, 0, 1], [0, 1, 0]])
+    assert not topo.stacked_matrix().flags.writeable
 
 
 def test_topology_validation():
@@ -89,12 +109,12 @@ def test_beta_bounds_random_topologies():
         qp.beta_bounds(random_topology(rng))  # asserts internally
 
 
-def sim_fig1(T, record_every=1, schedule=None):
+def sim_fig1(T, record_every=1):
     num = qp.fig1_num_instance()
     return qp.simulate_decentralized(num.topology, num.utility_weights,
                                      num.x_max, num.y_max, 10.0,
                                      np.zeros(7), np.zeros(3), T,
-                                     record_every=record_every, schedule=schedule)
+                                     record_every=record_every)
 
 
 def test_simulation_initialization_fig1():
@@ -112,6 +132,19 @@ def test_simulation_initialization_fig1():
     assert np.abs(rep.Q[0] - state.Q).max() < 1e-12
 
 
+def test_starting_link_price_is_the_central_weight():
+    # c - x rounds to a tie here; a link that published (Q + x) - c would
+    # start at price -2^-52 instead of the central W = Q + (x - c) = 0
+    c, x = 1.0 + 2.0 ** -52, 2.0 ** -53
+    topo = Topology([c], ((0,),), ((0,),))
+    dec = qp.simulate_decentralized(topo, [1.0], [2.0], [4.0], 2.0, [x], [x], 3,
+                                    record_every=1)
+    cen = qp.run(qp.build_num_program(topo, [1.0], [2.0], [4.0]), np.array([x, x]), 2.0, 3,
+                 record_every=1)
+    assert np.array_equal(dec.x, cen.x)
+    assert np.array_equal(dec.Q, cen.Q)
+
+
 def test_decentralized_equals_centralized_fig1():
     T = 1000
     rep_d = sim_fig1(T)
@@ -124,8 +157,9 @@ def test_decentralized_equals_centralized_fig1():
 
 def test_decentralized_equals_centralized_random_topologies():
     rng = np.random.default_rng(59)
-    for _ in range(8):
-        topo = random_topology(rng)
+    # the last network has a link, 1, that no path uses
+    unused_link = Topology([1.0, 0.5, 1.5], ((0,), (0, 2), (2,)), ((0, 1), (2,)))
+    for topo in itertools.chain((random_topology(rng) for _ in range(8)), [unused_link]):
         weights = rng.uniform(0.2, 2.0, topo.S)
         x_max = rng.uniform(0.5, 2.0, topo.K)
         y_max = rng.uniform(0.5, 3.0, topo.S)
@@ -141,13 +175,80 @@ def test_decentralized_equals_centralized_random_topologies():
         assert np.abs(rep_d.Q - rep_c.Q).max() <= 1e-9
 
 
-def test_agent_schedule_does_not_matter():
+def loop_agents(topo, w, x_max, y_max, alpha, x, y, T):
+    """Each agent in turn, with one Python sum per message set, in path
+    and link order: the reference the array rounds must equal bit for bit.
+    Returns z(t) and Q(t+1) for every round."""
+    x, y, cap = [float(v) for v in x], [float(v) for v in y], topo.cap
+    link_paths = topo.link_paths
+    total = [sum(x[k] for k in ks) for ks in link_paths]
+    link_q = [max(0.0, c - tot) for c, tot in zip(cap, total)]
+    link_price = [q + (tot - c) for q, tot, c in zip(link_q, total, cap)]
+    gap = [y[s] - sum(x[k] for k in ks) for s, ks in enumerate(topo.source_paths)]
+    source_q = [max(0.0, -g) for g in gap]
+    source_price = [q + g for q, g in zip(source_q, gap)]
+    zs, Qs = [], []
+    for _ in range(T):
+        for s, ks in enumerate(topo.source_paths):
+            for k in ks:
+                path_price = sum(link_price[l] for l in topo.path_links[k])
+                x[k] = min(max(x[k] - (path_price - source_price[s]) / (2.0 * alpha), 0.0),
+                           x_max[k])
+            y[s] = float(qp.log_quadratic_minimizer(
+                alpha, source_price[s] - 2.0 * alpha * y[s], w[s], LOG_DOMAIN_FLOOR, y_max[s]))
+            g = y[s] - sum(x[k] for k in ks)
+            source_q[s] = max(-g, source_q[s] + g)
+            source_price[s] = source_q[s] + g
+        for l, ks in enumerate(link_paths):
+            load = sum(x[k] for k in ks) - cap[l]
+            link_q[l] = max(-load, link_q[l] + load)
+            link_price[l] = link_q[l] + load
+        zs.append(x + y)
+        Qs.append(link_q + source_q)
+    return np.array(zs), np.array(Qs)
+
+
+def test_agents_equal_the_per_agent_loop():
+    num = qp.fig1_num_instance()
+    cases = [(num.topology, num.utility_weights, num.x_max, num.y_max, 10.0,
+              np.zeros(7), np.zeros(3))]
+    rng = np.random.default_rng(31)
+    for _ in range(4):
+        topo = random_topology(rng)
+        x_max, y_max = rng.uniform(0.5, 2.0, topo.K), rng.uniform(0.5, 3.0, topo.S)
+        cases.append((topo, rng.uniform(0.2, 2.0, topo.S), x_max, y_max,
+                      float(qp.half_hop_alpha(topo)), rng.uniform(0.0, 1.0, topo.K) * x_max,
+                      rng.uniform(0.0, 1.0, topo.S) * y_max))
+    for topo, w, x_max, y_max, alpha, x0, y0 in cases:
+        rep = qp.simulate_decentralized(topo, w, x_max, y_max, alpha, x0, y0, 200,
+                                        record_every=1)
+        z, Q = loop_agents(topo, w, x_max, y_max, alpha, x0, y0, 200)
+        assert np.array_equal(rep.x, z)
+        assert np.array_equal(rep.Q, Q)
+
+
+def test_agent_relabeling_does_not_matter():
+    # relabel the links and the sources of fig1, then map the trace back
+    num = qp.fig1_num_instance()
+    topo = num.topology
     rng = np.random.default_rng(5)
+    links = rng.permutation(topo.L)      # old link l is new link links[l]
+    sources = rng.permutation(topo.S)    # new source j is old source sources[j]
+    relabeled = Topology(topo.cap[np.argsort(links)],
+                         tuple(tuple(int(links[l]) for l in ls) for ls in topo.path_links),
+                         tuple(topo.source_paths[s] for s in sources))
+    rep = qp.simulate_decentralized(relabeled, num.utility_weights[sources], num.x_max,
+                                    num.y_max[sources], 10.0, np.zeros(7), np.zeros(3), 300,
+                                    record_every=1)
     base = sim_fig1(300)
-    shuffled = sim_fig1(300, schedule=(list(rng.permutation(9)),
-                                       list(rng.permutation(3))))
-    assert np.array_equal(base.x, shuffled.x)
-    assert np.array_equal(base.Q, shuffled.Q)
+    K, L = topo.K, topo.L
+    x_cols = np.concatenate([np.arange(K), K + np.argsort(sources)])
+    q_cols = np.concatenate([links, L + np.argsort(sources)])
+    assert np.abs(rep.x[:, x_cols] - base.x).max() <= 1e-12
+    assert np.abs(rep.x_bar[:, x_cols] - base.x_bar).max() <= 1e-12
+    assert np.abs(rep.Q[:, q_cols] - base.Q).max() <= 1e-12
+    assert np.abs(rep.g_x[:, q_cols] - base.g_x).max() <= 1e-12
+    assert np.abs(rep.f_xbar - base.f_xbar).max() <= 1e-12
 
 
 def test_prices_stay_nonnegative():
@@ -193,6 +294,14 @@ def test_simulation_input_validation():
     with pytest.raises(ValueError):
         qp.simulate_decentralized(num.topology, num.utility_weights, num.x_max,
                                   num.y_max, 0.0, np.zeros(7), np.zeros(3), 5)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_round_raises():
+    # both paths start at their 1e308 caps, so the link's load overflows
+    topo, x_max, y_max = overflow_network()
+    with pytest.raises(qp.NumericalDomainError, match="non-finite rate at iteration 0"):
+        qp.simulate_decentralized(topo, [1.0], x_max, y_max, 1.0, x_max, [0.5], 5)
 
 
 def test_topology_json_round_trip(tmp_path):

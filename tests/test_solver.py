@@ -349,6 +349,9 @@ def _expect(monkeypatch, mode, invariant, row, miss, raises):
             with pytest.raises(AssertionError) as err:
                 _invariant_step(patch, mode, invariant, row, miss)
             assert str(err.value) == INVARIANT_MESSAGES[invariant]
+            assert isinstance(err.value, qp.InvariantViolation)
+            assert (err.value.name, err.value.t) == (invariant, 0)
+            assert err.value.margin < 0
         else:
             _invariant_step(patch, mode, invariant, row, miss)
 
@@ -369,6 +372,40 @@ def test_equality_rows_check_only_the_cumulative_sum(monkeypatch, invariant):
     _expect(monkeypatch, mixed, invariant, 1, 10 * INVARIANT_TOL,
             raises=invariant == "cumulative")
     _expect(monkeypatch, mixed, invariant, 1, 0.1 * INVARIANT_TOL, raises=False)
+
+
+def scaled_linear_program(rng, scale):
+    """A 4x3 linear program with A uniform in [-1, 1], the box [0, scale]^3
+    and b uniform in [0.5, 1.5] * scale."""
+    return qp.load_program({
+        "n": 3, "m": 4, "box": {"lo": [0.0] * 3, "hi": [scale] * 3},
+        "linear": {"A": rng.uniform(-1.0, 1.0, (4, 3)).tolist(),
+                   "b": (rng.uniform(0.5, 1.5, 4) * scale).tolist()},
+        "objective": {"kind": "linear", "c": rng.uniform(-1.0, 1.0, 3).tolist()}})
+
+
+@pytest.mark.parametrize("scale", [1e0, 1e3, 1e6, 1e9])
+def test_drift_tolerance_follows_the_scale_of_the_terms(monkeypatch, scale):
+    # an absolute tolerance false-alarms on these from scale 1e7 on
+    rng = np.random.default_rng(41)
+    for _ in range(6):
+        prog = scaled_linear_program(rng, scale)
+        qp.run(prog, np.zeros(3), 0.5 * prog.beta_hint ** 2 + 1.0, 1000, record_every=1000)
+    # a drift one millionth of the terms' size above its bound still fails:
+    # from Q = 0, g = (-s, -s) the bound is 2 s^2 and Q(t+1) = (s, s)
+    prog = offset_program([0.0, 0.0], -5.0 * scale, 5.0 * scale)
+    state = qp.init(prog, np.zeros(2), 1.0)
+    real_update = solver.queue_update
+
+    def faulty(Q, g, mode="inequality"):
+        out = real_update(Q, g, mode)
+        out[0] = math.sqrt(2.0 * (2.0 + 1e-6) - 1.0) * scale
+        return out
+
+    monkeypatch.setattr(solver, "queue_update", faulty)
+    with pytest.raises(qp.InvariantViolation, match="drift exceeded its upper bound") as err:
+        qp.step(state, prog, oracle=lambda W, x_prev, alpha: np.full(2, -scale))
+    assert err.value.name == "drift" and err.value.margin < 0
 
 
 def overflow_program():
