@@ -13,6 +13,7 @@ is used.  The separable solver also takes alpha = 0, the plain
 Lagrangian of the dual subgradient baseline.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,11 +110,11 @@ def log_quadratic_minimizer(a, b, w, lo, hi):
     root; with w > 0 the minimizer is interior to the left endpoint.
     Vectorized over numpy inputs.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    w = np.asarray(w, dtype=float)
     root = (-b + np.sqrt(b * b + 8.0 * a * w)) / (4.0 * a)
-    return np.clip(root, np.maximum(lo, LOG_DOMAIN_FLOOR), hi)
+    # Python's max on a float bound saves a numpy call per agent round
+    floor = (max(lo, LOG_DOMAIN_FLOOR) if isinstance(lo, float)
+             else np.maximum(lo, LOG_DOMAIN_FLOOR))
+    return np.minimum(np.maximum(root, floor), hi)
 
 
 def log1p_quadratic_minimizer(a, b, d, lo, hi):
@@ -124,14 +125,11 @@ def log1p_quadratic_minimizer(a, b, d, lo, hi):
     unique stationary point on (-1, inf).  Vectorized; uses the
     cancellation-free quadratic form when 2a+b > 0.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    d = np.asarray(d, dtype=float)
     s = 2.0 * a + b
     sq = np.sqrt((2.0 * a - b) ** 2 + 8.0 * a * d)
     with np.errstate(divide="ignore", invalid="ignore"):
         root = np.where(s > 0, 2.0 * (d - b) / (s + sq), (sq - s) / (4.0 * a))
-    return np.clip(root, lo, hi)
+    return np.minimum(np.maximum(root, lo), hi)
 
 
 def _objective_curvature(program):
@@ -150,7 +148,8 @@ def solve_projected_gradient(sub, tol=1e-9, max_iter=10000):
 
     Uses a fixed step 1/(2*alpha + L_est) with the crude curvature
     estimate L_est = ||W|| * beta + f-curvature, and stops when the
-    projected-gradient mapping norm drops below ``tol``.
+    projected-gradient mapping norm drops below ``tol``.  A non-finite
+    residual raises NumericalDomainError at once.
     """
     program = sub.program
     if program.beta_hint is None:
@@ -162,12 +161,14 @@ def solve_projected_gradient(sub, tol=1e-9, max_iter=10000):
     step = 1.0 / curv
     x = box.clamp(sub.x_prev)
     residual = np.inf
-    for _ in range(max_iter):
+    for k in range(max_iter):
         grad = (program.objective_subgradient(x)
                 + program.constraint_jacobian(x).T @ sub.weights
                 + 2.0 * alpha * (x - sub.x_prev))
         x_new = box.clamp(x - step * grad)
         residual = float(np.linalg.norm(x - x_new)) / step
+        if not math.isfinite(residual):  # a NaN gradient never recovers
+            raise NumericalDomainError(f"projected gradient: non-finite residual at step {k}")
         x = x_new
         if residual < tol:
             return x
@@ -189,7 +190,9 @@ class SeparableOracle:
     The class index sets, the log weights and the box with its log floor
     are taken once, and the per-class multiples of the curvature
     obj_quad + alpha are kept for the last alpha seen, so a solve does
-    only the arithmetic that depends on the weights.
+    only the arithmetic that depends on the weights.  A^T W is a product
+    with the transposed A, or one ``np.bincount`` segment sum by column
+    over the nonzero triples that the constraint terms keep of a sparse A.
 
     At alpha = 0 a coordinate with no curvature is flat or log-shaped:
     it goes to the endpoint its slope points to, or to the stationary
@@ -210,10 +213,11 @@ class SeparableOracle:
         self.obj_lin = obj.lin
         self._has_obj_lin = bool(obj.lin.any())
         self.logw = obj.log_weight
-        self.lin_T = np.ascontiguousarray(cons.lin.T)
-        self.has_cons_quad = bool(cons.quad.any())
+        self._triples = cons._triples
+        self.lin_T = np.ascontiguousarray(cons.lin.T) if self._triples is None else None
+        self.has_cons_quad = cons._has_quad
         self.quad_T = np.ascontiguousarray(cons.quad.T) if self.has_cons_quad else None
-        nl_cols = cons.neglog1p.any(axis=0)
+        nl_cols = cons.neglog1p.any(axis=0) if cons._has_nl else np.zeros(program.n, dtype=bool)
         log_cols = self.logw > 0
         if np.any(nl_cols & log_cols):
             raise ConfigurationError("a coordinate cannot carry both log and log1p terms")
@@ -243,7 +247,11 @@ class SeparableOracle:
         return two_q, log_c, nl_c
 
     def solve(self, weights, x_prev, alpha):
-        lin = self.lin_T @ weights
+        if self._triples is None:
+            lin = self.lin_T @ weights
+        else:
+            rows, cols, vals = self._triples
+            lin = np.bincount(cols, vals * weights[rows], x_prev.shape[0])
         if self._has_obj_lin:
             lin = self.obj_lin + lin
         lin = lin - (2.0 * alpha) * x_prev
@@ -274,7 +282,7 @@ class SeparableOracle:
             if ip.size:
                 target[ip] = np.divide(d, lin[ip], out=np.full(ip.size, np.inf),
                                        where=lin[ip] > 0) - 1.0
-            x_flat = np.clip(target, self.lo, self.hi)
+            x_flat = np.minimum(np.maximum(target, self.lo), self.hi)
             if flat.all():
                 return x_flat
             # any positive stand-in keeps the closed forms below finite

@@ -18,6 +18,11 @@ Separable structure is expressed per coordinate / per constraint row:
 
 with quad, Qc, logw, U all nonnegative (this keeps f and g convex on the
 box by construction).
+
+An A with fewer than one nonzero in 32 entries (large flow networks; not
+fig1 or the QP) is also kept as nonzero triples, and A x and A^T W become
+segment sums over them: a bincount entry costs about 5.5 ns and a dense BLAS
+entry 0.21 ns (2 vCPUs, numpy 2.4), a ratio of 26, and 32 keeps a margin.
 """
 
 import json
@@ -47,6 +52,10 @@ def _vector(x, n=None, name="vector"):
     if n is not None and v.shape[0] != n:
         raise ValueError(f"{name} has length {v.shape[0]}, expected {n}")
     return v
+
+
+# A x and A^T W run on nonzero triples when 32 * nnz < m * n (module docstring)
+_SPARSE_RATIO = 32
 
 
 @dataclass(frozen=True)
@@ -132,7 +141,16 @@ class CoordinateTerms:
 
 @dataclass(frozen=True)
 class ConstraintTerms:
-    """Separable constraint rows g_k(x) = A_k.x + Qc_k.x^2 - U_k.log(1+x) - b_k."""
+    """Separable constraint rows g_k(x) = A_k.x + Qc_k.x^2 - U_k.log(1+x) - b_k.
+
+    An absent ``quad`` or ``neglog1p`` is stored as zeros and never
+    scanned.  When 32 * nnz(A) < m * n, A is also kept as read-only
+    (row, col, value) triples in row-major order, and A x (here) and A^T W
+    (in the oracle) are ``np.bincount`` segment sums over them.  bincount
+    adds in input order, so each column's sum runs down its rows as a
+    column-sorted copy would; ``np.add.reduceat`` would give an empty row
+    a neighbour's value.  ``lin`` stays dense for the Jacobian and the norms.
+    """
 
     lin: np.ndarray
     offset: np.ndarray
@@ -143,20 +161,27 @@ class ConstraintTerms:
         lin = np.atleast_2d(np.asarray(self.lin, dtype=float))
         m, n = lin.shape
         offset = _vector(self.offset, m, name="offset")
-        quad = self.quad
-        nl = self.neglog1p
-        quad = np.zeros((m, n)) if quad is None else np.asarray(quad, dtype=float)
-        nl = np.zeros((m, n)) if nl is None else np.asarray(nl, dtype=float)
+        given_quad, given_nl = self.quad is not None, self.neglog1p is not None
+        quad = np.asarray(self.quad, dtype=float) if given_quad else np.zeros((m, n))
+        nl = np.asarray(self.neglog1p, dtype=float) if given_nl else np.zeros((m, n))
         if quad.shape != (m, n) or nl.shape != (m, n):
             raise ValueError("quad/neglog1p must match the linear part's shape")
-        if np.any(quad < 0) or np.any(nl < 0):
+        if (given_quad and np.any(quad < 0)) or (given_nl and np.any(nl < 0)):
             raise ConfigurationError("quad and neglog1p coefficients must be nonnegative")
         object.__setattr__(self, "lin", lin)
         object.__setattr__(self, "offset", offset)
         object.__setattr__(self, "quad", quad)
         object.__setattr__(self, "neglog1p", nl)
-        object.__setattr__(self, "_has_quad", bool(quad.any()))
-        object.__setattr__(self, "_has_nl", bool(nl.any()))
+        object.__setattr__(self, "_has_quad", given_quad and bool(quad.any()))
+        object.__setattr__(self, "_has_nl", given_nl and bool(nl.any()))
+        flat = lin.ravel()
+        nz = np.flatnonzero(flat != 0)  # 5x faster than np.flatnonzero(lin) at 1e6 entries
+        triples = None
+        if _SPARSE_RATIO * nz.size < m * n:
+            triples = (*np.divmod(nz, n), flat[nz])
+            for a in triples:
+                a.setflags(write=False)
+        object.__setattr__(self, "_triples", triples)
 
     @property
     def shape(self):
@@ -167,7 +192,11 @@ class ConstraintTerms:
         return not (self._has_quad or self._has_nl)
 
     def values(self, x):
-        g = self.lin @ x - self.offset
+        if self._triples is None:
+            g = self.lin @ x - self.offset
+        else:
+            rows, cols, vals = self._triples
+            g = np.bincount(rows, vals * x[cols], self.offset.shape[0]) - self.offset
         if self._has_quad:
             g = g + self.quad @ (x * x)
         if self._has_nl:
@@ -234,7 +263,7 @@ class ConvexProgram:
             raise ValueError(f"constraint terms have {nc} columns, expected {n}")
         if constraint_terms.is_linear:
             structure = "linear"
-        elif not constraint_terms.neglog1p.any():
+        elif not constraint_terms._has_nl:
             structure = "separable-quadratic"
         else:
             structure = "separable"

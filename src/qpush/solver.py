@@ -278,6 +278,8 @@ def step(state, program, oracle=None, validate=True):
             f"primal oracle failed at iteration {t}: {exc}",
             iterate=exc.iterate, residual=exc.residual,
             iterations=exc.iterations) from exc
+    except NumericalDomainError as exc:
+        raise NumericalDomainError(f"primal oracle failed at iteration {t}: {exc}") from exc
     if not np.logical_and.reduce(np.isfinite(x_new, out=work.finite_x)):
         raise NumericalDomainError(f"primal oracle returned a non-finite iterate at iteration {t}")
     f_new, g_new = evaluate(program, x_new)

@@ -44,6 +44,17 @@ def random_separable_program(rng, n_max=20, m_max=5, with_quad_rows=True):
     return ConvexProgram.from_terms(obj, cons, box, beta_hint=beta)
 
 
+def random_sparse_matrix(rng, density=1 / 40):
+    """Matrix with fewer than one nonzero in 32 entries, negative and
+    non-unit values, and at least one empty row and one empty column."""
+    m, n = int(rng.integers(4, 40)), int(rng.integers(40, 90))
+    nnz = max(1, min(int(density * m * n), (m * n - 1) // 32))
+    A = np.zeros((m, n))
+    # row 0 and column 0 stay empty until the permutation
+    A[1:, 1:].flat[rng.choice((m - 1) * (n - 1), nnz, replace=False)] = rng.uniform(-3.0, 3.0, nnz)
+    return A[rng.permutation(m)][:, rng.permutation(n)]
+
+
 def random_alpha(rng, program):
     beta = program.beta_hint
     return float(max(rng.uniform(0.3, 2.5) * 0.5 * beta * beta, 0.05))

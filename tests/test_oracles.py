@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,8 @@ from qpush.oracles import (SeparableOracle, Subproblem,
                            make_oracle, solve_projected_gradient,
                            solve_scalar_convex, solve_separable_quadratic)
 
-from helpers import grid_minimize, random_point_in, random_separable_program
+from helpers import (grid_minimize, random_point_in, random_separable_program,
+                     random_sparse_matrix)
 
 
 def test_separable_quadratic_examples():
@@ -63,6 +66,17 @@ def test_log_minimizers_agree_with_bisection():
         assert abs(closed1p - bis1p) < 1e-8
 
 
+def test_log_minimizer_takes_array_bounds():
+    rng = np.random.default_rng(37)
+    a, b, w = rng.uniform(0.1, 5.0, 6), rng.uniform(-5.0, 5.0, 6), rng.uniform(0.0, 2.0, 6)
+    b[0], w[0] = 1.0, 0.0  # root 0: the domain floor binds
+    lo, hi = np.array([0.0, 0.5, 1e-13, 2.0, 0.0, 0.1]), np.full(6, 3.0)
+    got = log_quadratic_minimizer(a, b, w, lo, hi)
+    for i in range(6):
+        assert got[i] == log_quadratic_minimizer(a[i], b[i], w[i], float(lo[i]), 3.0)
+    assert got[0] == 1e-12 and np.all(got >= np.maximum(lo, 1e-12))
+
+
 def test_log_minimizer_against_grid_search():
     fun = lambda z: 10.0 * z * z - 20.0 * z - np.log(z)
     ref = grid_minimize(fun, 1e-6, 10.0)
@@ -97,6 +111,56 @@ def test_projected_gradient_matches_closed_form():
         closed = oracle(W, x_prev, alpha)
         pg = solve_projected_gradient(Subproblem(prog, W, x_prev, alpha), tol=1e-11)
         assert np.abs(closed - pg).max() < 1e-8
+
+
+def test_projected_gradient_raises_at_a_non_finite_gradient():
+    # g is NaN right of x0 = 0.5; the fallback used to run its 1e5 inner
+    # iterations on NaN before giving up with NonConvergenceError
+    box = BoxSet(np.zeros(2), np.ones(2))
+    prog = ConvexProgram.general(
+        2, 1, box, lambda x: float(x @ x), lambda x: 2 * x,
+        lambda x: np.array([np.nan if x[0] > 0.5 else x.sum() - 1.0]),
+        lambda x: np.ones((1, 2)), beta_hint=1.5)
+    started = time.perf_counter()
+    with pytest.raises(NumericalDomainError, match="iteration 0"):
+        qp.run(prog, np.array([0.9, 0.1]), 2.0, 5)
+    assert time.perf_counter() - started < 0.1
+    with pytest.raises(NumericalDomainError):
+        solve_projected_gradient(Subproblem(prog, [np.nan], [0.1, 0.1], 2.0))
+
+
+def _dense_twin(program):
+    """The same program with its constraint terms forced onto the dense path."""
+    cons = program.constraint_terms
+    twin = ConstraintTerms(cons.lin, cons.offset, cons.quad)
+    object.__setattr__(twin, "_triples", None)
+    return ConvexProgram.from_terms(program.objective_terms, twin, program.box,
+                                    beta_hint=program.beta_hint)
+
+
+def test_sparse_and_dense_paths_give_the_same_traces():
+    rng = np.random.default_rng(43)
+    A = random_sparse_matrix(rng, density=1.0)
+    m, n = A.shape
+    # just below the threshold: one more nonzero would make it dense
+    assert 32 * np.count_nonzero(A) < m * n <= 32 * (np.count_nonzero(A) + 1)
+    Qc = np.zeros((m, n))
+    Qc[rng.integers(0, m, 4), rng.integers(0, n, 4)] = 0.5
+    box = BoxSet(np.zeros(n), np.full(n, 2.0))
+    mid = np.ones(n)
+    cons = ConstraintTerms(A, A @ mid + Qc @ (mid * mid) + rng.uniform(0.1, 1.0, m), Qc)
+    logw = np.where(rng.random(n) < 0.3, 1.0, 0.0)
+    obj = CoordinateTerms(rng.uniform(0.5, 2.0, n), rng.normal(size=n), logw)
+    sparse = ConvexProgram.from_terms(obj, cons, box, beta_hint=np.linalg.norm(A) + 4.0)
+    assert sparse.constraint_terms._triples is not None
+    dense = _dense_twin(sparse)
+    keys = ("x", "x_bar", "Q", "f_x", "f_xbar", "g_x", "g_xbar", "cum_g")
+    alpha = 0.5 * sparse.beta_hint ** 2
+    pairs = [[qp.run(p, mid, alpha, 500, record_every=1) for p in (sparse, dense)],
+             [qp.dsg_run(p, None, 0.05, 500, record_every=1) for p in (sparse, dense)]]
+    for got, want in pairs:
+        for key in keys:
+            assert np.allclose(getattr(got, key), getattr(want, key), rtol=0, atol=1e-12), key
 
 
 def test_projected_gradient_nonconvergence():

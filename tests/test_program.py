@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ import qpush as qp
 from qpush import BoxSet, ConstraintTerms, ConvexProgram, CoordinateTerms
 from qpush.errors import ConfigurationError
 
-from helpers import random_separable_program
+from helpers import random_separable_program, random_sparse_matrix
 
 
 def linear_program(A, b, c, lo, hi):
@@ -57,6 +59,52 @@ def test_linear_constraints_match_matrix_product():
             _, g = qp.evaluate(prog, x)
             ref = (A * x).sum(axis=1) - b
             assert np.allclose(g, ref, atol=1e-13)
+
+
+def test_sparse_rows_match_dense_products():
+    # below one nonzero in 32 entries, A x and A^T W are segment sums over
+    # the nonzeros; they must match the dense products up to rounding
+    rng = np.random.default_rng(41)
+    for _ in range(40):
+        A = random_sparse_matrix(rng)
+        m, n = A.shape
+        cons = ConstraintTerms(A, rng.normal(size=m))
+        assert cons._triples is not None
+        assert not (cons._triples[0].flags.writeable or cons._triples[2].flags.writeable)
+        x = rng.uniform(-3.0, 3.0, n)
+        want = A @ x - cons.offset
+        scale = np.abs(A) @ np.abs(x) + np.abs(cons.offset)
+        assert np.all(np.abs(cons.values(x) - want) <= 1e-13 * scale)
+        # A^T W through the oracle: with obj_quad q, alpha a and a wide box
+        # the solve is x = (2a x_prev - c - A^T W) / (2(q + a))
+        q, c = rng.uniform(0.5, 2.0, n), rng.normal(size=n)
+        prog = ConvexProgram.from_terms(CoordinateTerms(q, c, np.zeros(n)), cons,
+                                        BoxSet(np.full(n, -1e9), np.full(n, 1e9)))
+        W, x_prev, alpha = rng.uniform(-2.0, 2.0, m), rng.normal(size=n), 1.5
+        got = qp.SeparableOracle(prog).solve(W, x_prev, alpha)
+        want = -((c + A.T @ W) - 2.0 * alpha * x_prev) / (2.0 * (q + alpha))
+        scale = (np.abs(c) + np.abs(A.T) @ np.abs(W) + 2.0 * alpha * np.abs(x_prev)) / (2.0 * (q + alpha))
+        assert np.all(np.abs(got - want) <= 1e-13 * scale)
+
+
+def test_bundled_programs_take_their_path(monkeypatch):
+    # a change of the density threshold must not move fig1 or the QP off
+    # the dense path their pinned values were read from
+    A = np.zeros((4, 16))
+    A[0, :2] = 1.0  # 32 * nnz == m * n: dense
+    assert ConstraintTerms(A, np.zeros(4))._triples is None
+    A[0, 1] = 0.0
+    assert ConstraintTerms(A, np.zeros(4))._triples is not None
+    for name in ("fig1-num", "fig1-flow-power", "qp"):
+        assert qp.get_problem(name).program.constraint_terms._triples is None
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
+    from workloads import net_large_inputs
+    inputs = net_large_inputs(1)
+    topo = qp.Topology.from_paths(inputs["capacities"], inputs["paths"])
+    cons = qp.build_num_program(topo, inputs["weights"], inputs["x_max"],
+                                inputs["y_max"]).constraint_terms
+    assert cons.shape == (700, 1500)
+    assert cons._triples[0].size == np.count_nonzero(cons.lin) == 6264
 
 
 def test_clamp_to_box():
@@ -176,6 +224,8 @@ def test_convexity_guards():
         CoordinateTerms([-1.0], [0.0], [0.0])
     with pytest.raises(ConfigurationError):
         ConstraintTerms([[1.0]], [0.0], quad=[[-1.0]])
+    with pytest.raises(ConfigurationError):
+        ConstraintTerms([[1.0]], [0.0], neglog1p=[[-1.0]])
 
 
 def test_random_programs_have_valid_structure_tags():
