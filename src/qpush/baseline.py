@@ -58,7 +58,8 @@ class LagrangianOracle(SeparableOracle):
 
 def dual_step(state, program, oracle=None):
     """One dual subgradient iteration; returns the mutated state.  A
-    non-finite iterate, f or g raises NumericalDomainError naming t."""
+    non-finite iterate, f, g or next multiplier raises NumericalDomainError
+    naming t."""
     if oracle is None:
         oracle = LagrangianOracle(program)
     t = state.t
@@ -72,6 +73,8 @@ def dual_step(state, program, oracle=None):
             f"objective or constraint value is not finite at iteration {t}")
     gamma = state.step
     lam_next = np.maximum(state.lam + gamma * g, 0.0)
+    if not np.logical_and.reduce(np.isfinite(lam_next)):
+        raise NumericalDomainError(f"multiplier is not finite at iteration {t}")
     L = 0.5 * float(state.lam @ state.lam)
     delta = 0.5 * float(lam_next @ lam_next) - L
     # ||max(lam + gamma g, 0)||^2 <= ||lam + gamma g||^2
@@ -98,8 +101,8 @@ def dsg_run(program, x_init_ignored, gamma, T, oracle=None, record_every=None,
     by lambda(0) = 0); the argument stays for signature parity with the
     queue-based runner.  Emits the same report schema so traces overlay.
     """
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    if not 0 < gamma < math.inf:  # NaN fails both comparisons
+        raise ValueError(f"gamma must be positive and finite, got {gamma}")
     if oracle is None:
         oracle = LagrangianOracle(program)
     state = DualState(t=0, lam=np.zeros(program.m), x_bar=None, step=float(gamma),

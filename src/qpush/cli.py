@@ -40,7 +40,10 @@ __all__ = ["main", "run_command", "build_parser"]
 
 def _out_dir(args):
     out = args.out or os.environ.get("QPUSH_OUT") or "."
-    os.makedirs(out, exist_ok=True)
+    try:
+        os.makedirs(out, exist_ok=True)
+    except OSError as exc:  # a file in the way, a file as a parent, no permission
+        raise ConfigurationError(f"unusable output directory {out!r}: {exc}") from exc
     return out
 
 

@@ -141,6 +141,12 @@ class Topology:
         return A
 
     @cached_property
+    def _num_constraints(self):
+        """g(z) = A z - (cap, 0) of the rate-allocation program, built once
+        (with its nonzero scan) and shared by every program on this topology."""
+        return ConstraintTerms(self._stacked, np.concatenate([self.cap, np.zeros(self.S)]))
+
+    @cached_property
     def _sigma(self):
         """Spectral norm of the stacked matrix, computed once."""
         return spectral_norm(self._stacked)
@@ -199,7 +205,8 @@ def load_topology(source):
 
 @dataclass(frozen=True)
 class NumProblem:
-    """A topology with utilities and rate caps, plus assembled matrices."""
+    """A topology with utilities and rate caps; ``program()`` assembles the
+    rate-allocation program."""
 
     topology: Topology
     utility_weights: np.ndarray
@@ -218,14 +225,6 @@ class NumProblem:
         object.__setattr__(self, "utility_weights", w)
         object.__setattr__(self, "x_max", x_max)
         object.__setattr__(self, "y_max", y_max)
-
-    @property
-    def A(self):
-        return self.topology.stacked_matrix()
-
-    @property
-    def b(self):
-        return np.concatenate([self.topology.cap, np.zeros(self.topology.S)])
 
     def program(self):
         return build_num_program(self.topology, self.utility_weights,
@@ -248,9 +247,9 @@ def build_num_program(topology, utilities, x_max, y_max):
         lin=np.zeros(K + S),
         log_weight=np.concatenate([np.zeros(K), num.utility_weights]),
     )
-    cons = ConstraintTerms(num.A, num.b)
     box = BoxSet(np.zeros(K + S), np.concatenate([num.x_max, num.y_max]))
-    return ConvexProgram.from_terms(obj, cons, box, beta_hint=topology._sigma)
+    return ConvexProgram.from_terms(obj, topology._num_constraints, box,
+                                    beta_hint=topology._sigma)
 
 
 def beta_bounds(topology, tol=1e-9):
@@ -302,8 +301,8 @@ def simulate_decentralized(topology, utilities, x_max, y_max, alpha,
     z_init = np.concatenate([x, y])
     if not program.box.contains(z_init):
         raise ValueError("initial rates lie outside their boxes")
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not 0 < alpha < math.inf:  # NaN fails both comparisons
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
     cap, x_max, y_max = topology.cap, program.box.hi[:K], program.box.hi[K:]
     w = program.objective_terms.log_weight[K:]
     # the row of each path's source in the stacked price vector

@@ -13,6 +13,11 @@ The scalar CSV schema is fixed::
 Bound residual columns are NaN unless reference values were supplied.
 Vectors go to an optional sidecar CSV.  Plots are rendered from parsed
 CSV columns only, so re-plotting a saved trace is byte-identical.
+
+Every CSV writer (the trace, the sidecar and the bound margins) goes
+through one helper: the table is stacked as floats and each row is
+written with one ``%.17g`` template, which round-trips doubles exactly
+and gives the same bytes as formatting each cell with ``.17g``.
 """
 
 import json
@@ -155,17 +160,20 @@ class TraceRecorder:
         )
 
 
-def _fmt(v):
-    # %.17g round-trips doubles exactly
-    return format(float(v), ".17g")
+def _write_table(path, header, columns):
+    """Write ``header`` and the stacked columns (1-D or 2-D blocks), one
+    ``%.17g`` template per row, so memory does not grow with the table."""
+    row_fmt = ",".join(["%.17g"] * len(header)) + "\n"
+    table = np.column_stack(columns)
+    with open(path, "w") as fh:
+        fh.write(",".join(header) + "\n")
+        for row in table:
+            fh.write(row_fmt % tuple(row.tolist()))
 
 
 def write_trace_csv(report, path):
     cols = report.columns()
-    with open(path, "w") as fh:
-        fh.write(",".join(TRACE_COLUMNS) + "\n")
-        for i in range(len(report.t)):
-            fh.write(",".join(_fmt(cols[c][i]) for c in TRACE_COLUMNS) + "\n")
+    _write_table(path, TRACE_COLUMNS, [cols[c] for c in TRACE_COLUMNS])
 
 
 def parse_trace_csv(path):
@@ -181,14 +189,9 @@ def parse_trace_csv(path):
 
 def write_full_trace_csv(report, path):
     """Sidecar CSV with the per-row iterate and queue vectors."""
-    n = report.x.shape[1]
-    m = report.Q.shape[1]
-    header = ["t"] + [f"x_{i}" for i in range(n)] + [f"Q_{k}" for k in range(m)]
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for i in range(len(report.t)):
-            vals = [float(report.t[i])] + list(report.x[i]) + list(report.Q[i])
-            fh.write(",".join(_fmt(v) for v in vals) + "\n")
+    header = (["t"] + [f"x_{i}" for i in range(report.x.shape[1])]
+              + [f"Q_{k}" for k in range(report.Q.shape[1])])
+    _write_table(path, header, [report.t, report.x, report.Q])
 
 
 def write_summary(report, path, extra=None):

@@ -50,7 +50,7 @@ from .errors import (ConfigurationError, InvariantViolation, NonConvergenceError
                      NumericalDomainError)
 from .oracles import make_oracle
 from .program import evaluate
-from .report import TraceRecorder
+from .report import TraceRecorder, _write_table
 
 __all__ = [
     "SolverState",
@@ -190,8 +190,8 @@ def init(program, x_init, alpha, mode="inequality"):
         raise ValueError(f"x_init has shape {x_init.shape}, expected ({program.n},)")
     if not program.box.contains(x_init):
         raise ValueError("x_init lies outside the box")
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
+    if not 0 < alpha < math.inf:  # NaN fails both comparisons
+        raise ValueError(f"alpha must be positive and finite, got {alpha}")
     eq_mask = _parse_mode(mode, program.m)
     if eq_mask.any() and program.constraint_terms is not None:
         rows = np.flatnonzero(eq_mask)
@@ -413,12 +413,8 @@ class BoundReport:
                 for name in self._NAMES}
 
     def to_csv(self, path):
-        with open(path, "w") as fh:
-            fh.write("t,objective_margin,constraint_margin,queue_margin,queue_lower_margin\n")
-            for i in range(len(self.t)):
-                fh.write(",".join(format(v, ".17g") for v in (
-                    self.t[i], self.objective_margin[i], self.constraint_margin[i],
-                    self.queue_margin[i], self.queue_lower_margin[i])) + "\n")
+        _write_table(path, ("t",) + tuple(f"{n}_margin" for n in self._NAMES),
+                     [self.t] + [self.margins(n) for n in self._NAMES])
 
 
 def verify_bounds(report, f_star, x_star, lambda_star, beta, slack=1e-9):

@@ -134,3 +134,35 @@ def overflow_network():
     caps, the link's load overflows.  Returns (topology, x_max, y_max)."""
     topo = Topology.from_paths([1.0], [(0, [0]), (0, [0])])
     return topo, np.array([1e308, 1e308]), np.array([1.0])
+
+
+def _cell(v):
+    return format(float(v), ".17g")
+
+
+def reference_trace_csv(report):
+    """The trace CSV formatted one cell at a time, as a byte reference."""
+    from qpush.report import TRACE_COLUMNS
+
+    cols = report.columns()
+    lines = [",".join(TRACE_COLUMNS)]
+    lines += [",".join(_cell(cols[c][i]) for c in TRACE_COLUMNS) for i in range(len(report.t))]
+    return "\n".join(lines) + "\n"
+
+
+def reference_full_trace_csv(report):
+    """The iterate/queue sidecar formatted one cell at a time."""
+    n, m = report.x.shape[1], report.Q.shape[1]
+    lines = [",".join(["t"] + [f"x_{i}" for i in range(n)] + [f"Q_{k}" for k in range(m)])]
+    lines += [",".join(_cell(v) for v in [report.t[i], *report.x[i], *report.Q[i]])
+              for i in range(len(report.t))]
+    return "\n".join(lines) + "\n"
+
+
+def reference_bounds_csv(bounds):
+    """The bound-margin CSV formatted one cell at a time."""
+    names = ("objective", "constraint", "queue", "queue_lower")
+    lines = [",".join(["t"] + [f"{n}_margin" for n in names])]
+    lines += [",".join(_cell(v) for v in [bounds.t[i]] + [bounds.margins(n)[i] for n in names])
+              for i in range(len(bounds.t))]
+    return "\n".join(lines) + "\n"

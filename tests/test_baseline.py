@@ -146,6 +146,25 @@ def test_dsg_raises_on_the_first_non_finite_iteration():
         dual_step(state, prog, oracle=lambda lam: np.full(prog.n, np.nan))
 
 
+@pytest.mark.parametrize("gamma", [float("nan"), float("inf")])
+def test_dsg_rejects_non_finite_gamma(gamma):
+    with pytest.raises(ValueError, match="gamma must be positive and finite"):
+        qp.dsg_run(one_dim_program(), None, gamma, 10)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("lam, gamma", [([np.nan], 0.01), ([1e308], 1e308)])
+def test_dual_step_raises_on_a_non_finite_multiplier(lam, gamma):
+    # g = 2 everywhere; a NaN multiplier stays NaN, 1e308 + 1e308 * 2 overflows
+    prog = ConvexProgram.from_terms(CoordinateTerms.linear([0.0]),
+                                    ConstraintTerms([[0.0]], [-2.0]),
+                                    BoxSet([0.0], [1.0]), beta_hint=0.0)
+    state = fresh_state(1, gamma=gamma, lam=lam)
+    with pytest.raises(qp.NumericalDomainError, match="multiplier is not finite at iteration 0"):
+        dual_step(state, prog, oracle=lambda lam: np.zeros(1))
+    assert state.t == 0
+
+
 def test_dsg_zero_constraints_reduce_to_repeated_minimization():
     prog = ConvexProgram.from_terms(
         CoordinateTerms(np.array([1.0]), np.array([-1.0]), np.zeros(1)),

@@ -127,6 +127,33 @@ def test_config_error_exit_codes(tmp_path):
     assert missing == 2
 
 
+def test_unusable_output_directory_exits_2(tmp_path, capsys):
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    for out in (afile, afile / "sub"):
+        code = main(["run", "--problem", "fig1-num", "--alpha", "10", "--T", "10",
+                     "--out", str(out)])
+        assert code == 2
+        assert "unusable output directory" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [["--alpha", "nan"], ["--alpha", "inf"],
+                                   ["--algo", "dsg", "--gamma", "nan"],
+                                   ["--algo", "dsg", "--gamma", "inf"]])
+def test_non_finite_step_parameters_exit_2(tmp_path, capsys, flags):
+    code = main(["run", "--problem", "fig1-num", "--T", "10", "--out", str(tmp_path)] + flags)
+    assert code == 2
+    assert "must be positive and finite" in capsys.readouterr().err
+
+
+def test_overflowing_multiplier_exits_3(tmp_path, capsys):
+    with np.errstate(over="ignore"):
+        code = main(["run", "--problem", "fig1-num", "--algo", "dsg", "--gamma", "1e308",
+                     "--T", "10", "--out", str(tmp_path)])
+    assert code == 3
+    assert "multiplier is not finite at iteration 0" in capsys.readouterr().err
+
+
 def test_invariant_violation_exits_3(tmp_path, monkeypatch, capsys):
     real_update = qp.solver.queue_update
 

@@ -79,6 +79,16 @@ def test_build_num_program_smallest_instance():
     assert g == pytest.approx([-0.5, 0.25])
 
 
+def test_num_programs_on_one_topology_share_their_constraints():
+    topo = single_link_topology()
+    a = qp.build_num_program(topo, [1.0], [2.0], [2.0])
+    b = qp.build_num_program(topo, [3.0], [1.0], [1.5])
+    assert a.constraint_terms is b.constraint_terms
+    assert a.constraint_terms.lin is topo.stacked_matrix()
+    assert not np.array_equal(a.box.hi, b.box.hi)
+    assert a.objective_value(np.array([0.5, 0.75])) != b.objective_value(np.array([0.5, 0.75]))
+
+
 def test_zero_weight_source_ignored_in_objective():
     topo = single_link_topology()
     prog = qp.build_num_program(topo, [0.0], [1.0], [1.0])
@@ -294,6 +304,10 @@ def test_simulation_input_validation():
     with pytest.raises(ValueError):
         qp.simulate_decentralized(num.topology, num.utility_weights, num.x_max,
                                   num.y_max, 0.0, np.zeros(7), np.zeros(3), 5)
+    for alpha in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="alpha must be positive and finite"):
+            qp.simulate_decentralized(num.topology, num.utility_weights, num.x_max,
+                                      num.y_max, alpha, np.zeros(7), np.zeros(3), 5)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

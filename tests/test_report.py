@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import qpush as qp
+from helpers import reference_bounds_csv, reference_full_trace_csv, reference_trace_csv
 from qpush.report import (TRACE_COLUMNS, default_record_every, parse_trace_csv,
                           record_schedule, render_convergence_svg, slope_check,
                           write_full_trace_csv, write_summary, write_trace_csv)
@@ -41,6 +42,65 @@ def test_full_trace_sidecar(tmp_path):
     first = np.array([float(v) for v in lines[1].split(",")])
     assert np.array_equal(first[1:11], rep.x[0])
     assert np.array_equal(first[11:], rep.Q[0])
+
+
+# doubles whose %.17g text is easy to get wrong: signed zero, subnormals,
+# the largest double, non-finite values and non-terminating binary fractions
+SPECIAL = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e-320,
+                    1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1 / 3, -1 / 3])
+
+
+def _salt(a, rng):
+    """``a`` with about half its entries replaced by SPECIAL values."""
+    a = np.asarray(a, dtype=float)
+    specials = np.resize(np.roll(SPECIAL, int(rng.integers(SPECIAL.size))), a.shape)
+    return np.where(rng.random(a.shape) < 0.5, specials, a)
+
+
+def _salted_report(rep, rng, with_residuals):
+    rows = len(rep.t)
+    rep.t = np.round(np.geomspace(1, 1e5, rows)).astype(int)
+    for name in ("x", "x_bar", "Q", "f_x", "f_xbar", "g_x", "g_xbar", "cum_g",
+                 "drift", "drift_bound"):
+        setattr(rep, name, _salt(getattr(rep, name), rng))
+    if with_residuals:
+        rep.obj_bound_residual = _salt(rep.obj_bound_residual, rng)
+        rep.cons_bound_residual = _salt(rng.random(rows), rng)
+    return rep
+
+
+@pytest.mark.parametrize("algo", ["vq", "dsg"])
+@pytest.mark.parametrize("with_residuals", [False, True])
+def test_writers_match_per_cell_reference_bytes(tmp_path, algo, with_residuals):
+    prog = qp.fig1_num_instance().program()
+    if algo == "vq":
+        rep = qp.run(prog, np.zeros(10), 10.0, 40, record_every=1)
+    else:
+        rep = qp.dsg_run(prog, None, 0.01, 40, record_every=1)
+    rep = _salted_report(rep, np.random.default_rng(len(algo) + with_residuals), with_residuals)
+    assert np.isnan(rep.obj_bound_residual).all() != with_residuals
+    with np.errstate(over="ignore"):  # queue_norm of a 1.8e308 queue is inf
+        write_trace_csv(rep, tmp_path / "trace.csv")
+        expected = reference_trace_csv(rep).encode()
+    write_full_trace_csv(rep, tmp_path / "trace_full.csv")
+    assert (tmp_path / "trace.csv").read_bytes() == expected
+    assert (tmp_path / "trace_full.csv").read_bytes() == reference_full_trace_csv(rep).encode()
+
+
+@pytest.mark.parametrize("beta", [1.0, 100.0])
+def test_bounds_csv_matches_per_cell_reference_bytes(tmp_path, beta):
+    z_star, lam_star, f_star = qp.fig1_reference()
+    rep = qp.run(qp.fig1_num_instance().program(), np.zeros(10), 10.0, 40, record_every=1)
+    bounds = qp.verify_bounds(rep, f_star, z_star, lam_star, beta)
+    # beta = 100 leaves every bound but queue_lower skipped, with NaN margins
+    assert (len(bounds.skipped) == 3) == (beta == 100.0)
+    rng = np.random.default_rng(int(beta))
+    bounds.t = np.round(np.geomspace(1, 1e5, len(bounds.t))).astype(int)
+    bounds.queue_lower_margin = _salt(bounds.queue_lower_margin, rng)
+    if beta == 1.0:
+        bounds.objective_margin = _salt(bounds.objective_margin, rng)
+    bounds.to_csv(tmp_path / "bounds.csv")
+    assert (tmp_path / "bounds.csv").read_bytes() == reference_bounds_csv(bounds).encode()
 
 
 def test_summary_contents(tmp_path):

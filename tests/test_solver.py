@@ -64,6 +64,12 @@ def test_init_rejects_bad_inputs():
         qp.init(prog, np.array([1.0]), 0.0)
 
 
+@pytest.mark.parametrize("alpha", [float("nan"), float("inf"), -float("inf")])
+def test_init_rejects_non_finite_alpha(alpha):
+    with pytest.raises(ValueError, match="alpha must be positive and finite"):
+        qp.init(one_dim_program(), np.array([1.0]), alpha)
+
+
 def test_init_warns_below_curvature():
     prog = one_dim_program()  # beta = 1
     with pytest.warns(AlphaBelowCurvatureWarning):
