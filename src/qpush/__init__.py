@@ -17,21 +17,18 @@ from .errors import (ConfigurationError, InvariantViolation, NonConvergenceError
                      NumericalDomainError)
 from .netflow import (NumProblem, Topology, beta_bounds, build_num_program,
                       load_topology, simulate_decentralized)
-from .oracles import (SeparableOracle, Subproblem, log1p_quadratic_minimizer,
-                      log_quadratic_minimizer, make_oracle,
-                      solve_projected_gradient, solve_scalar_convex,
-                      solve_separable_quadratic)
+from .oracles import (SeparableOracle, log_quadratic_minimizer, make_oracle,
+                      solve_projected_gradient)
 from .problems import (ExperimentProblem, QpInstance, build_flow_power_program,
                        fig1_num_instance, fig1_reference, fig1_topology,
                        generate_qp, get_problem, half_hop_alpha,
-                       qp_coordinate_update, qp_reference_optimum)
+                       qp_reference_optimum)
 from .program import (BoxSet, ConstraintTerms, ConvexProgram, CoordinateTerms,
                       evaluate, load_program, spectral_norm)
 from .report import (RunReport, SlopeResult, parse_trace_csv, plot_trace,
                      render_convergence_svg, slope_check, write_summary,
                      write_trace_csv)
-from .solver import (AlphaBelowCurvatureWarning, BoundReport, DriftRecord,
-                     SolverState, TightReference, derive_reference, init,
+from .solver import (AlphaBelowCurvatureWarning, BoundReport, SolverState, init,
                      kkt_residual, queue_update, run, step, verify_bounds)
 
 __version__ = "0.1.0"

@@ -39,7 +39,8 @@ class DualState:
     x_last: np.ndarray = None
     g_last: np.ndarray = None
     f_last: float = float("nan")
-    last_drift: tuple = (float("nan"), float("nan"))
+    drift: float = float("nan")
+    drift_bound: float = float("nan")
 
 
 class LagrangianOracle(SeparableOracle):
@@ -88,7 +89,8 @@ def dual_step(state, program, oracle=None):
     state.x_last = x
     state.g_last = g
     state.f_last = f
-    state.last_drift = (delta, bound)
+    state.drift = delta
+    state.drift_bound = bound
     state.t = t + 1
     return state
 
@@ -116,7 +118,7 @@ def dsg_run(program, x_init_ignored, gamma, T, oracle=None, record_every=None,
 
     def row():
         return (state.x_last, state.x_bar, state.lam, state.f_last, state.g_last,
-                state.cum_g, state.last_drift[0], state.last_drift[1])
+                state.cum_g, state.drift, state.drift_bound)
 
     x_init = np.zeros(program.n) if x_init_ignored is None else np.asarray(x_init_ignored, dtype=float)
     return _drive(T, record_every, advance, row, algorithm="dsg", problem=label,

@@ -29,7 +29,7 @@ import numpy as np
 from .baseline import dsg_run
 from .errors import (ConfigurationError, InvariantViolation, NonConvergenceError,
                      NumericalDomainError)
-from .problems import PROBLEM_NAMES, get_problem, half_hop_alpha
+from .problems import PROBLEM_NAMES, ExperimentProblem, get_problem, half_hop_alpha
 from .program import load_program
 from .report import (plot_trace, write_full_trace_csv, write_summary,
                      write_trace_csv)
@@ -50,21 +50,12 @@ def _out_dir(args):
 def _load_instance(args):
     if args.problem_file:
         program = load_program(args.problem_file)
-        from .problems import ExperimentProblem
-
         return ExperimentProblem(name=os.path.basename(args.problem_file),
                                  program=program, sense="min", f_star=None,
                                  default_alpha=None)
     if not args.problem:
         raise ConfigurationError("one of --problem or --problem-file is required")
-    return _registry_instance(args)
-
-
-def _registry_instance(args):
-    if args.problem not in PROBLEM_NAMES:
-        raise ConfigurationError(
-            f"unknown problem {args.problem!r}; expected one of {PROBLEM_NAMES}")
-    return get_problem(args.problem, seed=getattr(args, "seed", 1))
+    return get_problem(args.problem, seed=args.seed)
 
 
 def _resolve_alpha(args, instance):
@@ -131,6 +122,8 @@ def _load_reference(path):
                 np.asarray(ref["lambda_star"], dtype=float), float(ref["beta"]))
     except KeyError as exc:
         raise ConfigurationError(f"reference file missing field: {exc}") from exc
+    except (TypeError, AttributeError) as exc:  # a list or a scalar where an object belongs
+        raise ConfigurationError(f"malformed reference file: {exc}") from exc
 
 
 def _apply_reference(report, reference):
@@ -233,8 +226,7 @@ def plot_command(args):
     out = _out_dir(args)
     f_star = args.f_star
     if f_star is None and args.problem:
-        inst = _registry_instance(args)
-        f_star = inst.f_star
+        f_star = get_problem(args.problem, seed=args.seed).f_star
     svg = os.path.join(out, "convergence.svg")
     plot_trace(args.trace, svg, f_star=f_star,
                title=args.problem or os.path.basename(args.trace))

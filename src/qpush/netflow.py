@@ -9,7 +9,8 @@ source.  The rate-allocation problem
                 0 <= x <= x_max,  0 <= y <= y_max
 
 is assembled into a linear-constraint program on z = (x, y) with
-g(z) = A z - b, A = [[R, 0], [-T, I]] and b = (c, 0).
+g(z) = A z - b, A = [[R, 0], [-T, I]] and b = (c, 0), where R is the
+L x K link-path and T the S x K source-path 0/1 incidence.
 
 :func:`simulate_decentralized` runs the same iteration as per-link and
 per-source agents exchanging messages in synchronous rounds, as the
@@ -102,28 +103,8 @@ class Topology:
         return len(self.source_paths)
 
     @property
-    def link_paths(self):
-        """The paths through each link, in increasing order."""
-        ends = np.cumsum(np.bincount(self._lp_link, minlength=self.L))[:-1]
-        return tuple(tuple(ks.tolist()) for ks in np.split(self._lp_path, ends))
-
-    @property
     def hop_counts(self):
         return np.bincount(self._pl_path, minlength=self.K)
-
-    @property
-    def R(self):
-        """Link-path incidence, L x K 0/1."""
-        R = np.zeros((self.L, self.K))
-        R[self._lp_link, self._lp_path] = 1.0
-        return R
-
-    @property
-    def T(self):
-        """Source-path incidence, S x K 0/1."""
-        T = np.zeros((self.S, self.K))
-        T[self._sp_source, self._sp_path] = 1.0
-        return T
 
     def stacked_matrix(self):
         """A = [[R, 0], [-T, I]] of shape (L+S) x (K+S), built once per

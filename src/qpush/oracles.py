@@ -14,18 +14,13 @@ Lagrangian of the dual subgradient baseline.
 """
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConfigurationError, NonConvergenceError, NumericalDomainError
 
 __all__ = [
-    "Subproblem",
-    "solve_separable_quadratic",
-    "solve_scalar_convex",
     "log_quadratic_minimizer",
-    "log1p_quadratic_minimizer",
     "solve_projected_gradient",
     "SeparableOracle",
     "make_oracle",
@@ -35,72 +30,6 @@ __all__ = [
 # the domain; the minimizer is interior for positive weight, so brackets
 # start at this floor instead of 0.
 LOG_DOMAIN_FLOOR = 1e-12
-
-SCALAR_TOL = 1e-12
-
-
-@dataclass
-class Subproblem:
-    """One penalized primal update: weights, prox center and strength."""
-
-    program: object
-    weights: np.ndarray
-    x_prev: np.ndarray
-    alpha: float
-
-    def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=float)
-        self.x_prev = np.asarray(self.x_prev, dtype=float)
-        if self.alpha <= 0:
-            raise ValueError("alpha must be positive")
-        if self.weights.shape != (self.program.m,):
-            raise ValueError("weights length must equal the constraint count")
-        if self.x_prev.shape != (self.program.n,):
-            raise ValueError("x_prev length must equal the program dimension")
-
-    def value(self, x):
-        f = self.program.objective_value(x)
-        g = self.program.constraint_values(x)
-        d = x - self.x_prev
-        return f + float(self.weights @ g) + self.alpha * float(d @ d)
-
-
-def solve_separable_quadratic(a, b, lo, hi):
-    """Exact minimizer of a*x^2 + b*x over [lo, hi] for a > 0."""
-    if a <= 0:
-        raise ValueError("quadratic coefficient must be positive")
-    if lo > hi:
-        raise ValueError("empty interval")
-    return min(max(-b / (2.0 * a), lo), hi)
-
-
-def solve_scalar_convex(derivative, lo, hi, tol=SCALAR_TOL):
-    """Bisection on the sign of a nondecreasing derivative over [lo, hi].
-
-    Returns ``lo`` when derivative(lo) >= 0, ``hi`` when derivative(hi)
-    <= 0, otherwise the midpoint of a bracket narrower than ``tol``.
-    Deterministic midpoint rule.
-    """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    dlo = derivative(lo)
-    dhi = derivative(hi)
-    if not (np.isfinite(dlo) and np.isfinite(dhi)):
-        raise NumericalDomainError("derivative returned non-finite values on the bracket")
-    if dlo >= 0:
-        return lo
-    if dhi <= 0:
-        return hi
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        dm = derivative(mid)
-        if not np.isfinite(dm):
-            raise NumericalDomainError(f"derivative non-finite at {mid}")
-        if dm >= 0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
 
 
 def log_quadratic_minimizer(a, b, w, lo, hi):
@@ -117,21 +46,6 @@ def log_quadratic_minimizer(a, b, w, lo, hi):
     return np.minimum(np.maximum(root, floor), hi)
 
 
-def log1p_quadratic_minimizer(a, b, d, lo, hi):
-    """Exact minimizer of a*z^2 + b*z - d*log(1+z) over [lo, hi] in [0, inf).
-
-    Stationarity multiplies out to 2a z^2 + (2a+b) z + (b-d) = 0 whose
-    discriminant (2a-b)^2 + 8ad is never negative; the larger root is the
-    unique stationary point on (-1, inf).  Vectorized; uses the
-    cancellation-free quadratic form when 2a+b > 0.
-    """
-    s = 2.0 * a + b
-    sq = np.sqrt((2.0 * a - b) ** 2 + 8.0 * a * d)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        root = np.where(s > 0, 2.0 * (d - b) / (s + sq), (sq - s) / (4.0 * a))
-    return np.minimum(np.maximum(root, lo), hi)
-
-
 def _objective_curvature(program):
     terms = program.objective_terms
     if terms is None:
@@ -143,28 +57,35 @@ def _objective_curvature(program):
     return 2.0 * float(terms.quad.max()) if terms.quad.size else 0.0
 
 
-def solve_projected_gradient(sub, tol=1e-9, max_iter=10000):
+def solve_projected_gradient(program, weights, x_prev, alpha, tol=1e-9, max_iter=10000):
     """Projected (sub)gradient descent fallback for general subproblems.
 
-    Uses a fixed step 1/(2*alpha + L_est) with the crude curvature
+    Minimizes f(x) + weights.g(x) + alpha ||x - x_prev||^2 over the box
+    with a fixed step 1/(2*alpha + L_est), using the crude curvature
     estimate L_est = ||W|| * beta + f-curvature, and stops when the
     projected-gradient mapping norm drops below ``tol``.  A non-finite
     residual raises NumericalDomainError at once.
     """
-    program = sub.program
+    weights = np.asarray(weights, dtype=float)
+    x_prev = np.asarray(x_prev, dtype=float)
+    if alpha <= 0:
+        raise ValueError("alpha must be positive")
+    if weights.shape != (program.m,):
+        raise ValueError("weights length must equal the constraint count")
+    if x_prev.shape != (program.n,):
+        raise ValueError("x_prev length must equal the program dimension")
     if program.beta_hint is None:
         raise ConfigurationError("projected gradient needs beta_hint on the program")
-    alpha = sub.alpha
     box = program.box
-    curv = 2.0 * alpha + float(np.linalg.norm(sub.weights)) * program.beta_hint
+    curv = 2.0 * alpha + float(np.linalg.norm(weights)) * program.beta_hint
     curv += _objective_curvature(program)
     step = 1.0 / curv
-    x = box.clamp(sub.x_prev)
+    x = box.clamp(x_prev)
     residual = np.inf
     for k in range(max_iter):
         grad = (program.objective_subgradient(x)
-                + program.constraint_jacobian(x).T @ sub.weights
-                + 2.0 * alpha * (x - sub.x_prev))
+                + program.constraint_jacobian(x).T @ weights
+                + 2.0 * alpha * (x - x_prev))
         x_new = box.clamp(x - step * grad)
         residual = float(np.linalg.norm(x - x_new)) / step
         if not math.isfinite(residual):  # a NaN gradient never recovers
@@ -302,8 +223,9 @@ class SeparableOracle:
             b = lin[il]
             x[il] = (-b + np.sqrt(b * b + eight_aw)) / four_a
         if nl_c is not None:
-            # larger root of 2a z^2 + (2a+b) z + (b-d) = 0, as in
-            # log1p_quadratic_minimizer; the cancellation-free form where 2a+b > 0
+            # larger root of 2a z^2 + (2a+b) z + (b-d) = 0, the unique stationary
+            # point on (-1, inf): its discriminant (2a-b)^2 + 8ad is never
+            # negative; the cancellation-free form where 2a+b > 0
             two_a, eight_a, four_a = nl_c
             b = lin[ip]
             s = two_a + b
@@ -329,8 +251,8 @@ class _ProjectedGradientOracle:
         self.max_iter = max_iter
 
     def __call__(self, weights, x_prev, alpha):
-        sub = Subproblem(self.program, weights, x_prev, alpha)
-        return solve_projected_gradient(sub, tol=self.tol, max_iter=self.max_iter)
+        return solve_projected_gradient(self.program, weights, x_prev, alpha,
+                                        tol=self.tol, max_iter=self.max_iter)
 
 
 def make_oracle(program):

@@ -23,8 +23,8 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .netflow import NumProblem, Topology, load_topology
-from .oracles import solve_separable_quadratic
 from .program import BoxSet, ConstraintTerms, ConvexProgram, CoordinateTerms, spectral_norm
+from .solver import kkt_residual
 
 __all__ = [
     "fig1_topology",
@@ -36,7 +36,6 @@ __all__ = [
     "FLOW_POWER_OPTIMUM",
     "QpInstance",
     "generate_qp",
-    "qp_coordinate_update",
     "QpReference",
     "qp_reference_optimum",
     "ExperimentProblem",
@@ -186,19 +185,6 @@ def generate_qp(seed, n=100):
     return QpInstance(seed=int(seed), P=P, c=c, Qm=Qm, d=d, e=e, n=n)
 
 
-def qp_coordinate_update(qp, i, weight, x_prev_i, alpha):
-    """Closed-form coordinate step of the penalized QP subproblem.
-
-    Minimizes (P_ii + w Qm_ii + alpha) x^2 + (c_i + w d_i - 2 alpha
-    x_prev_i) x over [0, 1] for a nonnegative constraint weight.
-    """
-    if weight < 0:
-        raise ValueError("constraint weight must be nonnegative")
-    a = qp.P[i] + weight * qp.Qm[i] + alpha
-    b = qp.c[i] + weight * qp.d[i] - 2.0 * alpha * x_prev_i
-    return solve_separable_quadratic(a, b, 0.0, 1.0)
-
-
 @dataclass(frozen=True)
 class QpReference:
     """Independent optimum of a QpInstance with its certificate."""
@@ -249,8 +235,6 @@ def qp_reference_optimum(qp, tol=1e-12, lam_max=1e8):
                 hi = mid
         lam = 0.5 * (lo + hi)
         x = _qp_lagrangian_argmin(qp, lam)
-    from .solver import kkt_residual
-
     f = program.objective_value(x)
     return QpReference(x=x, lam=lam, f=f, kkt=kkt_residual(program, x, np.array([lam])))
 

@@ -143,8 +143,8 @@ class CoordinateTerms:
 class ConstraintTerms:
     """Separable constraint rows g_k(x) = A_k.x + Qc_k.x^2 - U_k.log(1+x) - b_k.
 
-    An absent ``quad`` or ``neglog1p`` is stored as zeros and never
-    scanned.  When 32 * nnz(A) < m * n, A is also kept as read-only
+    An absent ``quad`` or ``neglog1p`` stays ``None``, and an all-zero one
+    is never scanned.  When 32 * nnz(A) < m * n, A is also kept as read-only
     (row, col, value) triples in row-major order, and A x (here) and A^T W
     (in the oracle) are ``np.bincount`` segment sums over them.  bincount
     adds in input order, so each column's sum runs down its rows as a
@@ -161,19 +161,19 @@ class ConstraintTerms:
         lin = np.atleast_2d(np.asarray(self.lin, dtype=float))
         m, n = lin.shape
         offset = _vector(self.offset, m, name="offset")
-        given_quad, given_nl = self.quad is not None, self.neglog1p is not None
-        quad = np.asarray(self.quad, dtype=float) if given_quad else np.zeros((m, n))
-        nl = np.asarray(self.neglog1p, dtype=float) if given_nl else np.zeros((m, n))
-        if quad.shape != (m, n) or nl.shape != (m, n):
+        quad = None if self.quad is None else np.asarray(self.quad, dtype=float)
+        nl = None if self.neglog1p is None else np.asarray(self.neglog1p, dtype=float)
+        given = [a for a in (quad, nl) if a is not None]
+        if any(a.shape != (m, n) for a in given):
             raise ValueError("quad/neglog1p must match the linear part's shape")
-        if (given_quad and np.any(quad < 0)) or (given_nl and np.any(nl < 0)):
+        if any(np.any(a < 0) for a in given):
             raise ConfigurationError("quad and neglog1p coefficients must be nonnegative")
         object.__setattr__(self, "lin", lin)
         object.__setattr__(self, "offset", offset)
         object.__setattr__(self, "quad", quad)
         object.__setattr__(self, "neglog1p", nl)
-        object.__setattr__(self, "_has_quad", given_quad and bool(quad.any()))
-        object.__setattr__(self, "_has_nl", given_nl and bool(nl.any()))
+        object.__setattr__(self, "_has_quad", quad is not None and bool(quad.any()))
+        object.__setattr__(self, "_has_nl", nl is not None and bool(nl.any()))
         flat = lin.ravel()
         nz = np.flatnonzero(flat != 0)  # 5x faster than np.flatnonzero(lin) at 1e6 entries
         triples = None
@@ -213,7 +213,7 @@ class ConstraintTerms:
 
 
 class ConvexProgram:
-    """Objective/constraint oracles over a box, plus structure tags.
+    """Objective/constraint oracles over a box, plus separable descriptors.
 
     Parameters
     ----------
@@ -225,9 +225,6 @@ class ConvexProgram:
         ``f(x) -> float`` and a subgradient ``x -> (n,) array``.
     constraints, constraint_jac : callable
         ``g(x) -> (m,) array`` and its subgradient rows ``x -> (m, n)``.
-    structure : str
-        One of ``"general"``, ``"linear"`` (g(x) = A x - b exactly),
-        ``"separable-quadratic"`` or ``"separable"``.
     objective_terms, constraint_terms : optional
         Separable descriptors enabling closed-form primal oracles.
     beta_hint : float, optional
@@ -235,8 +232,8 @@ class ConvexProgram:
     """
 
     def __init__(self, n, m, box, objective, objective_grad, constraints,
-                 constraint_jac, structure="general", objective_terms=None,
-                 constraint_terms=None, beta_hint=None):
+                 constraint_jac, objective_terms=None, constraint_terms=None,
+                 beta_hint=None):
         if box.dim != n:
             raise ValueError(f"box dimension {box.dim} != n = {n}")
         self.n = int(n)
@@ -246,42 +243,36 @@ class ConvexProgram:
         self._f_grad = objective_grad
         self._g = constraints
         self._g_jac = constraint_jac
-        self.structure = structure
         self.objective_terms = objective_terms
         self.constraint_terms = constraint_terms
         self.beta_hint = None if beta_hint is None else float(beta_hint)
-        if structure == "linear":
-            if constraint_terms is None or not constraint_terms.is_linear:
-                raise ConfigurationError("linear structure requires linear constraint terms")
 
     @classmethod
     def from_terms(cls, objective_terms, constraint_terms, box, beta_hint=None):
-        """Assemble a program from separable descriptors; infers the tag."""
+        """Assemble a program from separable descriptors."""
         n = objective_terms.dim
         m, nc = constraint_terms.shape
         if nc != n:
             raise ValueError(f"constraint terms have {nc} columns, expected {n}")
-        if constraint_terms.is_linear:
-            structure = "linear"
-        elif not constraint_terms._has_nl:
-            structure = "separable-quadratic"
-        else:
-            structure = "separable"
         return cls(
             n, m, box,
             objective_terms.value, objective_terms.gradient,
             constraint_terms.values, constraint_terms.jacobian,
-            structure=structure,
             objective_terms=objective_terms,
             constraint_terms=constraint_terms,
             beta_hint=beta_hint,
         )
 
-    @classmethod
-    def general(cls, n, m, box, objective, objective_grad, constraints,
-                constraint_jac, beta_hint=None):
-        return cls(n, m, box, objective, objective_grad, constraints,
-                   constraint_jac, structure="general", beta_hint=beta_hint)
+    @property
+    def structure(self):
+        """``"general"`` without constraint terms, else ``"linear"`` (g(x) =
+        A x - b exactly), ``"separable-quadratic"`` or ``"separable"``."""
+        terms = self.constraint_terms
+        if terms is None:
+            return "general"
+        if terms.is_linear:
+            return "linear"
+        return "separable" if terms._has_nl else "separable-quadratic"
 
     @property
     def A(self):
@@ -363,37 +354,48 @@ def load_program(source):
                     | {"kind": "diag-quadratic", "p": [...], "c": [...]}
                     | {"kind": "neg-log-utility", "weights": [...]}}
 
-    Scalars are broadcast over box bounds.
+    Scalars are broadcast over box bounds.  A missing or mistyped field,
+    or a non-finite entry of b, c, p or the weights, raises
+    ConfigurationError.
     """
     if isinstance(source, dict):
         spec = source
     else:
         with open(source) as fh:
             spec = json.load(fh)
+
+    def finite(value, length, name):
+        v = _vector(value, length, name)
+        if not np.all(np.isfinite(v)):
+            raise ConfigurationError(f"{name} must be finite")
+        return v
+
     try:
         n = int(spec["n"])
         m = int(spec["m"])
         box = BoxSet(_vector(spec["box"]["lo"], n, "box.lo"),
                      _vector(spec["box"]["hi"], n, "box.hi"))
         A = np.asarray(spec["linear"]["A"], dtype=float)
-        b = _vector(spec["linear"]["b"], m, "linear.b")
+        b = finite(spec["linear"]["b"], m, "linear.b")
         obj = spec["objective"]
         kind = obj["kind"]
+        if kind == "linear":
+            terms = CoordinateTerms.linear(finite(obj["c"], n, "objective.c"))
+        elif kind == "diag-quadratic":
+            terms = CoordinateTerms(finite(obj["p"], n, "objective.p"),
+                                    finite(obj["c"], n, "objective.c"), np.zeros(n))
+        elif kind == "neg-log-utility":
+            terms = CoordinateTerms(np.zeros(n), np.zeros(n),
+                                    finite(obj["weights"], n, "objective.weights"))
+        else:
+            raise ConfigurationError(
+                f"unknown objective kind {kind!r}; expected one of {_OBJECTIVE_KINDS}")
     except KeyError as exc:
         raise ConfigurationError(f"problem file missing field: {exc}") from exc
+    except (TypeError, AttributeError) as exc:  # a list or a scalar where an object belongs
+        raise ConfigurationError(f"malformed problem file: {exc}") from exc
     if A.shape != (m, n):
         raise ConfigurationError(f"linear.A has shape {A.shape}, expected ({m}, {n})")
-    if kind == "linear":
-        terms = CoordinateTerms.linear(_vector(obj["c"], n, "objective.c"))
-    elif kind == "diag-quadratic":
-        terms = CoordinateTerms(_vector(obj["p"], n, "objective.p"),
-                                _vector(obj["c"], n, "objective.c"),
-                                np.zeros(n))
-    elif kind == "neg-log-utility":
-        terms = CoordinateTerms(np.zeros(n), np.zeros(n),
-                                _vector(obj["weights"], n, "objective.weights"))
-    else:
-        raise ConfigurationError(f"unknown objective kind {kind!r}; expected one of {_OBJECTIVE_KINDS}")
     cons = ConstraintTerms(A, b)
     beta = spectral_norm(A)
     return ConvexProgram.from_terms(terms, cons, box, beta_hint=beta)

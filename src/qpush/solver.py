@@ -54,7 +54,6 @@ from .report import TraceRecorder, _write_table
 
 __all__ = [
     "SolverState",
-    "DriftRecord",
     "AlphaBelowCurvatureWarning",
     "init",
     "queue_update",
@@ -62,8 +61,6 @@ __all__ = [
     "run",
     "BoundReport",
     "verify_bounds",
-    "TightReference",
-    "derive_reference",
     "kkt_residual",
 ]
 
@@ -85,16 +82,6 @@ class AlphaBelowCurvatureWarning(UserWarning):
     """alpha < beta^2/2 (or beta unknown): O(1/t) guarantees not certified."""
 
 
-@dataclass(frozen=True)
-class DriftRecord:
-    """Lyapunov drift of 0.5||Q||^2 over one step and its upper bound."""
-
-    t: int
-    L: float
-    delta: float
-    bound: float
-
-
 @dataclass
 class SolverState:
     """Mutable state owned by a single run; one step depends on the last."""
@@ -108,7 +95,8 @@ class SolverState:
     eq_mask: np.ndarray
     cum_g: np.ndarray
     f_prev: float = float("nan")
-    last_drift: DriftRecord = None
+    drift: float = float("nan")
+    drift_bound: float = float("nan")
     _work: object = field(default=None, repr=False, compare=False)
 
     @property
@@ -118,10 +106,6 @@ class SolverState:
         if self.eq_mask.all():
             return "equality"
         return "mixed"
-
-    @property
-    def weights(self):
-        return self.Q + self.g_prev
 
 
 def _parse_mode(mode, m):
@@ -196,7 +180,7 @@ def init(program, x_init, alpha, mode="inequality"):
     if eq_mask.any() and program.constraint_terms is not None:
         rows = np.flatnonzero(eq_mask)
         ct = program.constraint_terms
-        if ct.quad[rows].any() or ct.neglog1p[rows].any():
+        if (ct._has_quad and ct.quad[rows].any()) or (ct._has_nl and ct.neglog1p[rows].any()):
             raise ConfigurationError("equality mode is only supported on linear constraint rows")
     beta = program.beta_hint
     if beta is None:
@@ -299,7 +283,8 @@ def step(state, program, oracle=None, validate=True):
     else:
         state.x_bar = state.x_bar * (t / (t + 1.0)) + x_new / (t + 1.0)
     state.cum_g = cum_g
-    state.last_drift = DriftRecord(t=t, L=L, delta=delta, bound=bound)
+    state.drift = delta
+    state.drift_bound = bound
     state.x_prev = x_new
     state.g_prev = g_new
     state.f_prev = f_new
@@ -356,9 +341,8 @@ def run(program, x_init, alpha, T, oracle=None, mode="inequality",
     state = init(program, x_init, alpha, mode)
 
     def row():
-        drift = state.last_drift
         return (state.x_prev, state.x_bar, state.Q, state.f_prev, state.g_prev,
-                state.cum_g, drift.delta, drift.bound)
+                state.cum_g, state.drift, state.drift_bound)
 
     return _drive(T, record_every,
                   lambda t: step(state, program, oracle, validate=validate), row,
@@ -483,17 +467,7 @@ def verify_bounds(report, f_star, x_star, lambda_star, beta, slack=1e-9):
 
 
 # ---------------------------------------------------------------------------
-# Reference derivation: long tight solves and KKT certification
-
-@dataclass(frozen=True)
-class TightReference:
-    """Primal/dual pair from a long run, with its KKT residual."""
-
-    x: np.ndarray
-    lam: np.ndarray
-    f: float
-    kkt: float
-
+# KKT certification
 
 def kkt_residual(program, x, lam, boundary_tol=1e-9):
     """Max violation of the first-order optimality system at (x, lam).
@@ -521,21 +495,3 @@ def kkt_residual(program, x, lam, boundary_tol=1e-9):
         float(np.maximum(x - hi, 0.0).max()),
     ]
     return max(residuals)
-
-
-def derive_reference(program, alpha, T, x_init=None, oracle=None):
-    """Derive (x*, lambda*) from a long tight solve.
-
-    Runs ``T`` iterations without validation and returns the final iterate
-    with the final weight vector W = Q + g(x) as the multiplier estimate,
-    plus the KKT residual of the pair.  Callers decide whether the
-    residual is small enough for their purpose.
-    """
-    if x_init is None:
-        x_init = program.box.clamp(np.zeros(program.n))
-    report = run(program, x_init, alpha, T, oracle=oracle, record_every=T, validate=False)
-    # the last row holds x(T-1), Q(T) and g(x(T-1))
-    x = report.x[-1]
-    lam = report.Q[-1] + report.g_x[-1]
-    return TightReference(x=x, lam=lam, f=program.objective_value(x),
-                          kkt=kkt_residual(program, x, lam))

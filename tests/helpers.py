@@ -2,11 +2,15 @@
 
 import contextlib
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 
 from qpush import (AlphaBelowCurvatureWarning, BoxSet, ConstraintTerms,
-                   ConvexProgram, CoordinateTerms, Topology)
+                   ConvexProgram, CoordinateTerms, Topology, kkt_residual, run)
+from qpush.errors import NumericalDomainError
+
+SCALAR_TOL = 1e-12
 
 
 def frobenius_bound(A):
@@ -88,6 +92,122 @@ def random_topology(rng, max_links=10, max_paths=8):
     source_paths = tuple(tuple(int(k) for k in g) for g in groups)
     caps = rng.uniform(0.5, 2.0, L)
     return Topology(caps, tuple(paths), source_paths)
+
+
+def link_path_incidence(topology):
+    """R: the L x K 0/1 link-path incidence, from ``path_links``."""
+    R = np.zeros((topology.L, topology.K))
+    for k, links in enumerate(topology.path_links):
+        R[list(links), k] = 1.0
+    return R
+
+
+def source_path_incidence(topology):
+    """T: the S x K 0/1 source-path incidence, from ``source_paths``."""
+    T = np.zeros((topology.S, topology.K))
+    for s, paths in enumerate(topology.source_paths):
+        T[s, list(paths)] = 1.0
+    return T
+
+
+def link_paths(topology):
+    """The paths through each link, in increasing order."""
+    return tuple(tuple(k for k, links in enumerate(topology.path_links) if l in links)
+                 for l in range(topology.L))
+
+
+def subproblem_objective(program, weights, x_prev, alpha):
+    """x -> f(x) + W.g(x) + alpha ||x - x_prev||^2, the prox subproblem."""
+    weights, x_prev = np.asarray(weights, dtype=float), np.asarray(x_prev, dtype=float)
+
+    def value(x):
+        d = x - x_prev
+        return (program.objective_value(x) + float(weights @ program.constraint_values(x))
+                + alpha * float(d @ d))
+
+    return value
+
+
+def solve_separable_quadratic(a, b, lo, hi):
+    """Exact minimizer of a*x^2 + b*x over [lo, hi] for a > 0."""
+    if a <= 0:
+        raise ValueError("quadratic coefficient must be positive")
+    if lo > hi:
+        raise ValueError("empty interval")
+    return min(max(-b / (2.0 * a), lo), hi)
+
+
+def qp_coordinate_update(qp, i, weight, x_prev_i, alpha):
+    """Closed-form coordinate step of the penalized QP subproblem.
+
+    Minimizes (P_ii + w Qm_ii + alpha) x^2 + (c_i + w d_i - 2 alpha
+    x_prev_i) x over [0, 1] for a nonnegative constraint weight.
+    """
+    if weight < 0:
+        raise ValueError("constraint weight must be nonnegative")
+    a = qp.P[i] + weight * qp.Qm[i] + alpha
+    b = qp.c[i] + weight * qp.d[i] - 2.0 * alpha * x_prev_i
+    return solve_separable_quadratic(a, b, 0.0, 1.0)
+
+
+def solve_scalar_convex(derivative, lo, hi, tol=SCALAR_TOL):
+    """Bisection on the sign of a nondecreasing derivative over [lo, hi].
+
+    Returns ``lo`` when derivative(lo) >= 0, ``hi`` when derivative(hi)
+    <= 0, otherwise the midpoint of a bracket narrower than ``tol``.
+    Deterministic midpoint rule.
+    """
+    if tol <= 0:
+        raise ValueError("tol must be positive")
+    dlo = derivative(lo)
+    dhi = derivative(hi)
+    if not (np.isfinite(dlo) and np.isfinite(dhi)):
+        raise NumericalDomainError("derivative returned non-finite values on the bracket")
+    if dlo >= 0:
+        return lo
+    if dhi <= 0:
+        return hi
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        dm = derivative(mid)
+        if not np.isfinite(dm):
+            raise NumericalDomainError(f"derivative non-finite at {mid}")
+        if dm >= 0:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+def log1p_quadratic_minimizer(a, b, d, lo, hi):
+    """Exact minimizer of a*z^2 + b*z - d*log(1+z) over [lo, hi] in [0, inf).
+
+    Stationarity multiplies out to 2a z^2 + (2a+b) z + (b-d) = 0 whose
+    discriminant (2a-b)^2 + 8ad is never negative; the larger root is the
+    unique stationary point on (-1, inf).  Vectorized; uses the
+    cancellation-free quadratic form when 2a+b > 0.
+    """
+    s = 2.0 * a + b
+    sq = np.sqrt((2.0 * a - b) ** 2 + 8.0 * a * d)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        root = np.where(s > 0, 2.0 * (d - b) / (s + sq), (sq - s) / (4.0 * a))
+    return np.minimum(np.maximum(root, lo), hi)
+
+
+def derive_reference(program, alpha, T):
+    """(x*, lambda*) from a long tight solve, with the pair's KKT residual.
+
+    Runs ``T`` iterations from the box point nearest 0, without validation,
+    and returns the final iterate with the final weight vector
+    W = Q + g(x) as the multiplier estimate.
+    """
+    x_init = program.box.clamp(np.zeros(program.n))
+    report = run(program, x_init, alpha, T, record_every=T, validate=False)
+    # the last row holds x(T-1), Q(T) and g(x(T-1))
+    x = report.x[-1]
+    lam = report.Q[-1] + report.g_x[-1]
+    return SimpleNamespace(x=x, lam=lam, f=program.objective_value(x),
+                           kkt=kkt_residual(program, x, lam))
 
 
 def grid_minimize(fun, lo, hi, coarse=2001, refine=4):

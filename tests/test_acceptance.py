@@ -9,11 +9,11 @@ import numpy as np
 import pytest
 
 import qpush as qp
-from qpush.oracles import SeparableOracle, Subproblem, solve_projected_gradient, solve_scalar_convex
+from qpush.oracles import SeparableOracle, solve_projected_gradient
 from qpush.problems import FLOW_POWER_OPTIMUM
 
 from helpers import (quiet_alpha_warnings, random_alpha, random_point_in,
-                     random_separable_program, random_topology)
+                     random_separable_program, random_topology, solve_scalar_convex)
 
 FIG1_UTILITY = 1.65687
 QP_SEED1_F_STAR = -169.06884345592948
@@ -174,7 +174,7 @@ def test_criterion_9_oracle_cross_validation():
             x_prev = random_point_in(prog.box, rng)
             alpha = float(rng.uniform(0.5, 8.0))
             closed = oracle(W, x_prev, alpha)
-            pg = solve_projected_gradient(Subproblem(prog, W, x_prev, alpha),
+            pg = solve_projected_gradient(prog, W, x_prev, alpha,
                                           tol=1e-11, max_iter=200_000)
             worst = max(worst, float(np.abs(closed - pg).max()))
             # per-coordinate bisection on the stationarity condition

@@ -9,6 +9,10 @@ import qpush as qp
 from qpush.cli import main
 from qpush.report import parse_trace_csv
 
+GOOD_PROBLEM = {"n": 2, "m": 1, "box": {"lo": [0, 0], "hi": [1, 1]},
+                "linear": {"A": [[1, 1]], "b": [1]},
+                "objective": {"kind": "linear", "c": [-1, -1]}}
+
 
 def reference_file(tmp_path, shift=0.0):
     z_star, lam_star, f_star = qp.fig1_reference()
@@ -79,11 +83,8 @@ def test_run_qp_alpha_auto(tmp_path):
 
 
 def test_run_problem_file(tmp_path):
-    spec = {"n": 2, "m": 1, "box": {"lo": [0, 0], "hi": [1, 1]},
-            "linear": {"A": [[1, 1]], "b": [1]},
-            "objective": {"kind": "linear", "c": [-1, -1]}}
     pf = tmp_path / "p.json"
-    pf.write_text(json.dumps(spec))
+    pf.write_text(json.dumps(GOOD_PROBLEM))
     out = tmp_path / "out"
     code = main(["run", "--problem-file", str(pf), "--alpha", "2",
                  "--T", "500", "--out", str(out)])
@@ -125,6 +126,29 @@ def test_config_error_exit_codes(tmp_path):
                  "--T", "10", "--out", str(tmp_path)]) == 2
     missing = main(["run", "--T", "10", "--out", str(tmp_path)])
     assert missing == 2
+
+
+@pytest.mark.parametrize("problem, reference", [
+    ([1, 2], None),
+    ({**GOOD_PROBLEM, "box": "x"}, None),
+    ({**GOOD_PROBLEM, "objective": "linear"}, None),
+    ({**GOOD_PROBLEM, "objective": {"kind": "linear"}}, None),
+    (GOOD_PROBLEM, [1, 2]),
+    ({**GOOD_PROBLEM, "linear": {"A": [[1, 1]], "b": [float("inf")]}}, None),
+], ids=["list", "box-string", "objective-string", "no-c", "reference-list", "infinite-b"])
+def test_malformed_input_files_exit_2(tmp_path, problem, reference):
+    pf = tmp_path / "p.json"
+    pf.write_text(json.dumps(problem))
+    argv = [sys.executable, "-m", "qpush", "run", "--problem-file", str(pf), "--alpha", "2",
+            "--T", "10", "--out", str(tmp_path / "out")]
+    if reference is not None:
+        rf = tmp_path / "ref.json"
+        rf.write_text(json.dumps(reference))
+        argv += ["--verify-bounds", str(rf)]
+    proc = subprocess.run(argv, capture_output=True, text=True)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("configuration error: ")
 
 
 def test_unusable_output_directory_exits_2(tmp_path, capsys):

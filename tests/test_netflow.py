@@ -9,7 +9,8 @@ from qpush import Topology
 from qpush.errors import ConfigurationError
 from qpush.oracles import LOG_DOMAIN_FLOOR
 
-from helpers import overflow_network, random_topology
+from helpers import (link_path_incidence, link_paths, overflow_network, random_topology,
+                     source_path_incidence)
 
 
 def single_link_topology():
@@ -18,13 +19,14 @@ def single_link_topology():
 
 def test_topology_incidence_consistency(fig1_instance):
     topo = fig1_instance.topology
-    for l, paths in enumerate(topo.link_paths):
+    for l, paths in enumerate(link_paths(topo)):
         for k in paths:
             assert l in topo.path_links[k]
     for k, links in enumerate(topo.path_links):
         for l in links:
-            assert k in topo.link_paths[l]
-    assert topo.R.shape == (9, 7) and topo.T.shape == (3, 7)
+            assert k in link_paths(topo)[l]
+    assert link_path_incidence(topo).shape == (9, 7)
+    assert source_path_incidence(topo).shape == (3, 7)
 
 
 def test_incidence_arrays():
@@ -36,12 +38,12 @@ def test_incidence_arrays():
     assert topo._lp_path.tolist() == [0, 1, 0, 2]
     assert topo._sp_source.tolist() == [0, 0, 1]
     assert topo._sp_path.tolist() == [2, 0, 1]
-    assert topo.link_paths == ((0, 1), (), (0, 2))
+    assert link_paths(topo) == ((0, 1), (), (0, 2))
     assert topo.hop_counts.tolist() == [2, 1, 1]
     for name in ("_pl_path", "_pl_link", "_lp_link", "_lp_path", "_sp_source", "_sp_path"):
         assert not getattr(topo, name).flags.writeable
-    assert np.array_equal(topo.R, [[1, 1, 0], [0, 0, 0], [1, 0, 1]])
-    assert np.array_equal(topo.T, [[1, 0, 1], [0, 1, 0]])
+    assert np.array_equal(link_path_incidence(topo), [[1, 1, 0], [0, 0, 0], [1, 0, 1]])
+    assert np.array_equal(source_path_incidence(topo), [[1, 0, 1], [0, 1, 0]])
     assert not topo.stacked_matrix().flags.writeable
 
 
@@ -64,8 +66,8 @@ def test_build_num_program_fig1(fig1_instance):
     assert prog.structure == "linear"
     assert prog.A.shape == (12, 10)
     A = prog.A
-    assert np.array_equal(A[:9, :7], num.topology.R)
-    assert np.array_equal(A[9:, :7], -num.topology.T)
+    assert np.array_equal(A[:9, :7], link_path_incidence(num.topology))
+    assert np.array_equal(A[9:, :7], -source_path_incidence(num.topology))
     assert np.array_equal(A[9:, 7:], np.eye(3))
     assert np.array_equal(A[:9, 7:], np.zeros((9, 3)))
     assert np.array_equal(prog.b, np.concatenate([np.ones(9), np.zeros(3)]))
@@ -135,7 +137,7 @@ def test_simulation_initialization_fig1():
     prog = num.program()
     state = qp.init(prog, np.zeros(10), 10.0)
     assert np.array_equal(state.Q[:9], np.ones(9))     # Q_l(0) = c_l
-    assert np.array_equal(state.weights, np.zeros(12))  # Y_l(0) = 0, Z_s(0) = 0
+    assert np.array_equal(state.Q + state.g_prev, np.zeros(12))  # Y_l(0) = 0, Z_s(0) = 0
     # the simulation's first primal step must agree with the central one
     qp.step(state, prog)
     assert np.abs(rep.x[0] - state.x_prev).max() < 1e-12
@@ -190,8 +192,8 @@ def loop_agents(topo, w, x_max, y_max, alpha, x, y, T):
     and link order: the reference the array rounds must equal bit for bit.
     Returns z(t) and Q(t+1) for every round."""
     x, y, cap = [float(v) for v in x], [float(v) for v in y], topo.cap
-    link_paths = topo.link_paths
-    total = [sum(x[k] for k in ks) for ks in link_paths]
+    through = link_paths(topo)
+    total = [sum(x[k] for k in ks) for ks in through]
     link_q = [max(0.0, c - tot) for c, tot in zip(cap, total)]
     link_price = [q + (tot - c) for q, tot, c in zip(link_q, total, cap)]
     gap = [y[s] - sum(x[k] for k in ks) for s, ks in enumerate(topo.source_paths)]
@@ -209,7 +211,7 @@ def loop_agents(topo, w, x_max, y_max, alpha, x, y, T):
             g = y[s] - sum(x[k] for k in ks)
             source_q[s] = max(-g, source_q[s] + g)
             source_price[s] = source_q[s] + g
-        for l, ks in enumerate(link_paths):
+        for l, ks in enumerate(through):
             load = sum(x[k] for k in ks) - cap[l]
             link_q[l] = max(-load, link_q[l] + load)
             link_price[l] = link_q[l] + load
@@ -269,7 +271,7 @@ def test_prices_stay_nonnegative():
 
 def test_message_conservation(fig1_instance):
     topo = fig1_instance.topology
-    per_round = sum(len(p) for p in topo.link_paths)
+    per_round = sum(len(p) for p in link_paths(topo))
     assert per_round == sum(len(links) for links in topo.path_links) == 12
     T = 250
     rep = sim_fig1(T, record_every=100)
@@ -355,7 +357,7 @@ def test_bundled_fixture_matches_printed_matrices():
         [0, 0, 1, 1, 1, 0, 0],
         [0, 0, 0, 0, 0, 1, 1],
     ])
-    assert np.array_equal(topo.R, R_expected)
-    assert np.array_equal(topo.T, T_expected)
+    assert np.array_equal(link_path_incidence(topo), R_expected)
+    assert np.array_equal(source_path_incidence(topo), T_expected)
     assert np.array_equal(topo.cap, np.ones(9))
     assert np.array_equal(weights, [1.0, 2.0, 2.0])

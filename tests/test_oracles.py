@@ -6,13 +6,12 @@ import pytest
 import qpush as qp
 from qpush import BoxSet, ConstraintTerms, ConvexProgram, CoordinateTerms
 from qpush.errors import NonConvergenceError, NumericalDomainError
-from qpush.oracles import (SeparableOracle, Subproblem,
-                           log1p_quadratic_minimizer, log_quadratic_minimizer,
-                           make_oracle, solve_projected_gradient,
-                           solve_scalar_convex, solve_separable_quadratic)
+from qpush.oracles import (SeparableOracle, log_quadratic_minimizer, make_oracle,
+                           solve_projected_gradient)
 
-from helpers import (grid_minimize, random_point_in, random_separable_program,
-                     random_sparse_matrix)
+from helpers import (grid_minimize, log1p_quadratic_minimizer, random_point_in,
+                     random_separable_program, random_sparse_matrix, solve_scalar_convex,
+                     solve_separable_quadratic, subproblem_objective)
 
 
 def test_separable_quadratic_examples():
@@ -95,8 +94,7 @@ def unconstrained_prox_program(n):
 def test_projected_gradient_pure_prox():
     prog = unconstrained_prox_program(3)
     x_prev = np.array([0.2, -0.5, 0.9])
-    sub = Subproblem(prog, np.zeros(0), x_prev, 1.0)
-    out = solve_projected_gradient(sub, tol=1e-12)
+    out = solve_projected_gradient(prog, np.zeros(0), x_prev, 1.0, tol=1e-12)
     assert np.allclose(out, x_prev, atol=1e-12)
 
 
@@ -109,7 +107,7 @@ def test_projected_gradient_matches_closed_form():
         x_prev = random_point_in(prog.box, rng)
         alpha = rng.uniform(0.5, 5.0)
         closed = oracle(W, x_prev, alpha)
-        pg = solve_projected_gradient(Subproblem(prog, W, x_prev, alpha), tol=1e-11)
+        pg = solve_projected_gradient(prog, W, x_prev, alpha, tol=1e-11)
         assert np.abs(closed - pg).max() < 1e-8
 
 
@@ -117,7 +115,7 @@ def test_projected_gradient_raises_at_a_non_finite_gradient():
     # g is NaN right of x0 = 0.5; the fallback used to run its 1e5 inner
     # iterations on NaN before giving up with NonConvergenceError
     box = BoxSet(np.zeros(2), np.ones(2))
-    prog = ConvexProgram.general(
+    prog = ConvexProgram(
         2, 1, box, lambda x: float(x @ x), lambda x: 2 * x,
         lambda x: np.array([np.nan if x[0] > 0.5 else x.sum() - 1.0]),
         lambda x: np.ones((1, 2)), beta_hint=1.5)
@@ -126,7 +124,7 @@ def test_projected_gradient_raises_at_a_non_finite_gradient():
         qp.run(prog, np.array([0.9, 0.1]), 2.0, 5)
     assert time.perf_counter() - started < 0.1
     with pytest.raises(NumericalDomainError):
-        solve_projected_gradient(Subproblem(prog, [np.nan], [0.1, 0.1], 2.0))
+        solve_projected_gradient(prog, [np.nan], [0.1, 0.1], 2.0)
 
 
 def _dense_twin(program):
@@ -165,9 +163,9 @@ def test_sparse_and_dense_paths_give_the_same_traces():
 
 def test_projected_gradient_nonconvergence():
     prog = unconstrained_prox_program(2)
-    sub = Subproblem(prog, np.zeros(0), np.array([0.5, 0.5]), 1.0)
     with pytest.raises(NonConvergenceError) as err:
-        solve_projected_gradient(sub, tol=0.0, max_iter=50)
+        solve_projected_gradient(prog, np.zeros(0), np.array([0.5, 0.5]), 1.0,
+                                 tol=0.0, max_iter=50)
     assert err.value.iterations == 50
     assert err.value.iterate is not None
 
@@ -184,7 +182,7 @@ def test_dispatch_routes():
     # a program without descriptors falls back to projected gradient
     n = 2
     box = BoxSet(np.zeros(n), np.ones(n))
-    general = ConvexProgram.general(
+    general = ConvexProgram(
         n, 1, box,
         objective=lambda x: float(x @ x),
         objective_grad=lambda x: 2 * x,
@@ -192,6 +190,7 @@ def test_dispatch_routes():
         constraint_jac=lambda x: np.ones((1, n)),
         beta_hint=np.sqrt(2.0),
     )
+    assert general.structure == "general"
     assert make_oracle(general).name == "projected-gradient"
     out = make_oracle(general)(np.array([0.5]), np.zeros(n), 2.0)
     assert general.box.contains(out, tol=1e-12)
@@ -207,7 +206,7 @@ def test_dispatch_flow_power_matches_grid_search():
     out = make_oracle(fp)(W, x_prev, alpha)
     # check three coordinates of each kind against brute force
     oracle = make_oracle(fp)
-    sub_value = Subproblem(fp, W, x_prev, alpha).value
+    sub_value = subproblem_objective(fp, W, x_prev, alpha)
     for i in list(oracle.idx_quad[:2]) + list(oracle.idx_log[:2]) + list(oracle.idx_nl1p[:2]):
         def coord_fun(z, i=i):
             trial = out.copy()
@@ -227,12 +226,12 @@ def test_optimality_certificate():
         W = rng.uniform(0.0, 3.0, prog.m)
         x_prev = random_point_in(prog.box, rng)
         alpha = rng.uniform(0.5, 4.0)
-        sub = Subproblem(prog, W, x_prev, alpha)
+        sub_value = subproblem_objective(prog, W, x_prev, alpha)
         x_opt = oracle(W, x_prev, alpha)
-        base = sub.value(x_opt)
+        base = sub_value(x_opt)
         for _ in range(100):
             x = random_point_in(prog.box, rng)
-            gap = sub.value(x) - base
+            gap = sub_value(x) - base
             push = alpha * float((x - x_opt) @ (x - x_opt))
             assert gap >= push - 1e-7
 
@@ -249,7 +248,9 @@ def test_outputs_stay_inside_box():
 
 def test_subproblem_validation():
     prog = unconstrained_prox_program(2)
-    with pytest.raises(ValueError):
-        Subproblem(prog, np.zeros(0), np.zeros(2), 0.0)
-    with pytest.raises(ValueError):
-        Subproblem(prog, np.zeros(1), np.zeros(2), 1.0)
+    with pytest.raises(ValueError, match="alpha"):
+        solve_projected_gradient(prog, np.zeros(0), np.zeros(2), 0.0)
+    with pytest.raises(ValueError, match="weights"):
+        solve_projected_gradient(prog, np.zeros(1), np.zeros(2), 1.0)
+    with pytest.raises(ValueError, match="x_prev"):
+        solve_projected_gradient(prog, np.zeros(0), np.zeros(3), 1.0)

@@ -6,7 +6,8 @@ from qpush.errors import ConfigurationError
 from qpush.oracles import SeparableOracle
 from qpush.problems import FIG1_ALPHA, FLOW_POWER_OPTIMUM
 
-from helpers import auglag_pg_qp_reference, random_point_in
+from helpers import (auglag_pg_qp_reference, link_path_incidence, qp_coordinate_update,
+                     random_point_in, source_path_incidence)
 
 QP_SEED1_F_STAR = -169.06884345592948
 QP_SEED1_LAMBDA = 5.236228571646279
@@ -16,9 +17,9 @@ def test_fig1_topology_shape(fig1_instance):
     topo = fig1_instance.topology
     assert (topo.L, topo.K, topo.S) == (9, 7, 3)
     # column sums of R are the per-path hop counts
-    assert np.array_equal(topo.R.sum(axis=0), [2, 2, 2, 1, 2, 2, 1])
+    assert np.array_equal(link_path_incidence(topo).sum(axis=0), [2, 2, 2, 1, 2, 2, 1])
     assert topo.source_paths[1] == (2, 3, 4)
-    assert np.array_equal(topo.T[1], [0, 0, 1, 1, 1, 0, 0])
+    assert np.array_equal(source_path_incidence(topo)[1], [0, 0, 1, 1, 1, 0, 0])
 
 
 def test_fig1_alpha_values(fig1_instance):
@@ -113,14 +114,14 @@ def test_qp_coordinate_update_examples(qp_seed1):
 
     qpi = replace(qp_seed1, P=qp_seed1.P.copy(), c=qp_seed1.c.copy())
     qpi.P[0], qpi.c[0] = 1.0, -2.0
-    assert qp.qp_coordinate_update(qpi, 0, 0.0, 0.0, 10.0) == pytest.approx(1 / 11)
+    assert qp_coordinate_update(qpi, 0, 0.0, 0.0, 10.0) == pytest.approx(1 / 11)
     # a large weight with positive d pushes the vertex negative
     i = int(np.argmax(qp_seed1.d))
-    assert qp.qp_coordinate_update(qp_seed1, i, 1e6, 0.0, 10.0) == 0.0
+    assert qp_coordinate_update(qp_seed1, i, 1e6, 0.0, 10.0) == 0.0
     # huge prox strength pins the iterate
-    assert qp.qp_coordinate_update(qp_seed1, 3, 1.0, 0.37, 1e12) == pytest.approx(0.37, abs=1e-9)
+    assert qp_coordinate_update(qp_seed1, 3, 1.0, 0.37, 1e12) == pytest.approx(0.37, abs=1e-9)
     with pytest.raises(ValueError):
-        qp.qp_coordinate_update(qp_seed1, 0, -1.0, 0.0, 10.0)
+        qp_coordinate_update(qp_seed1, 0, -1.0, 0.0, 10.0)
 
 
 def test_qp_coordinate_update_matches_oracle(qp_seed1):
@@ -134,7 +135,7 @@ def test_qp_coordinate_update_matches_oracle(qp_seed1):
         full = oracle(np.array([W]), x_prev, alpha)
         for i in rng.integers(0, 100, size=5):
             assert full[i] == pytest.approx(
-                qp.qp_coordinate_update(qp_seed1, int(i), W, x_prev[int(i)], alpha),
+                qp_coordinate_update(qp_seed1, int(i), W, x_prev[int(i)], alpha),
                 abs=1e-12)
 
 

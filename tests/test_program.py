@@ -228,6 +228,25 @@ def test_convexity_guards():
         ConstraintTerms([[1.0]], [0.0], neglog1p=[[-1.0]])
 
 
+def test_absent_constraint_parts_are_not_stored(fig1_instance):
+    A = np.array([[1.0, -2.0], [0.0, 3.0]])
+    b = np.array([0.5, -1.0])
+    terms = ConstraintTerms(A, b)
+    assert terms.quad is None and terms.neglog1p is None and terms.is_linear
+    x = np.array([0.3, -0.7])
+    assert np.array_equal(terms.values(x), A @ x - b)
+    assert np.array_equal(terms.jacobian(x), A)
+    # a given all-zero part is kept, validated and never scanned
+    zeros = ConstraintTerms(A, b, quad=np.zeros((2, 2)))
+    assert zeros.quad is not None and zeros.is_linear
+    assert np.array_equal(zeros.values(x), terms.values(x))
+    with pytest.raises(ValueError):
+        ConstraintTerms(A, b, neglog1p=np.zeros((2, 3)))
+    # the NUM rows cached on a topology hold no m x n zero arrays
+    cached = fig1_instance.topology._num_constraints
+    assert cached.quad is None and cached.neglog1p is None
+
+
 def test_random_programs_have_valid_structure_tags():
     rng = np.random.default_rng(5)
     saw = set()

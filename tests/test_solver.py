@@ -8,7 +8,7 @@ from qpush import BoxSet, ConstraintTerms, ConvexProgram, CoordinateTerms, solve
 from qpush.report import record_schedule
 from qpush.solver import INVARIANT_TOL, AlphaBelowCurvatureWarning
 
-from helpers import (grid_minimize, quiet_alpha_warnings, random_alpha,
+from helpers import (derive_reference, grid_minimize, quiet_alpha_warnings, random_alpha,
                      random_point_in, random_separable_program)
 
 
@@ -46,7 +46,7 @@ def test_init_fig1_queues(fig1_instance):
     state = qp.init(fig1_instance.program, np.zeros(10), 10.0)
     assert np.array_equal(state.Q[:9], np.ones(9))   # = link capacities
     assert np.all(state.Q[9:] == 0.0)
-    assert np.array_equal(state.weights, np.zeros(12))
+    assert np.array_equal(state.Q + state.g_prev, np.zeros(12))
 
 
 def test_init_zero_constraints_boundary_case():
@@ -210,6 +210,13 @@ def test_equality_mode_rejects_nonlinear_rows():
     qpi = qp.generate_qp(2)
     with pytest.raises(qp.ConfigurationError):
         qp.init(qpi.program(), np.zeros(100), 10.0, mode="equality")
+    # flow-power: 9 log(1+p) capacity rows, then 3 linear source rows
+    fp = qp.get_problem("fig1-flow-power").program
+    assert fp.constraint_terms.quad is None
+    with pytest.raises(qp.ConfigurationError):
+        qp.init(fp, np.zeros(fp.n), 10.0, mode=["equality"] + ["inequality"] * 11)
+    state = qp.init(fp, np.zeros(fp.n), 10.0, mode=["inequality"] * 9 + ["equality"] * 3)
+    assert state.mode == "mixed"
 
 
 def test_oracle_failure_carries_iteration_index():
@@ -294,7 +301,7 @@ def test_qp_queue_norm_bounded_by_certificate(qp_seed1):
 
 def test_derive_reference_small_program():
     prog = qp.fig1_num_instance().program()
-    ref = qp.derive_reference(prog, 0.5 * prog.beta_hint ** 2 + 1.0, 20_000)
+    ref = derive_reference(prog, 0.5 * prog.beta_hint ** 2 + 1.0, 20_000)
     assert ref.kkt < 1e-6
     z_star, _, f_star = qp.fig1_reference()
     assert ref.f == pytest.approx(f_star, abs=1e-6)
