@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import InvariantViolation, NumericalDomainError
 from .oracles import SeparableOracle
-from .program import evaluate
+from .program import _all_finite, evaluate
 from .solver import _drive
 
 __all__ = ["DualState", "dual_step", "dsg_run"]
@@ -65,21 +65,21 @@ def dual_step(state, program, oracle=None):
         oracle = LagrangianOracle(program)
     t = state.t
     x = oracle(state.lam)
-    if not np.logical_and.reduce(np.isfinite(x)):
+    if not _all_finite(x):
         raise NumericalDomainError(
             f"Lagrangian oracle returned a non-finite iterate at iteration {t}")
     f, g = evaluate(program, x)
-    if not (math.isfinite(f) and np.logical_and.reduce(np.isfinite(g))):
+    if not (math.isfinite(f) and _all_finite(g)):
         raise NumericalDomainError(
             f"objective or constraint value is not finite at iteration {t}")
     gamma = state.step
     lam_next = np.maximum(state.lam + gamma * g, 0.0)
-    if not np.logical_and.reduce(np.isfinite(lam_next)):
+    if not _all_finite(lam_next):
         raise NumericalDomainError(f"multiplier is not finite at iteration {t}")
-    L = 0.5 * float(state.lam @ state.lam)
-    delta = 0.5 * float(lam_next @ lam_next) - L
+    L = 0.5 * float(state.lam.dot(state.lam))
+    delta = 0.5 * float(lam_next.dot(lam_next)) - L
     # ||max(lam + gamma g, 0)||^2 <= ||lam + gamma g||^2
-    bound = gamma * float(state.lam @ g) + 0.5 * gamma * gamma * float(g @ g)
+    bound = gamma * float(state.lam.dot(g)) + 0.5 * gamma * gamma * float(g.dot(g))
     if state.x_bar is None:
         state.x_bar = x.copy()
     else:
@@ -112,7 +112,7 @@ def dsg_run(program, x_init_ignored, gamma, T, oracle=None, record_every=None,
 
     def advance(t):
         dual_step(state, program, oracle)
-        if np.any(state.lam < 0):
+        if np.count_nonzero(state.lam < 0):
             raise InvariantViolation("multiplier projection failed", "multiplier", t,
                                      float(state.lam.min()))
 

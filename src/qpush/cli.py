@@ -47,9 +47,19 @@ def _out_dir(args):
     return out
 
 
+def _read_json(path, what):
+    """Parse the JSON input file ``path``; a file that cannot be opened or
+    parsed (missing, a directory, not JSON) is a ConfigurationError."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError covers JSONDecodeError
+        raise ConfigurationError(f"cannot read {what} {path!r}: {exc}") from exc
+
+
 def _load_instance(args):
     if args.problem_file:
-        program = load_program(args.problem_file)
+        program = load_program(_read_json(args.problem_file, "problem file"))
         return ExperimentProblem(name=os.path.basename(args.problem_file),
                                  program=program, sense="min", f_star=None,
                                  default_alpha=None)
@@ -74,8 +84,13 @@ def _resolve_x_init(args, program):
     if args.x_init == "zeros":
         x0 = np.zeros(program.n)
     else:
-        with open(args.x_init) as fh:
-            x0 = np.asarray(json.load(fh), dtype=float)
+        x0 = _read_json(args.x_init, "--x-init file")
+        if not isinstance(x0, list):
+            raise ConfigurationError("--x-init file must hold a JSON list of numbers")
+        try:
+            x0 = np.asarray(x0, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ConfigurationError(f"--x-init file must hold a JSON list of numbers: {exc}") from exc
     if not program.box.contains(x0):
         raise ConfigurationError("initial point lies outside the box")
     return x0
@@ -115,8 +130,7 @@ def _execute(args, instance, alpha, alpha_rule):
 
 
 def _load_reference(path):
-    with open(path) as fh:
-        ref = json.load(fh)
+    ref = _read_json(path, "reference file")
     try:
         return (float(ref["f_star"]), np.asarray(ref["x_star"], dtype=float),
                 np.asarray(ref["lambda_star"], dtype=float), float(ref["beta"]))
@@ -129,6 +143,11 @@ def _load_reference(path):
 def _apply_reference(report, reference):
     """Fill the bound-residual trace columns from a reference."""
     f_star, x_star, lambda_star, beta = reference
+    program = report.program
+    for name, v, k in (("x_star", x_star, program.n), ("lambda_star", lambda_star, program.m)):
+        if v.shape != (k,):
+            got = f"length {v.shape[0]}" if v.ndim == 1 else f"shape {v.shape}"
+            raise ConfigurationError(f"reference {name} has {got}, expected length {k}")
     bounds = verify_bounds(report, f_star, x_star, lambda_star, beta)
     report.obj_bound_residual = bounds.objective_margin
     report.cons_bound_residual = bounds.constraint_margin
@@ -296,10 +315,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigurationError, FileNotFoundError, json.JSONDecodeError) as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (ConfigurationError, FileNotFoundError, ValueError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except (NonConvergenceError, NumericalDomainError, FloatingPointError) as exc:

@@ -28,7 +28,8 @@ import numpy as np
 
 from .errors import ConfigurationError, NumericalDomainError
 from .oracles import LOG_DOMAIN_FLOOR, log_quadratic_minimizer
-from .program import BoxSet, ConstraintTerms, ConvexProgram, CoordinateTerms, spectral_norm
+from .program import (BoxSet, ConstraintTerms, ConvexProgram, CoordinateTerms, _all_finite,
+                      spectral_norm)
 from .solver import _drive
 
 __all__ = [
@@ -309,7 +310,7 @@ def simulate_decentralized(topology, utilities, x_max, y_max, alpha,
         x = np.minimum(np.maximum(x - (path_price - price[source_row]) / two_alpha, 0.0), x_max)
         y = log_quadratic_minimizer(alpha, price[L:] - two_alpha * y, w, LOG_DOMAIN_FLOOR, y_max)
         z = np.concatenate([x, y])
-        if not np.logical_and.reduce(np.isfinite(z)):
+        if not _all_finite(z):
             raise NumericalDomainError(f"agents computed a non-finite rate at iteration {t}")
         load = loads(x, y)
         Q_before = Q
@@ -317,7 +318,7 @@ def simulate_decentralized(topology, utilities, x_max, y_max, alpha,
         price = Q + load
         x_bar = z.copy() if x_bar is None else x_bar * (t / (t + 1.0)) + z / (t + 1.0)
         g_z = program.constraint_values(z)
-        if not np.logical_and.reduce(np.isfinite(g_z)):
+        if not _all_finite(g_z):
             raise NumericalDomainError(f"constraint value is not finite at iteration {t}")
         cum_g += g_z
         last_t = t
@@ -326,8 +327,8 @@ def simulate_decentralized(topology, utilities, x_max, y_max, alpha,
         f_z = program.objective_value(z)
         if not math.isfinite(f_z):
             raise NumericalDomainError(f"objective value is not finite at iteration {last_t}")
-        delta = 0.5 * float(Q @ Q) - 0.5 * float(Q_before @ Q_before)
-        dbound = float(Q_before @ g_z) + float(g_z @ g_z)
+        delta = 0.5 * float(Q.dot(Q)) - 0.5 * float(Q_before.dot(Q_before))
+        dbound = float(Q_before.dot(g_z)) + float(g_z.dot(g_z))
         return z, x_bar, Q, f_z, g_z, cum_g, delta, dbound
 
     per_round = int(topology._lp_link.size)

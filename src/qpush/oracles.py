@@ -169,7 +169,7 @@ class SeparableOracle:
 
     def solve(self, weights, x_prev, alpha):
         if self._triples is None:
-            lin = self.lin_T @ weights
+            lin = self.lin_T.dot(weights)
         else:
             rows, cols, vals = self._triples
             lin = np.bincount(cols, vals * weights[rows], x_prev.shape[0])
@@ -182,18 +182,18 @@ class SeparableOracle:
             curvature = self._curvature = (alpha, quad, self._class_constants(quad))
         quad = curvature[1]
         if self.has_cons_quad:
-            wq = self.quad_T @ weights
-            if (wq < 0).any():
+            wq = self.quad_T.dot(weights)
+            if np.count_nonzero(wq < 0):
                 # negative weights on quadratic rows would break convexity
                 raise ConfigurationError("negative weight on a quadratic constraint row")
             quad = quad + wq
         il, ip = self.idx_log, self.idx_nl1p
         if ip.size:
-            d = self.nl1p_T @ weights
-            if (d < 0).any():
+            d = self.nl1p_T.dot(weights)
+            if np.count_nonzero(d < 0):
                 raise ConfigurationError("negative weight on a log(1+z) constraint row")
         flat = None
-        if not (alpha > 0 or quad.all()):
+        if not (alpha > 0 or np.count_nonzero(quad) == quad.shape[0]):
             flat = quad == 0
             # -inf and inf clip to the low and high endpoints
             target = np.where(lin < 0, np.inf, -np.inf)
@@ -204,7 +204,7 @@ class SeparableOracle:
                 target[ip] = np.divide(d, lin[ip], out=np.full(ip.size, np.inf),
                                        where=lin[ip] > 0) - 1.0
             x_flat = np.minimum(np.maximum(target, self.lo), self.hi)
-            if flat.all():
+            if np.count_nonzero(flat) == flat.shape[0]:
                 return x_flat
             # any positive stand-in keeps the closed forms below finite
             quad = np.where(flat, 1.0, quad)

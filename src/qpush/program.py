@@ -26,6 +26,7 @@ entry 0.21 ns (2 vCPUs, numpy 2.4), a ratio of 26, and 32 keeps a margin.
 """
 
 import json
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,6 +57,7 @@ def _vector(x, n=None, name="vector"):
 
 # A x and A^T W run on nonzero triples when 32 * nnz < m * n (module docstring)
 _SPARSE_RATIO = 32
+_FLOAT = np.dtype(float)
 
 
 @dataclass(frozen=True)
@@ -122,13 +124,19 @@ class CoordinateTerms:
         return cls(z, lin, z)
 
     def value(self, x):
-        v = float(self.lin @ x) if self._has_lin else 0.0
+        v = float(self.lin.dot(x)) if self._has_lin else 0.0
         if self._has_quad:
-            v += float(self.quad @ (x * x))
+            v += float(self.quad.dot(x * x))
         idx = self._log_idx
         if idx.size:
-            with np.errstate(divide="ignore"):
-                v -= float(self._log_w @ np.log(x[idx]))
+            xi = x[idx]
+            if np.count_nonzero(xi) == xi.shape[0]:
+                logs = np.log(xi)
+            else:
+                # log(0) = -inf makes f = +inf, silently
+                with np.errstate(divide="ignore"):
+                    logs = np.log(xi)
+            v -= float(self._log_w.dot(logs))
         return v
 
     def gradient(self, x):
@@ -193,14 +201,14 @@ class ConstraintTerms:
 
     def values(self, x):
         if self._triples is None:
-            g = self.lin @ x - self.offset
+            g = self.lin.dot(x) - self.offset
         else:
             rows, cols, vals = self._triples
             g = np.bincount(rows, vals * x[cols], self.offset.shape[0]) - self.offset
         if self._has_quad:
-            g = g + self.quad @ (x * x)
+            g = g + self.quad.dot(x * x)
         if self._has_nl:
-            g = g - self.neglog1p @ np.log1p(x)
+            g = g - self.neglog1p.dot(np.log1p(x))
         return g
 
     def jacobian(self, x):
@@ -316,8 +324,24 @@ def evaluate(program, x):
     -------
     (f, g) : float and (m,) array
     """
-    x = _vector(x, program.n, name="x")
+    if x.__class__ is not np.ndarray or x.dtype is not _FLOAT or x.shape != (program.n,):
+        x = _vector(x, program.n, name="x")
     return program.objective_value(x), program.constraint_values(x)
+
+
+def _all_finite(v, out=None):
+    """True when every entry of the vector ``v`` is finite; ``out`` is an
+    optional boolean buffer of v's shape for the mask.
+
+    Per-step tests use the cheapest exact numpy entry point.  On 12
+    entries (timeit, best of 7, 2 vCPUs, numpy 2.4): ``np.count_nonzero``
+    of a mask 0.54 us, ``np.logical_and.reduce`` 1.68 us, ``.all()``
+    2.2 us; ``v.dot(w)`` 0.75 us against 1.34 us for ``v @ w`` (the
+    matmul gufunc, same bits); entering and leaving ``np.errstate``
+    2.2 us, so ``CoordinateTerms.value`` enters it only at a log
+    coordinate that is exactly 0.
+    """
+    return np.count_nonzero(np.isfinite(v, out=out)) == v.shape[0]
 
 
 def spectral_norm(A):
@@ -344,8 +368,8 @@ _OBJECTIVE_KINDS = ("linear", "diag-quadratic", "neg-log-utility")
 def load_program(source):
     """Build a ConvexProgram from a JSON problem description.
 
-    ``source`` may be a path to a JSON file or an already-parsed dict with
-    fields::
+    ``source`` may be a path to a JSON file or its already-parsed content,
+    a dict with fields::
 
         {"n": int, "m": int,
          "box": {"lo": [...], "hi": [...]},
@@ -358,11 +382,11 @@ def load_program(source):
     or a non-finite entry of b, c, p or the weights, raises
     ConfigurationError.
     """
-    if isinstance(source, dict):
-        spec = source
-    else:
+    if isinstance(source, (str, bytes, os.PathLike)):
         with open(source) as fh:
             spec = json.load(fh)
+    else:
+        spec = source
 
     def finite(value, length, name):
         v = _vector(value, length, name)

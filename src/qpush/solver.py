@@ -49,7 +49,7 @@ import numpy as np
 from .errors import (ConfigurationError, InvariantViolation, NonConvergenceError,
                      NumericalDomainError)
 from .oracles import make_oracle
-from .program import evaluate
+from .program import _FLOAT, _all_finite, evaluate
 from .report import TraceRecorder, _write_table
 
 __all__ = [
@@ -129,8 +129,11 @@ def queue_update(Q, g_now, mode="inequality"):
     |g|; equality rows accumulate Q + g so the queue equals the running
     constraint sum.
     """
-    Q = np.asarray(Q, dtype=float)
-    g_now = np.asarray(g_now, dtype=float)
+    # arrays the solver built itself are float already; convert the rest
+    if Q.__class__ is not np.ndarray or Q.dtype is not _FLOAT:
+        Q = np.asarray(Q, dtype=float)
+    if g_now.__class__ is not np.ndarray or g_now.dtype is not _FLOAT:
+        g_now = np.asarray(g_now, dtype=float)
     if Q.shape != g_now.shape:
         raise ValueError("queue and constraint vectors must have equal length")
     plus = Q + g_now
@@ -228,7 +231,7 @@ def _check_invariants(work, t, Q, W, Q_next, g_now, cum_next, delta, bound, L, g
         # |Q.g| <= L + gg/2, so M = 0.5||Q'||^2 + 2L + 1.5gg bounds the terms
         drift_tol = max(drift_tol, (Q.shape[0] + 4) * _EPS * (delta + 3.0 * L + 1.5 * gg))
     drift_failed = delta > bound + drift_tol
-    if drift_failed or np.logical_or.reduce(work.flags, axis=None):
+    if drift_failed or np.count_nonzero(work.flags):
         margins = (Q, W + INVARIANT_TOL,
                    np.abs(Q_next) - (np.abs(g_now) - INVARIANT_TOL),
                    Q_next - ((cum_next - (t + 1) * 1e-12) - INVARIANT_TOL))
@@ -237,7 +240,7 @@ def _check_invariants(work, t, Q, W, Q_next, g_now, cum_next, delta, bound, L, g
                 raise InvariantViolation(_DRIFT_INVARIANT, "drift", t,
                                          bound + drift_tol - delta)
             row = work.rows[i]
-            if row.any():
+            if np.count_nonzero(row):
                 raise InvariantViolation(message, name, t, float(margins[i][row].min()))
 
 
@@ -264,17 +267,17 @@ def step(state, program, oracle=None, validate=True):
             iterations=exc.iterations) from exc
     except NumericalDomainError as exc:
         raise NumericalDomainError(f"primal oracle failed at iteration {t}: {exc}") from exc
-    if not np.logical_and.reduce(np.isfinite(x_new, out=work.finite_x)):
+    if not _all_finite(x_new, work.finite_x):
         raise NumericalDomainError(f"primal oracle returned a non-finite iterate at iteration {t}")
     f_new, g_new = evaluate(program, x_new)
-    if not (math.isfinite(f_new) and np.logical_and.reduce(np.isfinite(g_new, out=work.finite_g))):
+    if not (math.isfinite(f_new) and _all_finite(g_new, work.finite_g)):
         raise NumericalDomainError(
             f"objective or constraint value is not finite at iteration {t}")
     Q_next = queue_update(Q, g_new, work.queue_mode)
-    L = 0.5 * float(Q @ Q)
-    delta = 0.5 * float(Q_next @ Q_next) - L
-    gg = float(g_new @ g_new)
-    bound = float(Q @ g_new) + gg
+    L = 0.5 * float(Q.dot(Q))
+    delta = 0.5 * float(Q_next.dot(Q_next)) - L
+    gg = float(g_new.dot(g_new))
+    bound = float(Q.dot(g_new)) + gg
     cum_g = state.cum_g + g_new
     if validate:
         _check_invariants(work, t, Q, W, Q_next, g_new, cum_g, delta, bound, L, gg)

@@ -133,7 +133,8 @@ def test_dsg_run_t1_and_validation():
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_dsg_raises_on_the_first_non_finite_iteration():
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_dsg_raises_on_the_first_non_finite_iteration(bad):
     topo, x_max, y_max = overflow_network()
     prog = qp.build_num_program(topo, [1.0], x_max, y_max)
     # lambda(0) = 0 puts both rates at 0; iteration 0 leaves the source a
@@ -143,7 +144,7 @@ def test_dsg_raises_on_the_first_non_finite_iteration():
         qp.dsg_run(prog, None, 1.0, 5)
     state = fresh_state(prog.m, gamma=1.0, lam=[0.0, 1.0])
     with pytest.raises(qp.NumericalDomainError, match="non-finite iterate at iteration 0"):
-        dual_step(state, prog, oracle=lambda lam: np.full(prog.n, np.nan))
+        dual_step(state, prog, oracle=lambda lam: np.full(prog.n, bad))
 
 
 @pytest.mark.parametrize("gamma", [float("nan"), float("inf")])

@@ -151,6 +151,48 @@ def test_malformed_input_files_exit_2(tmp_path, problem, reference):
     assert proc.stderr.startswith("configuration error: ")
 
 
+RUN_FIG1 = ["run", "--problem", "fig1-num"]
+
+
+@pytest.mark.parametrize("args, content", [
+    (RUN_FIG1 + ["--x-init"], {"a": 1}),
+    (RUN_FIG1 + ["--x-init"], [{"a": 1}]),
+    (RUN_FIG1 + ["--x-init"], None),
+    (["run", "--problem-file"], None),
+    (RUN_FIG1 + ["--verify-bounds"], None),
+    (["verify", "--problem", "fig1-num", "--reference"], None),
+], ids=["x-init-object", "x-init-objects", "x-init-dir", "problem-file-dir",
+        "verify-bounds-dir", "reference-dir"])
+def test_unreadable_input_files_exit_2(tmp_path, args, content):
+    # content None names a directory instead of a file
+    path = tmp_path / "input"
+    if content is None:
+        path.mkdir()
+    else:
+        path.write_text(json.dumps(content))
+    argv = [sys.executable, "-m", "qpush", *args, str(path), "--alpha", "10", "--T", "10",
+            "--out", str(tmp_path / "out")]
+    proc = subprocess.run(argv, capture_output=True, text=True)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("configuration error: ")
+
+
+@pytest.mark.parametrize("field, length", [("x_star", 2), ("lambda_star", 3)])
+def test_reference_of_the_wrong_length_exits_2(tmp_path, capsys, field, length):
+    with open(reference_file(tmp_path)) as fh:
+        ref = json.load(fh)
+    expected = len(ref[field])
+    ref[field] = [0.0] * length
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps(ref))
+    code = main(["verify", "--problem", "fig1-num", "--alpha", "10", "--T", "10",
+                 "--reference", str(path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err == (f"configuration error: reference {field} has length "
+                                       f"{length}, expected length {expected}\n")
+
+
 def test_unusable_output_directory_exits_2(tmp_path, capsys):
     afile = tmp_path / "afile"
     afile.write_text("")

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import qpush as qp
-from qpush import Topology
+from qpush import Topology, netflow
 from qpush.errors import ConfigurationError
 from qpush.oracles import LOG_DOMAIN_FLOOR
 
@@ -313,11 +313,24 @@ def test_simulation_input_validation():
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_non_finite_round_raises():
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_round_raises(monkeypatch, bad):
     # both paths start at their 1e308 caps, so the link's load overflows
     topo, x_max, y_max = overflow_network()
     with pytest.raises(qp.NumericalDomainError, match="non-finite rate at iteration 0"):
         qp.simulate_decentralized(topo, [1.0], x_max, y_max, 1.0, x_max, [0.5], 5)
+    # a source rate that turns non-finite in round 2
+    real_minimizer = netflow.log_quadratic_minimizer
+    calls = []
+
+    def faulty(*args):
+        calls.append(None)
+        y = real_minimizer(*args)
+        return np.full_like(y, bad) if len(calls) == 3 else y
+
+    monkeypatch.setattr(netflow, "log_quadratic_minimizer", faulty)
+    with pytest.raises(qp.NumericalDomainError, match="non-finite rate at iteration 2"):
+        qp.simulate_decentralized(single_link_topology(), [1.0], [2.0], [4.0], 2.0, 0.0, 0.0, 5)
 
 
 def test_topology_json_round_trip(tmp_path):

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
@@ -50,3 +51,30 @@ def test_every_public_name_has_a_caller_outside_the_tests():
                            - used)
               for name in MODULES}
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+# the per-iteration code of the VQ step, the DSG step and the agent round
+HOT_PATHS = ("solver.step", "solver._check_invariants", "solver.queue_update",
+             "program.evaluate", "program.CoordinateTerms.value",
+             "program.ConstraintTerms.values", "oracles.SeparableOracle.solve",
+             "baseline.dual_step", "baseline.dsg_run", "netflow.simulate_decentralized")
+SLOW_FORMS = (" @ ", ".any()", ".all()", "np.any(", "np.all(", "logical_and.reduce",
+              "logical_or.reduce")
+
+
+def test_hot_paths_use_the_cheapest_numpy_entry_points():
+    """Products go through ``ndarray.dot`` and reductions through
+    ``np.count_nonzero``, at about half the per-call cost of the matmul
+    gufunc and of ``ufunc.reduce``, ``.any()`` or ``.all()`` on fig1-sized
+    vectors (``program._all_finite`` lists the measured costs)."""
+    found = {}
+    for path in HOT_PATHS:
+        module, *names = path.split(".")
+        obj = importlib.import_module(f"qpush.{module}")
+        for name in names:
+            obj = getattr(obj, name)
+        source = inspect.getsource(obj)
+        slow = [form for form in SLOW_FORMS if form in source]
+        if slow:
+            found[path] = slow
+    assert found == {}

@@ -1,4 +1,6 @@
+import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +20,19 @@ def linear_program(A, b, c, lo, hi):
         BoxSet(lo, hi),
         beta_hint=qp.spectral_norm(A),
     )
+
+
+def test_evaluate_at_a_zero_source_rate_is_infinite_without_a_warning():
+    prog = qp.get_problem("fig1-num").program
+    x = 0.5 * prog.box.hi
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        f_inside, _ = qp.evaluate(prog, x)
+        x[np.flatnonzero(prog.objective_terms.log_weight)[0]] = 0.0
+        f, g = qp.evaluate(prog, x)
+    assert math.isfinite(f_inside)
+    assert f == math.inf
+    assert np.isfinite(g).all()
 
 
 def test_evaluate_identity_linear():

@@ -421,6 +421,39 @@ def test_drift_tolerance_follows_the_scale_of_the_terms(monkeypatch, scale):
     assert err.value.name == "drift" and err.value.margin < 0
 
 
+@pytest.mark.parametrize("mode", ["inequality", "equality"])
+def test_cumulative_check_at_scale_1e9(monkeypatch, mode):
+    # at 1e9 the running sums reach 1e12 against an absolute tolerance of
+    # 1e-9: clean runs must pass it, and a queue a relative 1e-6 below the
+    # running sum must still fail it
+    scale = 1e9
+    rng = np.random.default_rng(43)
+    for _ in range(4):
+        prog = scaled_linear_program(rng, scale)
+        qp.run(prog, np.zeros(3), 0.5 * prog.beta_hint ** 2 + 1.0, 1000, mode=mode,
+               record_every=1000)
+    # g(x) = x with x = scale at every step: Q(t) and the running sum are t * scale
+    prog = offset_program([0.0], -5.0 * scale, 5.0 * scale)
+    state = qp.init(prog, np.zeros(1), 1.0, mode)
+
+    def oracle(W, x_prev, alpha):
+        return np.full(1, scale)
+
+    for _ in range(10):
+        qp.step(state, prog, oracle=oracle)
+    real_update = solver.queue_update
+
+    def faulty(Q, g, mode="inequality"):
+        return real_update(Q, g, mode) - 1e-6 * np.abs(state.cum_g + g)
+
+    monkeypatch.setattr(solver, "queue_update", faulty)
+    with pytest.raises(qp.InvariantViolation,
+                       match="queue fell below the cumulative constraint sum") as err:
+        qp.step(state, prog, oracle=oracle)
+    assert (err.value.name, err.value.t) == ("cumulative", 10)
+    assert err.value.margin < 0
+
+
 def overflow_program():
     """g(x) = 1e308 (x_1 + x_2) overflows at the first iterate."""
     return ConvexProgram.from_terms(
@@ -440,12 +473,13 @@ def test_non_finite_evaluation_raises_at_the_step_that_makes_it():
         qp.run(prog, np.zeros(2), 1.0, 50, validate=False)
 
 
-def test_non_finite_iterate_raises_before_evaluation():
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_iterate_raises_before_evaluation(bad):
     prog = one_dim_program()
     state = qp.init(prog, np.array([0.0]), 1.0)
     qp.step(state, prog)
     with pytest.raises(qp.NumericalDomainError, match="non-finite iterate at iteration 1"):
-        qp.step(state, prog, oracle=lambda W, x_prev, alpha: np.array([np.nan]))
+        qp.step(state, prog, oracle=lambda W, x_prev, alpha: np.array([bad]))
     assert state.t == 1
 
 
@@ -462,6 +496,39 @@ FIG1_NUM_T1E4 = {
               0.5993396498998573, 0.40015741429166, 0.5994977105937119,
               0.9989819514492464, 0.8005154076594286, 1.5989617140913865,
               1.59860466204296],
+}
+
+# fig1-flow-power at T = 4000 (VQ alpha 10, DSG gamma 0.01); the DSG
+# report keeps the multipliers in its Q column
+FLOW_POWER_T4000 = {
+    "vq": {
+        "f_xbar": 0.5355682084129887,
+        "Q": [0.5575457237191646, 0.24982242668374385, 0.30903616736580813,
+              0.6892071257758992, 0.9982432558872518, 0.3755709364946811,
+              0.6226723497470292, 0.41448386955083594, 1.0371561934538283,
+              1.2467528506434824, 0.9982432811643012, 1.0371562106565775],
+        "x_bar": [0.7804378930605923, 0.013435991487665907, 0.2245977835538381,
+                  1.3393696524111054, 0.4062004174908458, 0.505085582815249,
+                  1.3901865376406644, 0.7941855727609198, 1.9704174142760795,
+                  1.8955314095085807, 1.1875707478074262, 0.014248502773060289,
+                  0.25235629540661014, 1.7365075276644333, 2.8862911142100294,
+                  0.5013621467723023, 1.4902934297289716, 0.657699592126639,
+                  3.036148029384598],
+    },
+    "dsg": {
+        "f_xbar": 0.3659583162321476,
+        "Q": [0.5350837432819435, 0.27306497370853755, 0.3275572129009148,
+              0.7006877391591779, 0.9892863007642404, 0.39541607334256984,
+              0.657652248212408, 0.42314731767574676, 1.0380656176510752,
+              1.2092744292395967, 0.9911698202631596, 1.0243603691712826],
+        "x_bar": [0.7595333276588818, 0.05635053891076155, 0.2667658490988191,
+                  1.3254366120392944, 0.42262904183071204, 0.5125501145606481,
+                  1.4213524229512322, 0.8461157273006349, 2.039312327020803,
+                  1.9595115467411603, 1.116854859661431, 0.05125775817753481,
+                  0.2963379501418521, 1.7549808103747817, 2.908786939963646,
+                  0.5135347849996977, 1.5169788250106668, 0.655631532382122,
+                  3.0635363654277263],
+    },
 }
 
 # nonzero entries of x_bar; the other 55 are exactly 0
@@ -490,6 +557,17 @@ def test_fig1_num_final_values_are_pinned(fig1_instance):
     assert rep.f_xbar[-1] == FIG1_NUM_T1E4["f_xbar"]
     assert rep.Q[-1].tolist() == FIG1_NUM_T1E4["Q"]
     assert rep.x_bar[-1].tolist() == FIG1_NUM_T1E4["x_bar"]
+
+
+def test_fig1_flow_power_final_values_are_pinned():
+    # VQ runs the log1p closed form; DSG (alpha = 0) its flat branch
+    prog = qp.get_problem("fig1-flow-power").program
+    vq = qp.run(prog, np.zeros(prog.n), 10.0, 4000)
+    dsg = qp.dsg_run(prog, None, 0.01, 4000)
+    for rep, want in ((vq, FLOW_POWER_T4000["vq"]), (dsg, FLOW_POWER_T4000["dsg"])):
+        assert rep.f_xbar[-1] == want["f_xbar"]
+        assert rep.Q[-1].tolist() == want["Q"]
+        assert rep.x_bar[-1].tolist() == want["x_bar"]
 
 
 def test_qp_seed1_final_values_are_pinned(qp_seed1):
