@@ -247,8 +247,11 @@ def plot_command(args):
     if f_star is None and args.problem:
         f_star = get_problem(args.problem, seed=args.seed).f_star
     svg = os.path.join(out, "convergence.svg")
-    plot_trace(args.trace, svg, f_star=f_star,
-               title=args.problem or os.path.basename(args.trace))
+    try:
+        plot_trace(args.trace, svg, f_star=f_star,
+                   title=args.problem or os.path.basename(args.trace))
+    except OSError as exc:  # a trace that is a directory or unreadable
+        raise ConfigurationError(f"cannot plot trace {args.trace!r}: {exc}") from exc
     print(f"wrote {svg}")
     return 0
 

@@ -254,6 +254,8 @@ class ConvexProgram:
         self.objective_terms = objective_terms
         self.constraint_terms = constraint_terms
         self.beta_hint = None if beta_hint is None else float(beta_hint)
+        # (f, g) evaluators whose results need no conversion or shape check
+        self._direct = None
 
     @classmethod
     def from_terms(cls, objective_terms, constraint_terms, box, beta_hint=None):
@@ -262,7 +264,7 @@ class ConvexProgram:
         m, nc = constraint_terms.shape
         if nc != n:
             raise ValueError(f"constraint terms have {nc} columns, expected {n}")
-        return cls(
+        program = cls(
             n, m, box,
             objective_terms.value, objective_terms.gradient,
             constraint_terms.values, constraint_terms.jacobian,
@@ -270,6 +272,9 @@ class ConvexProgram:
             constraint_terms=constraint_terms,
             beta_hint=beta_hint,
         )
+        # the terms return a float and a fresh (m,) float array
+        program._direct = (objective_terms.value, constraint_terms.values)
+        return program
 
     @property
     def structure(self):
@@ -301,7 +306,9 @@ class ConvexProgram:
         return np.asarray(self._f_grad(x), dtype=float)
 
     def constraint_values(self, x):
-        g = np.asarray(self._g(x), dtype=float)
+        # a copy: the solver keeps g by reference across steps, and a
+        # user's evaluator may hand back one buffer each call
+        g = np.array(self._g(x), dtype=float)
         if g.shape != (self.m,):
             raise ValueError(f"constraint evaluator returned shape {g.shape}, expected ({self.m},)")
         return g
@@ -326,7 +333,10 @@ def evaluate(program, x):
     """
     if x.__class__ is not np.ndarray or x.dtype is not _FLOAT or x.shape != (program.n,):
         x = _vector(x, program.n, name="x")
-    return program.objective_value(x), program.constraint_values(x)
+    direct = program._direct
+    if direct is None:
+        return program.objective_value(x), program.constraint_values(x)
+    return direct[0](x), direct[1](x)
 
 
 def _all_finite(v, out=None):

@@ -125,39 +125,41 @@ class RunReport:
 
 
 class TraceRecorder:
-    """Accumulates rows during a run and assembles the report arrays."""
+    """Copies each recorded row's vectors into one block sized from the
+    schedule; the report's vector arrays are slices of it.  ``rows`` counts
+    the rows written."""
 
     def __init__(self, T, record_every=None):
         self.T = T
         self.record_every = record_every or default_record_every(T)
-        self._want = set(record_schedule(T, self.record_every))
-        self.rows = []
+        schedule = record_schedule(T, self.record_every)
+        self._want = set(schedule)
+        self._capacity = len(schedule)
+        self._vectors = None  # allocated on the first add, when n and m are known
+        self._edges = None
+        self._scalars = []  # (t, f_x, f_xbar, drift, drift_bound) per row
+        self.rows = 0
 
     def wants(self, t):
         return t in self._want
 
     def add(self, t, x, x_bar, Q, f_x, g_x, f_xbar, g_xbar, cum_g, drift, drift_bound):
-        self.rows.append((t, x.copy(), x_bar.copy(), Q.copy(), f_x,
-                          g_x.copy(), f_xbar, g_xbar.copy(), cum_g.copy(),
-                          drift, drift_bound))
+        if self._vectors is None:
+            n, m = x.shape[0], Q.shape[0]
+            # x, x_bar (n each), then Q, g_x, g_xbar, cum_g (m each)
+            self._edges = np.cumsum((n, n, m, m, m))
+            self._vectors = np.empty((self._capacity, 2 * n + 4 * m))
+        np.concatenate((x, x_bar, Q, g_x, g_xbar, cum_g), out=self._vectors[self.rows])
+        self._scalars.append((t, f_x, f_xbar, drift, drift_bound))
+        self.rows += 1
 
     def build(self, **config):
-        cols = list(zip(*self.rows))
-        return RunReport(
-            t=np.array(cols[0], dtype=int),
-            x=np.array(cols[1]),
-            x_bar=np.array(cols[2]),
-            Q=np.array(cols[3]),
-            f_x=np.array(cols[4]),
-            g_x=np.array(cols[5]),
-            f_xbar=np.array(cols[6]),
-            g_xbar=np.array(cols[7]),
-            cum_g=np.array(cols[8]),
-            drift=np.array(cols[9]),
-            drift_bound=np.array(cols[10]),
-            record_every=self.record_every,
-            **config,
-        )
+        x, x_bar, Q, g_x, g_xbar, cum_g = np.split(self._vectors[:self.rows], self._edges,
+                                                   axis=1)
+        t, f_x, f_xbar, drift, drift_bound = np.array(self._scalars).T
+        return RunReport(t=t.astype(int), x=x, x_bar=x_bar, Q=Q, f_x=f_x, g_x=g_x,
+                         f_xbar=f_xbar, g_xbar=g_xbar, cum_g=cum_g, drift=drift,
+                         drift_bound=drift_bound, record_every=self.record_every, **config)
 
 
 def _write_table(path, header, columns):

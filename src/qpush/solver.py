@@ -15,8 +15,8 @@ least beta^2/2 where beta is the Lipschitz modulus of g on the box; the
 solver only warns when that cannot be verified, since exploring smaller
 alpha is legitimate.
 
-Runtime invariants maintained on inequality rows (checked each step when
-``validate`` is on, with absolute tolerance 1e-9 at desk scale):
+Runtime invariants maintained on inequality rows (checked for every step
+when ``validate`` is on, with absolute tolerance 1e-9 at desk scale):
 
 * queues stay nonnegative and the weights W stay nonnegative,
 * |Q_k(t)| >= |g_k(x(t-1))| for t >= 1 (reversed at t = 0),
@@ -28,10 +28,16 @@ allows max(1e-9, (m+4) eps M), M = 0.5||Q(t+1)||^2 + ||Q(t)||^2 + 1.5||g||^2
 bounding the dot products it is built from (Higham, Accuracy and
 Stability of Numerical Algorithms, ch. 3); at desk scale that is 1e-9.
 
-The four vector checks are written into the rows of one boolean buffer
-that a single reduction tests; only when it finds a violation is the first
-failing check looked up and raised as an InvariantViolation, an
-AssertionError carrying the invariant's name, t and margin.
+A validated step hands its row of the checks (Q(t+1), g(x(t)), the running
+sum and the four drift scalars, all kept by reference) to a pending block.
+``run`` tests the block every 32 steps, at the end of the run and before
+any other exception leaves it: one 2-D pass writes every check of every
+row into one boolean buffer, one reduction tests it, and only on a hit is
+the first failing (step, check) looked up, so the error is that of the
+earliest failing step, raised at most 31 steps later, before any error of
+a later step.  ``step`` called on its own tests its own row at once, as a
+one-row block.  A failure raises InvariantViolation, an AssertionError
+carrying the invariant's name, t and margin.
 
 Every step, validated or not, tests the oracle's iterate and then the
 evaluated f and g for finiteness, one reduction each, and raises
@@ -67,15 +73,17 @@ __all__ = [
 INVARIANT_TOL = 1e-9
 _EPS = float(np.finfo(float).eps)
 
-# names and messages of the four vector invariants, in the order they are
-# checked; the drift check sits between the third and the fourth
-_VECTOR_INVARIANTS = (
+# names and messages of the invariants, in the order a step's failures are
+# reported in
+_INVARIANTS = (
     ("queue", "queue invariant violated: Q_k < 0"),
     ("weight", "weight invariant violated: Q_k + g_k(x_prev) < 0"),
     ("lower", "queue lower bound violated: |Q_k(t+1)| < |g_k(x(t))|"),
+    ("drift", "drift exceeded its upper bound"),
     ("cumulative", "queue fell below the cumulative constraint sum"),
 )
-_DRIFT_INVARIANT = "drift exceeded its upper bound"
+# steps whose invariants ``run`` tests together in one block pass
+_BLOCK = 32
 
 
 class AlphaBelowCurvatureWarning(UserWarning):
@@ -144,23 +152,28 @@ def queue_update(Q, g_now, mode="inequality"):
 
 
 class _Workspace:
-    """Per-run buffers of a step: the queue-update mode, the invariant
-    flags, float scratch and the flags of the finiteness tests."""
+    """Per-run state of a step: the queue-update mode, the block of steps
+    whose invariants wait for their test and the flags of the finiteness
+    tests."""
 
-    __slots__ = ("queue_mode", "ineq", "flags", "rows", "vector_rows", "a", "b",
+    __slots__ = ("queue_mode", "ineq", "deferred", "t0", "vectors", "scalars",
                  "finite_x", "finite_g")
 
     def __init__(self, eq_mask, n):
         m = eq_mask.shape[0]
         has_eq = bool(eq_mask.any())
         self.queue_mode = eq_mask if has_eq else "inequality"
+        # the queue, weight and lower checks hold on inequality rows only
         self.ineq = ~eq_mask if has_eq else None
-        self.flags = np.zeros((len(_VECTOR_INVARIANTS), m), dtype=bool)
-        self.rows = tuple(self.flags)
-        # the first three invariants hold on inequality rows only
-        self.vector_rows = self.flags[:3]
-        self.a = np.empty(m)
-        self.b = np.empty(m)
+        # True while ``run`` collects steps for a block test; False tests
+        # each step at once
+        self.deferred = False
+        # the block: its first step t0; Q, g(x_prev) and the running sum
+        # that t0 started from, then Q(t+1), g(x(t)) and the running sum of
+        # each step; each step's drift, bound, 0.5||Q||^2 and ||g||^2
+        self.t0 = 0
+        self.vectors = []
+        self.scalars = []
         self.finite_x = np.empty(n, dtype=bool)
         self.finite_g = np.empty(m, dtype=bool)
 
@@ -208,40 +221,61 @@ def init(program, x_init, alpha, mode="inequality"):
     )
 
 
-def _check_invariants(work, t, Q, W, Q_next, g_now, cum_next, delta, bound, L, gg):
-    """Test every runtime invariant of step t with one reduction.
+def _check_block(work):
+    """Test every runtime invariant of the pending steps with one reduction.
 
-    Each vector check writes its violations into one row of the flag
-    buffer; the rows are scanned in order only when the reduction finds
-    one, so the error is that of the first check that fails.  ``L`` is
-    0.5||Q||^2 and ``gg`` is ||g||^2.
+    Row i of the stacked queues, constraint values and running sums is
+    what step t0 + i starts from, so rows i and i + 1 hold all that step's
+    checks read; W is recomputed with the step's own addition.  Each check
+    writes a contiguous section of one flag buffer, (k, m) for the vector
+    checks and (k,) for the drift.  The drift flags are a screen at the
+    absolute tolerance, which the scale-aware one only widens; on a hit the
+    flagged drifts are tested again at their own tolerance.  The earliest
+    step with a flag left is reported, by its first check in the order of
+    ``_INVARIANTS``, with its margin recomputed from that step alone.
     """
-    queue, weight, lower, cumulative = work.rows
-    a, b = work.a, work.b
-    np.less(Q, 0.0, out=queue)
-    np.less(W, -INVARIANT_TOL, out=weight)
-    np.less(np.abs(Q_next, out=a), np.subtract(np.abs(g_now, out=b), INVARIANT_TOL, out=b),
-            out=lower)
-    np.subtract(cum_next, (t + 1) * 1e-12, out=a)
-    np.less(Q_next, np.subtract(a, INVARIANT_TOL, out=a), out=cumulative)
+    t0, scalars = work.t0, work.scalars
+    m = work.vectors[0].shape[0]
+    Qs, gs, cums = np.concatenate(work.vectors).reshape(-1, 3, m).transpose(1, 0, 2).copy()
+    work.vectors.clear()
+    work.scalars = []
+    k = cums.shape[0] - 1
+    drift, bound, L, gg = np.array(scalars).reshape(k, 4).T
+    flags = np.empty(k * (4 * m + 1), dtype=bool)
+    # sections: queue, weight, lower, cumulative (k, m each), then drift (k)
+    vector_flags = flags[:4 * k * m].reshape(4, k, m)
+    drift_flags = flags[4 * k * m:]
+    Q, Qn, g = Qs[:-1], Qs[1:], gs[1:]
+    np.less(Q, 0.0, out=vector_flags[0])
+    np.less(Q + gs[:-1], -INVARIANT_TOL, out=vector_flags[1])
+    np.less(np.abs(Qn), np.abs(g) - INVARIANT_TOL, out=vector_flags[2])
     if work.ineq is not None:
-        np.logical_and(work.vector_rows, work.ineq, out=work.vector_rows)
-    drift_tol = INVARIANT_TOL
-    if delta > bound + drift_tol:
-        # |Q.g| <= L + gg/2, so M = 0.5||Q'||^2 + 2L + 1.5gg bounds the terms
-        drift_tol = max(drift_tol, (Q.shape[0] + 4) * _EPS * (delta + 3.0 * L + 1.5 * gg))
-    drift_failed = delta > bound + drift_tol
-    if drift_failed or np.count_nonzero(work.flags):
-        margins = (Q, W + INVARIANT_TOL,
-                   np.abs(Q_next) - (np.abs(g_now) - INVARIANT_TOL),
-                   Q_next - ((cum_next - (t + 1) * 1e-12) - INVARIANT_TOL))
-        for i, (name, message) in enumerate(_VECTOR_INVARIANTS):
-            if i == 3 and drift_failed:
-                raise InvariantViolation(_DRIFT_INVARIANT, "drift", t,
-                                         bound + drift_tol - delta)
-            row = work.rows[i]
-            if np.count_nonzero(row):
-                raise InvariantViolation(message, name, t, float(margins[i][row].min()))
+        np.logical_and(vector_flags[:3], work.ineq, out=vector_flags[:3])
+    cum_tol = np.arange(t0 + 1, t0 + k + 1) * 1e-12
+    np.less(Qn, (cums[1:] - cum_tol[:, None]) - INVARIANT_TOL, out=vector_flags[3])
+    np.greater(drift, bound + INVARIANT_TOL, out=drift_flags)
+    if not np.count_nonzero(flags):
+        return
+    # |Q.g| <= L + gg/2, so M = 0.5||Q'||^2 + 2L + 1.5gg bounds the terms
+    drift_tol = np.fmax(INVARIANT_TOL, (m + 4) * _EPS * (drift + 3.0 * L + 1.5 * gg))
+    np.logical_and(drift_flags, drift > bound + drift_tol, out=drift_flags)
+    if not np.count_nonzero(flags):
+        return
+    # (k, 5) hits per step, in the order of _INVARIANTS
+    counts = np.count_nonzero(vector_flags, axis=2)
+    hits = np.vstack((counts[:3], drift_flags, counts[3])).T
+    r, i = divmod(int(np.flatnonzero(hits)[0]), len(_INVARIANTS))
+    t = t0 + r
+    name, message = _INVARIANTS[i]
+    if i == 3:
+        delta, bound, L, gg = scalars[4 * r:4 * r + 4]
+        tol = max(INVARIANT_TOL, (m + 4) * _EPS * (delta + 3.0 * L + 1.5 * gg))
+        raise InvariantViolation(message, name, t, bound + tol - delta)
+    Q, Qn, g = Qs[r], Qs[r + 1], gs[r + 1]
+    margin = (Q, Q + gs[r] + INVARIANT_TOL, np.abs(Qn) - (np.abs(g) - INVARIANT_TOL),
+              None, Qn - ((cums[r + 1] - (t + 1) * 1e-12) - INVARIANT_TOL))[i]
+    failed = vector_flags[min(i, 3), r]
+    raise InvariantViolation(message, name, t, float(margin[failed].min()))
 
 
 def step(state, program, oracle=None, validate=True):
@@ -280,7 +314,14 @@ def step(state, program, oracle=None, validate=True):
     bound = float(Q.dot(g_new)) + gg
     cum_g = state.cum_g + g_new
     if validate:
-        _check_invariants(work, t, Q, W, Q_next, g_new, cum_g, delta, bound, L, gg)
+        vectors = work.vectors
+        if not vectors:
+            work.t0 = t
+            vectors += (Q, state.g_prev, state.cum_g)
+        vectors += (Q_next, g_new, cum_g)
+        work.scalars += (delta, bound, L, gg)
+        if not work.deferred:
+            _check_block(work)
     if state.x_bar is None:
         state.x_bar = x_new.copy()
     else:
@@ -342,16 +383,30 @@ def run(program, x_init, alpha, T, oracle=None, mode="inequality",
     if oracle is None:
         oracle = make_oracle(program)
     state = init(program, x_init, alpha, mode)
+    work = state._work
+    work.deferred = True
+    pending = work.vectors
+    full = 3 * (_BLOCK + 1)
+
+    def advance(t):
+        step(state, program, oracle, validate=validate)
+        if len(pending) == full or (pending and t == T - 1):
+            _check_block(work)
 
     def row():
         return (state.x_prev, state.x_bar, state.Q, state.f_prev, state.g_prev,
                 state.cum_g, state.drift, state.drift_bound)
 
-    return _drive(T, record_every,
-                  lambda t: step(state, program, oracle, validate=validate), row,
-                  algorithm="vq", problem=label, alpha=alpha, mode=state.mode,
-                  oracle=getattr(oracle, "name", type(oracle).__name__),
-                  x_init=np.asarray(x_init, dtype=float).copy(), program=program)
+    try:
+        return _drive(T, record_every, advance, row,
+                      algorithm="vq", problem=label, alpha=alpha, mode=state.mode,
+                      oracle=getattr(oracle, "name", type(oracle).__name__),
+                      x_init=np.asarray(x_init, dtype=float).copy(), program=program)
+    except Exception:
+        # an earlier step's failed check outranks a later step's error
+        if pending:
+            _check_block(work)
+        raise
 
 
 # ---------------------------------------------------------------------------

@@ -178,6 +178,15 @@ def test_unreadable_input_files_exit_2(tmp_path, args, content):
     assert proc.stderr.startswith("configuration error: ")
 
 
+def test_plot_of_a_directory_exits_2(tmp_path):
+    argv = [sys.executable, "-m", "qpush", "plot", "--trace", str(tmp_path),
+            "--out", str(tmp_path / "out")]
+    proc = subprocess.run(argv, capture_output=True, text=True)
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("configuration error: ")
+
+
 @pytest.mark.parametrize("field, length", [("x_star", 2), ("lambda_star", 3)])
 def test_reference_of_the_wrong_length_exits_2(tmp_path, capsys, field, length):
     with open(reference_file(tmp_path)) as fh:

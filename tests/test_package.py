@@ -54,7 +54,7 @@ def test_every_public_name_has_a_caller_outside_the_tests():
 
 
 # the per-iteration code of the VQ step, the DSG step and the agent round
-HOT_PATHS = ("solver.step", "solver._check_invariants", "solver.queue_update",
+HOT_PATHS = ("solver.step", "solver._check_block", "solver.queue_update",
              "program.evaluate", "program.CoordinateTerms.value",
              "program.ConstraintTerms.values", "oracles.SeparableOracle.solve",
              "baseline.dual_step", "baseline.dsg_run", "netflow.simulate_decentralized")

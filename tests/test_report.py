@@ -3,8 +3,8 @@ import pytest
 
 import qpush as qp
 from helpers import reference_bounds_csv, reference_full_trace_csv, reference_trace_csv
-from qpush.report import (TRACE_COLUMNS, default_record_every, parse_trace_csv,
-                          record_schedule, render_convergence_svg, slope_check,
+from qpush.report import (TRACE_COLUMNS, TraceRecorder, default_record_every,
+                          parse_trace_csv, record_schedule, render_convergence_svg, slope_check,
                           write_full_trace_csv, write_summary, write_trace_csv)
 
 
@@ -14,6 +14,28 @@ def test_record_schedule():
     assert record_schedule(10_000, 10)[:2] == [1, 10]
     assert default_record_every(1000) == 1
     assert default_record_every(100_000) == 100
+
+
+def test_recorder_rows_are_slices_of_one_block():
+    rec = TraceRecorder(10, 4)  # rows at t = 1, 4, 8, 10
+    rng = np.random.default_rng(5)
+    added = []
+    for t in (1, 4, 8):
+        n, m = 3, 2
+        row = (t, rng.random(n), rng.random(n), rng.random(m), rng.random(), rng.random(m),
+               rng.random(), rng.random(m), rng.random(m), rng.random(), rng.random())
+        rec.add(*row)
+        added.append(row)
+    assert rec.rows == 3
+    # a partial build, as a failed run hands back
+    rep = rec.build(algorithm="vq", problem="p", alpha=1.0, iterations=8, mode="inequality",
+                    oracle="o", x_init=np.zeros(3))
+    names = ("t", "x", "x_bar", "Q", "f_x", "g_x", "f_xbar", "g_xbar", "cum_g", "drift",
+             "drift_bound")
+    for i, name in enumerate(names):
+        assert np.array_equal(getattr(rep, name), np.array([row[i] for row in added])), name
+    assert rep.t.dtype == int and rep.record_every == 4
+    assert rep.x.base is not None and rep.x.base is rep.cum_g.base
 
 
 def small_report():

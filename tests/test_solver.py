@@ -387,6 +387,145 @@ def test_equality_rows_check_only_the_cumulative_sum(monkeypatch, invariant):
     _expect(monkeypatch, mixed, invariant, 1, 0.1 * INVARIANT_TOL, raises=False)
 
 
+# ---------------------------------------------------------------------------
+# Block-checked runs: ``run`` tests the invariants of solver._BLOCK steps
+# at a time.  A fault must surface with the (name, t, margin) that a loop
+# of ``step`` calls raises, and before any error of a later step.
+
+def _fault_at(monkeypatch, t_bad, fault):
+    """Let call t_bad of queue_update apply ``fault(t, Q, Q_next, g)`` to its
+    result.  Returns the list that receives the margin the fault expects
+    and the list that counts the calls."""
+    real_update = solver.queue_update
+    calls, expected = [0], []
+
+    def faulty(Q, g, mode="inequality"):
+        out = real_update(Q, g, mode)
+        if calls[0] == t_bad:
+            expected.append(fault(t_bad, Q, out, g))
+        calls[0] += 1
+        return out
+
+    monkeypatch.setattr(solver, "queue_update", faulty)
+    return expected, calls
+
+
+# Each fault breaks one invariant on one row and returns its margin, worked
+# out here from the invariant's definition with the step's own operations.
+
+def _halve_largest(t, Q, Q_next, g):
+    # |Q_k(t+1)| = |g_k| / 2 on the row with the largest |g_k|
+    k = int(np.argmax(np.abs(g)))
+    Q_next[k] = 0.5 * abs(g[k])
+    return float(abs(Q_next[k]) - (abs(g[k]) - INVARIANT_TOL))
+
+
+def _double(t, Q, Q_next, g):
+    Q_next *= 2.0
+    L = 0.5 * float(Q.dot(Q))
+    delta = 0.5 * float(Q_next.dot(Q_next)) - L
+    gg = float(g.dot(g))
+    bound = float(Q.dot(g)) + gg
+    tol = max(INVARIANT_TOL, (Q.shape[0] + 4) * np.finfo(float).eps * (delta + 3.0 * L + 1.5 * gg))
+    return bound + tol - delta
+
+
+def _lower_first_queue(t, Q, Q_next, g):
+    cum = Q_next[0]  # on an equality row the queue is the running sum
+    Q_next[0] -= 1e6 * INVARIANT_TOL
+    return float(Q_next[0] - ((cum - (t + 1) * 1e-12) - INVARIANT_TOL))
+
+
+BLOCK_FAULTS = {
+    "lower": (_halve_largest, "inequality"),
+    "drift": (_double, "inequality"),
+    # equality rows test only the running sum
+    "cumulative": (_lower_first_queue, "equality"),
+}
+
+
+def _first_violation(monkeypatch, program, T, t_bad, fault, mode, through_run):
+    x0 = np.zeros(program.n)
+    with monkeypatch.context() as patch:
+        expected, calls = _fault_at(patch, t_bad, fault)
+        with pytest.raises(qp.InvariantViolation) as err:
+            if through_run:
+                qp.run(program, x0, 10.0, T, mode=mode)
+            else:
+                state = qp.init(program, x0, 10.0, mode)
+                oracle = qp.make_oracle(program)
+                for _ in range(T):
+                    qp.step(state, program, oracle)
+    return (err.value.name, err.value.t, err.value.margin), expected[0], calls[0]
+
+
+@pytest.mark.parametrize("invariant", sorted(BLOCK_FAULTS))
+@pytest.mark.parametrize("T, t_bad", [(10, 3), (100, 40), (100, 99)])
+def test_run_raises_what_a_loop_of_steps_raises(monkeypatch, fig1_instance, invariant, T, t_bad):
+    # t_bad inside the first block, inside a later one, last of the last partial one
+    prog = fig1_instance.program
+    fault, mode = BLOCK_FAULTS[invariant]
+    block = solver._BLOCK
+    for through_run, steps in ((False, t_bad + 1), (True, min(T, (t_bad // block + 1) * block))):
+        raised, margin, done = _first_violation(monkeypatch, prog, T, t_bad, fault, mode,
+                                                through_run)
+        assert raised == (invariant, t_bad, margin) and margin < 0
+        # run tests a block once its last step is done
+        assert done == steps
+
+
+def test_a_step_reports_its_first_failing_check(monkeypatch, fig1_instance):
+    # both the lower bound and the drift fail at t = 40; lower comes first
+    def both(t, Q, Q_next, g):
+        _double(t, Q, Q_next, g)
+        return _halve_largest(t, Q, Q_next, g)
+
+    prog = fig1_instance.program
+    for through_run in (False, True):
+        raised, margin, _ = _first_violation(monkeypatch, prog, 50, 40, both, "inequality",
+                                             through_run)
+        assert raised == ("lower", 40, margin)
+
+
+def test_run_raises_a_violation_before_a_later_steps_error(monkeypatch, fig1_instance):
+    prog = fig1_instance.program
+    good = qp.make_oracle(prog)
+    calls = [0]
+
+    def oracle(W, x_prev, alpha):
+        calls[0] += 1
+        if calls[0] == 43:  # step 42
+            return np.full(prog.n, np.nan)
+        return good(W, x_prev, alpha)
+
+    _fault_at(monkeypatch, 40, _halve_largest)
+    with pytest.raises(qp.InvariantViolation) as err:
+        qp.run(prog, np.zeros(prog.n), 10.0, 100, oracle=oracle)
+    assert (err.value.name, err.value.t) == ("lower", 40)
+    assert isinstance(err.value.__context__, qp.NumericalDomainError)
+
+
+def test_run_mid_block_non_convergence_keeps_its_partial_report(fig1_instance):
+    prog = fig1_instance.program
+    good = qp.make_oracle(prog)
+    calls = [0]
+
+    def flaky(W, x_prev, alpha):
+        calls[0] += 1
+        if calls[0] > 40:
+            raise qp.NonConvergenceError("gave up", iterate=x_prev, residual=1.0, iterations=3)
+        return good(W, x_prev, alpha)
+
+    with pytest.raises(qp.NonConvergenceError) as err:
+        qp.run(prog, np.zeros(prog.n), 10.0, 100, oracle=flaky, record_every=1)
+    partial = err.value.partial_report
+    clean = qp.run(prog, np.zeros(prog.n), 10.0, 100, record_every=1)
+    assert partial.iterations == 40 and partial.t.tolist() == list(range(1, 41))
+    for name in ("x", "x_bar", "Q", "f_x", "f_xbar", "g_x", "g_xbar", "cum_g", "drift",
+                 "drift_bound"):
+        assert np.array_equal(getattr(partial, name), getattr(clean, name)[:40])
+
+
 def scaled_linear_program(rng, scale):
     """A 4x3 linear program with A uniform in [-1, 1], the box [0, scale]^3
     and b uniform in [0.5, 1.5] * scale."""
