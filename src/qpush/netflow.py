@@ -291,6 +291,8 @@ def simulate_decentralized(topology, utilities, x_max, y_max, alpha,
     source_row = np.empty(K, dtype=np.intp)
     source_row[topology._sp_path] = L + topology._sp_source
     two_alpha = 2.0 * alpha
+    # finiteness screens: v.dot(0) is finite exactly when v is
+    zeros_z, zeros_g = np.zeros(K + S), np.zeros(L + S)
 
     def loads(x, y):
         """R x - c and y - T x: one segment sum per link and per source."""
@@ -310,7 +312,7 @@ def simulate_decentralized(topology, utilities, x_max, y_max, alpha,
         x = np.minimum(np.maximum(x - (path_price - price[source_row]) / two_alpha, 0.0), x_max)
         y = log_quadratic_minimizer(alpha, price[L:] - two_alpha * y, w, LOG_DOMAIN_FLOOR, y_max)
         z = np.concatenate([x, y])
-        if not _all_finite(z):
+        if not _all_finite(z, z.dot(zeros_z)):
             raise NumericalDomainError(f"agents computed a non-finite rate at iteration {t}")
         load = loads(x, y)
         Q_before = Q
@@ -318,7 +320,7 @@ def simulate_decentralized(topology, utilities, x_max, y_max, alpha,
         price = Q + load
         x_bar = z.copy() if x_bar is None else x_bar * (t / (t + 1.0)) + z / (t + 1.0)
         g_z = program.constraint_values(z)
-        if not _all_finite(g_z):
+        if not _all_finite(g_z, g_z.dot(zeros_g)):
             raise NumericalDomainError(f"constraint value is not finite at iteration {t}")
         cum_g += g_z
         last_t = t

@@ -18,6 +18,7 @@ import math
 import numpy as np
 
 from .errors import ConfigurationError, NonConvergenceError, NumericalDomainError
+from .program import _selector
 
 __all__ = [
     "log_quadratic_minimizer",
@@ -145,6 +146,9 @@ class SeparableOracle:
         self.idx_log = np.flatnonzero(log_cols)
         self.idx_nl1p = np.flatnonzero(nl_cols)
         self.idx_quad = np.flatnonzero(~(log_cols | nl_cols))
+        # each class as a slice when its coordinates are one run (as on every
+        # bundled and benchmark program), so that reading lin copies nothing
+        self._sel_log, self._sel_nl1p = _selector(self.idx_log), _selector(self.idx_nl1p)
         self.nl1p_T = np.ascontiguousarray(cons.neglog1p[:, self.idx_nl1p].T) if self.idx_nl1p.size else None
         self._logw_l = self.logw[self.idx_log]
         # the box, with log coordinates raised to the domain floor
@@ -155,17 +159,21 @@ class SeparableOracle:
         self._curvature = (None, None, None)
 
     def _class_constants(self, quad):
-        """Curvature multiples each class's closed form uses: 2a (quadratic),
-        (8a)w and 4a (log), 2a, 8a and 4a (log1p), with a = quad there."""
-        two_q = 2.0 * quad[self.idx_quad] if self.idx_quad.size else None
+        """Curvature multiples the closed forms use: -2a (quadratic), (8a)w
+        and 4a (log), 2a, 8a and 4a (log1p), with a = quad there.  The -2a
+        vector spans every coordinate, with -1 on the log and log1p classes,
+        whose quadratic value is overwritten: no division there overflows."""
+        neg_two_a = -2.0 * quad
         log_c = nl_c = None
         if self.idx_log.size:
-            a = quad[self.idx_log]
+            a = quad[self._sel_log]
             log_c = ((8.0 * a) * self._logw_l, 4.0 * a)
+            neg_two_a[self._sel_log] = -1.0
         if self.idx_nl1p.size:
-            a = quad[self.idx_nl1p]
+            a = quad[self._sel_nl1p]
             nl_c = (2.0 * a, 8.0 * a, 4.0 * a)
-        return two_q, log_c, nl_c
+            neg_two_a[self._sel_nl1p] = -1.0
+        return neg_two_a, log_c, nl_c
 
     def solve(self, weights, x_prev, alpha):
         if self._triples is None:
@@ -188,6 +196,7 @@ class SeparableOracle:
                 raise ConfigurationError("negative weight on a quadratic constraint row")
             quad = quad + wq
         il, ip = self.idx_log, self.idx_nl1p
+        sl, sp = self._sel_log, self._sel_nl1p
         if ip.size:
             d = self.nl1p_T.dot(weights)
             if np.count_nonzero(d < 0):
@@ -197,43 +206,50 @@ class SeparableOracle:
             flat = quad == 0
             # -inf and inf clip to the low and high endpoints
             target = np.where(lin < 0, np.inf, -np.inf)
-            w_over_b = np.divide(self._logw_l, lin[il], out=np.full(il.size, np.inf),
-                                 where=lin[il] > 0)
-            target[il] = np.maximum(w_over_b, LOG_DOMAIN_FLOOR)
+            w_over_b = np.divide(self._logw_l, lin[sl], out=np.full(il.size, np.inf),
+                                 where=lin[sl] > 0)
+            target[sl] = np.maximum(w_over_b, LOG_DOMAIN_FLOOR)
             if ip.size:
-                target[ip] = np.divide(d, lin[ip], out=np.full(ip.size, np.inf),
-                                       where=lin[ip] > 0) - 1.0
+                target[sp] = np.divide(d, lin[sp], out=np.full(ip.size, np.inf),
+                                       where=lin[sp] > 0) - 1.0
             x_flat = np.minimum(np.maximum(target, self.lo), self.hi)
             if np.count_nonzero(flat) == flat.shape[0]:
                 return x_flat
             # any positive stand-in keeps the closed forms below finite
             quad = np.where(flat, 1.0, quad)
         if flat is None and not self.has_cons_quad:
-            two_q, log_c, nl_c = curvature[2]
+            neg_two_a, log_c, nl_c = curvature[2]
         else:
-            two_q, log_c, nl_c = self._class_constants(quad)
-        # unconstrained stationary point of each class, then one clip to the box
-        x = np.empty_like(lin)
-        if two_q is not None:
-            iq = self.idx_quad
-            x[iq] = -lin[iq] / two_q
+            neg_two_a, log_c, nl_c = self._class_constants(quad)
+        # unconstrained stationary point of each class, then one clip to the
+        # box: every coordinate starts from the quadratic one, -b / 2a (IEEE
+        # division is sign-symmetric, so b / (-2a) has its bits), and the log
+        # and log1p classes overwrite theirs
+        x = lin / neg_two_a
         if log_c is not None:
-            # positive root of 2a z^2 + b z - w = 0, as in log_quadratic_minimizer
+            # positive root of 2a z^2 + b z - w = 0, as in log_quadratic_minimizer,
+            # in one buffer (s - b has the bits of -b + s)
             eight_aw, four_a = log_c
-            b = lin[il]
-            x[il] = (-b + np.sqrt(b * b + eight_aw)) / four_a
+            b = lin[sl]
+            r = b * b
+            r += eight_aw
+            np.sqrt(r, out=r)
+            r -= b
+            r /= four_a
+            x[sl] = r
         if nl_c is not None:
             # larger root of 2a z^2 + (2a+b) z + (b-d) = 0, the unique stationary
             # point on (-1, inf): its discriminant (2a-b)^2 + 8ad is never
             # negative; the cancellation-free form where 2a+b > 0
             two_a, eight_a, four_a = nl_c
-            b = lin[ip]
+            b = lin[sp]
             s = two_a + b
             sq = np.sqrt((two_a - b) ** 2 + eight_a * d)
             root = (sq - s) / four_a
             np.divide(2.0 * (d - b), s + sq, out=root, where=s > 0)
-            x[ip] = root
-        x = np.minimum(np.maximum(x, self._lo_eff), self.hi)
+            x[sp] = root
+        np.maximum(x, self._lo_eff, out=x)
+        np.minimum(x, self.hi, out=x)
         if flat is not None:
             x[flat] = x_flat[flat]
         return x

@@ -26,6 +26,7 @@ entry 0.21 ns (2 vCPUs, numpy 2.4), a ratio of 26, and 32 keeps a margin.
 """
 
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -109,6 +110,7 @@ class CoordinateTerms:
         object.__setattr__(self, "log_weight", logw)
         log_idx = np.flatnonzero(logw > 0)
         object.__setattr__(self, "_log_idx", log_idx)
+        object.__setattr__(self, "_log_sel", _selector(log_idx))
         object.__setattr__(self, "_log_w", logw[log_idx])
         object.__setattr__(self, "_has_lin", bool(lin.any()))
         object.__setattr__(self, "_has_quad", bool(quad.any()))
@@ -127,9 +129,8 @@ class CoordinateTerms:
         v = float(self.lin.dot(x)) if self._has_lin else 0.0
         if self._has_quad:
             v += float(self.quad.dot(x * x))
-        idx = self._log_idx
-        if idx.size:
-            xi = x[idx]
+        if self._log_idx.size:
+            xi = x[self._log_sel]
             if np.count_nonzero(xi) == xi.shape[0]:
                 logs = np.log(xi)
             else:
@@ -339,19 +340,36 @@ def evaluate(program, x):
     return direct[0](x), direct[1](x)
 
 
-def _all_finite(v, out=None):
-    """True when every entry of the vector ``v`` is finite; ``out`` is an
-    optional boolean buffer of v's shape for the mask.
+def _all_finite(v, screen=math.nan):
+    """True when every entry of the vector ``v`` is finite.
+
+    ``screen`` is a sum of products of v's entries that the caller already
+    has or gets in one call.  ``v.dot(zeros)`` is finite exactly when every
+    entry is (a finite entry times 0 is +-0, inf*0 and NaN*0 are NaN) and
+    never overflows; numpy warns "invalid value encountered in dot" on an
+    infinite entry, which fails the test anyway.  ``v.dot(v)`` is finite
+    only when every entry is, but overflows on a finite entry above 1e154.
+    A finite screen settles the test; otherwise the exact mask decides.
 
     Per-step tests use the cheapest exact numpy entry point.  On 12
-    entries (timeit, best of 7, 2 vCPUs, numpy 2.4): ``np.count_nonzero``
-    of a mask 0.54 us, ``np.logical_and.reduce`` 1.68 us, ``.all()``
-    2.2 us; ``v.dot(w)`` 0.75 us against 1.34 us for ``v @ w`` (the
-    matmul gufunc, same bits); entering and leaving ``np.errstate``
-    2.2 us, so ``CoordinateTerms.value`` enters it only at a log
-    coordinate that is exactly 0.
+    entries (timeit, best of 7, 2 vCPUs, numpy 2.4): ``math.isfinite`` of
+    ``v.dot(zeros)`` 0.56 us, ``np.count_nonzero`` of the ``np.isfinite``
+    mask 0.97 us, ``np.logical_and.reduce`` 1.68 us, ``.all()`` 2.2 us;
+    ``v.dot(w)`` 0.75 us against 1.34 us for ``v @ w`` (the matmul
+    gufunc, same bits); entering and leaving ``np.errstate`` 2.2 us, so
+    ``CoordinateTerms.value`` enters it only at a log coordinate that is
+    exactly 0.
     """
-    return np.count_nonzero(np.isfinite(v, out=out)) == v.shape[0]
+    return math.isfinite(screen) or np.count_nonzero(np.isfinite(v)) == v.shape[0]
+
+
+def _selector(idx):
+    """The sorted index array ``idx`` as a slice when it is one contiguous
+    run, else ``idx`` itself: ``a[sel]`` is then a view instead of a
+    gather, and ``a[sel] = b`` writes the same entries either way."""
+    if idx.size and idx[-1] - idx[0] + 1 == idx.size:
+        return slice(int(idx[0]), int(idx[-1]) + 1)
+    return idx
 
 
 def spectral_norm(A):
@@ -426,7 +444,8 @@ def load_program(source):
                 f"unknown objective kind {kind!r}; expected one of {_OBJECTIVE_KINDS}")
     except KeyError as exc:
         raise ConfigurationError(f"problem file missing field: {exc}") from exc
-    except (TypeError, AttributeError) as exc:  # a list or a scalar where an object belongs
+    except (TypeError, AttributeError, OverflowError) as exc:
+        # a list or a scalar where an object belongs, an infinite or huge size
         raise ConfigurationError(f"malformed problem file: {exc}") from exc
     if A.shape != (m, n):
         raise ConfigurationError(f"linear.A has shape {A.shape}, expected ({m}, {n})")

@@ -40,9 +40,13 @@ one-row block.  A failure raises InvariantViolation, an AssertionError
 carrying the invariant's name, t and margin.
 
 Every step, validated or not, tests the oracle's iterate and then the
-evaluated f and g for finiteness, one reduction each, and raises
-NumericalDomainError naming the iteration that produced a non-finite
-value, before it can reach the queues.
+evaluated f and g for finiteness, and raises NumericalDomainError naming
+the iteration that produced a non-finite value, before it can reach the
+queues.  The tests are screens on dots, exact in their decision: x.dot(0)
+is finite exactly when x is, and a finite ||g||^2, which the drift bound
+needs anyway, proves g finite; only a non-finite ||g||^2 (a NaN or inf, or
+a finite g whose squares overflow) takes the exact mask.  On an infinite
+iterate numpy also warns "invalid value encountered in dot".
 """
 
 import math
@@ -153,14 +157,13 @@ def queue_update(Q, g_now, mode="inequality"):
 
 class _Workspace:
     """Per-run state of a step: the queue-update mode, the block of steps
-    whose invariants wait for their test and the flags of the finiteness
-    tests."""
+    whose invariants wait for their test, the zero vector of the iterate's
+    finiteness test and the last step's Q(t+1) with its 0.5||Q(t+1)||^2."""
 
     __slots__ = ("queue_mode", "ineq", "deferred", "t0", "vectors", "scalars",
-                 "finite_x", "finite_g")
+                 "zeros", "Q_next", "half_qq")
 
     def __init__(self, eq_mask, n):
-        m = eq_mask.shape[0]
         has_eq = bool(eq_mask.any())
         self.queue_mode = eq_mask if has_eq else "inequality"
         # the queue, weight and lower checks hold on inequality rows only
@@ -174,8 +177,11 @@ class _Workspace:
         self.t0 = 0
         self.vectors = []
         self.scalars = []
-        self.finite_x = np.empty(n, dtype=bool)
-        self.finite_g = np.empty(m, dtype=bool)
+        self.zeros = np.zeros(n)
+        # 0.5||Q(t)||^2 is the last step's 0.5||Q(t+1)||^2 while state.Q is
+        # still the array that step made
+        self.Q_next = None
+        self.half_qq = math.nan
 
 
 def init(program, x_init, alpha, mode="inequality"):
@@ -236,10 +242,11 @@ def _check_block(work):
     """
     t0, scalars = work.t0, work.scalars
     m = work.vectors[0].shape[0]
-    Qs, gs, cums = np.concatenate(work.vectors).reshape(-1, 3, m).transpose(1, 0, 2).copy()
+    k = len(work.vectors) // 3 - 1
+    # k + 1 rows, given explicitly: a -1 cannot be inferred when m = 0
+    Qs, gs, cums = np.concatenate(work.vectors).reshape(k + 1, 3, m).transpose(1, 0, 2).copy()
     work.vectors.clear()
     work.scalars = []
-    k = cums.shape[0] - 1
     drift, bound, L, gg = np.array(scalars).reshape(k, 4).T
     flags = np.empty(k * (4 * m + 1), dtype=bool)
     # sections: queue, weight, lower, cumulative (k, m each), then drift (k)
@@ -282,7 +289,9 @@ def step(state, program, oracle=None, validate=True):
     """Advance one iteration in place and return the state.
 
     The cached g(x(t-1)) is reused for the weights so the subproblem and
-    the previous queue update see exactly the same numbers.
+    the previous queue update see exactly the same numbers, and 0.5||Q(t)||^2
+    is the previous step's 0.5||Q(t+1)||^2 while ``state.Q`` is the array
+    that step made: to change the queues, assign a new array.
     """
     if oracle is None:
         oracle = make_oracle(program)
@@ -301,16 +310,18 @@ def step(state, program, oracle=None, validate=True):
             iterations=exc.iterations) from exc
     except NumericalDomainError as exc:
         raise NumericalDomainError(f"primal oracle failed at iteration {t}: {exc}") from exc
-    if not _all_finite(x_new, work.finite_x):
+    if not _all_finite(x_new, x_new.dot(work.zeros)):
         raise NumericalDomainError(f"primal oracle returned a non-finite iterate at iteration {t}")
     f_new, g_new = evaluate(program, x_new)
-    if not (math.isfinite(f_new) and _all_finite(g_new, work.finite_g)):
+    gg = float(g_new.dot(g_new))
+    if not (math.isfinite(f_new) and _all_finite(g_new, gg)):
         raise NumericalDomainError(
             f"objective or constraint value is not finite at iteration {t}")
     Q_next = queue_update(Q, g_new, work.queue_mode)
-    L = 0.5 * float(Q.dot(Q))
-    delta = 0.5 * float(Q_next.dot(Q_next)) - L
-    gg = float(g_new.dot(g_new))
+    L = work.half_qq if Q is work.Q_next else 0.5 * float(Q.dot(Q))
+    half_qq = 0.5 * float(Q_next.dot(Q_next))
+    work.Q_next, work.half_qq = Q_next, half_qq
+    delta = half_qq - L
     bound = float(Q.dot(g_new)) + gg
     cum_g = state.cum_g + g_new
     if validate:
@@ -475,11 +486,14 @@ def verify_bounds(report, f_star, x_star, lambda_star, beta, slack=1e-9):
     The reference (f*, x*, lambda*) must come from the literature value
     or an independent derivation.  The constraint and queue bounds need
     alpha > beta^2/2 and the objective bound needs alpha >= beta^2/2;
-    otherwise those checks are skipped.
+    otherwise those checks are skipped.  A report without alpha (a dual
+    subgradient run) has no such bounds: ConfigurationError.
     """
     program = report.program
     if program is None:
         raise ConfigurationError("report carries no program reference")
+    if report.alpha is None:
+        raise ConfigurationError(f"the bounds hold for virtual-queue runs, not {report.algorithm}")
     x_star = np.asarray(x_star, dtype=float)
     lambda_star = np.asarray(lambda_star, dtype=float)
     alpha = report.alpha

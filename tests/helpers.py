@@ -1,6 +1,7 @@
 """Shared generators and independent oracles for the test suite."""
 
 import contextlib
+import math
 import warnings
 from types import SimpleNamespace
 
@@ -11,6 +12,12 @@ from qpush import (AlphaBelowCurvatureWarning, BoxSet, ConstraintTerms,
 from qpush.errors import NumericalDomainError
 
 SCALAR_TOL = 1e-12
+
+# vectors for the finiteness tests, whether each is finite, and their ids:
+# [1e200, 1] is finite although its sum of squares overflows
+FINITENESS_CASES = [([math.nan], False), ([math.inf], False), ([-math.inf], False),
+                    ([1e200, 1.0], True), ([], True)]
+FINITENESS_IDS = ["nan", "inf", "-inf", "overflowing-square", "empty"]
 
 
 def frobenius_bound(A):

@@ -1,6 +1,8 @@
 import json
+import math
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -55,6 +57,19 @@ def test_run_full_trace_and_plot(tmp_path):
                  "fig1-num", "--out", str(replot)])
     assert code == 0
     assert (replot / "convergence.svg").read_bytes() == svg.read_bytes()
+
+
+def test_run_plot_with_bound_columns_equals_its_replot(tmp_path):
+    # run renders its SVG from the report's columns; plot reads trace.csv
+    out = tmp_path / "out"
+    code = main(["run", "--problem", "fig1-num", "--T", "120", "--alpha", "10",
+                 "--verify-bounds", reference_file(tmp_path), "--plot", "--out", str(out)])
+    assert code == 0
+    assert np.isfinite(parse_trace_csv(out / "trace.csv")["obj_bound_residual"]).all()
+    replot = tmp_path / "replot"
+    assert main(["plot", "--trace", str(out / "trace.csv"), "--problem", "fig1-num",
+                 "--out", str(replot)]) == 0
+    assert (replot / "convergence.svg").read_bytes() == (out / "convergence.svg").read_bytes()
 
 
 def test_run_dsg_overlay_compatible(tmp_path):
@@ -285,3 +300,75 @@ def test_module_entry_point(tmp_path):
         capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "summary.json").exists()
+
+
+# Seeded fuzz: valid input files and flags, each run with one to three random
+# mutations.  A mutation puts one of FUZZ_VALUES in place of a field, a list
+# entry or a flag value, or drops or repeats one; no value names a size that a
+# build could allocate.
+FUZZ_VALUES = (None, True, "x", [], {}, [[1.0]], [1.0, "a"], -1, 0, 3, 0.5, 1e308, -1e308, 10**400,
+               math.nan, math.inf, -math.inf)
+FUZZ_FLAGS = {"--alpha": ("0", "-1", "nan", "inf", "auto", "x", "1e308", "1e-300"),
+              "--T": ("0", "-3", "1", "x", "2.5"),
+              "--record-every": ("0", "-1", "1", "5", "x"),
+              "--algo": ("dsg", "x"),
+              "--gamma": ("0", "nan", "1e308", "-1", "x"),
+              "--seed": ("x", "-1")}
+FUZZ_REFERENCE = {"f_star": -1.0, "x_star": [0.5, 0.5], "lambda_star": [1.0], "beta": 1.5}
+
+
+def _mutate(rng, value):
+    """One random change somewhere inside a parsed JSON value."""
+    if isinstance(value, (dict, list)) and value and rng.random() < 0.8:
+        keys = sorted(value) if isinstance(value, dict) else list(range(len(value)))
+        key = keys[rng.integers(len(keys))]
+        copy = value.copy()
+        r = rng.random()
+        if r < 0.15:
+            del copy[key]
+        elif r < 0.25 and isinstance(copy, list):
+            copy.append(copy[key])
+        else:
+            copy[key] = _mutate(rng, value[key])
+        return copy
+    return FUZZ_VALUES[rng.integers(len(FUZZ_VALUES))]
+
+
+def test_seeded_fuzz_of_files_and_flags_exits_with_a_documented_code(tmp_path, capsys):
+    rng = np.random.default_rng(2024)
+    failures = []
+    for case in range(200):
+        inputs = {"problem": GOOD_PROBLEM, "x0": [0.5, 0.5], "reference": FUZZ_REFERENCE}
+        flags = {"--alpha": "2", "--T": "12"}
+        verify = rng.random() < 0.2
+        for _ in range(rng.integers(1, 4)):
+            target = ("problem", "x0", "reference", "flags")[rng.integers(4)]
+            if target == "flags":
+                name = sorted(FUZZ_FLAGS)[rng.integers(len(FUZZ_FLAGS))]
+                flags[name] = FUZZ_FLAGS[name][rng.integers(len(FUZZ_FLAGS[name]))]
+            else:
+                inputs[target] = _mutate(rng, inputs[target])
+        paths = {}
+        for name, content in inputs.items():
+            paths[name] = tmp_path / f"{case}-{name}.json"
+            paths[name].write_text(json.dumps(content))
+        argv = ["verify" if verify else "run", "--problem-file", str(paths["problem"]),
+                "--x-init", str(paths["x0"]), "--reference" if verify else "--verify-bounds",
+                str(paths["reference"]), "--out", str(tmp_path / "out")]
+        if not verify:
+            argv += ["--plot"]
+        for name, value in flags.items():
+            if not (verify and name == "--algo"):
+                argv += [name, value]
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                code = main(argv)
+        except SystemExit as exc:  # argparse rejects a flag value with exit 2
+            code = exc.code
+        except Exception as exc:  # escaped main: the console would show a traceback
+            code = f"{type(exc).__name__}: {exc}"
+        err = capsys.readouterr().err
+        if code not in (0, 2, 3, 4) or "Traceback" in err:
+            failures.append((code, inputs, flags, verify))
+    assert failures == []

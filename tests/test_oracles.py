@@ -254,3 +254,71 @@ def test_subproblem_validation():
         solve_projected_gradient(prog, np.zeros(1), np.zeros(2), 1.0)
     with pytest.raises(ValueError, match="x_prev"):
         solve_projected_gradient(prog, np.zeros(0), np.zeros(3), 1.0)
+
+
+def interleaved_program(rng, kinds, obj_quad):
+    """A program whose coordinate classes ("q" quadratic, "l" log, "p"
+    log1p) follow ``kinds``, with linear, quadratic and log1p rows."""
+    kinds = np.array(list(kinds))
+    n, m = kinds.size, 3
+    log, nl = kinds == "l", kinds == "p"
+    lo = np.where(log | nl, 0.0, -1.0)
+    box = BoxSet(lo, lo + rng.uniform(1.0, 3.0, n))
+    obj = CoordinateTerms(obj_quad, rng.uniform(-2.0, 2.0, n),
+                          np.where(log, rng.uniform(0.5, 2.0, n), 0.0))
+    U = np.where(nl, rng.uniform(0.5, 2.0, (m, n)), 0.0)
+    Qc = np.where(rng.random((m, n)) < 0.3, rng.uniform(0.0, 1.0, (m, n)), 0.0)
+    cons = ConstraintTerms(rng.uniform(-1.0, 1.0, (m, n)), np.ones(m), quad=Qc, neglog1p=U)
+    return ConvexProgram.from_terms(obj, cons, box, beta_hint=10.0)
+
+
+def test_interleaved_classes_match_the_per_coordinate_reference():
+    rng = np.random.default_rng(41)
+    kinds = "qlqplqpl"
+    prog = interleaved_program(rng, kinds, rng.uniform(0.0, 1.0, len(kinds)))
+    oracle = SeparableOracle(prog)
+    # no class is one contiguous run, so every class goes through index arrays
+    for sel in (oracle._sel_log, oracle._sel_nl1p):
+        assert isinstance(sel, np.ndarray)
+    obj, cons, box = prog.objective_terms, prog.constraint_terms, prog.box
+    for alpha in (0.3, 1.0, 7.5):
+        W = rng.uniform(0.0, 2.0, cons.shape[0])
+        x_prev = random_point_in(box, rng)
+        x = oracle(W, x_prev, alpha)
+        a = obj.quad + alpha + cons.quad.T @ W
+        b = obj.lin + cons.lin.T @ W - 2.0 * alpha * x_prev
+        d = cons.neglog1p.T @ W
+        for i, kind in enumerate(kinds):
+            lo, hi = box.lo[i], box.hi[i]
+            if kind == "q":
+                want = solve_separable_quadratic(a[i], b[i], lo, hi)
+            elif kind == "l":
+                want = float(log_quadratic_minimizer(a[i], b[i], obj.log_weight[i], lo, hi))
+            else:
+                want = float(log1p_quadratic_minimizer(a[i], b[i], d[i], lo, hi))
+            assert x[i] == pytest.approx(want, rel=1e-12, abs=1e-12), (alpha, i, kind)
+
+
+def test_interleaved_classes_equal_their_contiguous_twin_at_alpha_zero():
+    # flat coordinates (no curvature at alpha = 0) take the endpoint branch
+    rng = np.random.default_rng(43)
+    kinds = "lqpqlpq"
+    quad = np.where(rng.random(len(kinds)) < 0.5, 0.0, rng.uniform(0.5, 1.0, len(kinds)))
+    prog = interleaved_program(rng, kinds, quad)
+    perm = np.argsort(np.array(list(kinds)), kind="stable")
+    obj, cons, box = prog.objective_terms, prog.constraint_terms, prog.box
+    twin = ConvexProgram.from_terms(
+        CoordinateTerms(obj.quad[perm], obj.lin[perm], obj.log_weight[perm]),
+        ConstraintTerms(cons.lin[:, perm], cons.offset, quad=cons.quad[:, perm],
+                        neglog1p=cons.neglog1p[:, perm]),
+        BoxSet(box.lo[perm], box.hi[perm]), beta_hint=10.0)
+    assert np.count_nonzero((quad == 0) & ~cons.quad.any(axis=0)) == 3
+    oracle, twin_oracle = SeparableOracle(prog), SeparableOracle(twin)
+    assert isinstance(twin_oracle._sel_log, slice) and isinstance(twin_oracle._sel_nl1p, slice)
+    for _ in range(5):
+        W = rng.uniform(0.0, 2.0, cons.shape[0])
+        x_prev = random_point_in(box, rng)
+        for alpha in (0.0, 2.0):
+            np.testing.assert_allclose(oracle(W, x_prev, alpha)[perm],
+                                       twin_oracle(W, x_prev[perm], alpha),
+                                       rtol=1e-12, atol=1e-12)

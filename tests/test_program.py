@@ -8,8 +8,10 @@ import pytest
 import qpush as qp
 from qpush import BoxSet, ConstraintTerms, ConvexProgram, CoordinateTerms
 from qpush.errors import ConfigurationError
+from qpush.program import _all_finite, _selector
 
-from helpers import random_separable_program, random_sparse_matrix
+from helpers import (FINITENESS_CASES, FINITENESS_IDS, random_separable_program,
+                     random_sparse_matrix)
 
 
 def linear_program(A, b, c, lo, hi):
@@ -270,3 +272,34 @@ def test_random_programs_have_valid_structure_tags():
         saw.add(prog.structure)
         assert prog.separable
     assert "separable-quadratic" in saw
+
+
+@pytest.mark.parametrize("v, finite", FINITENESS_CASES, ids=FINITENESS_IDS)
+def test_all_finite_decides_exactly_with_or_without_a_screen(v, finite):
+    # the exact mask alone, and behind the two screens the step uses
+    v = np.array(v, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        screens = (math.nan, v.dot(np.zeros(v.shape[0])), v.dot(v))
+    for screen in screens:
+        assert _all_finite(v, screen) == finite
+    # the zero screen alone decides: finite exactly when v is
+    assert math.isfinite(screens[1]) is finite
+
+
+def test_selector_is_a_slice_only_for_one_contiguous_run():
+    assert _selector(np.array([3, 4, 5])) == slice(3, 6)
+    assert _selector(np.array([0])) == slice(0, 1)
+    for idx in (np.array([1, 3]), np.array([0, 1, 3]), np.array([], dtype=np.intp)):
+        assert _selector(idx) is idx
+    a = np.arange(10.0)
+    for idx in (np.array([2, 3, 4]), np.array([2, 5, 7])):
+        assert np.array_equal(a[_selector(idx)], a[idx])
+
+
+def test_objective_value_reads_scattered_log_coordinates():
+    logw = np.array([0.0, 2.0, 0.0, 0.5, 1.5])
+    terms = CoordinateTerms(np.array([1.0, 0.0, 2.0, 0.0, 0.5]), np.arange(5.0), logw)
+    assert isinstance(terms._log_sel, np.ndarray)
+    x = np.array([0.3, 0.7, 1.1, 2.0, 0.4])
+    want = float(terms.lin @ x + terms.quad @ (x * x) - logw[[1, 3, 4]] @ np.log(x[[1, 3, 4]]))
+    assert terms.value(x) == pytest.approx(want, rel=1e-15)

@@ -8,8 +8,9 @@ from qpush import BoxSet, ConstraintTerms, ConvexProgram, CoordinateTerms, solve
 from qpush.report import record_schedule
 from qpush.solver import INVARIANT_TOL, AlphaBelowCurvatureWarning
 
-from helpers import (derive_reference, grid_minimize, quiet_alpha_warnings, random_alpha,
-                     random_point_in, random_separable_program)
+from helpers import (FINITENESS_CASES, FINITENESS_IDS, derive_reference, grid_minimize,
+                     quiet_alpha_warnings, random_alpha, random_point_in,
+                     random_separable_program)
 
 
 def one_dim_program():
@@ -718,3 +719,47 @@ def test_qp_seed1_final_values_are_pinned(qp_seed1):
     want = np.zeros(program.n)
     want[list(QP_SEED1_T2000_XBAR)] = list(QP_SEED1_T2000_XBAR.values())
     assert rep.x_bar[-1].tolist() == want.tolist()
+
+
+def constant_constraint_program(g_at_one):
+    """f(x) = x on [0, 1]; g = 0 at x = 0 and ``g_at_one`` at x = 1."""
+    g_at_one = np.asarray(g_at_one, dtype=float)
+    m = g_at_one.shape[0]
+    return ConvexProgram(
+        1, m, BoxSet([0.0], [1.0]), lambda x: float(x[0]), lambda x: np.ones(1),
+        lambda x: g_at_one if x[0] == 1.0 else np.zeros(m), lambda x: np.zeros((m, 1)),
+        beta_hint=0.0)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("g, finite", FINITENESS_CASES, ids=FINITENESS_IDS)
+def test_step_tests_g_exactly_behind_its_square_sum(g, finite):
+    # ||g||^2 is inf for [1e200, 1] although g is finite: the step goes on
+    prog = constant_constraint_program(g)
+    for validate in (True, False):
+        state = qp.init(prog, np.zeros(1), 1.0)
+        step = lambda: qp.step(state, prog, oracle=lambda W, x_prev, alpha: np.ones(1),
+                               validate=validate)
+        if finite:
+            step()
+            assert state.t == 1 and np.array_equal(state.Q, np.maximum(g, 0.0))
+        else:
+            with pytest.raises(qp.NumericalDomainError,
+                               match="constraint value is not finite at iteration 0"):
+                step()
+            assert state.t == 0
+
+
+def test_step_recomputes_the_drift_after_q_is_reassigned():
+    prog = offset_program([0.5, -0.5])
+    state = qp.init(prog, np.zeros(2), 1.0)
+    for _ in range(3):
+        qp.step(state, prog)
+    state.Q = state.Q + 2.0
+    Q = state.Q
+    qp.step(state, prog)
+    assert state.drift == 0.5 * float(state.Q.dot(state.Q)) - 0.5 * float(Q.dot(Q))
+    # the next step carries the last step's 0.5||Q(t+1)||^2 over, to the bit
+    Q = state.Q
+    qp.step(state, prog)
+    assert state.drift == 0.5 * float(state.Q.dot(state.Q)) - 0.5 * float(Q.dot(Q))
