@@ -70,6 +70,12 @@ def _load_instance(args):
 
 
 def _resolve_alpha(args, instance):
+    """The VQ penalty and how it was chosen: ``--alpha`` (a number or
+    ``auto``), else the problem's default."""
+    if args.alpha is None:
+        if instance.default_alpha is None:
+            raise ConfigurationError("--alpha is required for this problem")
+        return instance.default_alpha, "default"
     if args.alpha == "auto":
         beta = instance.program.beta_hint
         if beta is None:
@@ -159,14 +165,7 @@ def _apply_reference(report, reference):
 def run_command(args):
     out = _out_dir(args)
     instance = _load_instance(args)
-    alpha, alpha_rule = (None, None)
-    if args.algo == "vq":
-        if args.alpha is None:
-            if instance.default_alpha is None:
-                raise ConfigurationError("--alpha is required for this problem")
-            alpha, alpha_rule = instance.default_alpha, "default"
-        else:
-            alpha, alpha_rule = _resolve_alpha(args, instance)
+    alpha, alpha_rule = _resolve_alpha(args, instance) if args.algo == "vq" else (None, None)
     report, extra = _execute(args, instance, alpha, alpha_rule)
     bounds = None
     if args.verify_bounds:
@@ -195,10 +194,7 @@ def run_command(args):
 def verify_command(args):
     out = _out_dir(args)
     instance = _load_instance(args)
-    alpha, alpha_rule = _resolve_alpha(args, instance) if args.alpha else (
-        instance.default_alpha, "default")
-    if alpha is None:
-        raise ConfigurationError("--alpha is required")
+    alpha, alpha_rule = _resolve_alpha(args, instance)
     args.algo = "vq"
     report, extra = _execute(args, instance, alpha, alpha_rule)
     bounds = _apply_reference(report, _load_reference(args.reference))
@@ -216,7 +212,7 @@ def verify_command(args):
 def bench_command(args):
     out = _out_dir(args)
     instance = _load_instance(args)
-    alpha = instance.default_alpha if args.alpha is None else _resolve_alpha(args, instance)[0]
+    alpha = _resolve_alpha(args, instance)[0]
     program = instance.program
     x0 = np.zeros(program.n)
     rows = []
@@ -261,6 +257,14 @@ def plot_command(args):
     return 0
 
 
+def _stride(value):
+    """An argparse type: a record stride of at least 1."""
+    stride = int(value)
+    if stride < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {stride}")
+    return stride
+
+
 def _add_problem_args(p):
     p.add_argument("--problem", choices=PROBLEM_NAMES, help="named instance")
     p.add_argument("--problem-file", help="JSON problem description")
@@ -272,7 +276,7 @@ def _add_run_args(p):
     p.add_argument("--alpha", help="penalty parameter, a number or 'auto'")
     p.add_argument("--gamma", type=float, default=0.01, help="dsg step size")
     p.add_argument("--T", type=int, required=True, help="iteration count")
-    p.add_argument("--record-every", type=int, default=None)
+    p.add_argument("--record-every", type=_stride, default=None)
     p.add_argument("--x-init", default="zeros", help="'zeros' or a JSON vector file")
     p.add_argument("--out", default=None, help="output directory")
 
@@ -301,7 +305,7 @@ def build_parser():
     p_bench.add_argument("--alpha", default=None)
     p_bench.add_argument("--gamma", type=float, default=0.01)
     p_bench.add_argument("--T", type=int, required=True)
-    p_bench.add_argument("--record-every", type=int, default=None)
+    p_bench.add_argument("--record-every", type=_stride, default=None)
     p_bench.add_argument("--out", default=None)
 
     p_plot = sub.add_parser("plot", help="re-render a saved trace")

@@ -19,6 +19,7 @@ crossing it, a source only the prices of the links its paths use.  Each
 such sum is one segment of an incidence index array of the topology.
 """
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -40,6 +41,21 @@ __all__ = [
     "beta_bounds",
     "simulate_decentralized",
 ]
+
+
+def _check_paths(hops, pl_path, pl_link, L):
+    """Name the first path that uses no links, repeats a link or uses one
+    outside 0..L-1 (its first failing check in that order).  ``pl_path``,
+    ``pl_link`` list each path's sorted links, so a repeat is two equal
+    neighbours of one path."""
+    same = pl_path[1:] == pl_path[:-1]
+    failures = ((np.flatnonzero(hops == 0), "uses no links"),
+                (pl_path[1:][same & (pl_link[1:] == pl_link[:-1])], "repeats a link"),
+                (pl_path[(pl_link < 0) | (pl_link >= L)], f"references a link outside 0..{L - 1}"))
+    found = [(int(paths[0]), what) for paths, what in failures if paths.size]
+    if found:
+        # min keeps the earliest check among the checks that fail on one path
+        raise ConfigurationError("path {} {}".format(*min(found, key=lambda f: f[0])))
 
 
 @dataclass(frozen=True)
@@ -66,19 +82,18 @@ class Topology:
         L = cap.shape[0]
         path_links = tuple(tuple(sorted(int(l) for l in links)) for links in self.path_links)
         K = len(path_links)
-        for k, links in enumerate(path_links):
-            if len(links) == 0:
-                raise ConfigurationError(f"path {k} uses no links")
-            if len(set(links)) != len(links):
-                raise ConfigurationError(f"path {k} repeats a link")
-            if any(l < 0 or l >= L for l in links):
-                raise ConfigurationError(f"path {k} references a link outside 0..{L - 1}")
+        hops = np.fromiter(map(len, path_links), np.intp, K)
+        links = list(itertools.chain.from_iterable(path_links))
+        try:
+            pl_link = np.array(links, dtype=np.intp)
+        except OverflowError:  # a link beyond any index: the checks compare Python ints
+            pl_link = np.array(links, dtype=object)
+        pl_path = np.repeat(np.arange(K), hops)
+        _check_paths(hops, pl_path, pl_link, L)  # so pl_link holds indices from here on
         source_paths = tuple(tuple(int(k) for k in ks) for ks in self.source_paths)
         seen = [k for ks in source_paths for k in ks]
         if sorted(seen) != list(range(K)):
             raise ConfigurationError("source path sets must partition the path indices")
-        pl_path = np.array([k for k, links in enumerate(path_links) for _ in links], dtype=np.intp)
-        pl_link = np.array([l for links in path_links for l in links], dtype=np.intp)
         by_link = np.argsort(pl_link, kind="stable")
         sp_source = np.array([s for s, ks in enumerate(source_paths) for _ in ks], dtype=np.intp)
         sp_path = np.array(seen, dtype=np.intp)

@@ -26,6 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ConfigurationError
+
 __all__ = [
     "RunReport",
     "TraceRecorder",
@@ -103,12 +105,15 @@ class RunReport:
 
     @property
     def final(self):
-        """Summary scalars of the last recorded row."""
+        """Summary scalars of the last recorded row, reduced alone: the
+        same bits as the last entries of ``max_violation`` and
+        ``queue_norm``, whose row-wise sums run in the same order."""
+        q = self.Q[-1]
         return {
             "t": int(self.t[-1]),
             "f_xbar": float(self.f_xbar[-1]),
-            "max_violation": float(self.max_violation[-1]),
-            "queue_norm": float(self.queue_norm[-1]),
+            "max_violation": float(self.g_xbar[-1].max()),
+            "queue_norm": float(np.sqrt(np.add.reduce(q * q))),
         }
 
     def columns(self):
@@ -127,11 +132,14 @@ class RunReport:
 class TraceRecorder:
     """Copies each recorded row's vectors into one block sized from the
     schedule; the report's vector arrays are slices of it.  ``rows`` counts
-    the rows written."""
+    the rows written.  ``record_every`` None means
+    :func:`default_record_every`; a stride below 1 is a ValueError."""
 
     def __init__(self, T, record_every=None):
+        if record_every is not None and record_every < 1:
+            raise ValueError(f"record_every must be at least 1, got {record_every}")
         self.T = T
-        self.record_every = record_every or default_record_every(T)
+        self.record_every = default_record_every(T) if record_every is None else record_every
         schedule = record_schedule(T, self.record_every)
         self._want = set(schedule)
         self._capacity = len(schedule)
@@ -179,9 +187,16 @@ def write_trace_csv(report, path):
 
 
 def parse_trace_csv(path):
-    """Read a trace CSV back into a dict of float arrays keyed by column."""
+    """Read a trace CSV back into a dict of float arrays keyed by column.
+
+    A file without a ``t``, ``f_xbar`` or ``max_violation`` column (the
+    ones a plot reads), an empty file among them, is a ConfigurationError.
+    """
     with open(path) as fh:
         header = fh.readline().strip().split(",")
+        for name in ("t", "f_xbar", "max_violation"):
+            if name not in header:
+                raise ConfigurationError(f"trace {str(path)!r} has no {name!r} column")
         data = [[] for _ in header]
         for line in fh:
             for slot, tok in zip(data, line.strip().split(",")):

@@ -101,6 +101,16 @@ def random_topology(rng, max_links=10, max_paths=8):
     return Topology(caps, tuple(paths), source_paths)
 
 
+def random_network(rng, L=300, K=900, S=200, max_hops=6):
+    """A large random multipath network: every path picks 2..max_hops
+    distinct links and belongs to a random source, and every source has a
+    path.  Its stacked matrix has fewer than one nonzero in 32 entries."""
+    owner = np.concatenate([np.arange(S), rng.integers(0, S, K - S)])[rng.permutation(K)]
+    paths = [(int(s), rng.choice(L, int(rng.integers(2, max_hops + 1)), replace=False))
+             for s in owner]
+    return Topology.from_paths(rng.uniform(0.5, 2.0, L), paths)
+
+
 def link_path_incidence(topology):
     """R: the L x K 0/1 link-path incidence, from ``path_links``."""
     R = np.zeros((topology.L, topology.K))

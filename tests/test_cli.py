@@ -9,7 +9,7 @@ import pytest
 
 import qpush as qp
 from qpush.cli import main
-from qpush.report import parse_trace_csv
+from qpush.report import TRACE_COLUMNS, parse_trace_csv
 
 GOOD_PROBLEM = {"n": 2, "m": 1, "box": {"lo": [0, 0], "hi": [1, 1]},
                 "linear": {"A": [[1, 1]], "b": [1]},
@@ -291,6 +291,44 @@ def test_bench_table(tmp_path, capsys):
     assert {r["algorithm"] for r in rows} == {"vq", "dsg"}
     printed = capsys.readouterr().out
     assert "smaller final error" in printed
+
+
+def test_bench_of_a_problem_file_without_alpha_exits_2(tmp_path, capsys):
+    pf = tmp_path / "p.json"
+    pf.write_text(json.dumps(GOOD_PROBLEM))
+    code = main(["bench", "--problem-file", str(pf), "--T", "10", "--out", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err == "configuration error: --alpha is required for this problem\n"
+
+
+@pytest.mark.parametrize("content, missing", [
+    ("", "t"),
+    ("t,f_xbar\n", "max_violation"),
+    (",".join(TRACE_COLUMNS) + "\n", None),
+], ids=["empty", "header-without-max_violation", "full-header"])
+def test_plot_of_a_trace_without_a_plotted_column_exits_2(tmp_path, capsys, content, missing):
+    trace = tmp_path / "trace.csv"
+    trace.write_text(content)
+    code = main(["plot", "--trace", str(trace), "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    if missing is None:  # a header and no rows plots empty axes
+        assert code == 0 and (tmp_path / "out" / "convergence.svg").exists()
+    else:
+        assert code == 2
+        assert err.startswith("configuration error: ") and f"no '{missing}' column" in err
+
+
+@pytest.mark.parametrize("command", ["run", "verify", "bench"])
+@pytest.mark.parametrize("stride", ["0", "-3"])
+def test_record_stride_below_one_exits_2(tmp_path, capsys, command, stride):
+    argv = [command, "--problem", "fig1-num", "--alpha", "10", "--T", "10",
+            "--record-every", stride, "--out", str(tmp_path)]
+    if command == "verify":
+        argv += ["--reference", reference_file(tmp_path)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "--record-every: must be at least 1" in capsys.readouterr().err
 
 
 def test_module_entry_point(tmp_path):

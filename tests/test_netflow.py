@@ -60,6 +60,44 @@ def test_topology_validation():
         Topology([1.0], ((),), ((0,),))  # empty path
 
 
+def first_path_error(L, path_links):
+    """The path checks one path at a time: the message for the first bad
+    path and its first failing check (empty, repeat, range), or None."""
+    for k, links in enumerate(path_links):
+        if len(links) == 0:
+            return f"path {k} uses no links"
+        if len(set(links)) != len(links):
+            return f"path {k} repeats a link"
+        if any(l < 0 or l >= L for l in links):
+            return f"path {k} references a link outside 0..{L - 1}"
+    return None
+
+
+def test_topology_path_errors_name_the_first_bad_path_and_check():
+    rng = np.random.default_rng(37)
+    named = set()
+    for _ in range(300):
+        L, K = int(rng.integers(1, 6)), int(rng.integers(1, 8))
+        # a few bad paths among good ones; a link of 10**30 fits no index
+        choices = [rng.choice(L, int(rng.integers(1, L + 1)), replace=False).tolist()
+                   for _ in range(K)]
+        for k in rng.choice(K, int(rng.integers(0, 3))):
+            kind = int(rng.integers(4))
+            links = choices[k]
+            choices[k] = ([] if kind == 0 else links + links[:1] if kind == 1
+                          else links + [int(rng.choice([-1, L, L + 3]))] if kind == 2
+                          else links + [L, L, 10**30])
+        want = first_path_error(L, [sorted(links) for links in choices])
+        if want is None:
+            Topology(np.ones(L), tuple(map(tuple, choices)), (tuple(range(K)),))
+            continue
+        with pytest.raises(ConfigurationError) as exc:
+            Topology(np.ones(L), tuple(map(tuple, choices)), (tuple(range(K)),))
+        assert str(exc.value) == want
+        named.add(want.split()[2])  # uses, repeats or references
+    assert len(named) == 3
+
+
 def test_build_num_program_fig1(fig1_instance):
     num = qp.fig1_num_instance()
     prog = num.program()

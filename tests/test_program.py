@@ -8,10 +8,10 @@ import pytest
 import qpush as qp
 from qpush import BoxSet, ConstraintTerms, ConvexProgram, CoordinateTerms
 from qpush.errors import ConfigurationError
-from qpush.program import _all_finite, _selector
+from qpush.program import _all_finite, _pair_gram, _selector
 
-from helpers import (FINITENESS_CASES, FINITENESS_IDS, random_separable_program,
-                     random_sparse_matrix)
+from helpers import (FINITENESS_CASES, FINITENESS_IDS, random_network,
+                     random_separable_program, random_sparse_matrix)
 
 
 def linear_program(A, b, c, lo, hi):
@@ -191,6 +191,60 @@ def test_spectral_norm_rejects_bad_input():
         qp.spectral_norm(np.array([[1.0, np.nan]]))
     with pytest.raises(ValueError):
         qp.spectral_norm(np.array([[np.inf, 0.0]]))
+
+
+def pair_gram(M):
+    """The Gram matrix spectral_norm builds from M's nonzero pairs, or None."""
+    flat = M.ravel()
+    nz = np.flatnonzero(flat)
+    return _pair_gram(nz, flat[nz], *M.shape)
+
+
+def sparse_with_dense_column(rng):
+    """s x l with s << l, about one nonzero in 200 (negative ones too), one
+    column full but for the empty row, one empty row and one empty column."""
+    s, l = int(rng.integers(30, 60)), int(rng.integers(4000, 6000))
+    M = np.zeros((s, l))
+    nnz = s * l // 200
+    M[1:, 2:].flat[rng.choice((s - 1) * (l - 2), nnz, replace=False)] = rng.uniform(-3.0, 3.0, nnz)
+    M[1:, 1] = rng.uniform(-3.0, 3.0, s - 1)
+    return M[rng.permutation(s)][:, rng.permutation(l)]
+
+
+def test_spectral_norm_from_nonzero_pairs_matches_svd():
+    rng = np.random.default_rng(23)
+    for _ in range(3):
+        M = sparse_with_dense_column(rng)
+        for A in (M, M.T):
+            gram = pair_gram(A)
+            assert gram is not None  # the pair path, not the dense product
+            assert np.array_equal(gram, gram.T)
+            exact = np.linalg.norm(A, 2)
+            assert abs(qp.spectral_norm(A) - exact) <= 1e-12 * exact
+
+
+def test_spectral_norm_of_an_incidence_matrix_is_the_dense_products_value():
+    A = random_network(np.random.default_rng(29)).stacked_matrix()
+    for M in (A, A.T):
+        dense = M @ M.T if M.shape[0] <= M.shape[1] else M.T @ M
+        assert np.array_equal(pair_gram(M), dense)  # integers, exact either way
+        assert qp.spectral_norm(M) == float(np.sqrt(max(np.linalg.eigvalsh(dense)[-1], 0.0)))
+
+
+def test_spectral_norm_keeps_the_dense_product_when_pairs_cost_more():
+    M = np.zeros((100, 3300))
+    M[:, :3] = 1.0  # full columns: 3 * 100^2 pairs > 100 * 100 * 3300 / 2048
+    assert pair_gram(M) is None
+    assert qp.spectral_norm(M) == pytest.approx(np.linalg.norm(M, 2), rel=1e-12)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_spectral_norm_rejects_a_non_finite_entry_of_a_sparse_matrix(bad):
+    M = sparse_with_dense_column(np.random.default_rng(31))
+    assert pair_gram(M) is not None
+    M[3, 7] = bad
+    with pytest.raises(ValueError, match="finite"):
+        qp.spectral_norm(M)
 
 
 def test_frobenius_dominates_spectral():

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import qpush as qp
-from helpers import reference_bounds_csv, reference_full_trace_csv, reference_trace_csv
+from helpers import (random_network, reference_bounds_csv, reference_full_trace_csv,
+                     reference_trace_csv)
 from qpush.report import (TRACE_COLUMNS, TraceRecorder, default_record_every,
                           parse_trace_csv, record_schedule, render_convergence_svg, slope_check,
                           write_full_trace_csv, write_summary, write_trace_csv)
@@ -36,6 +37,24 @@ def test_recorder_rows_are_slices_of_one_block():
         assert np.array_equal(getattr(rep, name), np.array([row[i] for row in added])), name
     assert rep.t.dtype == int and rep.record_every == 4
     assert rep.x.base is not None and rep.x.base is rep.cum_g.base
+
+
+@pytest.mark.parametrize("stride", [0, -3])
+def test_recorder_rejects_a_stride_below_one(stride):
+    with pytest.raises(ValueError, match="record_every"):
+        TraceRecorder(10, stride)
+
+
+def test_final_row_equals_the_table_reductions(fig1_vq_run, qp_vq_run):
+    rng = np.random.default_rng(41)
+    topo = random_network(rng)
+    prog = qp.build_num_program(topo, rng.uniform(0.5, 2.0, topo.S), rng.uniform(0.5, 2.0, topo.K),
+                                rng.uniform(1.0, 4.0, topo.S))
+    network = qp.run(prog, np.zeros(prog.n), 0.5 * prog.beta_hint ** 2 + 1.0, 30)
+    for rep in (fig1_vq_run, qp_vq_run, network):
+        final = rep.final
+        assert final["queue_norm"] == rep.queue_norm[-1]
+        assert final["max_violation"] == rep.max_violation[-1]
 
 
 def small_report():
