@@ -10,13 +10,15 @@ Subcommands::
 ``run`` writes ``trace.csv`` and ``summary.json`` into the output
 directory (``--out``, else the ``QPUSH_OUT`` environment variable, else
 the working directory), plus an optional full-trace sidecar, bound
-margins, and a log-log convergence SVG.  ``verify`` re-runs a problem
-and checks the trace against the certified decay bounds from a
-reference file ``{"f_star":.., "x_star":[..], "lambda_star":[..],
-"beta":..}``; it exits 4 when a bound is violated.  Exit codes: 0 ok,
-2 configuration error, 3 numerical failure (a non-finite value, an
-oracle that does not converge, or an ``InvariantViolation``: a runtime
-invariant failed beyond its rounding tolerance), 4 bound violation.
+margins, and a log-log convergence SVG.  ``verify`` is ``run`` of the
+virtual-queue method with a required reference file ``{"f_star":..,
+"x_star":[..], "lambda_star":[..], "beta":..}``: it checks the trace
+against the certified decay bounds and exits 4 when one is violated.
+``bench`` runs the virtual-queue method and the dual-subgradient
+baseline from zero.  Exit codes: 0 ok, 2 configuration error, 3
+numerical failure (a non-finite value, an oracle that does not
+converge, or an ``InvariantViolation``: a runtime invariant failed
+beyond its rounding tolerance), 4 bound violation.
 """
 
 import argparse
@@ -87,6 +89,15 @@ def _resolve_alpha(args, instance):
         raise ConfigurationError(f"bad --alpha value {args.alpha!r}") from exc
 
 
+def _setup(args):
+    """The output directory, the instance, and alpha with its rule (both
+    None for a dsg run), checked in that order."""
+    out = _out_dir(args)
+    instance = _load_instance(args)
+    alpha, alpha_rule = _resolve_alpha(args, instance) if args.algo == "vq" else (None, None)
+    return out, instance, alpha, alpha_rule
+
+
 def _resolve_x_init(args, program):
     if args.x_init == "zeros":
         x0 = np.zeros(program.n)
@@ -103,30 +114,20 @@ def _resolve_x_init(args, program):
     return x0
 
 
-def _beta_summary(program):
-    info = {"beta_hint": program.beta_hint}
+def _execute(args, algo, instance, alpha, alpha_rule):
+    program = instance.program
+    if algo == "vq":
+        report = run(program, _resolve_x_init(args, program), alpha, args.T,
+                     record_every=args.record_every, label=instance.name)
+    else:
+        report = dsg_run(program, None, args.gamma, args.T,
+                         record_every=args.record_every, label=instance.name)
+    extra = {"beta_hint": program.beta_hint, "sense": instance.sense,
+             "objective": instance.reported_objective(report.final["f_xbar"])}
     if program.structure == "linear":
         # every linear program the CLI loads carries sigma_max(A) as its hint
-        info["beta_spectral"] = program.beta_hint
-        info["beta_frobenius"] = float(np.linalg.norm(program.A))
-    return info
-
-
-def _execute(args, instance, alpha, alpha_rule):
-    program = instance.program
-    label = instance.name
-    if args.algo == "vq":
-        x0 = _resolve_x_init(args, program)
-        report = run(program, x0, alpha, args.T, record_every=args.record_every,
-                     label=label)
-    elif args.algo == "dsg":
-        report = dsg_run(program, None, args.gamma, args.T,
-                         record_every=args.record_every, label=label)
-    else:
-        raise ConfigurationError(f"unknown algorithm {args.algo!r}")
-    extra = _beta_summary(program)
-    extra["sense"] = instance.sense
-    extra["objective"] = instance.reported_objective(report.final["f_xbar"])
+        extra["beta_spectral"] = program.beta_hint
+        extra["beta_frobenius"] = float(np.linalg.norm(program.A))
     if instance.f_star_reported is not None:
         extra["f_star_reference"] = instance.f_star_reported
     if alpha_rule == "auto":
@@ -136,21 +137,23 @@ def _execute(args, instance, alpha, alpha_rule):
     return report, extra
 
 
-def _load_reference(path):
+def _apply_reference(report, path):
+    """Check the reference file at ``path`` against the report's program
+    and fill the report's bound-residual columns from it."""
     ref = _read_json(path, "reference file")
     try:
-        return (float(ref["f_star"]), np.asarray(ref["x_star"], dtype=float),
-                np.asarray(ref["lambda_star"], dtype=float), float(ref["beta"]))
+        f_star, x_star = float(ref["f_star"]), np.asarray(ref["x_star"], dtype=float)
+        lambda_star, beta = np.asarray(ref["lambda_star"], dtype=float), float(ref["beta"])
     except KeyError as exc:
         raise ConfigurationError(f"reference file missing field: {exc}") from exc
     except (TypeError, AttributeError, OverflowError) as exc:
         # a list or a scalar where an object belongs, an integer beyond any float
         raise ConfigurationError(f"malformed reference file: {exc}") from exc
-
-
-def _apply_reference(report, reference):
-    """Fill the bound-residual trace columns from a reference."""
-    f_star, x_star, lambda_star, beta = reference
+    for name, value in (("f_star", f_star), ("x_star", x_star),
+                        ("lambda_star", lambda_star), ("beta", beta)):
+        # a NaN or infinite entry would make bounds read skipped or violated
+        if not np.all(np.isfinite(value)):
+            raise ConfigurationError(f"reference {name} must be finite")
     program = report.program
     for name, v, k in (("x_star", x_star, program.n), ("lambda_star", lambda_star, program.m)):
         if v.shape != (k,):
@@ -162,14 +165,16 @@ def _apply_reference(report, reference):
     return bounds
 
 
-def run_command(args):
-    out = _out_dir(args)
-    instance = _load_instance(args)
-    alpha, alpha_rule = _resolve_alpha(args, instance) if args.algo == "vq" else (None, None)
-    report, extra = _execute(args, instance, alpha, alpha_rule)
+def _run_and_write(args):
+    """The body of ``run`` and ``verify``: run the solver, check it against
+    ``args.reference`` when one is given, and write bounds.csv, trace.csv,
+    trace_full.csv, summary.json and convergence.svg (the ones asked for).
+    Returns the trace path, the summary and the bound report (or None)."""
+    out, instance, alpha, alpha_rule = _setup(args)
+    report, extra = _execute(args, args.algo, instance, alpha, alpha_rule)
     bounds = None
-    if args.verify_bounds:
-        bounds = _apply_reference(report, _load_reference(args.verify_bounds))
+    if args.reference:
+        bounds = _apply_reference(report, args.reference)
         bounds.to_csv(os.path.join(out, "bounds.csv"))
         extra["bounds"] = bounds.summary()
     trace_path = os.path.join(out, "trace.csv")
@@ -184,24 +189,20 @@ def run_command(args):
                                      title=instance.name)
         with open(os.path.join(out, "convergence.svg"), "w") as fh:
             fh.write(svg)
+    return trace_path, summary, bounds
+
+
+def run_command(args):
+    trace_path, summary, _ = _run_and_write(args)
     print(f"wrote {trace_path}")
-    print(f"final objective {summary['objective'] if 'objective' in summary else summary['f_xbar']:.6f}, "
+    print(f"final objective {summary['objective']:.6f}, "
           f"max violation {summary['max_violation']:.3e}, "
           f"queue norm {summary['queue_norm']:.3e}")
     return 0
 
 
 def verify_command(args):
-    out = _out_dir(args)
-    instance = _load_instance(args)
-    alpha, alpha_rule = _resolve_alpha(args, instance)
-    args.algo = "vq"
-    report, extra = _execute(args, instance, alpha, alpha_rule)
-    bounds = _apply_reference(report, _load_reference(args.reference))
-    bounds.to_csv(os.path.join(out, "bounds.csv"))
-    write_trace_csv(report, os.path.join(out, "trace.csv"))
-    write_summary(report, os.path.join(out, "summary.json"),
-                  extra={**extra, "bounds": bounds.summary()})
+    _, _, bounds = _run_and_write(args)
     for name in ("objective", "constraint", "queue", "queue_lower"):
         state = bounds.passed(name)
         tag = "skipped" if state is None else ("ok" if state else "VIOLATED")
@@ -210,19 +211,11 @@ def verify_command(args):
 
 
 def bench_command(args):
-    out = _out_dir(args)
-    instance = _load_instance(args)
-    alpha = _resolve_alpha(args, instance)[0]
-    program = instance.program
-    x0 = np.zeros(program.n)
+    out, instance, alpha, alpha_rule = _setup(args)
     rows = []
-    vq = run(program, x0, alpha, args.T, record_every=args.record_every,
-             label=instance.name)
-    dsg = dsg_run(program, None, args.gamma, args.T,
-                  record_every=args.record_every, label=instance.name)
-    for rep in (vq, dsg):
-        row = {"algorithm": rep.algorithm, **rep.final,
-               "objective": instance.reported_objective(rep.final["f_xbar"]),
+    for algo in ("vq", "dsg"):
+        rep, extra = _execute(args, algo, instance, alpha, alpha_rule)
+        row = {"algorithm": rep.algorithm, **rep.final, "objective": extra["objective"],
                "wall_time_s": rep.wall_time}
         if instance.f_star is not None:
             row["objective_error"] = abs(rep.final["f_xbar"] - instance.f_star)
@@ -230,13 +223,12 @@ def bench_command(args):
     with open(os.path.join(out, "bench.json"), "w") as fh:
         json.dump(rows, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    header = f"{'algo':6s} {'objective':>12s} {'violation':>11s} {'queue':>10s} {'seconds':>8s}"
-    print(header)
+    print(f"{'algo':6s} {'objective':>12s} {'violation':>11s} {'queue':>10s} {'seconds':>8s}")
     for row in rows:
         print(f"{row['algorithm']:6s} {row['objective']:12.6f} "
               f"{row['max_violation']:11.3e} {row['queue_norm']:10.3e} "
               f"{row['wall_time_s']:8.2f}")
-    if instance.f_star is not None and all("objective_error" in r for r in rows):
+    if instance.f_star is not None:
         faster = min(rows, key=lambda r: r["objective_error"])["algorithm"]
         print(f"smaller final error: {faster}")
     return 0
@@ -265,56 +257,56 @@ def _stride(value):
     return stride
 
 
-def _add_problem_args(p):
-    p.add_argument("--problem", choices=PROBLEM_NAMES, help="named instance")
-    p.add_argument("--problem-file", help="JSON problem description")
-    p.add_argument("--seed", type=int, default=1, help="seed for the qp instance")
+# the flags of run, verify and bench, declared once; each subcommand names
+# the ones it takes, and a flag it does not name is an argparse error
+_SHARED_FLAGS = {
+    "--problem": dict(choices=PROBLEM_NAMES, help="named instance"),
+    "--problem-file": dict(help="JSON problem description"),
+    "--seed": dict(type=int, default=1, help="seed for the qp instance"),
+    "--algo": dict(choices=("vq", "dsg"), default="vq"),
+    "--alpha": dict(help="penalty parameter, a number or 'auto'"),
+    "--gamma": dict(type=float, default=0.01, help="dsg step size"),
+    "--T": dict(type=int, required=True, help="iteration count"),
+    "--record-every": dict(type=_stride, default=None),
+    "--x-init": dict(default="zeros", help="'zeros' or a JSON vector file"),
+    "--out": dict(default=None, help="output directory"),
+}
 
 
-def _add_run_args(p):
-    p.add_argument("--algo", choices=("vq", "dsg"), default="vq")
-    p.add_argument("--alpha", help="penalty parameter, a number or 'auto'")
-    p.add_argument("--gamma", type=float, default=0.01, help="dsg step size")
-    p.add_argument("--T", type=int, required=True, help="iteration count")
-    p.add_argument("--record-every", type=_stride, default=None)
-    p.add_argument("--x-init", default="zeros", help="'zeros' or a JSON vector file")
-    p.add_argument("--out", default=None, help="output directory")
+def _add_flags(parser, *names):
+    for name in names:
+        parser.add_argument(name, **_SHARED_FLAGS[name])
+    return parser
 
 
 def build_parser():
     parser = argparse.ArgumentParser(prog="qpush",
                                      description="virtual-queue prox experiments")
     sub = parser.add_subparsers(dest="command", required=True)
+    problem = ("--problem", "--problem-file", "--seed")
 
-    p_run = sub.add_parser("run", help="run one solver configuration")
-    _add_problem_args(p_run)
-    _add_run_args(p_run)
+    p_run = _add_flags(sub.add_parser("run", help="run one solver configuration"), *problem,
+                       "--algo", "--alpha", "--gamma", "--T", "--record-every", "--x-init", "--out")
     p_run.add_argument("--full-trace", action="store_true",
                        help="also write per-iteration vectors")
-    p_run.add_argument("--verify-bounds", metavar="REF_JSON", default=None,
+    p_run.add_argument("--verify-bounds", dest="reference", metavar="REF_JSON", default=None,
                        help="fill bound residual columns from a reference file")
     p_run.add_argument("--plot", action="store_true", help="write convergence.svg")
 
-    p_ver = sub.add_parser("verify", help="check decay bounds against a reference")
-    _add_problem_args(p_ver)
-    _add_run_args(p_ver)
+    p_ver = _add_flags(sub.add_parser("verify", help="check decay bounds against a reference"),
+                       *problem, "--alpha", "--T", "--record-every", "--x-init", "--out")
     p_ver.add_argument("--reference", required=True, metavar="REF_JSON")
+    p_ver.set_defaults(algo="vq", full_trace=False, plot=False)
 
-    p_bench = sub.add_parser("bench", help="paired vq/dsg comparison")
-    _add_problem_args(p_bench)
-    p_bench.add_argument("--alpha", default=None)
-    p_bench.add_argument("--gamma", type=float, default=0.01)
-    p_bench.add_argument("--T", type=int, required=True)
-    p_bench.add_argument("--record-every", type=_stride, default=None)
-    p_bench.add_argument("--out", default=None)
+    p_bench = _add_flags(sub.add_parser("bench", help="paired vq/dsg comparison"), *problem,
+                         "--alpha", "--gamma", "--T", "--record-every", "--out")
+    p_bench.set_defaults(algo="vq", x_init="zeros")  # alpha as for a vq run; VQ starts at 0
 
     p_plot = sub.add_parser("plot", help="re-render a saved trace")
     p_plot.add_argument("--trace", required=True)
     p_plot.add_argument("--f-star", type=float, default=None,
                         help="reference optimum in minimization sense")
-    p_plot.add_argument("--problem", choices=PROBLEM_NAMES, default=None)
-    p_plot.add_argument("--seed", type=int, default=1)
-    p_plot.add_argument("--out", default=None)
+    _add_flags(p_plot, "--problem", "--seed", "--out")
     return parser
 
 

@@ -22,6 +22,7 @@ such sum is one segment of an incidence index array of the topology.
 import itertools
 import json
 import math
+import os
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -77,7 +78,7 @@ class Topology:
 
     def __post_init__(self):
         cap = np.asarray(self.cap, dtype=float)
-        if cap.ndim != 1 or np.any(cap <= 0):
+        if cap.ndim != 1 or not np.all((cap > 0) & (cap < np.inf)):  # NaN fails both
             raise ConfigurationError("capacities must be a vector of positive reals")
         L = cap.shape[0]
         path_links = tuple(tuple(sorted(int(l) for l in links)) for links in self.path_links)
@@ -174,13 +175,14 @@ def load_topology(source):
          "utilities": [{"kind": "log", "weight": w}, ...]}
 
     Links and sources are 0-based.  Returns (topology, utility_weights,
-    x_max, y_max).
+    x_max, y_max).  ``source`` may be a path or the parsed content; a
+    missing or mistyped field raises ConfigurationError.
     """
-    if isinstance(source, dict):
-        spec = source
-    else:
+    if isinstance(source, (str, bytes, os.PathLike)):
         with open(source) as fh:
             spec = json.load(fh)
+    else:
+        spec = source
     try:
         topo = Topology.from_paths(
             spec["capacities"],
@@ -188,13 +190,19 @@ def load_topology(source):
         utilities = spec["utilities"]
         x_max = np.asarray(spec["x_max"], dtype=float)
         y_max = np.asarray(spec["y_max"], dtype=float)
+        weights = np.empty(len(utilities))
+        for s, u in enumerate(utilities):
+            if u.get("kind") != "log":
+                raise ConfigurationError(f"unsupported utility kind {u.get('kind')!r}")
+            weights[s] = float(u["weight"])
     except KeyError as exc:
         raise ConfigurationError(f"topology file missing field: {exc}") from exc
-    weights = np.empty(len(utilities))
-    for s, u in enumerate(utilities):
-        if u.get("kind") != "log":
-            raise ConfigurationError(f"unsupported utility kind {u.get('kind')!r}")
-        weights[s] = float(u["weight"])
+    except ConfigurationError:
+        raise
+    except (TypeError, AttributeError, ValueError, OverflowError) as exc:
+        # a list or a scalar where an object belongs, a string or NaN where a
+        # number belongs, an integer beyond any float
+        raise ConfigurationError(f"malformed topology file: {exc}") from exc
     if weights.shape[0] != topo.S:
         raise ConfigurationError("one utility entry per source required")
     return topo, weights, x_max, y_max
@@ -215,7 +223,7 @@ class NumProblem:
         w = np.asarray(self.utility_weights, dtype=float)
         x_max = np.asarray(self.x_max, dtype=float)
         y_max = np.asarray(self.y_max, dtype=float)
-        if w.shape != (topo.S,) or np.any(w < 0):
+        if w.shape != (topo.S,) or not np.all(w >= 0):
             raise ConfigurationError("utility weights must be one nonnegative value per source")
         if x_max.shape != (topo.K,) or y_max.shape != (topo.S,):
             raise ConfigurationError("x_max / y_max lengths must match paths / sources")

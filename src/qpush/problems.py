@@ -106,7 +106,7 @@ def build_flow_power_program(topology, utilities, x_max=None, y_max=None,
     it, and a source never more than its paths jointly.
     """
     p_max = np.broadcast_to(np.asarray(p_max, dtype=float), (topology.L,))
-    if np.any(p_max <= 0):
+    if not np.all(p_max > 0):
         raise ConfigurationError("p_max must be positive")
     cap_ceiling = np.log1p(p_max)
     if x_max is None:

@@ -112,7 +112,7 @@ class CoordinateTerms:
         n = quad.shape[0]
         lin = _vector(self.lin, n, name="lin")
         logw = _vector(self.log_weight, n, name="log_weight")
-        if np.any(quad < 0) or np.any(logw < 0):
+        if not (np.all(quad >= 0) and np.all(logw >= 0)):  # written so that NaN fails
             raise ConfigurationError("quad and log_weight must be nonnegative (convexity)")
         object.__setattr__(self, "quad", quad)
         object.__setattr__(self, "lin", lin)
@@ -184,7 +184,7 @@ class ConstraintTerms:
         given = [a for a in (quad, nl) if a is not None]
         if any(a.shape != (m, n) for a in given):
             raise ValueError("quad/neglog1p must match the linear part's shape")
-        if any(np.any(a < 0) for a in given):
+        if not all(np.all(a >= 0) for a in given):
             raise ConfigurationError("quad and neglog1p coefficients must be nonnegative")
         object.__setattr__(self, "lin", lin)
         object.__setattr__(self, "offset", offset)

@@ -190,7 +190,8 @@ def parse_trace_csv(path):
     """Read a trace CSV back into a dict of float arrays keyed by column.
 
     A file without a ``t``, ``f_xbar`` or ``max_violation`` column (the
-    ones a plot reads), an empty file among them, is a ConfigurationError.
+    ones a plot reads), an empty file among them, or with a row of more or
+    fewer cells than the header, is a ConfigurationError.
     """
     with open(path) as fh:
         header = fh.readline().strip().split(",")
@@ -198,8 +199,12 @@ def parse_trace_csv(path):
             if name not in header:
                 raise ConfigurationError(f"trace {str(path)!r} has no {name!r} column")
         data = [[] for _ in header]
-        for line in fh:
-            for slot, tok in zip(data, line.strip().split(",")):
+        for lineno, line in enumerate(fh, 2):
+            cells = line.strip().split(",")
+            if len(cells) != len(header):
+                raise ConfigurationError(f"trace {str(path)!r} line {lineno} has {len(cells)} "
+                                         f"cells, expected {len(header)}")
+            for slot, tok in zip(data, cells):
                 slot.append(float(tok))
     return {name: np.array(vals) for name, vals in zip(header, data)}
 
@@ -273,8 +278,12 @@ _COLORS = ("#1f77b4", "#d62728", "#7f7f7f", "#2ca02c", "#9467bd")
 
 
 def _log_points(ts, vals):
-    pts = [(math.log10(t), math.log10(v)) for t, v in zip(ts, vals) if t > 0 and v > 0]
-    return pts
+    """(log10 t, log10 v) for each pair of positive finite values: a trace
+    cell of inf (or beyond the double range) has no place on the axes."""
+    # Python floats, which compare several times faster than numpy scalars
+    ts, vals = np.asarray(ts, dtype=float).tolist(), np.asarray(vals, dtype=float).tolist()
+    return [(math.log10(t), math.log10(v)) for t, v in zip(ts, vals)
+            if 0 < t < math.inf and 0 < v < math.inf]
 
 
 def render_convergence_svg(columns, f_star=None, bound_constant=None, title="convergence"):

@@ -13,6 +13,16 @@ from qpush.errors import NumericalDomainError
 
 SCALAR_TOL = 1e-12
 
+# A two-link, two-source topology in the JSON schema of ``load_topology``.
+TOPOLOGY_SPEC = {
+    "capacities": [1.0, 2.0],
+    "paths": [{"source": 0, "links": [0]}, {"source": 1, "links": [0, 1]}],
+    "x_max": [1.0, 1.0],
+    "y_max": [2.0, 2.0],
+    "utilities": [{"kind": "log", "weight": 1.0},
+                  {"kind": "log", "weight": 0.5}],
+}
+
 # vectors for the finiteness tests, whether each is finite, and their ids:
 # [1e200, 1] is finite although its sum of squares overflows
 FINITENESS_CASES = [([math.nan], False), ([math.inf], False), ([-math.inf], False),

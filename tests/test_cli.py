@@ -9,7 +9,10 @@ import pytest
 
 import qpush as qp
 from qpush.cli import main
+from qpush.errors import ConfigurationError
 from qpush.report import TRACE_COLUMNS, parse_trace_csv
+
+from helpers import TOPOLOGY_SPEC
 
 GOOD_PROBLEM = {"n": 2, "m": 1, "box": {"lo": [0, 0], "hi": [1, 1]},
                 "linear": {"A": [[1, 1]], "b": [1]},
@@ -271,6 +274,33 @@ def test_verify_passes_and_fails(tmp_path):
     assert code == 4
 
 
+@pytest.mark.parametrize("field, value", [
+    ("f_star", math.nan), ("f_star", math.inf), ("beta", math.nan), ("beta", math.inf),
+    ("x_star", math.nan), ("lambda_star", -math.inf),
+])
+def test_non_finite_reference_exits_2(tmp_path, capsys, field, value):
+    # a NaN or infinite beta would mark three bounds skipped and certify nothing
+    with open(reference_file(tmp_path)) as fh:
+        ref = json.load(fh)
+    ref[field] = value if field in ("f_star", "beta") else [value] + ref[field][1:]
+    path = tmp_path / "bad-ref.json"
+    path.write_text(json.dumps(ref))
+    code = main(["verify", "--problem", "fig1-num", "--alpha", "10", "--T", "50",
+                 "--reference", str(path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err == f"configuration error: reference {field} must be finite\n"
+
+
+@pytest.mark.parametrize("flags", [["--algo", "dsg"], ["--gamma", "0.1"]])
+def test_verify_takes_no_algorithm_or_step_size(tmp_path, capsys, flags):
+    # verify certifies a virtual-queue run only, so it takes neither flag
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--problem", "fig1-num", "--T", "10", "--reference",
+              reference_file(tmp_path), "--out", str(tmp_path)] + flags)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
+
+
 def test_run_with_bound_residuals(tmp_path):
     out = tmp_path / "out"
     code = main(["run", "--problem", "fig1-num", "--alpha", "10", "--T", "300",
@@ -316,6 +346,32 @@ def test_plot_of_a_trace_without_a_plotted_column_exits_2(tmp_path, capsys, cont
     else:
         assert code == 2
         assert err.startswith("configuration error: ") and f"no '{missing}' column" in err
+
+
+@pytest.mark.parametrize("row, cells", [("2,0.5", 2), ("2,0.5,0.25,7", 4)], ids=["short", "long"])
+def test_plot_of_a_ragged_trace_exits_2(tmp_path, capsys, row, cells):
+    trace = tmp_path / "trace.csv"
+    trace.write_text(f"t,f_xbar,max_violation\n1,1,0.5\n{row}\n")
+    assert main(["plot", "--trace", str(trace), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (f"configuration error: trace {str(trace)!r} line 3 "
+                                       f"has {cells} cells, expected 3\n")
+
+
+@pytest.mark.parametrize("column, cell", [("t", "inf"), ("f_xbar", "inf"), ("f_xbar", "1e400"),
+                                          ("max_violation", "1e400")])
+def test_plot_leaves_out_an_infinite_cell_as_it_does_a_nan_one(tmp_path, column, cell):
+    header = ["t", "f_xbar", "max_violation"]
+    svgs = []
+    for value in (cell, "nan"):
+        rows = [["1", "0.5", "0.5"], ["2", "0.25", "0.25"], ["4", "0.125", "0.0625"]]
+        rows[1][header.index(column)] = value
+        out = tmp_path / value  # the trace's file name is the plot's title
+        out.mkdir()
+        (out / "trace.csv").write_text("\n".join(",".join(r) for r in [header] + rows) + "\n")
+        assert main(["plot", "--trace", str(out / "trace.csv"), "--f-star", "0",
+                     "--out", str(out)]) == 0
+        svgs.append((out / "convergence.svg").read_bytes())
+    assert svgs[0] == svgs[1]
 
 
 @pytest.mark.parametrize("command", ["run", "verify", "bench"])
@@ -372,13 +428,26 @@ def _mutate(rng, value):
     return FUZZ_VALUES[rng.integers(len(FUZZ_VALUES))]
 
 
+def _exit_code(argv):
+    """main's exit code, argparse's for a rejected flag, or the escaped exception."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            return main(argv)
+    except SystemExit as exc:  # argparse rejects a flag value with exit 2
+        return exc.code
+    except Exception as exc:  # escaped main: the console would show a traceback
+        return f"{type(exc).__name__}: {exc}"
+
+
 def test_seeded_fuzz_of_files_and_flags_exits_with_a_documented_code(tmp_path, capsys):
     rng = np.random.default_rng(2024)
     failures = []
-    for case in range(200):
+    for case in range(300):
         inputs = {"problem": GOOD_PROBLEM, "x0": [0.5, 0.5], "reference": FUZZ_REFERENCE}
         flags = {"--alpha": "2", "--T": "12"}
-        verify = rng.random() < 0.2
+        draw = rng.random()
+        command = "verify" if draw < 0.2 else "bench" if draw < 0.4 else "run"
         for _ in range(rng.integers(1, 4)):
             target = ("problem", "x0", "reference", "flags")[rng.integers(4)]
             if target == "flags":
@@ -390,23 +459,72 @@ def test_seeded_fuzz_of_files_and_flags_exits_with_a_documented_code(tmp_path, c
         for name, content in inputs.items():
             paths[name] = tmp_path / f"{case}-{name}.json"
             paths[name].write_text(json.dumps(content))
-        argv = ["verify" if verify else "run", "--problem-file", str(paths["problem"]),
-                "--x-init", str(paths["x0"]), "--reference" if verify else "--verify-bounds",
-                str(paths["reference"]), "--out", str(tmp_path / "out")]
-        if not verify:
-            argv += ["--plot"]
-        for name, value in flags.items():
-            if not (verify and name == "--algo"):
-                argv += [name, value]
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                code = main(argv)
-        except SystemExit as exc:  # argparse rejects a flag value with exit 2
-            code = exc.code
-        except Exception as exc:  # escaped main: the console would show a traceback
-            code = f"{type(exc).__name__}: {exc}"
+        argv = [command, "--problem-file", str(paths["problem"]), "--out", str(tmp_path / "out")]
+        if command == "run":
+            argv += ["--x-init", str(paths["x0"]), "--verify-bounds", str(paths["reference"]),
+                     "--plot"]
+        elif command == "verify":
+            argv += ["--x-init", str(paths["x0"]), "--reference", str(paths["reference"])]
+        for name, value in flags.items():  # verify and bench reject --algo, verify --gamma
+            argv += [name, value]
+        code = _exit_code(argv)
         err = capsys.readouterr().err
         if code not in (0, 2, 3, 4) or "Traceback" in err:
-            failures.append((code, inputs, flags, verify))
+            failures.append((code, inputs, flags, command))
+    assert failures == []
+
+
+# cells a malformed or hand-edited trace may hold
+FUZZ_CELLS = ("inf", "-inf", "nan", "1e400", "-1e400", "", "0", "-1", "x", "1e-320")
+
+
+def test_seeded_fuzz_of_plotted_traces_exits_with_a_documented_code(tmp_path, capsys):
+    assert main(["run", "--problem", "fig1-num", "--alpha", "10", "--T", "30",
+                 "--out", str(tmp_path / "run")]) == 0
+    lines = [line.split(",") for line in (tmp_path / "run" / "trace.csv").read_text().splitlines()]
+    rng = np.random.default_rng(2025)
+    failures = []
+    for case in range(200):
+        table = [row.copy() for row in lines]
+        for _ in range(rng.integers(1, 4)):
+            row = table[rng.integers(len(table))]
+            draw = rng.random()
+            if draw < 0.7:
+                row[rng.integers(len(row))] = FUZZ_CELLS[rng.integers(len(FUZZ_CELLS))]
+            elif draw < 0.8:
+                row.pop()
+            elif draw < 0.9:
+                row.append("1")
+            elif len(table) > 1:
+                del table[rng.integers(1, len(table))]
+        trace = tmp_path / f"{case}.csv"
+        trace.write_text("".join(",".join(row) + "\n" for row in table))
+        argv = ["plot", "--trace", str(trace), "--out", str(tmp_path / "out")]
+        draw = rng.random()
+        if draw < 0.3:
+            argv += ["--problem", "fig1-num"]
+        elif draw < 0.6:
+            argv += ["--f-star", FUZZ_CELLS[rng.integers(len(FUZZ_CELLS))]]
+        code = _exit_code(argv)
+        err = capsys.readouterr().err
+        if code not in (0, 2) or "Traceback" in err:
+            failures.append((code, table, argv))
+    assert failures == []
+
+
+def test_seeded_fuzz_of_topology_files_raises_only_configuration_errors(tmp_path):
+    rng = np.random.default_rng(2026)
+    failures = []
+    for case in range(200):
+        spec = TOPOLOGY_SPEC
+        for _ in range(rng.integers(1, 4)):
+            spec = _mutate(rng, spec)
+        path = tmp_path / f"{case}.json"
+        path.write_text(json.dumps(spec))
+        try:
+            qp.load_topology(path)
+        except ConfigurationError:
+            pass
+        except Exception as exc:  # a library caller would have to catch it by name
+            failures.append((f"{type(exc).__name__}: {exc}", spec))
     assert failures == []

@@ -9,8 +9,8 @@ from qpush import Topology, netflow
 from qpush.errors import ConfigurationError
 from qpush.oracles import LOG_DOMAIN_FLOOR
 
-from helpers import (link_path_incidence, link_paths, overflow_network, random_topology,
-                     source_path_incidence)
+from helpers import (TOPOLOGY_SPEC, link_path_incidence, link_paths, overflow_network,
+                     random_topology, source_path_incidence)
 
 
 def single_link_topology():
@@ -52,8 +52,9 @@ def test_topology_validation():
         Topology([1.0, 1.0], ((0,), (1,)), ((0,),))  # path 1 unassigned
     with pytest.raises(ConfigurationError):
         Topology([1.0], ((0,), (0,)), ((0, 0), (1,)))  # path in two sources
-    with pytest.raises(ConfigurationError):
-        Topology([0.0], ((0,),), ((0,),))  # nonpositive capacity
+    for cap in (0.0, np.nan, np.inf):  # nonpositive, NaN and infinite capacities
+        with pytest.raises(ConfigurationError, match="capacities must be a vector of positive reals"):
+            Topology([cap], ((0,),), ((0,),))
     with pytest.raises(ConfigurationError):
         Topology([1.0], ((1,),), ((0,),))  # unknown link
     with pytest.raises(ConfigurationError):
@@ -371,15 +372,14 @@ def test_non_finite_round_raises(monkeypatch, bad):
         qp.simulate_decentralized(single_link_topology(), [1.0], [2.0], [4.0], 2.0, 0.0, 0.0, 5)
 
 
+def test_a_nan_utility_weight_is_rejected():
+    # NaN < 0 is false: a check written that way lets the weight drop out of f
+    with pytest.raises(ConfigurationError, match="one nonnegative value per source"):
+        qp.build_num_program(single_link_topology(), [np.nan], [2.0], [2.0])
+
+
 def test_topology_json_round_trip(tmp_path):
-    spec = {
-        "capacities": [1.0, 2.0],
-        "paths": [{"source": 0, "links": [0]}, {"source": 1, "links": [0, 1]}],
-        "x_max": [1.0, 1.0],
-        "y_max": [2.0, 2.0],
-        "utilities": [{"kind": "log", "weight": 1.0},
-                      {"kind": "log", "weight": 0.5}],
-    }
+    spec = TOPOLOGY_SPEC
     path = tmp_path / "topo.json"
     path.write_text(json.dumps(spec))
     topo, weights, x_max, y_max = qp.load_topology(path)
@@ -388,6 +388,25 @@ def test_topology_json_round_trip(tmp_path):
     assert np.array_equal(weights, [1.0, 0.5])
     with pytest.raises(ConfigurationError):
         qp.load_topology({**spec, "utilities": [{"kind": "sqrt", "weight": 1}] * 2})
+
+
+@pytest.mark.parametrize("spec", [
+    {**TOPOLOGY_SPEC, "paths": "x"},
+    {**TOPOLOGY_SPEC, "paths": [[0], [0, 1]]},
+    {**TOPOLOGY_SPEC, "paths": [{"source": 0, "links": None}, {"source": 1, "links": [1]}]},
+    {**TOPOLOGY_SPEC, "utilities": ["log", "log"]},
+    {**TOPOLOGY_SPEC, "utilities": [{"kind": "log", "weight": None}] * 2},
+    {**TOPOLOGY_SPEC, "utilities": [{"kind": "log"}] * 2},
+    {**TOPOLOGY_SPEC, "capacities": [1.0, "a"]},
+    [TOPOLOGY_SPEC],
+], ids=["paths-string", "path-list", "links-null", "utility-string", "weight-null",
+        "weight-missing", "capacity-string", "top-level-list"])
+def test_malformed_topology_raises_configuration_error(tmp_path, spec):
+    path = tmp_path / "topo.json"
+    path.write_text(json.dumps(spec))
+    for source in (spec, path):
+        with pytest.raises(ConfigurationError):
+            qp.load_topology(source)
 
 
 def test_bundled_fixture_matches_printed_matrices():

@@ -53,8 +53,9 @@ def test_flow_power_program_structure():
     # default caps: per-path capacity ceiling log(1 + p_max)
     assert prog.box.hi[0] == pytest.approx(np.log(11.0))
     assert prog.beta_hint == pytest.approx(2.5229, abs=1e-3)
-    with pytest.raises(ConfigurationError):
-        qp.build_flow_power_program(topo, w, y_max=ym, p_max=0.0)
+    for p_max in (0.0, np.nan):
+        with pytest.raises(ConfigurationError):
+            qp.build_flow_power_program(topo, w, y_max=ym, p_max=p_max)
 
 
 def test_flow_power_constraints_convex():

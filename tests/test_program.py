@@ -291,12 +291,15 @@ def test_program_json_round_trip(tmp_path):
 
 
 def test_convexity_guards():
-    with pytest.raises(ConfigurationError):
-        CoordinateTerms([-1.0], [0.0], [0.0])
-    with pytest.raises(ConfigurationError):
-        ConstraintTerms([[1.0]], [0.0], quad=[[-1.0]])
-    with pytest.raises(ConfigurationError):
-        ConstraintTerms([[1.0]], [0.0], neglog1p=[[-1.0]])
+    for bad in (-1.0, np.nan):  # NaN fails a check written as "not all >= 0"
+        with pytest.raises(ConfigurationError):
+            CoordinateTerms([bad], [0.0], [0.0])
+        with pytest.raises(ConfigurationError):
+            CoordinateTerms([0.0], [0.0], [bad])
+        with pytest.raises(ConfigurationError):
+            ConstraintTerms([[1.0]], [0.0], quad=[[bad]])
+        with pytest.raises(ConfigurationError):
+            ConstraintTerms([[1.0]], [0.0], neglog1p=[[bad]])
 
 
 def test_absent_constraint_parts_are_not_stored(fig1_instance):
