@@ -123,6 +123,6 @@ def dsg_run(program, x_init_ignored, gamma, T, oracle=None, record_every=None,
 
     x_init = np.zeros(program.n) if x_init_ignored is None else np.asarray(x_init_ignored, dtype=float)
     return _drive(T, record_every, advance, row, algorithm="dsg", problem=label,
-                  alpha=None, gamma=float(gamma), mode="inequality",
+                  alpha=None, gamma=float(gamma),
                   oracle=getattr(oracle, "name", type(oracle).__name__),
                   x_init=x_init, program=program)

@@ -59,6 +59,17 @@ def _check_paths(hops, pl_path, pl_link, L):
         raise ConfigurationError("path {} {}".format(*min(found, key=lambda f: f[0])))
 
 
+def _require_indices(groups, message):
+    """Raise ConfigurationError(message.format(i, v)) for the first entry v,
+    in group i, that is not an int or numpy integer: a bool, a float or a
+    string.  Valid input costs one pass over the entries' types."""
+    kinds = set(map(type, itertools.chain.from_iterable(groups)))
+    if not all(kind is int or issubclass(kind, np.integer) for kind in kinds):
+        i, v = next((i, v) for i, group in enumerate(groups) for v in group
+                    if type(v) is not int and not isinstance(v, np.integer))
+        raise ConfigurationError(message.format(i, v))
+
+
 @dataclass(frozen=True)
 class Topology:
     """Links, paths, and the path-to-source assignment.
@@ -81,7 +92,8 @@ class Topology:
         if cap.ndim != 1 or not np.all((cap > 0) & (cap < np.inf)):  # NaN fails both
             raise ConfigurationError("capacities must be a vector of positive reals")
         L = cap.shape[0]
-        path_links = tuple(tuple(sorted(int(l) for l in links)) for links in self.path_links)
+        _require_indices(self.path_links, "path {} has link {!r}, not an integer index")
+        path_links = tuple(tuple(sorted(map(int, links))) for links in self.path_links)
         K = len(path_links)
         hops = np.fromiter(map(len, path_links), np.intp, K)
         links = list(itertools.chain.from_iterable(path_links))
@@ -91,7 +103,8 @@ class Topology:
             pl_link = np.array(links, dtype=object)
         pl_path = np.repeat(np.arange(K), hops)
         _check_paths(hops, pl_path, pl_link, L)  # so pl_link holds indices from here on
-        source_paths = tuple(tuple(int(k) for k in ks) for ks in self.source_paths)
+        _require_indices(self.source_paths, "source {} has path {!r}, not an integer index")
+        source_paths = tuple(tuple(map(int, ks)) for ks in self.source_paths)
         seen = [k for ks in source_paths for k in ks]
         if sorted(seen) != list(range(K)):
             raise ConfigurationError("source path sets must partition the path indices")
@@ -152,6 +165,7 @@ class Topology:
     @classmethod
     def from_paths(cls, capacities, paths):
         """Build from a list of (source, links) pairs, one per path."""
+        _require_indices([(s,) for s, _ in paths], "path {} has source {!r}, not an integer index")
         sources = sorted({int(s) for s, _ in paths})
         if sources != list(range(len(sources))):
             raise ConfigurationError("sources must be numbered 0..S-1 without gaps")
@@ -358,7 +372,7 @@ def simulate_decentralized(topology, utilities, x_max, y_max, alpha,
 
     per_round = int(topology._lp_link.size)
     return _drive(T, record_every, advance, row, algorithm="vq-decentralized", problem=label,
-                  alpha=float(alpha), mode="inequality", oracle="agent-message-passing",
+                  alpha=float(alpha), oracle="agent-message-passing",
                   x_init=z_init, program=program,
                   extras={"price_messages": T * per_round, "rate_messages": T * per_round,
                           "price_messages_per_round": per_round,

@@ -498,8 +498,11 @@ def load_program(source):
                 f"unknown objective kind {kind!r}; expected one of {_OBJECTIVE_KINDS}")
     except KeyError as exc:
         raise ConfigurationError(f"problem file missing field: {exc}") from exc
-    except (TypeError, AttributeError, OverflowError) as exc:
-        # a list or a scalar where an object belongs, an infinite or huge size
+    except ConfigurationError:
+        raise
+    except (TypeError, AttributeError, ValueError, OverflowError) as exc:
+        # a list or a scalar where an object belongs, a string where a number
+        # belongs, an infinite or huge size
         raise ConfigurationError(f"malformed problem file: {exc}") from exc
     if A.shape != (m, n):
         raise ConfigurationError(f"linear.A has shape {A.shape}, expected ({m}, {n})")

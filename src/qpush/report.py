@@ -66,7 +66,6 @@ class RunReport:
     problem: str
     alpha: float
     iterations: int
-    mode: str
     record_every: int
     oracle: str
     x_init: np.ndarray
@@ -101,7 +100,8 @@ class RunReport:
 
     @property
     def max_violation(self):
-        return self.g_xbar.max(axis=1)
+        # -inf, the maximum of an empty set, on a program with no rows
+        return self.g_xbar.max(axis=1, initial=-np.inf)
 
     @property
     def final(self):
@@ -112,7 +112,7 @@ class RunReport:
         return {
             "t": int(self.t[-1]),
             "f_xbar": float(self.f_xbar[-1]),
-            "max_violation": float(self.g_xbar[-1].max()),
+            "max_violation": float(self.g_xbar[-1].max(initial=-np.inf)),
             "queue_norm": float(np.sqrt(np.add.reduce(q * q))),
         }
 
@@ -223,7 +223,6 @@ def write_summary(report, path, extra=None):
         "alpha": report.alpha,
         "gamma": report.gamma,
         "iterations": report.iterations,
-        "mode": report.mode,
         "record_every": report.record_every,
         "oracle": report.oracle,
         "wall_time_s": report.wall_time,

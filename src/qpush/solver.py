@@ -4,24 +4,24 @@ Each iteration observes the previous iterate x(t-1) and the queue vector
 Q(t), builds the weights W = Q(t) + g(x(t-1)), and performs
 
     x(t)      = argmin over the box of  f(x) + W.g(x) + alpha||x - x(t-1)||^2
-    Q_k(t+1)  = max(-g_k(x(t)), Q_k(t) + g_k(x(t)))        (inequality rows)
-                Q_k(t) + g_k(x(t))                          (equality rows)
+    Q_k(t+1)  = max(-g_k(x(t)), Q_k(t) + g_k(x(t)))
     xbar(t+1) = xbar(t) * t/(t+1) + x(t) / (t+1)
 
-with Q_k(0) = max(0, -g_k(x_init)) on inequality rows and 0 on equality
-rows (so an equality queue is exactly the running constraint sum).  For
+with Q_k(0) = max(0, -g_k(x_init)).  Every row is an inequality
+g_k(x) <= 0; an affine equality H x = d is the two blocks of rows
+H x - d <= 0 and d - H x <= 0, whose modulus is sqrt(2) sigma_max(H).  For
 the averaged iterate to carry the O(1/t) guarantees, alpha must be at
 least beta^2/2 where beta is the Lipschitz modulus of g on the box; the
 solver only warns when that cannot be verified, since exploring smaller
 alpha is legitimate.
 
-Runtime invariants maintained on inequality rows (checked for every step
-when ``validate`` is on, with absolute tolerance 1e-9 at desk scale):
+Runtime invariants (checked for every step when ``validate`` is on,
+with absolute tolerance 1e-9 at desk scale):
 
 * queues stay nonnegative and the weights W stay nonnegative,
 * |Q_k(t)| >= |g_k(x(t-1))| for t >= 1 (reversed at t = 0),
 * the Lyapunov drift of 0.5||Q||^2 never exceeds Q(t).g(x(t)) + ||g(x(t))||^2,
-* Q_k(t) >= sum_{tau<t} g_k(x(tau)) (on every row, equality rows included).
+* Q_k(t) >= sum_{tau<t} g_k(x(tau)).
 
 The drift's rounding error grows with its terms, so the drift check
 allows max(1e-9, (m+4) eps M), M = 0.5||Q(t+1)||^2 + ||Q(t)||^2 + 1.5||g||^2
@@ -104,43 +104,16 @@ class SolverState:
     Q: np.ndarray
     x_bar: np.ndarray
     alpha: float
-    eq_mask: np.ndarray
     cum_g: np.ndarray
     f_prev: float = float("nan")
     drift: float = float("nan")
     drift_bound: float = float("nan")
     _work: object = field(default=None, repr=False, compare=False)
 
-    @property
-    def mode(self):
-        if not self.eq_mask.any():
-            return "inequality"
-        if self.eq_mask.all():
-            return "equality"
-        return "mixed"
 
-
-def _parse_mode(mode, m):
-    """Accept 'inequality', 'equality', or a per-constraint sequence."""
-    if isinstance(mode, str):
-        if mode == "inequality":
-            return np.zeros(m, dtype=bool)
-        if mode == "equality":
-            return np.ones(m, dtype=bool)
-        raise ValueError(f"unknown mode {mode!r}")
-    modes = list(mode)
-    if len(modes) != m:
-        raise ValueError("per-constraint mode list must have length m")
-    return np.array([mm == "equality" for mm in modes], dtype=bool)
-
-
-def queue_update(Q, g_now, mode="inequality"):
-    """One queue transition.
-
-    Inequality rows take max(-g, Q + g), which keeps the queue at least
-    |g|; equality rows accumulate Q + g so the queue equals the running
-    constraint sum.
-    """
+def queue_update(Q, g_now):
+    """One queue transition, max(-g, Q + g), which keeps the queue at
+    least |g|."""
     # arrays the solver built itself are float already; convert the rest
     if Q.__class__ is not np.ndarray or Q.dtype is not _FLOAT:
         Q = np.asarray(Q, dtype=float)
@@ -148,26 +121,17 @@ def queue_update(Q, g_now, mode="inequality"):
         g_now = np.asarray(g_now, dtype=float)
     if Q.shape != g_now.shape:
         raise ValueError("queue and constraint vectors must have equal length")
-    plus = Q + g_now
-    if isinstance(mode, str) and mode == "inequality":
-        return np.maximum(-g_now, plus)
-    eq = _parse_mode(mode, Q.shape[0]) if not isinstance(mode, np.ndarray) else mode
-    return np.where(eq, plus, np.maximum(-g_now, plus))
+    return np.maximum(-g_now, Q + g_now)
 
 
 class _Workspace:
-    """Per-run state of a step: the queue-update mode, the block of steps
-    whose invariants wait for their test, the zero vector of the iterate's
-    finiteness test and the last step's Q(t+1) with its 0.5||Q(t+1)||^2."""
+    """Per-run state of a step: the block of steps whose invariants wait
+    for their test, the zero vector of the iterate's finiteness test and
+    the last step's Q(t+1) with its 0.5||Q(t+1)||^2."""
 
-    __slots__ = ("queue_mode", "ineq", "deferred", "t0", "vectors", "scalars",
-                 "zeros", "Q_next", "half_qq")
+    __slots__ = ("deferred", "t0", "vectors", "scalars", "zeros", "Q_next", "half_qq")
 
-    def __init__(self, eq_mask, n):
-        has_eq = bool(eq_mask.any())
-        self.queue_mode = eq_mask if has_eq else "inequality"
-        # the queue, weight and lower checks hold on inequality rows only
-        self.ineq = ~eq_mask if has_eq else None
+    def __init__(self, n):
         # True while ``run`` collects steps for a block test; False tests
         # each step at once
         self.deferred = False
@@ -184,12 +148,11 @@ class _Workspace:
         self.half_qq = math.nan
 
 
-def init(program, x_init, alpha, mode="inequality"):
+def init(program, x_init, alpha):
     """Set up a solver state at t = 0.
 
     ``x_init`` plays the role of the initial guess x(-1) and must lie in
-    the box.  Inequality queues start at max(0, -g_k(x_init)); equality
-    queues start at zero.
+    the box.  The queues start at max(0, -g_k(x_init)).
     """
     x_init = np.asarray(x_init, dtype=float)
     if x_init.shape != (program.n,):
@@ -198,12 +161,6 @@ def init(program, x_init, alpha, mode="inequality"):
         raise ValueError("x_init lies outside the box")
     if not 0 < alpha < math.inf:  # NaN fails both comparisons
         raise ValueError(f"alpha must be positive and finite, got {alpha}")
-    eq_mask = _parse_mode(mode, program.m)
-    if eq_mask.any() and program.constraint_terms is not None:
-        rows = np.flatnonzero(eq_mask)
-        ct = program.constraint_terms
-        if (ct._has_quad and ct.quad[rows].any()) or (ct._has_nl and ct.neglog1p[rows].any()):
-            raise ConfigurationError("equality mode is only supported on linear constraint rows")
     beta = program.beta_hint
     if beta is None:
         warnings.warn("beta is unknown; cannot verify alpha >= beta^2/2",
@@ -213,17 +170,15 @@ def init(program, x_init, alpha, mode="inequality"):
             f"alpha={alpha:g} < beta^2/2={0.5 * beta * beta:g}; convergence "
             "guarantees are not certified", AlphaBelowCurvatureWarning, stacklevel=2)
     g0 = program.constraint_values(x_init)
-    Q0 = np.where(eq_mask, 0.0, np.maximum(0.0, -g0))
     return SolverState(
         t=0,
         x_prev=x_init.copy(),
         g_prev=g0,
-        Q=Q0,
+        Q=np.maximum(0.0, -g0),
         x_bar=None,
         alpha=float(alpha),
-        eq_mask=eq_mask,
         cum_g=np.zeros(program.m),
-        _work=_Workspace(eq_mask, program.n),
+        _work=_Workspace(program.n),
     )
 
 
@@ -256,8 +211,6 @@ def _check_block(work):
     np.less(Q, 0.0, out=vector_flags[0])
     np.less(Q + gs[:-1], -INVARIANT_TOL, out=vector_flags[1])
     np.less(np.abs(Qn), np.abs(g) - INVARIANT_TOL, out=vector_flags[2])
-    if work.ineq is not None:
-        np.logical_and(vector_flags[:3], work.ineq, out=vector_flags[:3])
     cum_tol = np.arange(t0 + 1, t0 + k + 1) * 1e-12
     np.less(Qn, (cums[1:] - cum_tol[:, None]) - INVARIANT_TOL, out=vector_flags[3])
     np.greater(drift, bound + INVARIANT_TOL, out=drift_flags)
@@ -297,7 +250,7 @@ def step(state, program, oracle=None, validate=True):
         oracle = make_oracle(program)
     work = state._work
     if work is None:
-        work = state._work = _Workspace(state.eq_mask, program.n)
+        work = state._work = _Workspace(program.n)
     t = state.t
     Q = state.Q
     W = Q + state.g_prev
@@ -317,7 +270,7 @@ def step(state, program, oracle=None, validate=True):
     if not (math.isfinite(f_new) and _all_finite(g_new, gg)):
         raise NumericalDomainError(
             f"objective or constraint value is not finite at iteration {t}")
-    Q_next = queue_update(Q, g_new, work.queue_mode)
+    Q_next = queue_update(Q, g_new)
     L = work.half_qq if Q is work.Q_next else 0.5 * float(Q.dot(Q))
     half_qq = 0.5 * float(Q_next.dot(Q_next))
     work.Q_next, work.half_qq = Q_next, half_qq
@@ -382,8 +335,8 @@ def _drive(T, record_every, advance, row, **config):
                           **config)
 
 
-def run(program, x_init, alpha, T, oracle=None, mode="inequality",
-        record_every=None, validate=True, label="program"):
+def run(program, x_init, alpha, T, oracle=None, record_every=None, validate=True,
+        label="program"):
     """Run ``T`` iterations and collect a trace.
 
     Rows are recorded every ``record_every`` iterations (defaults to
@@ -393,7 +346,7 @@ def run(program, x_init, alpha, T, oracle=None, mode="inequality",
     """
     if oracle is None:
         oracle = make_oracle(program)
-    state = init(program, x_init, alpha, mode)
+    state = init(program, x_init, alpha)
     work = state._work
     work.deferred = True
     pending = work.vectors
@@ -410,7 +363,7 @@ def run(program, x_init, alpha, T, oracle=None, mode="inequality",
 
     try:
         return _drive(T, record_every, advance, row,
-                      algorithm="vq", problem=label, alpha=alpha, mode=state.mode,
+                      algorithm="vq", problem=label, alpha=alpha,
                       oracle=getattr(oracle, "name", type(oracle).__name__),
                       x_init=np.asarray(x_init, dtype=float).copy(), program=program)
     except Exception:
@@ -515,7 +468,7 @@ def verify_bounds(report, f_star, x_star, lambda_star, beta, slack=1e-9):
         constant = (2.0 * float(np.linalg.norm(lambda_star))
                     + np.sqrt(2.0 * alpha) * dist
                     + np.sqrt(alpha / (alpha - half_beta_sq)) * float(np.linalg.norm(g_star)))
-        constraint_margin = constant / t - report.g_xbar.max(axis=1)
+        constraint_margin = constant / t - report.max_violation
         queue_margin = constant - report.queue_norm
     else:
         constant = float("nan")
@@ -524,7 +477,7 @@ def verify_bounds(report, f_star, x_star, lambda_star, beta, slack=1e-9):
         skipped["constraint"] = "alpha <= beta^2/2"
         skipped["queue"] = "alpha <= beta^2/2"
 
-    queue_lower_margin = (report.Q - report.cum_g).min(axis=1)
+    queue_lower_margin = (report.Q - report.cum_g).min(axis=1, initial=np.inf)
 
     return BoundReport(
         t=report.t.copy(),

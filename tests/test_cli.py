@@ -250,8 +250,8 @@ def test_overflowing_multiplier_exits_3(tmp_path, capsys):
 def test_invariant_violation_exits_3(tmp_path, monkeypatch, capsys):
     real_update = qp.solver.queue_update
 
-    def faulty(Q, g, mode="inequality"):
-        return real_update(Q, g, mode) - 1.0   # queues 1 below their transition
+    def faulty(Q, g):
+        return real_update(Q, g) - 1.0   # queues 1 below their transition
 
     monkeypatch.setattr(qp.solver, "queue_update", faulty)
     code = main(["run", "--problem", "fig1-num", "--alpha", "10", "--T", "50",

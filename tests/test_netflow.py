@@ -409,6 +409,37 @@ def test_malformed_topology_raises_configuration_error(tmp_path, spec):
             qp.load_topology(source)
 
 
+def _with_path(index, **fields):
+    paths = [dict(p) for p in TOPOLOGY_SPEC["paths"]]
+    paths[index].update(fields)
+    return {**TOPOLOGY_SPEC, "paths": paths}
+
+
+@pytest.mark.parametrize("spec, message", [
+    (_with_path(0, links=[0.7]), "path 0 has link 0.7, not an integer index"),
+    (_with_path(1, links=["1", 0]), "path 1 has link '1', not an integer index"),
+    (_with_path(1, links=[0, True]), "path 1 has link True, not an integer index"),
+    (_with_path(1, source=1.9), "path 1 has source 1.9, not an integer index"),
+    (_with_path(0, source="0"), "path 0 has source '0', not an integer index"),
+    (_with_path(1, source=True), "path 1 has source True, not an integer index"),
+], ids=["link-float", "link-string", "link-bool", "source-float", "source-string",
+        "source-bool"])
+def test_topology_rejects_an_index_that_is_not_an_integer(spec, message):
+    # int() would truncate 0.7 and 1.9 and parse "1"; each must be refused
+    with pytest.raises(ConfigurationError) as err:
+        qp.load_topology(spec)
+    assert str(err.value) == message
+
+
+def test_topology_takes_numpy_integer_indices():
+    topo = Topology.from_paths([1.0, 2.0], [(np.int64(0), [np.int32(0)]),
+                                            (1, np.array([1, 0]))])
+    assert topo.path_links == ((0,), (0, 1)) and topo.source_paths == ((0,), (1,))
+    assert all(type(l) is int for links in topo.path_links for l in links)
+    with pytest.raises(ConfigurationError, match="source 1 has path 1.0, not an integer index"):
+        Topology([1.0, 2.0], ((0,), (1,)), ((0,), (1.0,)))
+
+
 def test_bundled_fixture_matches_printed_matrices():
     topo, weights, x_max, y_max = qp.fig1_topology()
     R_expected = np.array([

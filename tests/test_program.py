@@ -290,6 +290,20 @@ def test_program_json_round_trip(tmp_path):
         qp.load_program({**spec, "objective": {"kind": "cubic"}})
 
 
+@pytest.mark.parametrize("change, message", [
+    ({"n": "x"}, "malformed problem file: invalid literal for int()"),
+    ({"box": {"lo": [0, 0, 0], "hi": 1}}, "malformed problem file: box.lo has length 3"),
+    ({"linear": {"A": [[1, 0]], "b": ["a"]}}, "malformed problem file: could not convert"),
+    ({"objective": {"kind": "cubic"}}, "unknown objective kind 'cubic'"),
+], ids=["n-string", "box-length", "b-string", "unknown-kind"])
+def test_load_program_raises_configuration_error_with_its_message(change, message):
+    spec = {"n": 2, "m": 1, "box": {"lo": 0, "hi": 1},
+            "linear": {"A": [[1, 0]], "b": [1]}, "objective": {"kind": "linear", "c": [1, 1]}}
+    with pytest.raises(ConfigurationError) as err:
+        qp.load_program({**spec, **change})
+    assert str(err.value).startswith(message)
+
+
 def test_convexity_guards():
     for bad in (-1.0, np.nan):  # NaN fails a check written as "not all >= 0"
         with pytest.raises(ConfigurationError):

@@ -29,7 +29,7 @@ def test_recorder_rows_are_slices_of_one_block():
         added.append(row)
     assert rec.rows == 3
     # a partial build, as a failed run hands back
-    rep = rec.build(algorithm="vq", problem="p", alpha=1.0, iterations=8, mode="inequality",
+    rep = rec.build(algorithm="vq", problem="p", alpha=1.0, iterations=8,
                     oracle="o", x_init=np.zeros(3))
     names = ("t", "x", "x_bar", "Q", "f_x", "g_x", "f_xbar", "g_xbar", "cum_g", "drift",
              "drift_bound")
@@ -156,6 +156,31 @@ def test_summary_contents(tmp_path):
     assert data["t"] == 120
     assert data["note"] == 1
     assert data["f_xbar"] == rep.final["f_xbar"]
+    assert "mode" not in data  # every row is an inequality
+
+
+def test_a_program_without_constraint_rows_is_written_out(tmp_path):
+    import json
+
+    # min x1^2 - 2 x1 + x2^2 + x2 over a box, m = 0: x* = (1, -0.5), f* = -1.25
+    prog = qp.ConvexProgram.from_terms(
+        qp.CoordinateTerms(np.ones(2), np.array([-2.0, 1.0]), np.zeros(2)),
+        qp.ConstraintTerms(np.zeros((0, 2)), np.zeros(0)),
+        qp.BoxSet(np.full(2, -5.0), np.full(2, 5.0)), beta_hint=0.0)
+    rep = qp.run(prog, np.zeros(2), 1.0, 100)
+    # the maximum over no rows is that of the empty set, -inf
+    assert rep.final["max_violation"] == -np.inf and rep.final["queue_norm"] == 0.0
+    assert np.all(rep.max_violation == -np.inf)
+    write_trace_csv(rep, tmp_path / "trace.csv")
+    write_summary(rep, tmp_path / "summary.json")
+    trace = parse_trace_csv(tmp_path / "trace.csv")
+    assert np.all(trace["max_violation"] == -np.inf)
+    assert np.array_equal(trace["f_xbar"], rep.f_xbar)
+    assert json.loads((tmp_path / "summary.json").read_text())["max_violation"] == -np.inf
+    bounds = qp.verify_bounds(rep, -1.25, np.array([1.0, -0.5]), np.zeros(0), 0.0)
+    assert bounds.ok and bounds.worst("constraint") == bounds.worst("queue_lower") == np.inf
+    # the plot leaves the non-positive violations out
+    assert "<svg" in render_convergence_svg(trace, f_star=-1.25)
 
 
 def test_slope_check_exact_power_laws():

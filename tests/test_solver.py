@@ -88,10 +88,6 @@ def test_queue_update_examples():
         qp.queue_update([1.0], [1.0, 2.0])
 
 
-def test_queue_update_equality_mode():
-    assert qp.queue_update([2.0], [-3.0], "equality")[0] == -1.0
-
-
 def test_one_dim_step_against_grid_search():
     prog = one_dim_program()
     state = qp.init(prog, np.array([0.0]), 1.0)
@@ -189,35 +185,33 @@ def test_invariants_on_random_programs():
             assert np.all(rep.drift <= rep.drift_bound + 1e-9)
 
 
-def test_equality_mode_queue_is_running_sum():
-    prog = offset_program([0.5, -0.25])
-    rep = qp.run(prog, np.zeros(2), 1.0, 50, mode="equality", record_every=1)
-    assert np.allclose(rep.Q, rep.cum_g, atol=1e-12)
-    assert rep.mode == "equality"
-    # equality queues may go negative
-    assert rep.Q.min() < 0
-
-
-def test_mixed_mode_per_constraint():
-    prog = offset_program([0.5, -0.25])
-    rep = qp.run(prog, np.zeros(2), 1.0, 50, mode=["inequality", "equality"],
-                 record_every=1)
-    assert np.all(rep.Q[:, 0] >= 0.0)
-    assert np.allclose(rep.Q[:, 1], rep.cum_g[:, 1], atol=1e-12)
-    assert rep.mode == "mixed"
-
-
-def test_equality_mode_rejects_nonlinear_rows():
-    qpi = qp.generate_qp(2)
-    with pytest.raises(qp.ConfigurationError):
-        qp.init(qpi.program(), np.zeros(100), 10.0, mode="equality")
-    # flow-power: 9 log(1+p) capacity rows, then 3 linear source rows
-    fp = qp.get_problem("fig1-flow-power").program
-    assert fp.constraint_terms.quad is None
-    with pytest.raises(qp.ConfigurationError):
-        qp.init(fp, np.zeros(fp.n), 10.0, mode=["equality"] + ["inequality"] * 11)
-    state = qp.init(fp, np.zeros(fp.n), 10.0, mode=["inequality"] * 9 + ["equality"] * 3)
-    assert state.mode == "mixed"
+def test_affine_equality_as_two_inequality_rows():
+    # min ||x - c||^2 s.t. H x = d, posed as H x - d <= 0 and d - H x <= 0;
+    # on a box that holds x*, the projection of c onto {H x = d}
+    H = np.array([[1.0, 1.0, 1.0], [1.0, -1.0, 0.0]])
+    d = np.array([1.0, 0.5])
+    c = np.array([1.0, 2.0, -1.0])
+    A = np.vstack([H, -H])
+    beta = qp.spectral_norm(A)
+    assert beta == pytest.approx(math.sqrt(2.0) * qp.spectral_norm(H), rel=1e-12)
+    prog = ConvexProgram.from_terms(CoordinateTerms(np.ones(3), -2.0 * c, np.zeros(3)),
+                                    ConstraintTerms(A, np.concatenate([d, -d])),
+                                    BoxSet(np.full(3, -5.0), np.full(3, 5.0)), beta_hint=beta)
+    # stationarity 2(x* - c) + H^T nu = 0; nu splits into the two rows' multipliers
+    nu = 2.0 * np.linalg.solve(H @ H.T, H @ c - d)
+    x_star = c - 0.5 * H.T @ nu
+    f_star = float(x_star @ x_star - 2.0 * c @ x_star)
+    lam_star = np.concatenate([np.maximum(nu, 0.0), np.maximum(-nu, 0.0)])
+    assert qp.kkt_residual(prog, x_star, lam_star) < 1e-12
+    T = 2000
+    rep = qp.run(prog, np.zeros(3), 0.5 * beta * beta + 1.0, T)
+    assert qp.verify_bounds(rep, f_star, x_star, lam_star, beta).ok
+    # the larger of the two rows of a pair is |h_j(xbar)|
+    h = np.abs(rep.g_xbar[:, :2]).max(axis=1)
+    assert np.array_equal(rep.max_violation, h)
+    for errors in (np.abs(rep.f_xbar - f_star), h):
+        res = qp.slope_check(rep.t, errors, (100, T))
+        assert not res.skipped and -1.15 <= res.slope <= -0.85
 
 
 def test_oracle_failure_carries_iteration_index():
@@ -324,16 +318,16 @@ INVARIANT_MESSAGES = {
 }
 
 
-def _invariant_step(monkeypatch, mode, invariant, row, miss):
+def _invariant_step(monkeypatch, invariant, row, miss):
     prog = offset_program([0.0, 0.0])
-    state = qp.init(prog, np.zeros(2), 1.0, mode)
+    state = qp.init(prog, np.zeros(2), 1.0)
     g_new = np.array([-1.0, -1.0])
     real_update = solver.queue_update
-    true_next = real_update(state.Q, g_new, state.eq_mask)
+    true_next = real_update(state.Q, g_new)
 
     def patch_queue(change):
-        def faulty(Q, g, mode="inequality"):
-            out = real_update(Q, g, mode)
+        def faulty(Q, g):
+            out = real_update(Q, g)
             out[row] = change(out[row])
             return out
         monkeypatch.setattr(solver, "queue_update", faulty)
@@ -357,35 +351,24 @@ def _invariant_step(monkeypatch, mode, invariant, row, miss):
     qp.step(state, prog, oracle=lambda W, x_prev, alpha: g_new.copy())
 
 
-def _expect(monkeypatch, mode, invariant, row, miss, raises):
+def _expect(monkeypatch, invariant, row, miss, raises):
     with monkeypatch.context() as patch:
         if raises:
             with pytest.raises(AssertionError) as err:
-                _invariant_step(patch, mode, invariant, row, miss)
+                _invariant_step(patch, invariant, row, miss)
             assert str(err.value) == INVARIANT_MESSAGES[invariant]
             assert isinstance(err.value, qp.InvariantViolation)
             assert (err.value.name, err.value.t) == (invariant, 0)
             assert err.value.margin < 0
         else:
-            _invariant_step(patch, mode, invariant, row, miss)
+            _invariant_step(patch, invariant, row, miss)
 
 
-@pytest.mark.parametrize("mode", ["inequality", ["inequality", "equality"]])
 @pytest.mark.parametrize("invariant", sorted(INVARIANT_MESSAGES))
-def test_invariant_fails_by_ten_tolerances_and_passes_by_a_tenth(monkeypatch, mode, invariant):
-    # row 0 is an inequality row in both modes
-    _expect(monkeypatch, mode, invariant, 0, 10 * INVARIANT_TOL, raises=True)
+def test_invariant_fails_by_ten_tolerances_and_passes_by_a_tenth(monkeypatch, invariant):
+    _expect(monkeypatch, invariant, 0, 10 * INVARIANT_TOL, raises=True)
     # the queue check has no tolerance: any negative queue fails it
-    _expect(monkeypatch, mode, invariant, 0, 0.1 * INVARIANT_TOL,
-            raises=invariant == "queue")
-
-
-@pytest.mark.parametrize("invariant", ["queue", "weight", "lower", "cumulative"])
-def test_equality_rows_check_only_the_cumulative_sum(monkeypatch, invariant):
-    mixed = ["inequality", "equality"]
-    _expect(monkeypatch, mixed, invariant, 1, 10 * INVARIANT_TOL,
-            raises=invariant == "cumulative")
-    _expect(monkeypatch, mixed, invariant, 1, 0.1 * INVARIANT_TOL, raises=False)
+    _expect(monkeypatch, invariant, 0, 0.1 * INVARIANT_TOL, raises=invariant == "queue")
 
 
 # ---------------------------------------------------------------------------
@@ -394,16 +377,18 @@ def test_equality_rows_check_only_the_cumulative_sum(monkeypatch, invariant):
 # of ``step`` calls raises, and before any error of a later step.
 
 def _fault_at(monkeypatch, t_bad, fault):
-    """Let call t_bad of queue_update apply ``fault(t, Q, Q_next, g)`` to its
-    result.  Returns the list that receives the margin the fault expects
-    and the list that counts the calls."""
+    """Let call t_bad of queue_update apply ``fault(t, Q, Q_next, g, cum)``
+    to its result, ``cum`` the running sum of g up to that call's.  Returns
+    the list that receives the margin the fault expects and the list that
+    counts the calls."""
     real_update = solver.queue_update
-    calls, expected = [0], []
+    calls, expected, cum = [0], [], [0.0]
 
-    def faulty(Q, g, mode="inequality"):
-        out = real_update(Q, g, mode)
+    def faulty(Q, g):
+        out = real_update(Q, g)
+        cum[0] = cum[0] + g  # the step's own running sum, to the bit
         if calls[0] == t_bad:
-            expected.append(fault(t_bad, Q, out, g))
+            expected.append(fault(t_bad, Q, out, g, cum[0]))
         calls[0] += 1
         return out
 
@@ -414,14 +399,14 @@ def _fault_at(monkeypatch, t_bad, fault):
 # Each fault breaks one invariant on one row and returns its margin, worked
 # out here from the invariant's definition with the step's own operations.
 
-def _halve_largest(t, Q, Q_next, g):
+def _halve_largest(t, Q, Q_next, g, cum):
     # |Q_k(t+1)| = |g_k| / 2 on the row with the largest |g_k|
     k = int(np.argmax(np.abs(g)))
     Q_next[k] = 0.5 * abs(g[k])
     return float(abs(Q_next[k]) - (abs(g[k]) - INVARIANT_TOL))
 
 
-def _double(t, Q, Q_next, g):
+def _double(t, Q, Q_next, g, cum):
     Q_next *= 2.0
     L = 0.5 * float(Q.dot(Q))
     delta = 0.5 * float(Q_next.dot(Q_next)) - L
@@ -431,29 +416,32 @@ def _double(t, Q, Q_next, g):
     return bound + tol - delta
 
 
-def _lower_first_queue(t, Q, Q_next, g):
-    cum = Q_next[0]  # on an equality row the queue is the running sum
-    Q_next[0] -= 1e6 * INVARIANT_TOL
-    return float(Q_next[0] - ((cum - (t + 1) * 1e-12) - INVARIANT_TOL))
+def _negate_farthest_queue(t, Q, Q_next, g, cum):
+    # Q_k(t+1) = -Q_k(t+1) on the row with the largest Q_k(t+1) + cum_k(t+1),
+    # which drops it below cum_k(t+1); |Q| keeps its value, so step t's
+    # lower and drift checks still pass
+    k = int(np.argmax(Q_next + cum))
+    assert Q_next[k] + cum[k] > 1e-3
+    Q_next[k] = -Q_next[k]
+    return float(Q_next[k] - ((cum[k] - (t + 1) * 1e-12) - INVARIANT_TOL))
 
 
 BLOCK_FAULTS = {
-    "lower": (_halve_largest, "inequality"),
-    "drift": (_double, "inequality"),
-    # equality rows test only the running sum
-    "cumulative": (_lower_first_queue, "equality"),
+    "lower": _halve_largest,
+    "drift": _double,
+    "cumulative": _negate_farthest_queue,
 }
 
 
-def _first_violation(monkeypatch, program, T, t_bad, fault, mode, through_run):
+def _first_violation(monkeypatch, program, T, t_bad, fault, through_run):
     x0 = np.zeros(program.n)
     with monkeypatch.context() as patch:
         expected, calls = _fault_at(patch, t_bad, fault)
         with pytest.raises(qp.InvariantViolation) as err:
             if through_run:
-                qp.run(program, x0, 10.0, T, mode=mode)
+                qp.run(program, x0, 10.0, T)
             else:
-                state = qp.init(program, x0, 10.0, mode)
+                state = qp.init(program, x0, 10.0)
                 oracle = qp.make_oracle(program)
                 for _ in range(T):
                     qp.step(state, program, oracle)
@@ -465,11 +453,10 @@ def _first_violation(monkeypatch, program, T, t_bad, fault, mode, through_run):
 def test_run_raises_what_a_loop_of_steps_raises(monkeypatch, fig1_instance, invariant, T, t_bad):
     # t_bad inside the first block, inside a later one, last of the last partial one
     prog = fig1_instance.program
-    fault, mode = BLOCK_FAULTS[invariant]
+    fault = BLOCK_FAULTS[invariant]
     block = solver._BLOCK
     for through_run, steps in ((False, t_bad + 1), (True, min(T, (t_bad // block + 1) * block))):
-        raised, margin, done = _first_violation(monkeypatch, prog, T, t_bad, fault, mode,
-                                                through_run)
+        raised, margin, done = _first_violation(monkeypatch, prog, T, t_bad, fault, through_run)
         assert raised == (invariant, t_bad, margin) and margin < 0
         # run tests a block once its last step is done
         assert done == steps
@@ -477,14 +464,13 @@ def test_run_raises_what_a_loop_of_steps_raises(monkeypatch, fig1_instance, inva
 
 def test_a_step_reports_its_first_failing_check(monkeypatch, fig1_instance):
     # both the lower bound and the drift fail at t = 40; lower comes first
-    def both(t, Q, Q_next, g):
-        _double(t, Q, Q_next, g)
-        return _halve_largest(t, Q, Q_next, g)
+    def both(t, Q, Q_next, g, cum):
+        _double(t, Q, Q_next, g, cum)
+        return _halve_largest(t, Q, Q_next, g, cum)
 
     prog = fig1_instance.program
     for through_run in (False, True):
-        raised, margin, _ = _first_violation(monkeypatch, prog, 50, 40, both, "inequality",
-                                             through_run)
+        raised, margin, _ = _first_violation(monkeypatch, prog, 50, 40, both, through_run)
         assert raised == ("lower", 40, margin)
 
 
@@ -550,8 +536,8 @@ def test_drift_tolerance_follows_the_scale_of_the_terms(monkeypatch, scale):
     state = qp.init(prog, np.zeros(2), 1.0)
     real_update = solver.queue_update
 
-    def faulty(Q, g, mode="inequality"):
-        out = real_update(Q, g, mode)
+    def faulty(Q, g):
+        out = real_update(Q, g)
         out[0] = math.sqrt(2.0 * (2.0 + 1e-6) - 1.0) * scale
         return out
 
@@ -561,8 +547,7 @@ def test_drift_tolerance_follows_the_scale_of_the_terms(monkeypatch, scale):
     assert err.value.name == "drift" and err.value.margin < 0
 
 
-@pytest.mark.parametrize("mode", ["inequality", "equality"])
-def test_cumulative_check_at_scale_1e9(monkeypatch, mode):
+def test_cumulative_check_at_scale_1e9(monkeypatch):
     # at 1e9 the running sums reach 1e12 against an absolute tolerance of
     # 1e-9: clean runs must pass it, and a queue a relative 1e-6 below the
     # running sum must still fail it
@@ -570,11 +555,10 @@ def test_cumulative_check_at_scale_1e9(monkeypatch, mode):
     rng = np.random.default_rng(43)
     for _ in range(4):
         prog = scaled_linear_program(rng, scale)
-        qp.run(prog, np.zeros(3), 0.5 * prog.beta_hint ** 2 + 1.0, 1000, mode=mode,
-               record_every=1000)
+        qp.run(prog, np.zeros(3), 0.5 * prog.beta_hint ** 2 + 1.0, 1000, record_every=1000)
     # g(x) = x with x = scale at every step: Q(t) and the running sum are t * scale
     prog = offset_program([0.0], -5.0 * scale, 5.0 * scale)
-    state = qp.init(prog, np.zeros(1), 1.0, mode)
+    state = qp.init(prog, np.zeros(1), 1.0)
 
     def oracle(W, x_prev, alpha):
         return np.full(1, scale)
@@ -583,8 +567,8 @@ def test_cumulative_check_at_scale_1e9(monkeypatch, mode):
         qp.step(state, prog, oracle=oracle)
     real_update = solver.queue_update
 
-    def faulty(Q, g, mode="inequality"):
-        return real_update(Q, g, mode) - 1e-6 * np.abs(state.cum_g + g)
+    def faulty(Q, g):
+        return real_update(Q, g) - 1e-6 * np.abs(state.cum_g + g)
 
     monkeypatch.setattr(solver, "queue_update", faulty)
     with pytest.raises(qp.InvariantViolation,
