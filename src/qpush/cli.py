@@ -15,9 +15,10 @@ virtual-queue method with a required reference file ``{"f_star":..,
 "x_star":[..], "lambda_star":[..], "beta":..}``: it checks the trace
 against the certified decay bounds and exits 4 when one is violated.
 ``bench`` runs the virtual-queue method and the dual-subgradient
-baseline from zero.  Exit codes: 0 ok, 2 configuration error, 3
-numerical failure (a non-finite value, an oracle that does not
-converge, or an ``InvariantViolation``: a runtime invariant failed
+baseline from zero.  Exit codes: 0 ok, 2 configuration error (an
+input that cannot be read or an output that cannot be written among
+them), 3 numerical failure (a non-finite value, an oracle that does
+not converge, or an ``InvariantViolation``: a runtime invariant failed
 beyond its rounding tolerance), 4 bound violation.
 """
 
@@ -31,7 +32,7 @@ import numpy as np
 
 from .baseline import dsg_run
 from .errors import (ConfigurationError, InvariantViolation, NonConvergenceError,
-                     NumericalDomainError)
+                     NumericalDomainError, _input_errors, _read_json)
 from .problems import PROBLEM_NAMES, ExperimentProblem, get_problem, half_hop_alpha
 from .program import load_program
 from .report import (plot_trace, render_convergence_svg, write_full_trace_csv,
@@ -50,19 +51,9 @@ def _out_dir(args):
     return out
 
 
-def _read_json(path, what):
-    """Parse the JSON input file ``path``; a file that cannot be opened or
-    parsed (missing, a directory, not JSON) is a ConfigurationError."""
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except (OSError, ValueError) as exc:  # ValueError covers JSONDecodeError
-        raise ConfigurationError(f"cannot read {what} {path!r}: {exc}") from exc
-
-
 def _load_instance(args):
     if args.problem_file:
-        program = load_program(_read_json(args.problem_file, "problem file"))
+        program = load_program(args.problem_file)
         return ExperimentProblem(name=os.path.basename(args.problem_file),
                                  program=program, sense="min", f_star=None,
                                  default_alpha=None)
@@ -105,10 +96,8 @@ def _resolve_x_init(args, program):
         x0 = _read_json(args.x_init, "--x-init file")
         if not isinstance(x0, list):
             raise ConfigurationError("--x-init file must hold a JSON list of numbers")
-        try:
+        with _input_errors("--x-init file"):
             x0 = np.asarray(x0, dtype=float)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ConfigurationError(f"--x-init file must hold a JSON list of numbers: {exc}") from exc
     if not program.box.contains(x0):
         raise ConfigurationError("initial point lies outside the box")
     return x0
@@ -141,14 +130,9 @@ def _apply_reference(report, path):
     """Check the reference file at ``path`` against the report's program
     and fill the report's bound-residual columns from it."""
     ref = _read_json(path, "reference file")
-    try:
+    with _input_errors("reference file"):
         f_star, x_star = float(ref["f_star"]), np.asarray(ref["x_star"], dtype=float)
         lambda_star, beta = np.asarray(ref["lambda_star"], dtype=float), float(ref["beta"])
-    except KeyError as exc:
-        raise ConfigurationError(f"reference file missing field: {exc}") from exc
-    except (TypeError, AttributeError, OverflowError) as exc:
-        # a list or a scalar where an object belongs, an integer beyond any float
-        raise ConfigurationError(f"malformed reference file: {exc}") from exc
     for name, value in (("f_star", f_star), ("x_star", x_star),
                         ("lambda_star", lambda_star), ("beta", beta)):
         # a NaN or infinite entry would make bounds read skipped or violated
@@ -240,11 +224,7 @@ def plot_command(args):
     if f_star is None and args.problem:
         f_star = get_problem(args.problem, seed=args.seed).f_star
     svg = os.path.join(out, "convergence.svg")
-    try:
-        plot_trace(args.trace, svg, f_star=f_star,
-                   title=args.problem or os.path.basename(args.trace))
-    except OSError as exc:  # a trace that is a directory or unreadable
-        raise ConfigurationError(f"cannot plot trace {args.trace!r}: {exc}") from exc
+    plot_trace(args.trace, svg, f_star=f_star, title=args.problem or os.path.basename(args.trace))
     print(f"wrote {svg}")
     return 0
 
@@ -321,7 +301,7 @@ def main(argv=None):
     args = _parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigurationError, FileNotFoundError, ValueError) as exc:
+    except (ConfigurationError, OSError, ValueError) as exc:  # OSError: an output not writable
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
     except (NonConvergenceError, NumericalDomainError, FloatingPointError) as exc:

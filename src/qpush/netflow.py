@@ -20,15 +20,13 @@ such sum is one segment of an incidence index array of the topology.
 """
 
 import itertools
-import json
 import math
-import os
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericalDomainError
+from .errors import ConfigurationError, NumericalDomainError, _input_errors, _read_json
 from .oracles import LOG_DOMAIN_FLOOR, log_quadratic_minimizer
 from .program import (BoxSet, ConstraintTerms, ConvexProgram, CoordinateTerms, _all_finite,
                       spectral_norm)
@@ -78,9 +76,10 @@ class Topology:
     belongs to exactly one source and ``source_paths`` partitions the
     path indices.  The incidence is also kept as read-only index arrays:
     ``_pl_path``, ``_pl_link`` hold the (path, link) pairs sorted by path,
-    then link (R^T in CSR form); ``_lp_link``, ``_lp_path`` the same pairs
-    sorted by link, then path (R in CSR form); ``_sp_source``, ``_sp_path``
-    each source's paths in ``source_paths`` order (T in CSR form).
+    then link (R^T in CSR form); ``_sp_source``, ``_sp_path`` each
+    source's paths in ``source_paths`` order (T in CSR form).  A segment
+    sum per link is a bincount over ``_pl_link``, which adds each link's
+    paths in increasing path order.
     """
 
     cap: np.ndarray
@@ -108,14 +107,12 @@ class Topology:
         seen = [k for ks in source_paths for k in ks]
         if sorted(seen) != list(range(K)):
             raise ConfigurationError("source path sets must partition the path indices")
-        by_link = np.argsort(pl_link, kind="stable")
         sp_source = np.array([s for s, ks in enumerate(source_paths) for _ in ks], dtype=np.intp)
         sp_path = np.array(seen, dtype=np.intp)
         object.__setattr__(self, "cap", cap)
         object.__setattr__(self, "path_links", path_links)
         object.__setattr__(self, "source_paths", source_paths)
         for name, a in (("_pl_path", pl_path), ("_pl_link", pl_link),
-                        ("_lp_link", pl_link[by_link]), ("_lp_path", pl_path[by_link]),
                         ("_sp_source", sp_source), ("_sp_path", sp_path)):
             a.flags.writeable = False
             object.__setattr__(self, name, a)
@@ -145,7 +142,7 @@ class Topology:
     def _stacked(self):
         L, K, S = self.L, self.K, self.S
         A = np.zeros((L + S, K + S))
-        A[self._lp_link, self._lp_path] = 1.0
+        A[self._pl_link, self._pl_path] = 1.0
         A[L + self._sp_source, self._sp_path] = -1.0
         A[L + np.arange(S), K + np.arange(S)] = 1.0
         A.flags.writeable = False
@@ -190,14 +187,11 @@ def load_topology(source):
 
     Links and sources are 0-based.  Returns (topology, utility_weights,
     x_max, y_max).  ``source`` may be a path or the parsed content; a
-    missing or mistyped field raises ConfigurationError.
+    file that cannot be read or is not JSON, or a missing or mistyped
+    field, raises ConfigurationError.
     """
-    if isinstance(source, (str, bytes, os.PathLike)):
-        with open(source) as fh:
-            spec = json.load(fh)
-    else:
-        spec = source
-    try:
+    spec = _read_json(source, "topology file")
+    with _input_errors("topology file"):
         topo = Topology.from_paths(
             spec["capacities"],
             [(p["source"], p["links"]) for p in spec["paths"]])
@@ -209,14 +203,6 @@ def load_topology(source):
             if u.get("kind") != "log":
                 raise ConfigurationError(f"unsupported utility kind {u.get('kind')!r}")
             weights[s] = float(u["weight"])
-    except KeyError as exc:
-        raise ConfigurationError(f"topology file missing field: {exc}") from exc
-    except ConfigurationError:
-        raise
-    except (TypeError, AttributeError, ValueError, OverflowError) as exc:
-        # a list or a scalar where an object belongs, a string or NaN where a
-        # number belongs, an integer beyond any float
-        raise ConfigurationError(f"malformed topology file: {exc}") from exc
     if weights.shape[0] != topo.S:
         raise ConfigurationError("one utility entry per source required")
     return topo, weights, x_max, y_max
@@ -334,7 +320,7 @@ def simulate_decentralized(topology, utilities, x_max, y_max, alpha,
     def loads(x, y):
         """R x - c and y - T x: one segment sum per link and per source."""
         return np.concatenate([
-            np.bincount(topology._lp_link, x[topology._lp_path], L) - cap,
+            np.bincount(topology._pl_link, x[topology._pl_path], L) - cap,
             y - np.bincount(topology._sp_source, x[topology._sp_path], S)])
 
     load = loads(x, y)
@@ -370,7 +356,7 @@ def simulate_decentralized(topology, utilities, x_max, y_max, alpha,
         dbound = float(Q_before.dot(g_z)) + float(g_z.dot(g_z))
         return z, x_bar, Q, f_z, g_z, cum_g, delta, dbound
 
-    per_round = int(topology._lp_link.size)
+    per_round = int(topology._pl_link.size)
     return _drive(T, record_every, advance, row, algorithm="vq-decentralized", problem=label,
                   alpha=float(alpha), oracle="agent-message-passing",
                   x_init=z_init, program=program,

@@ -32,14 +32,12 @@ and 300 x 3000, 2 vCPUs, numpy 2.4, OpenBLAS), a ratio near 1700, and 2048
 keeps a margin.
 """
 
-import json
 import math
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, _input_errors, _read_json
 
 __all__ = [
     "BoxSet",
@@ -460,15 +458,12 @@ def load_program(source):
                     | {"kind": "diag-quadratic", "p": [...], "c": [...]}
                     | {"kind": "neg-log-utility", "weights": [...]}}
 
-    Scalars are broadcast over box bounds.  A missing or mistyped field,
-    or a non-finite entry of b, c, p or the weights, raises
-    ConfigurationError.
+    Scalars are broadcast over box bounds, and ``linear.A`` may be ``[]``
+    when m = 0.  A file that cannot be read or is not JSON, a missing or
+    mistyped field, or a non-finite entry of b, c, p or the weights,
+    raises ConfigurationError.
     """
-    if isinstance(source, (str, bytes, os.PathLike)):
-        with open(source) as fh:
-            spec = json.load(fh)
-    else:
-        spec = source
+    spec = _read_json(source, "problem file")
 
     def finite(value, length, name):
         v = _vector(value, length, name)
@@ -476,7 +471,7 @@ def load_program(source):
             raise ConfigurationError(f"{name} must be finite")
         return v
 
-    try:
+    with _input_errors("problem file"):
         n = int(spec["n"])
         m = int(spec["m"])
         box = BoxSet(_vector(spec["box"]["lo"], n, "box.lo"),
@@ -496,14 +491,8 @@ def load_program(source):
         else:
             raise ConfigurationError(
                 f"unknown objective kind {kind!r}; expected one of {_OBJECTIVE_KINDS}")
-    except KeyError as exc:
-        raise ConfigurationError(f"problem file missing field: {exc}") from exc
-    except ConfigurationError:
-        raise
-    except (TypeError, AttributeError, ValueError, OverflowError) as exc:
-        # a list or a scalar where an object belongs, a string where a number
-        # belongs, an infinite or huge size
-        raise ConfigurationError(f"malformed problem file: {exc}") from exc
+    if m == 0 and A.shape == (0,):  # JSON writes a (0, n) matrix as []
+        A = A.reshape(0, n)
     if A.shape != (m, n):
         raise ConfigurationError(f"linear.A has shape {A.shape}, expected ({m}, {n})")
     cons = ConstraintTerms(A, b)

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError
+from .errors import ConfigurationError, _input_errors
 
 __all__ = [
     "RunReport",
@@ -189,11 +189,12 @@ def write_trace_csv(report, path):
 def parse_trace_csv(path):
     """Read a trace CSV back into a dict of float arrays keyed by column.
 
-    A file without a ``t``, ``f_xbar`` or ``max_violation`` column (the
-    ones a plot reads), an empty file among them, or with a row of more or
-    fewer cells than the header, is a ConfigurationError.
+    A file that cannot be read, without a ``t``, ``f_xbar`` or
+    ``max_violation`` column (the ones a plot reads; an empty file among
+    them), with a row of more or fewer cells than the header, or with a
+    cell that is not a number, is a ConfigurationError.
     """
-    with open(path) as fh:
+    with _input_errors(f"trace {str(path)!r}"), open(path) as fh:
         header = fh.readline().strip().split(",")
         for name in ("t", "f_xbar", "max_violation"):
             if name not in header:

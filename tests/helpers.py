@@ -13,6 +13,22 @@ from qpush.errors import NumericalDomainError
 
 SCALAR_TOL = 1e-12
 
+# Input paths a loader cannot use, by kind, and the start of the message each
+# raises: no file, a directory, a file that is not JSON.
+UNREADABLE_INPUTS = {"missing": "cannot read", "directory": "cannot read",
+                     "not-json": "malformed"}
+
+
+def unreadable_input(tmp_path, kind):
+    """A path of one of the ``UNREADABLE_INPUTS`` kinds under ``tmp_path``."""
+    path = tmp_path / "input.json"
+    if kind == "directory":
+        path.mkdir()
+    elif kind == "not-json":
+        path.write_text("{not json")
+    return path
+
+
 # A two-link, two-source topology in the JSON schema of ``load_topology``.
 TOPOLOGY_SPEC = {
     "capacities": [1.0, 2.0],

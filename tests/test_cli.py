@@ -205,6 +205,22 @@ def test_plot_of_a_directory_exits_2(tmp_path):
     assert proc.stderr.startswith("configuration error: ")
 
 
+@pytest.mark.parametrize("command", ["run", "plot"])
+def test_an_output_file_that_is_a_directory_exits_2(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    (out / "convergence.svg").mkdir(parents=True)
+    run = ["run", "--problem", "fig1-num", "--alpha", "10", "--T", "10"]
+    if command == "plot":
+        assert main(run + ["--out", str(tmp_path)]) == 0
+        argv = ["plot", "--trace", str(tmp_path / "trace.csv"), "--out", str(out)]
+    else:
+        argv = run + ["--plot", "--out", str(out)]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: ") and "convergence.svg" in err
+
+
 @pytest.mark.parametrize("field, length", [("x_star", 2), ("lambda_star", 3)])
 def test_reference_of_the_wrong_length_exits_2(tmp_path, capsys, field, length):
     with open(reference_file(tmp_path)) as fh:
@@ -218,6 +234,34 @@ def test_reference_of_the_wrong_length_exits_2(tmp_path, capsys, field, length):
     assert code == 2
     assert capsys.readouterr().err == (f"configuration error: reference {field} has length "
                                        f"{length}, expected length {expected}\n")
+
+
+def test_reference_with_a_string_f_star_exits_2(tmp_path, capsys):
+    with open(reference_file(tmp_path)) as fh:
+        ref = json.load(fh)
+    path = tmp_path / "bad-ref.json"
+    path.write_text(json.dumps({**ref, "f_star": "x"}))
+    code = main(["verify", "--problem", "fig1-num", "--alpha", "10", "--T", "10",
+                 "--reference", str(path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err == ("configuration error: malformed reference file: "
+                                       "could not convert string to float: 'x'\n")
+
+
+def test_problem_file_without_constraint_rows_runs(tmp_path):
+    problem = tmp_path / "m0.json"
+    problem.write_text(json.dumps({"n": 2, "m": 0, "box": {"lo": [0, 0], "hi": [1, 1]},
+                                   "linear": {"A": [], "b": []},
+                                   "objective": {"kind": "linear", "c": [1, -1]}}))
+    out = tmp_path / "out"
+    assert main(["run", "--problem-file", str(problem), "--alpha", "auto", "--T", "20",
+                 "--plot", "--full-trace", "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["max_violation"] == -math.inf and summary["beta_hint"] == 0.0
+    # x_1 moves from 0 to 1/2 at t = 1 and stays at its bound 1 from t = 2
+    assert summary["alpha"] == 1.0 and summary["objective"] == pytest.approx(-19.5 / 20)
+    assert (out / "trace_full.csv").read_text().splitlines()[0] == "t,x_0,x_1"
+    assert (out / "convergence.svg").exists()
 
 
 def test_unusable_output_directory_exits_2(tmp_path, capsys):

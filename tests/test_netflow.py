@@ -9,8 +9,8 @@ from qpush import Topology, netflow
 from qpush.errors import ConfigurationError
 from qpush.oracles import LOG_DOMAIN_FLOOR
 
-from helpers import (TOPOLOGY_SPEC, link_path_incidence, link_paths, overflow_network,
-                     random_topology, source_path_incidence)
+from helpers import (TOPOLOGY_SPEC, UNREADABLE_INPUTS, link_path_incidence, link_paths,
+                     overflow_network, random_topology, source_path_incidence, unreadable_input)
 
 
 def single_link_topology():
@@ -34,13 +34,11 @@ def test_incidence_arrays():
     topo = Topology([1.0, 1.0, 1.0], ((2, 0), (0,), (2,)), ((2, 0), (1,)))
     assert topo._pl_path.tolist() == [0, 0, 1, 2]
     assert topo._pl_link.tolist() == [0, 2, 0, 2]
-    assert topo._lp_link.tolist() == [0, 0, 2, 2]
-    assert topo._lp_path.tolist() == [0, 1, 0, 2]
     assert topo._sp_source.tolist() == [0, 0, 1]
     assert topo._sp_path.tolist() == [2, 0, 1]
     assert link_paths(topo) == ((0, 1), (), (0, 2))
     assert topo.hop_counts.tolist() == [2, 1, 1]
-    for name in ("_pl_path", "_pl_link", "_lp_link", "_lp_path", "_sp_source", "_sp_path"):
+    for name in ("_pl_path", "_pl_link", "_sp_source", "_sp_path"):
         assert not getattr(topo, name).flags.writeable
     assert np.array_equal(link_path_incidence(topo), [[1, 1, 0], [0, 0, 0], [1, 0, 1]])
     assert np.array_equal(source_path_incidence(topo), [[1, 0, 1], [0, 1, 0]])
@@ -407,6 +405,14 @@ def test_malformed_topology_raises_configuration_error(tmp_path, spec):
     for source in (spec, path):
         with pytest.raises(ConfigurationError):
             qp.load_topology(source)
+
+
+@pytest.mark.parametrize("kind", UNREADABLE_INPUTS)
+def test_load_topology_of_an_unreadable_file_raises_configuration_error(tmp_path, kind):
+    path = unreadable_input(tmp_path, kind)
+    with pytest.raises(ConfigurationError) as err:
+        qp.load_topology(path)
+    assert str(err.value).startswith(f"{UNREADABLE_INPUTS[kind]} topology file {str(path)!r}: ")
 
 
 def _with_path(index, **fields):

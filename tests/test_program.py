@@ -10,8 +10,8 @@ from qpush import BoxSet, ConstraintTerms, ConvexProgram, CoordinateTerms
 from qpush.errors import ConfigurationError
 from qpush.program import _all_finite, _pair_gram, _selector
 
-from helpers import (FINITENESS_CASES, FINITENESS_IDS, random_network,
-                     random_separable_program, random_sparse_matrix)
+from helpers import (FINITENESS_CASES, FINITENESS_IDS, UNREADABLE_INPUTS, random_network,
+                     random_separable_program, random_sparse_matrix, unreadable_input)
 
 
 def linear_program(A, b, c, lo, hi):
@@ -302,6 +302,28 @@ def test_load_program_raises_configuration_error_with_its_message(change, messag
     with pytest.raises(ConfigurationError) as err:
         qp.load_program({**spec, **change})
     assert str(err.value).startswith(message)
+
+
+@pytest.mark.parametrize("kind", UNREADABLE_INPUTS)
+def test_load_program_of_an_unreadable_file_raises_configuration_error(tmp_path, kind):
+    path = unreadable_input(tmp_path, kind)
+    with pytest.raises(ConfigurationError) as err:
+        qp.load_program(path)
+    assert str(err.value).startswith(f"{UNREADABLE_INPUTS[kind]} problem file {str(path)!r}: ")
+
+
+def test_load_program_reads_an_empty_A_as_no_rows():
+    # JSON writes a (0, n) matrix as [], which numpy reads as shape (0,)
+    spec = {"n": 2, "m": 0, "box": {"lo": 0, "hi": 1}, "linear": {"A": [], "b": []},
+            "objective": {"kind": "linear", "c": [1, 1]}}
+    prog = qp.load_program(spec)
+    assert prog.m == 0 and prog.A.shape == (0, 2) and prog.beta_hint == 0.0
+    # every other shape that is not (m, n) is still refused
+    for m, A, shape in ((0, [[]], "(1, 0)"), (0, [[1, 0]], "(1, 2)"), (0, [1, 0], "(2,)"),
+                        (1, [], "(0,)")):
+        with pytest.raises(ConfigurationError) as err:
+            qp.load_program({**spec, "m": m, "linear": {"A": A, "b": [1] * m}})
+        assert str(err.value) == f"linear.A has shape {shape}, expected ({m}, 2)"
 
 
 def test_convexity_guards():

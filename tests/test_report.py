@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import qpush as qp
+from qpush.errors import ConfigurationError
 from helpers import (random_network, reference_bounds_csv, reference_full_trace_csv,
                      reference_trace_csv)
 from qpush.report import (TRACE_COLUMNS, TraceRecorder, default_record_every,
@@ -181,6 +182,18 @@ def test_a_program_without_constraint_rows_is_written_out(tmp_path):
     assert bounds.ok and bounds.worst("constraint") == bounds.worst("queue_lower") == np.inf
     # the plot leaves the non-positive violations out
     assert "<svg" in render_convergence_svg(trace, f_star=-1.25)
+
+
+def test_parse_trace_csv_refuses_a_cell_that_is_not_a_number_and_a_directory(tmp_path):
+    trace = tmp_path / "trace.csv"
+    trace.write_text("t,f_xbar,max_violation\n1,0.5,0\n2,0.25,x\n")
+    with pytest.raises(ConfigurationError) as err:
+        parse_trace_csv(trace)
+    assert str(err.value) == (f"malformed trace {str(trace)!r}: "
+                              "could not convert string to float: 'x'")
+    with pytest.raises(ConfigurationError) as err:
+        parse_trace_csv(tmp_path)
+    assert str(err.value).startswith(f"cannot read trace {str(tmp_path)!r}: ")
 
 
 def test_slope_check_exact_power_laws():
