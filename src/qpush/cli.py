@@ -24,7 +24,6 @@ beyond its rounding tolerance), 4 bound violation.
 
 import argparse
 import functools
-import json
 import os
 import sys
 
@@ -35,8 +34,8 @@ from .errors import (ConfigurationError, InvariantViolation, NonConvergenceError
                      NumericalDomainError, _input_errors, _read_json)
 from .problems import PROBLEM_NAMES, ExperimentProblem, get_problem, half_hop_alpha
 from .program import load_program
-from .report import (plot_trace, render_convergence_svg, write_full_trace_csv,
-                     write_summary, write_trace_csv)
+from .report import (_write_json, plot_trace, render_convergence_svg,
+                     write_full_trace_csv, write_summary, write_trace_csv)
 from .solver import run, verify_bounds
 
 __all__ = ["main", "run_command", "build_parser"]
@@ -113,10 +112,10 @@ def _execute(args, algo, instance, alpha, alpha_rule):
                          record_every=args.record_every, label=instance.name)
     extra = {"beta_hint": program.beta_hint, "sense": instance.sense,
              "objective": instance.reported_objective(report.final["f_xbar"])}
-    if program.structure == "linear":
+    if program.constraint_terms.is_linear:
         # every linear program the CLI loads carries sigma_max(A) as its hint
         extra["beta_spectral"] = program.beta_hint
-        extra["beta_frobenius"] = float(np.linalg.norm(program.A))
+        extra["beta_frobenius"] = float(np.linalg.norm(program.constraint_terms.lin))
     if instance.f_star_reported is not None:
         extra["f_star_reference"] = instance.f_star_reported
     if alpha_rule == "auto":
@@ -204,9 +203,7 @@ def bench_command(args):
         if instance.f_star is not None:
             row["objective_error"] = abs(rep.final["f_xbar"] - instance.f_star)
         rows.append(row)
-    with open(os.path.join(out, "bench.json"), "w") as fh:
-        json.dump(rows, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(rows, os.path.join(out, "bench.json"))
     print(f"{'algo':6s} {'objective':>12s} {'violation':>11s} {'queue':>10s} {'seconds':>8s}")
     for row in rows:
         print(f"{row['algorithm']:6s} {row['objective']:12.6f} "

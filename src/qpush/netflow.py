@@ -240,8 +240,8 @@ def build_num_program(topology, utilities, x_max, y_max):
     """Assemble the rate-allocation program on z = (x, y).
 
     ``utilities`` is the per-source weight vector of w_s log(y_s) terms.
-    The resulting program is linear-constraint tagged with g(z) = Az - b
-    and carries the spectral norm of A as its Lipschitz hint.
+    Its constraint terms are linear, g(z) = Az - b, and it carries the
+    spectral norm of A as its Lipschitz hint.
     """
     num = NumProblem(topology, utilities,
                      np.broadcast_to(np.asarray(x_max, dtype=float), (topology.K,)),
@@ -257,7 +257,7 @@ def build_num_program(topology, utilities, x_max, y_max):
                                     beta_hint=topology._sigma)
 
 
-def beta_bounds(topology, tol=1e-9):
+def beta_bounds(topology):
     """Topology-only Lipschitz bounds for the stacked constraint map.
 
     Returns (hop_bound, loose_bound) with
@@ -266,22 +266,23 @@ def beta_bounds(topology, tol=1e-9):
         loose_bound = sqrt((L + 1) K + S)
 
     The hop bound never exceeds the loose bound, and the true spectral
-    norm never exceeds the hop bound; both facts are asserted here.
+    norm never exceeds the hop bound; both facts are asserted here, up to
+    1e-9.
     """
     L, K, S = topology.L, topology.K, topology.S
     hops = int(topology.hop_counts.sum())
     hop_bound = float(np.sqrt(S + K + hops))
     loose_bound = float(np.sqrt((L + 1) * K + S))
-    if hop_bound > loose_bound + tol:
+    if hop_bound > loose_bound + 1e-9:
         raise AssertionError("hop bound exceeded the loose bound")
     sigma = topology._sigma
-    if sigma > hop_bound + tol:
+    if sigma > hop_bound + 1e-9:
         raise AssertionError("spectral norm exceeded the hop bound")
     return hop_bound, loose_bound
 
 
 def simulate_decentralized(topology, utilities, x_max, y_max, alpha,
-                           x_init, y_init, T, record_every=None, label="num"):
+                           x_init, y_init, T, record_every=None):
     """Run the per-agent iteration for ``T`` synchronous rounds.
 
     Each round has two phases with a barrier between them.  First every
@@ -295,6 +296,8 @@ def simulate_decentralized(topology, utilities, x_max, y_max, alpha,
 
     The trace row at t records exactly what the centralized solver would
     record: z(t-1) = (x(t-1), y(t-1)) and the stacked queue vector Q(t).
+    Its g is the loads that the agents summed, which equal the program's
+    g(z) up to rounding.
     ``extras`` counts one price and one rate message per (link, path)
     pair and round.  Non-finite rates or constraint values in a round, or
     a non-finite recorded objective, raise NumericalDomainError naming t.
@@ -337,12 +340,11 @@ def simulate_decentralized(topology, utilities, x_max, y_max, alpha,
         z = np.concatenate([x, y])
         if not _all_finite(z, z.dot(zeros_z)):
             raise NumericalDomainError(f"agents computed a non-finite rate at iteration {t}")
-        load = loads(x, y)
+        g_z = loads(x, y)
         Q_before = Q
-        Q = np.maximum(-load, Q + load)
-        price = Q + load
+        Q = np.maximum(-g_z, Q + g_z)
+        price = Q + g_z
         x_bar = z.copy() if x_bar is None else x_bar * (t / (t + 1.0)) + z / (t + 1.0)
-        g_z = program.constraint_values(z)
         if not _all_finite(g_z, g_z.dot(zeros_g)):
             raise NumericalDomainError(f"constraint value is not finite at iteration {t}")
         cum_g += g_z
@@ -357,7 +359,7 @@ def simulate_decentralized(topology, utilities, x_max, y_max, alpha,
         return z, x_bar, Q, f_z, g_z, cum_g, delta, dbound
 
     per_round = int(topology._pl_link.size)
-    return _drive(T, record_every, advance, row, algorithm="vq-decentralized", problem=label,
+    return _drive(T, record_every, advance, row, algorithm="vq-decentralized", problem="num",
                   alpha=float(alpha), oracle="agent-message-passing",
                   x_init=z_init, program=program,
                   extras={"price_messages": T * per_round, "rate_messages": T * per_round,

@@ -145,7 +145,6 @@ class SeparableOracle:
             raise ConfigurationError("a coordinate cannot carry both log and log1p terms")
         self.idx_log = np.flatnonzero(log_cols)
         self.idx_nl1p = np.flatnonzero(nl_cols)
-        self.idx_quad = np.flatnonzero(~(log_cols | nl_cols))
         # each class as a slice when its coordinates are one run (as on every
         # bundled and benchmark program), so that reading lin copies nothing
         self._sel_log, self._sel_nl1p = _selector(self.idx_log), _selector(self.idx_nl1p)
@@ -261,14 +260,12 @@ class SeparableOracle:
 class _ProjectedGradientOracle:
     name = "projected-gradient"
 
-    def __init__(self, program, tol=1e-10, max_iter=100000):
+    def __init__(self, program):
         self.program = program
-        self.tol = tol
-        self.max_iter = max_iter
 
     def __call__(self, weights, x_prev, alpha):
         return solve_projected_gradient(self.program, weights, x_prev, alpha,
-                                        tol=self.tol, max_iter=self.max_iter)
+                                        tol=1e-10, max_iter=100000)
 
 
 def make_oracle(program):

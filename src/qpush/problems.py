@@ -33,6 +33,8 @@ __all__ = [
     "FIG1_ALPHA",
     "half_hop_alpha",
     "build_flow_power_program",
+    "P_MAX",
+    "POWER_COST",
     "FLOW_POWER_OPTIMUM",
     "QpInstance",
     "generate_qp",
@@ -51,8 +53,11 @@ FIG1_ALPHA = 10.0
 # network; the published six-digit value is 1.65687.
 FIG1_UTILITY_OPTIMUM = float(np.log(0.8 * 1.6 ** 4))
 
-# Published optimum (utility minus power cost) of the joint flow/power
-# variant on the same network.
+# Power cap and per-unit power cost of every link in the joint flow/power
+# variant on the same network, and its published optimum (utility minus
+# power cost), which holds at these two values.
+P_MAX = 10.0
+POWER_COST = 0.25
 FLOW_POWER_OPTIMUM = -0.521318
 
 
@@ -91,37 +96,25 @@ def fig1_reference():
     return z_star, lambda_star, -FIG1_UTILITY_OPTIMUM
 
 
-def build_flow_power_program(topology, utilities, x_max=None, y_max=None,
-                             p_max=10.0, power_cost=0.25):
-    """Joint rate and power allocation on z = (x, y, p).
+def build_flow_power_program(topology, utilities, y_max):
+    """Joint rate and power allocation on z = (x, y, p), 0 <= p_l <= P_MAX.
 
     Capacity rows become sum_{k in D_l} x_k - log(1 + p_l) <= 0 and the
-    objective gains the linear power cost.  The Lipschitz hint is the
-    spectral norm of the slope-bound pattern matrix [[R, 0, I], [-T, I, 0]]
-    (the log slope is at most 1 at p = 0, entrywise domination does the
-    rest).
+    objective gains the linear power cost POWER_COST p_l.  The Lipschitz
+    hint is the spectral norm of the slope-bound pattern matrix
+    [[R, 0, I], [-T, I, 0]] (the log slope is at most 1 at p = 0,
+    entrywise domination does the rest).
 
-    Default rate caps follow the elastic capacity scale: a path can never
-    carry more than the smallest attainable capacity log(1 + p_max) along
-    it, and a source never more than its paths jointly.
+    A path rate is capped at log(1 + P_MAX), the largest capacity a link
+    can reach, so the box never cuts off the optimum.
     """
-    p_max = np.broadcast_to(np.asarray(p_max, dtype=float), (topology.L,))
-    if not np.all(p_max > 0):
-        raise ConfigurationError("p_max must be positive")
-    cap_ceiling = np.log1p(p_max)
-    if x_max is None:
-        x_max = np.array([cap_ceiling[list(links)].min()
-                          for links in topology.path_links])
-    if y_max is None:
-        y_max = np.array([sum(x_max[k] for k in ks) for ks in topology.source_paths])
-    num = NumProblem(topology, np.asarray(utilities, dtype=float),
-                     np.broadcast_to(np.asarray(x_max, dtype=float), (topology.K,)),
-                     np.broadcast_to(np.asarray(y_max, dtype=float), (topology.S,)))
     L, K, S = topology.L, topology.K, topology.S
+    num = NumProblem(topology, utilities, np.full(K, np.log1p(P_MAX)),
+                     np.broadcast_to(np.asarray(y_max, dtype=float), (S,)))
     n = K + S + L
     obj = CoordinateTerms(
         quad=np.zeros(n),
-        lin=np.concatenate([np.zeros(K + S), np.full(L, power_cost)]),
+        lin=np.concatenate([np.zeros(K + S), np.full(L, POWER_COST)]),
         log_weight=np.concatenate([np.zeros(K), num.utility_weights, np.zeros(L)]),
     )
     lin = np.zeros((L + S, n))
@@ -129,7 +122,7 @@ def build_flow_power_program(topology, utilities, x_max=None, y_max=None,
     neglog1p = np.zeros((L + S, n))
     neglog1p[:L, K + S:] = np.eye(L)
     cons = ConstraintTerms(lin, np.zeros(L + S), neglog1p=neglog1p)
-    box = BoxSet(np.zeros(n), np.concatenate([num.x_max, num.y_max, p_max]))
+    box = BoxSet(np.zeros(n), np.concatenate([num.x_max, num.y_max, np.full(L, P_MAX)]))
     pattern = lin.copy()
     pattern[:L, K + S:] = np.eye(L)
     beta = spectral_norm(pattern)
@@ -155,7 +148,10 @@ class QpInstance:
     Qm: np.ndarray
     d: np.ndarray
     e: float
-    n: int = 100
+
+    @property
+    def n(self):
+        return self.P.shape[0]
 
     def program(self):
         obj = CoordinateTerms(self.P, self.c, np.zeros(self.n))
@@ -174,15 +170,17 @@ class QpInstance:
         return float(np.sqrt((worst * worst).sum()))
 
 
-def generate_qp(seed, n=100):
-    """Draw a QpInstance; the same seed always returns identical data."""
+def generate_qp(seed):
+    """Draw a 100-dimensional QpInstance; the same seed always returns
+    identical data."""
+    n = 100
     gen = np.random.Generator(np.random.Philox(seed))
     P = gen.uniform(0.0, 4.0, n)
     c = gen.uniform(-15.0, 20.0, n)
     Qm = gen.uniform(0.0, 1.0, n)
     d = gen.uniform(-1.0, 1.0, n)
     e = float(gen.uniform(4.0, 5.0))
-    return QpInstance(seed=int(seed), P=P, c=c, Qm=Qm, d=d, e=e, n=n)
+    return QpInstance(seed=int(seed), P=P, c=c, Qm=Qm, d=d, e=e)
 
 
 @dataclass(frozen=True)
@@ -203,14 +201,15 @@ def _qp_lagrangian_argmin(qp, lam):
     return np.clip(vertex, 0.0, 1.0)
 
 
-def qp_reference_optimum(qp, tol=1e-12, lam_max=1e8):
+def qp_reference_optimum(qp):
     """Solve a QpInstance by bisection on the scalar dual variable.
 
     With one constraint the dual problem is one-dimensional: the
     Lagrangian minimizer x(lam) is closed-form per coordinate and
     g(x(lam)) is nonincreasing in lam, so the complementary-slackness
-    root brackets cleanly.  Entirely independent of the iterative
-    solvers; the returned KKT residual certifies the answer.
+    root brackets cleanly, in [0, 1e8], to a relative width of 1e-12.
+    Entirely independent of the iterative solvers; the returned KKT
+    residual certifies the answer.
     """
     program = qp.program()
 
@@ -224,10 +223,10 @@ def qp_reference_optimum(qp, tol=1e-12, lam_max=1e8):
         hi = 1.0
         while g_of(hi) > 0.0:
             hi *= 2.0
-            if hi > lam_max:
+            if hi > 1e8:
                 raise ConfigurationError("dual variable exceeded the search range")
         lo = 0.0
-        while hi - lo > tol * max(1.0, hi):
+        while hi - lo > 1e-12 * max(1.0, hi):
             mid = 0.5 * (lo + hi)
             if g_of(mid) > 0.0:
                 lo = mid

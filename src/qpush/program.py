@@ -284,29 +284,6 @@ class ConvexProgram:
         program._direct = (objective_terms.value, constraint_terms.values)
         return program
 
-    @property
-    def structure(self):
-        """``"general"`` without constraint terms, else ``"linear"`` (g(x) =
-        A x - b exactly), ``"separable-quadratic"`` or ``"separable"``."""
-        terms = self.constraint_terms
-        if terms is None:
-            return "general"
-        if terms.is_linear:
-            return "linear"
-        return "separable" if terms._has_nl else "separable-quadratic"
-
-    @property
-    def A(self):
-        if self.structure != "linear":
-            raise ConfigurationError("A is only defined for linear-constraint programs")
-        return self.constraint_terms.lin
-
-    @property
-    def b(self):
-        if self.structure != "linear":
-            raise ConfigurationError("b is only defined for linear-constraint programs")
-        return self.constraint_terms.offset
-
     def objective_value(self, x):
         return float(self._f(x))
 

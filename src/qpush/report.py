@@ -217,7 +217,26 @@ def write_full_trace_csv(report, path):
     _write_table(path, header, [report.t, report.x, report.Q])
 
 
+def _standard(value):
+    """``value`` with every NaN or infinite float in it, at any depth of
+    dicts and lists, replaced by None."""
+    if isinstance(value, dict):
+        return {key: _standard(v) for key, v in value.items()}
+    if isinstance(value, list):
+        return list(map(_standard, value))
+    return None if isinstance(value, float) and not math.isfinite(value) else value
+
+
+def _write_json(value, path):
+    """Write ``value`` as standard JSON, keys sorted and indented by two: a
+    NaN or infinite float, which standard JSON has no token for, is null."""
+    with open(path, "w") as fh:
+        fh.write(json.dumps(_standard(value), indent=2, sort_keys=True, allow_nan=False) + "\n")
+
+
 def write_summary(report, path, extra=None):
+    """Write the run's summary to ``path`` as standard JSON and return it
+    with its non-finite floats kept."""
     summary = {
         "algorithm": report.algorithm,
         "problem": report.problem,
@@ -232,9 +251,7 @@ def write_summary(report, path, extra=None):
     summary.update(report.extras)
     if extra:
         summary.update(extra)
-    with open(path, "w") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(summary, path)
     return summary
 
 

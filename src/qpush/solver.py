@@ -423,7 +423,7 @@ class BoundReport:
                      [self.t] + [self.margins(n) for n in self._NAMES])
 
 
-def verify_bounds(report, f_star, x_star, lambda_star, beta, slack=1e-9):
+def verify_bounds(report, f_star, x_star, lambda_star, beta):
     """Check a trace against the certified decay bounds.
 
     For every recorded t >= 1:
@@ -433,6 +433,7 @@ def verify_bounds(report, f_star, x_star, lambda_star, beta, slack=1e-9):
     * queue:       ||Q(t)|| <= C
     * queue_lower: Q_k(t) >= sum_{tau<t} g_k(x(tau))
 
+    each passing with a slack of 1e-9,
     with C = 2||lambda*|| + sqrt(2 alpha)||x* - x(-1)||
            + sqrt(alpha / (alpha - beta^2/2)) ||g(x*)||.
 
@@ -486,7 +487,7 @@ def verify_bounds(report, f_star, x_star, lambda_star, beta, slack=1e-9):
         queue_margin=queue_margin,
         queue_lower_margin=queue_lower_margin,
         constant=constant,
-        slack=slack,
+        slack=1e-9,
         skipped=skipped,
     )
 
@@ -494,20 +495,20 @@ def verify_bounds(report, f_star, x_star, lambda_star, beta, slack=1e-9):
 # ---------------------------------------------------------------------------
 # KKT certification
 
-def kkt_residual(program, x, lam, boundary_tol=1e-9):
+def kkt_residual(program, x, lam):
     """Max violation of the first-order optimality system at (x, lam).
 
-    Checks stationarity of the Lagrangian against the box normal cone,
-    primal feasibility, dual feasibility and complementary slackness;
-    returns the largest violation.
+    Checks stationarity of the Lagrangian against the box normal cone (a
+    coordinate within 1e-9 of a bound is on it), primal feasibility, dual
+    feasibility and complementary slackness; returns the largest violation.
     """
     x = np.asarray(x, dtype=float)
     lam = np.asarray(lam, dtype=float)
     g = program.constraint_values(x)
     grad = program.objective_subgradient(x) + program.constraint_jacobian(x).T @ lam
     lo, hi = program.box.lo, program.box.hi
-    at_lo = x <= lo + boundary_tol
-    at_hi = x >= hi - boundary_tol
+    at_lo = x <= lo + 1e-9
+    at_hi = x >= hi - 1e-9
     stat = np.abs(grad.copy())
     stat[at_lo] = np.maximum(0.0, -grad[at_lo])
     stat[at_hi & ~at_lo] = np.maximum(0.0, grad[at_hi & ~at_lo])

@@ -62,8 +62,8 @@ def test_criterion_4_certified_bound_suite(fig1_vq_run):
     # reference certificate: exact KKT residual well under 1e-8
     kkt = qp.kkt_residual(prog, z_star, lam_star)
     assert kkt < 1e-8
-    bounds = qp.verify_bounds(fig1_vq_run, f_star, z_star, lam_star,
-                              prog.beta_hint, slack=1e-9)
+    bounds = qp.verify_bounds(fig1_vq_run, f_star, z_star, lam_star, prog.beta_hint)
+    assert bounds.slack == 1e-9
     assert not bounds.skipped
     for name in ("objective", "constraint", "queue", "queue_lower"):
         assert bounds.passed(name) is True, (name, bounds.worst(name))

@@ -31,6 +31,14 @@ def reference_file(tmp_path, shift=0.0):
     return str(path)
 
 
+def strict_json(path):
+    """The standard JSON in the file at ``path``: the NaN, Infinity and
+    -Infinity that Python's parser takes by default raise ValueError."""
+    def refuse(token):
+        raise ValueError(f"{token} is not standard JSON")
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
 def test_run_writes_trace_and_summary(tmp_path):
     out = tmp_path / "out"
     code = main(["run", "--problem", "fig1-num", "--algo", "vq", "--alpha", "10",
@@ -257,11 +265,37 @@ def test_problem_file_without_constraint_rows_runs(tmp_path):
     assert main(["run", "--problem-file", str(problem), "--alpha", "auto", "--T", "20",
                  "--plot", "--full-trace", "--out", str(out)]) == 0
     summary = json.loads((out / "summary.json").read_text())
-    assert summary["max_violation"] == -math.inf and summary["beta_hint"] == 0.0
+    assert summary["max_violation"] is None and summary["beta_hint"] == 0.0
     # x_1 moves from 0 to 1/2 at t = 1 and stays at its bound 1 from t = 2
     assert summary["alpha"] == 1.0 and summary["objective"] == pytest.approx(-19.5 / 20)
     assert (out / "trace_full.csv").read_text().splitlines()[0] == "t,x_0,x_1"
     assert (out / "convergence.svg").exists()
+
+
+def test_summary_and_bench_files_are_standard_json(tmp_path, capsys):
+    # alpha = 1 is below beta^2/2 = 2.95: three bounds are skipped, worst margin NaN
+    skipped = tmp_path / "skipped"
+    with pytest.warns(qp.AlphaBelowCurvatureWarning):
+        assert main(["verify", "--problem", "fig1-num", "--alpha", "1", "--T", "50",
+                     "--reference", reference_file(tmp_path), "--out", str(skipped)]) == 0
+    bounds = strict_json(skipped / "summary.json")["bounds"]
+    for name in ("objective", "constraint", "queue"):
+        assert bounds[name]["passed"] is None and bounds[name]["worst_margin"] is None
+    assert bounds["queue_lower"]["passed"] is True
+    # m = 0: the maximum violation over no rows is -inf
+    problem = tmp_path / "m0.json"
+    problem.write_text(json.dumps({"n": 2, "m": 0, "box": {"lo": [0, 0], "hi": [1, 1]},
+                                   "linear": {"A": [], "b": []},
+                                   "objective": {"kind": "linear", "c": [1, -1]}}))
+    for command in ("run", "bench"):
+        out = tmp_path / command
+        assert main([command, "--problem-file", str(problem), "--alpha", "1", "--T", "20",
+                     "--out", str(out)]) == 0
+    assert strict_json(tmp_path / "run" / "summary.json")["max_violation"] is None
+    rows = strict_json(tmp_path / "bench" / "bench.json")
+    assert [row["max_violation"] for row in rows] == [None, None]
+    # the printed summary keeps the float
+    assert "max violation -inf" in capsys.readouterr().out
 
 
 def test_unusable_output_directory_exits_2(tmp_path, capsys):

@@ -100,14 +100,14 @@ def test_topology_path_errors_name_the_first_bad_path_and_check():
 def test_build_num_program_fig1(fig1_instance):
     num = qp.fig1_num_instance()
     prog = num.program()
-    assert prog.structure == "linear"
-    assert prog.A.shape == (12, 10)
-    A = prog.A
+    assert prog.constraint_terms.is_linear
+    A = prog.constraint_terms.lin
+    assert A.shape == (12, 10)
     assert np.array_equal(A[:9, :7], link_path_incidence(num.topology))
     assert np.array_equal(A[9:, :7], -source_path_incidence(num.topology))
     assert np.array_equal(A[9:, 7:], np.eye(3))
     assert np.array_equal(A[:9, 7:], np.zeros((9, 3)))
-    assert np.array_equal(prog.b, np.concatenate([np.ones(9), np.zeros(3)]))
+    assert np.array_equal(prog.constraint_terms.offset, np.concatenate([np.ones(9), np.zeros(3)]))
 
 
 def test_build_num_program_smallest_instance():

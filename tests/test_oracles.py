@@ -190,7 +190,7 @@ def test_dispatch_routes():
         constraint_jac=lambda x: np.ones((1, n)),
         beta_hint=np.sqrt(2.0),
     )
-    assert general.structure == "general"
+    assert general.constraint_terms is None
     assert make_oracle(general).name == "projected-gradient"
     out = make_oracle(general)(np.array([0.5]), np.zeros(n), 2.0)
     assert general.box.contains(out, tol=1e-12)
@@ -207,7 +207,8 @@ def test_dispatch_flow_power_matches_grid_search():
     # check three coordinates of each kind against brute force
     oracle = make_oracle(fp)
     sub_value = subproblem_objective(fp, W, x_prev, alpha)
-    for i in list(oracle.idx_quad[:2]) + list(oracle.idx_log[:2]) + list(oracle.idx_nl1p[:2]):
+    idx_quad = np.setdiff1d(np.arange(fp.n), np.concatenate([oracle.idx_log, oracle.idx_nl1p]))
+    for i in list(idx_quad[:2]) + list(oracle.idx_log[:2]) + list(oracle.idx_nl1p[:2]):
         def coord_fun(z, i=i):
             trial = out.copy()
             trial[i] = z

@@ -1,6 +1,7 @@
 import ast
 import importlib
 import inspect
+import math
 import pkgutil
 from pathlib import Path
 
@@ -39,18 +40,68 @@ def _loaded_names(paths):
     return names
 
 
+def _library_sources():
+    """The library, the demos and the benchmark, without its tests."""
+    package = ROOT / "src" / "qpush"
+    sources = [p for p in package.glob("*.py") if p.name != "__init__.py"]
+    return sources + sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py"))
+
+
 def test_every_public_name_has_a_caller_outside_the_tests():
     """A name in a module's ``__all__`` is read somewhere in the library,
     the demos or the benchmark; a name only the tests read belongs in
     tests/helpers.py."""
-    package = ROOT / "src" / "qpush"
-    sources = [p for p in package.glob("*.py") if p.name != "__init__.py"]
-    sources += sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "perfbench").rglob("*.py"))
-    used = _loaded_names(sources)
+    used = _loaded_names(_library_sources())
     unused = {name: sorted(set(getattr(importlib.import_module(f"qpush.{name}"), "__all__", ()))
                            - used)
               for name in MODULES}
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+def _calls(paths):
+    """(called name, positional count, keywords) of every call in ``paths``;
+    a ``*args`` counts as every position and a ``**kwargs`` as every keyword."""
+    calls = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            keywords = {k.arg for k in node.keywords}
+            calls.append((name, math.inf if starred else len(node.args),
+                          None if None in keywords else keywords))
+    return calls
+
+
+# the hook through which tests hand in a faulty oracle
+OPTION_HOOKS = {("solver", "run", "oracle"), ("baseline", "dsg_run", "oracle")}
+
+
+def test_every_option_has_a_caller_outside_the_tests():
+    """Each parameter with a default, of each function in a module's
+    ``__all__``, is passed by keyword or by position by some call in the
+    library, the demos, the benchmark or the tools: a value that only the
+    tests set, or nobody, is a constant."""
+    calls = _calls(_library_sources() + sorted((ROOT / "tools").glob("*.py")))
+    unset = []
+    for module_name in MODULES:
+        module = importlib.import_module(f"qpush.{module_name}")
+        for name in getattr(module, "__all__", ()):
+            func = getattr(module, name)
+            if not inspect.isfunction(func):
+                continue
+            params = list(inspect.signature(func).parameters.values())
+            for position, param in enumerate(params):
+                if (param.default is param.empty
+                        or (module_name, name, param.name) in OPTION_HOOKS):
+                    continue
+                if not any(called == name and (keywords is None or param.name in keywords
+                                                or count > position)
+                           for called, count, keywords in calls):
+                    unset.append(f"{module_name}.{name}({param.name})")
+    assert unset == []
 
 
 # the per-iteration code of the VQ step, the DSG step and the agent round

@@ -4,7 +4,7 @@ import pytest
 import qpush as qp
 from qpush.errors import ConfigurationError
 from qpush.oracles import SeparableOracle
-from qpush.problems import FIG1_ALPHA, FLOW_POWER_OPTIMUM
+from qpush.problems import FIG1_ALPHA, FLOW_POWER_OPTIMUM, P_MAX
 
 from helpers import (auglag_pg_qp_reference, link_path_incidence, qp_coordinate_update,
                      random_point_in, source_path_incidence)
@@ -46,16 +46,15 @@ def test_flow_power_program_structure():
     topo, w, xm, ym = qp.fig1_topology()
     prog = qp.build_flow_power_program(topo, w, y_max=ym)
     assert prog.n == 7 + 3 + 9 and prog.m == 12
-    assert prog.structure == "separable"
+    cons = prog.constraint_terms
+    assert not cons.is_linear and cons.neglog1p.any()
     # capacity rows vanish at z = 0
     _, g = qp.evaluate(prog, np.zeros(prog.n))
     assert np.array_equal(g[:9], np.zeros(9))
-    # default caps: per-path capacity ceiling log(1 + p_max)
+    # path caps: the capacity ceiling log(1 + P_MAX); power caps: P_MAX
     assert prog.box.hi[0] == pytest.approx(np.log(11.0))
+    assert np.array_equal(prog.box.hi[10:], np.full(9, P_MAX))
     assert prog.beta_hint == pytest.approx(2.5229, abs=1e-3)
-    for p_max in (0.0, np.nan):
-        with pytest.raises(ConfigurationError):
-            qp.build_flow_power_program(topo, w, y_max=ym, p_max=p_max)
 
 
 def test_flow_power_constraints_convex():

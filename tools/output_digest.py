@@ -7,7 +7,9 @@ Their inputs and outputs go under OUT_DIR.  One line per output file gives
 its sha256 and its path under OUT_DIR; the ``"wall_time_s"`` line of each
 ``summary.json`` is left out of its digest, as it differs between any two
 runs.  The last line is a sha256 over all the lines before it: two
-checkouts that print the same total wrote the same bytes.
+checkouts that print the same total wrote the same bytes.  Every ``.json``
+file is parsed as standard JSON first; a NaN, Infinity or -Infinity in one
+is reported and the exit status is 1.
 
 Run:  python tools/output_digest.py OUT_DIR
 """
@@ -15,6 +17,7 @@ Run:  python tools/output_digest.py OUT_DIR
 import contextlib
 import hashlib
 import io
+import json
 import os
 import sys
 
@@ -35,6 +38,20 @@ def file_digest(path):
     return hashlib.sha256(data).hexdigest()
 
 
+def _refuse(token):
+    raise ValueError(f"{token} is not standard JSON")
+
+
+def nonstandard_json(path):
+    """The reason the ``.json`` file at ``path`` is not standard JSON, or None."""
+    try:
+        with open(path) as fh:
+            json.load(fh, parse_constant=_refuse)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
 def main(argv):
     if len(argv) != 2:
         print(__doc__.strip().splitlines()[-1], file=sys.stderr)
@@ -48,15 +65,20 @@ def main(argv):
         if code != 0:
             print(f"qpush run {run_dir} exited {code}", file=sys.stderr)
             return 1
-    lines = []
+    lines, faults = [], []
     for run_dir, _ in ctx["runs"]:
         for name in sorted(os.listdir(run_dir)):
             path = os.path.join(run_dir, name)
             lines.append(f"{file_digest(path)}  {os.path.relpath(path, out)}")
+            reason = nonstandard_json(path) if name.endswith(".json") else None
+            if reason:
+                faults.append(f"{os.path.relpath(path, out)}: {reason}")
     total = hashlib.sha256("".join(line + "\n" for line in lines).encode()).hexdigest()
     print("\n".join(lines))
     print(f"{total}  total of {len(lines)} files")
-    return 0
+    for fault in faults:
+        print(fault, file=sys.stderr)
+    return 1 if faults else 0
 
 
 if __name__ == "__main__":
