@@ -29,7 +29,7 @@ import numpy as np
 from .errors import ConfigurationError, NumericalDomainError, _input_errors, _read_json
 from .oracles import LOG_DOMAIN_FLOOR, log_quadratic_minimizer
 from .program import (BoxSet, ConstraintTerms, ConvexProgram, CoordinateTerms, _all_finite,
-                      spectral_norm)
+                      _sparse_norm, spectral_norm)
 from .solver import _drive
 
 __all__ = [
@@ -134,30 +134,33 @@ class Topology:
         return np.bincount(self._pl_path, minlength=self.K)
 
     def stacked_matrix(self):
-        """A = [[R, 0], [-T, I]] of shape (L+S) x (K+S), built once per
-        topology and shared read-only."""
-        return self._stacked
-
-    @cached_property
-    def _stacked(self):
-        L, K, S = self.L, self.K, self.S
-        A = np.zeros((L + S, K + S))
-        A[self._pl_link, self._pl_path] = 1.0
-        A[L + self._sp_source, self._sp_path] = -1.0
-        A[L + np.arange(S), K + np.arange(S)] = 1.0
-        A.flags.writeable = False
-        return A
+        """A = [[R, 0], [-T, I]] of shape (L+S) x (K+S), read-only: the
+        dense linear part of the rate-allocation constraints, built on the
+        first call and shared."""
+        return self._num_constraints.lin
 
     @cached_property
     def _num_constraints(self):
         """g(z) = A z - (cap, 0) of the rate-allocation program, built once
-        (with its nonzero scan) and shared by every program on this topology."""
-        return ConstraintTerms(self._stacked, np.concatenate([self.cap, np.zeros(self.S)]))
+        from the incidence index arrays and shared by every program on this
+        topology."""
+        L, K, S = self.L, self.K, self.S
+        diag = np.arange(S)
+        rows = np.concatenate([self._pl_link, L + self._sp_source, L + diag])
+        cols = np.concatenate([self._pl_path, self._sp_path, K + diag])
+        vals = np.ones(rows.size)
+        vals[self._pl_link.size:self._pl_link.size + K] = -1.0
+        return ConstraintTerms.from_triples(rows, cols, vals, (L + S, K + S),
+                                            np.concatenate([self.cap, np.zeros(S)]))
 
     @cached_property
     def _sigma(self):
-        """Spectral norm of the stacked matrix, computed once."""
-        return spectral_norm(self._stacked)
+        """Spectral norm of the stacked matrix, computed once, from its
+        nonzeros when the constraints hold them as triples."""
+        terms = self._num_constraints
+        if terms._triples is None:
+            return spectral_norm(terms.lin)
+        return _sparse_norm(*terms._triples, terms.shape)
 
     @classmethod
     def from_paths(cls, capacities, paths):
@@ -241,7 +244,9 @@ def build_num_program(topology, utilities, x_max, y_max):
 
     ``utilities`` is the per-source weight vector of w_s log(y_s) terms.
     Its constraint terms are linear, g(z) = Az - b, and it carries the
-    spectral norm of A as its Lipschitz hint.
+    spectral norm of A as its Lipschitz hint: on a network whose A has
+    fewer than one nonzero in 32 entries, a certified upper bound within
+    1e-12 of it (``program.spectral_norm``).
     """
     num = NumProblem(topology, utilities,
                      np.broadcast_to(np.asarray(x_max, dtype=float), (topology.K,)),

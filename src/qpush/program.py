@@ -24,12 +24,14 @@ fig1 or the QP) is also kept as nonzero triples, and A x and A^T W become
 segment sums over them: a bincount entry costs about 5.5 ns and a dense BLAS
 entry 0.21 ns (2 vCPUs, numpy 2.4), a ratio of 26, and 32 keeps a margin.
 
-The same rule lets :func:`spectral_norm` build its Gram matrix from pairs of
-nonzeros that share a column (or a row), unless the pairs cost more than the
-dense product: a pair costs about 30 ns through repeat, gather, multiply and
-``np.add.at``, and a multiply-add of the dense A A^T about 0.018 ns (700 x 1500
-and 300 x 3000, 2 vCPUs, numpy 2.4, OpenBLAS), a ratio near 1700, and 2048
-keeps a margin.
+A matrix that is sparse by the same rule gets its :func:`spectral_norm` from
+its nonzeros alone: a certified upper bound on sigma_max from a few dozen
+segment-sum power steps, or, when that bound is not tight, the exact Gram
+eigenvalue.  That Gram matrix is summed from pairs of nonzeros that share a
+column (or a row), unless the pairs cost more than the dense product: a pair
+costs about 30 ns through repeat, gather, multiply and ``np.add.at``, and a
+multiply-add of the dense A A^T about 0.018 ns (700 x 1500 and 300 x 3000,
+2 vCPUs, numpy 2.4, OpenBLAS), a ratio near 1700, and 2048 keeps a margin.
 """
 
 import math
@@ -65,7 +67,31 @@ def _vector(x, n=None, name="vector"):
 _SPARSE_RATIO = 32
 # spectral_norm's Gram matrix comes from nonzero pairs when 2048 * pairs < s * s * l
 _GRAM_RATIO = 2048
+# the certified sparse bound: at most this many power steps, taken once it
+# lies within this relative gap of a lower bound on sigma_max^2, for entries
+# within this range of magnitudes (_certified_norm)
+_BOUND_STEPS = 64
+_BOUND_GAP = 1e-12
+_BOUND_RANGE = 2.0 ** 256
 _FLOAT = np.dtype(float)
+
+
+def _sparse(nnz, m, n):
+    return _SPARSE_RATIO * nnz < m * n
+
+
+def _read_only(triples):
+    for a in triples or ():
+        a.flags.writeable = False
+    return triples
+
+
+def _dense(rows, cols, vals, shape):
+    """The read-only m x n matrix with nonzeros ``vals`` at (rows, cols)."""
+    A = np.zeros(shape)
+    A[rows, cols] = vals
+    A.flags.writeable = False
+    return A
 
 
 @dataclass(frozen=True)
@@ -165,7 +191,8 @@ class ConstraintTerms:
     (in the oracle) are ``np.bincount`` segment sums over them.  bincount
     adds in input order, so each column's sum runs down its rows as a
     column-sorted copy would; ``np.add.reduceat`` would give an empty row
-    a neighbour's value.  ``lin`` stays dense for the Jacobian and the norms.
+    a neighbour's value.  Linear rows built :meth:`from_triples` hold no
+    dense ``lin`` until it is read (by the Jacobian, for one).
     """
 
     lin: np.ndarray
@@ -190,18 +217,40 @@ class ConstraintTerms:
         object.__setattr__(self, "neglog1p", nl)
         object.__setattr__(self, "_has_quad", quad is not None and bool(quad.any()))
         object.__setattr__(self, "_has_nl", nl is not None and bool(nl.any()))
+        object.__setattr__(self, "_shape", (m, n))
         flat = lin.ravel()
         nz = np.flatnonzero(flat != 0)  # 5x faster than np.flatnonzero(lin) at 1e6 entries
-        triples = None
-        if _SPARSE_RATIO * nz.size < m * n:
-            triples = (*np.divmod(nz, n), flat[nz])
-            for a in triples:
-                a.setflags(write=False)
-        object.__setattr__(self, "_triples", triples)
+        triples = (*np.divmod(nz, n), flat[nz]) if _sparse(nz.size, m, n) else None
+        object.__setattr__(self, "_triples", _read_only(triples))
+
+    @classmethod
+    def from_triples(cls, rows, cols, vals, shape, offset):
+        """Linear rows A x - offset, from the nonzeros ``vals`` of the m x n
+        matrix A at (``rows``, ``cols``), each position once, in any order.
+        The triples are kept in row-major order, the order of a scan of the
+        dense A; an A too dense for triples is built at once."""
+        m, n = shape
+        if not _sparse(vals.size, m, n):
+            return cls(_dense(rows, cols, vals, shape), offset)
+        order = np.argsort(rows * n + cols)
+        terms = cls.__new__(cls)  # every attribute but lin, as __post_init__ sets them
+        terms.__dict__.update(offset=_vector(offset, m, name="offset"), quad=None,
+                              neglog1p=None, _has_quad=False, _has_nl=False, _shape=(m, n),
+                              _triples=_read_only((rows[order], cols[order], vals[order])))
+        return terms
+
+    def __getattr__(self, name):
+        # reached only for an attribute the instance lacks: the dense A of
+        # rows built from triples, built on first read and kept
+        if name != "lin" or "_triples" not in self.__dict__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        lin = _dense(*self._triples, self._shape)
+        object.__setattr__(self, "lin", lin)
+        return lin
 
     @property
     def shape(self):
-        return self.lin.shape
+        return self._shape
 
     @property
     def is_linear(self):
@@ -359,14 +408,12 @@ def _selector(idx):
 def spectral_norm(A):
     """sigma_max(A), the largest singular value of a finite matrix.
 
-    The square root of the largest eigenvalue of the smaller Gram matrix
-    (A A^T or A^T A), from a symmetric eigensolver: exact up to rounding,
-    unlike an iterative estimate that approaches sigma_max from below.
-    When 32 * nnz(A) < m * n and the products of nonzero pairs that share
-    a long-side index are fewer than s * s * l / 2048 (s and l the short
-    and long side), the Gram matrix is summed from those products
-    instead of the dense product (module docstring).  On a 0/+-1 incidence
-    matrix every Gram entry is an exact integer either way.
+    A dense A gives the square root of the largest eigenvalue of its
+    smaller Gram matrix (A A^T or A^T A), from a symmetric eigensolver:
+    exact up to rounding, unlike an iterative estimate that approaches
+    sigma_max from below.  When 32 * nnz(A) < m * n the value comes from
+    A's nonzeros (:func:`_sparse_norm`): a certified upper bound within
+    a relative 1e-12 of sigma_max^2, or else the same Gram eigenvalue.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2:
@@ -379,15 +426,97 @@ def spectral_norm(A):
         raise ValueError("matrix entries must be finite")
     if not nz.size:
         return 0.0
-    gram = _pair_gram(nz, vals, m, n) if _SPARSE_RATIO * nz.size < m * n else None
-    if gram is None:
-        gram = A @ A.T if m <= n else A.T @ A
+    if _sparse(nz.size, m, n):
+        return _sparse_norm(*np.divmod(nz, n), vals, (m, n))
+    return _gram_norm(A @ A.T if m <= n else A.T @ A)
+
+
+def _gram_norm(gram):
     return float(np.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0)))
 
 
-def _pair_gram(nz, vals, m, n):
-    """The smaller Gram matrix of the m x n matrix whose nonzeros ``vals``
-    sit at the row-major flat indices ``nz``, or None when the dense
+def _sparse_norm(rows, cols, vals, shape):
+    """sigma_max of the m x n matrix with the finite nonzeros ``vals`` at
+    (``rows``, ``cols``) in row-major order.
+
+    The certified bound of :func:`_certified_norm` when it holds, else
+    the Gram eigenvalue, with the Gram matrix summed from nonzero pairs
+    when they cost less than the dense product.
+    """
+    bound = _certified_norm(rows, cols, vals, shape)
+    if bound is not None:
+        return bound
+    gram = _pair_gram(rows, cols, vals, shape)
+    if gram is None:
+        A = _dense(rows, cols, vals, shape)
+        gram = A @ A.T if shape[0] <= shape[1] else A.T @ A
+    return _gram_norm(gram)
+
+
+def _certified_norm(rows, cols, vals, shape):
+    """An upper bound on sigma_max within a relative 1e-12 of
+    sigma_max^2, or None when none is found in 64 power steps.
+
+    For every matrix sigma_max(A) <= sigma_max(|A|), and for a positive
+    v the Collatz-Wielandt formula bounds the Perron root of the
+    nonnegative M = |A||A|^T: rho(M) <= max_i (M v)_i / v_i (Horn &
+    Johnson, *Matrix Analysis*, 2nd ed., ch. 8).  Power steps on M from
+    v = 1 make that bound tight.  The same steps on the signed A A^T give
+    u, whose Rayleigh quotient ||A^T u||^2 / ||u||^2 is a lower bound on
+    sigma_max^2; the upper bound is taken once it is within 1e-12 of it
+    (relative).  Both iterates are one vector, so a step is two bincounts
+    over the triples and their signed twins.
+
+    Rounding is allowed for outward.  Every term of M v is nonnegative,
+    so the computed (M v)_i is at least (1 - gamma_k) times the exact one,
+    k the largest row count plus the largest column count of nonzeros;
+    the factor 1 + (k + 4) eps covers that, the division and the product,
+    and ``math.nextafter`` covers the square root.
+
+    The analysis needs every product clear of underflow and overflow:
+    the entries' magnitudes, and v's entries against its largest, stay
+    within 2^-256..2^256.  Empty rows on the iterated side add zero rows
+    and columns to M and are dropped first.  The result is None when the
+    entries or v leave that range, when u vanishes, or when the bounds
+    stay apart: mixed signs that |A| does not preserve, or slow
+    convergence.
+    """
+    m, n = shape
+    if m > n:  # iterate on the shorter side
+        rows, cols, m, n = cols, rows, n, m
+    mags = np.abs(vals)
+    if not (mags.min() >= _BOUND_RANGE ** -1 and mags.max() <= _BOUND_RANGE):
+        return None
+    counts = np.bincount(rows, minlength=m)
+    if not counts.min() > 0:
+        used = np.flatnonzero(counts)
+        rows, counts, m = np.searchsorted(used, rows), counts[used], used.size
+    k = int(counts.max()) + int(np.bincount(cols).max())
+    slack = 1.0 + (k + 4) * np.finfo(float).eps
+    rows2, cols2 = np.concatenate([rows, rows + m]), np.concatenate([cols, cols + n])
+    vals2 = np.concatenate([mags, vals])
+    x = np.ones(2 * m)  # v (for |A|) then u (for A), each scaled to a largest entry of 1
+    for _ in range(_BOUND_STEPS):
+        w = np.bincount(cols2, vals2 * x[rows2], 2 * n)
+        y = np.bincount(rows2, vals2 * w[cols2], 2 * m)
+        upper = float((y[:m] / x[:m]).max()) * slack
+        lower = float(w[n:].dot(w[n:])) / float(x[m:].dot(x[m:]))
+        if upper <= lower * (1.0 + _BOUND_GAP):
+            return math.nextafter(math.sqrt(upper), math.inf)
+        top = np.abs(y[m:]).max()
+        if not top > 0:
+            return None
+        y[:m] /= y[:m].max()
+        y[m:] /= top
+        x = y
+        if not x[:m].min() >= _BOUND_RANGE ** -1:
+            return None
+    return None
+
+
+def _pair_gram(rows, cols, vals, shape):
+    """The smaller Gram matrix of the m x n matrix with nonzeros ``vals``
+    at (``rows``, ``cols``) in row-major order, or None when the dense
     product is cheaper.
 
     Entry (i, j) is the sum over long-side indices k of A_ik A_jk: the
@@ -400,7 +529,7 @@ def _pair_gram(nz, vals, m, n):
     write (8 ms against 3 ms for the 700 x 700 Gram matrix of the
     net-large benchmark, 2 vCPUs).
     """
-    rows, cols = np.divmod(nz, n)
+    m, n = shape
     short, long_, s, l = (rows, cols, m, n) if m <= n else (cols, rows, n, m)
     h = np.bincount(long_, minlength=l)
     if _GRAM_RATIO * int(h.dot(h)) >= s * s * l:
@@ -411,7 +540,7 @@ def _pair_gram(nz, vals, m, n):
     # entry e pairs with its group's h entries: left repeats e, right runs
     # from the group's first position to its last
     first = np.cumsum(h)[long_] - group
-    left = np.repeat(np.arange(nz.size), group)
+    left = np.repeat(np.arange(vals.size), group)
     right = np.arange(left.size) - np.repeat(np.cumsum(group) - group - first, group)
     gram = np.empty(s * s)
     gram.fill(0.0)

@@ -120,6 +120,23 @@ def test_run_problem_file(tmp_path):
     assert summary["f_xbar"] == pytest.approx(-1.0, abs=1e-2)
 
 
+def test_frobenius_line_of_a_sparse_problem_file(tmp_path):
+    # 32 * nnz < m * n: the rows are kept as triples, and the norm comes from their values
+    A = np.zeros((3, 120))
+    A[0, :2], A[1, 5], A[2, 7:9] = 1.0, 2.0, [-3.0, 0.5]
+    pf = tmp_path / "sparse.json"
+    pf.write_text(json.dumps({"n": 120, "m": 3, "box": {"lo": 0, "hi": 1},
+                              "linear": {"A": A.tolist(), "b": [1, 1, 1]},
+                              "objective": {"kind": "linear", "c": [-1] * 120}}))
+    assert qp.load_program(str(pf)).constraint_terms._triples is not None
+    out = tmp_path / "out"
+    assert main(["run", "--problem-file", str(pf), "--alpha", "auto", "--T", "20",
+                 "--out", str(out)]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["beta_frobenius"] == np.linalg.norm(A) == math.sqrt(15.25)
+    assert np.linalg.norm(A, 2) <= summary["beta_spectral"] <= np.linalg.norm(A, 2) * (1 + 1e-12)
+
+
 def test_run_custom_x_init_file(tmp_path):
     x0 = tmp_path / "x0.json"
     x0.write_text(json.dumps([0.1] * 7 + [0.2] * 3))

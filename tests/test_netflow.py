@@ -8,9 +8,11 @@ import qpush as qp
 from qpush import Topology, netflow
 from qpush.errors import ConfigurationError
 from qpush.oracles import LOG_DOMAIN_FLOOR
+from qpush.program import _certified_norm
 
 from helpers import (TOPOLOGY_SPEC, UNREADABLE_INPUTS, link_path_incidence, link_paths,
-                     overflow_network, random_topology, source_path_incidence, unreadable_input)
+                     overflow_network, random_network, random_topology, source_path_incidence,
+                     unreadable_input)
 
 
 def single_link_topology():
@@ -126,6 +128,36 @@ def test_num_programs_on_one_topology_share_their_constraints():
     assert a.constraint_terms.lin is topo.stacked_matrix()
     assert not np.array_equal(a.box.hi, b.box.hi)
     assert a.objective_value(np.array([0.5, 0.75])) != b.objective_value(np.array([0.5, 0.75]))
+
+
+def test_num_set_up_of_a_large_network_builds_no_dense_matrix():
+    # the constraint rows come from the incidence index arrays and beta from
+    # their nonzeros: the dense (L+S) x (K+S) matrix appears only when read
+    topo = random_network(np.random.default_rng(59))
+    terms = qp.build_num_program(topo, np.ones(topo.S), 1.0, 1.0).constraint_terms
+    qp.beta_bounds(topo)
+    full = (topo.L + topo.S, topo.K + topo.S)
+
+    def dense_arrays():
+        return [name for obj in (topo, terms) for name, v in vars(obj).items()
+                if isinstance(v, np.ndarray) and v.shape == full]
+
+    assert "_stacked" not in vars(topo) and dense_arrays() == []
+    A = topo.stacked_matrix()
+    assert dense_arrays() == ["lin"] and terms.lin is A and not A.flags.writeable
+    # the triples run in row-major order, as a scan of the dense matrix finds them
+    flat = A.ravel()
+    nz = np.flatnonzero(flat)
+    rows, cols, vals = terms._triples
+    assert np.array_equal(rows * full[1] + cols, nz) and np.array_equal(vals, flat[nz])
+
+
+def test_a_link_without_paths_leaves_the_sparse_beta_unchanged():
+    # its empty row adds nothing to sigma_max, and the bound drops it
+    topo = random_network(np.random.default_rng(61))
+    idle = Topology(np.append(topo.cap, 1.0), topo.path_links, topo.source_paths)
+    terms = idle._num_constraints
+    assert idle._sigma == _certified_norm(*terms._triples, terms.shape) == topo._sigma
 
 
 def test_zero_weight_source_ignored_in_objective():

@@ -8,7 +8,7 @@ import pytest
 import qpush as qp
 from qpush import BoxSet, ConstraintTerms, ConvexProgram, CoordinateTerms
 from qpush.errors import ConfigurationError
-from qpush.program import _all_finite, _pair_gram, _selector
+from qpush.program import _all_finite, _certified_norm, _pair_gram, _selector
 
 from helpers import (FINITENESS_CASES, FINITENESS_IDS, UNREADABLE_INPUTS, random_network,
                      random_separable_program, random_sparse_matrix, unreadable_input)
@@ -104,6 +104,21 @@ def test_sparse_rows_match_dense_products():
         assert np.all(np.abs(got - want) <= 1e-13 * scale)
 
 
+def test_terms_from_triples_match_the_dense_constructor():
+    rng = np.random.default_rng(53)
+    for A in (random_sparse_matrix(rng), rng.normal(size=(3, 4))):
+        rows, cols = np.nonzero(A)
+        b = rng.normal(size=A.shape[0])
+        dense = ConstraintTerms(A, b)
+        terms = ConstraintTerms.from_triples(rows, cols, A[rows, cols], A.shape, b)
+        assert terms.shape == A.shape and terms.is_linear
+        assert (terms._triples is None) == (dense._triples is None)
+        x = rng.normal(size=A.shape[1])
+        assert np.array_equal(terms.values(x), dense.values(x))
+        assert np.array_equal(terms.jacobian(x), A) and not terms.lin.flags.writeable
+        assert not hasattr(terms, "lin_T")
+
+
 def test_bundled_programs_take_their_path(monkeypatch):
     # a change of the density threshold must not move fig1 or the QP off
     # the dense path their pinned values were read from
@@ -193,11 +208,25 @@ def test_spectral_norm_rejects_bad_input():
         qp.spectral_norm(np.array([[np.inf, 0.0]]))
 
 
+def triples(M):
+    """M's nonzeros as (rows, cols, values, shape), in row-major order."""
+    rows, cols = np.nonzero(M)
+    return rows, cols, M[rows, cols], M.shape
+
+
 def pair_gram(M):
-    """The Gram matrix spectral_norm builds from M's nonzero pairs, or None."""
-    flat = M.ravel()
-    nz = np.flatnonzero(flat)
-    return _pair_gram(nz, flat[nz], *M.shape)
+    """The Gram matrix spectral_norm's fallback builds from M's nonzero
+    pairs, or None."""
+    return _pair_gram(*triples(M))
+
+
+def gram_value(M):
+    """The fallback's value: the root of the largest eigenvalue of the pair
+    Gram matrix, or of the dense product when the pairs cost more."""
+    gram = pair_gram(M)
+    if gram is None:
+        gram = M @ M.T if M.shape[0] <= M.shape[1] else M.T @ M
+    return float(np.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0)))
 
 
 def sparse_with_dense_column(rng):
@@ -223,12 +252,81 @@ def test_spectral_norm_from_nonzero_pairs_matches_svd():
             assert abs(qp.spectral_norm(A) - exact) <= 1e-12 * exact
 
 
-def test_spectral_norm_of_an_incidence_matrix_is_the_dense_products_value():
+def test_spectral_norm_of_an_incidence_matrix_is_a_certified_bound():
+    # the sparse branch bounds sigma_max from above, within 1e-12 of the
+    # eigensolver's value, without building a Gram matrix
     A = random_network(np.random.default_rng(29)).stacked_matrix()
     for M in (A, A.T):
         dense = M @ M.T if M.shape[0] <= M.shape[1] else M.T @ M
         assert np.array_equal(pair_gram(M), dense)  # integers, exact either way
-        assert qp.spectral_norm(M) == float(np.sqrt(max(np.linalg.eigvalsh(dense)[-1], 0.0)))
+        exact = float(np.sqrt(max(np.linalg.eigvalsh(dense)[-1], 0.0)))
+        beta = qp.spectral_norm(M)
+        assert beta == _certified_norm(*triples(M))
+        assert exact <= beta <= exact * (1.0 + 1e-12)
+
+
+def test_sparse_spectral_norm_falls_back_on_mixed_signs():
+    # a full block of random signs has cycles that no +-1 scaling of rows
+    # and columns makes positive: sigma_max(|A|) exceeds sigma_max(A), and
+    # the upper bound on |A| stays apart from the lower bound on A
+    rng = np.random.default_rng(43)
+    for _ in range(5):
+        M = np.zeros((40, 400))
+        M[:, :10] = rng.choice([-1.0, 1.0], (40, 10)) * rng.uniform(0.5, 2.0, (40, 10))
+        M = M[rng.permutation(40)][:, rng.permutation(400)]
+        assert _certified_norm(*triples(M)) is None
+        for A in (M, M.T):
+            assert qp.spectral_norm(A) == gram_value(A)
+
+
+def test_sparse_spectral_norm_falls_back_when_the_signed_iterate_vanishes():
+    # a directed ring's node-arc incidence: every column sums to 0, so the
+    # all-ones start of the signed iterate lies in the null space of A^T
+    M = np.zeros((200, 200))
+    M[np.arange(200), np.arange(200)] = 1.0
+    M[(np.arange(200) + 1) % 200, np.arange(200)] = -1.0
+    assert _certified_norm(*triples(M)) is None
+    assert qp.spectral_norm(M) == gram_value(M) == pytest.approx(2.0, rel=1e-12)
+
+
+def disconnected_blocks(scale):
+    """Two 30 x 300 nonnegative blocks with no row or column in common,
+    the second a permuted copy of the first times ``scale``."""
+    rng = np.random.default_rng(47)
+    B = (rng.random((30, 300)) < 0.02) * rng.uniform(0.5, 2.0, (30, 300))
+    B[:, 0] = 1.0
+    M = np.zeros((60, 600))
+    M[:30, :300] = B
+    M[30:, 300:] = scale * B[rng.permutation(30)][:, rng.permutation(300)]
+    return M
+
+
+def test_sparse_spectral_norm_of_disconnected_blocks():
+    # each block's Collatz-Wielandt ratios converge at that block's own
+    # rate, so blocks of equal norm get the certified bound
+    M = disconnected_blocks(1.0)
+    exact = gram_value(M)
+    assert qp.spectral_norm(M) == _certified_norm(*triples(M))
+    assert exact <= qp.spectral_norm(M) <= exact * (1.0 + 1e-12)
+    # norms 1e-9 apart: the signed iterate keeps both blocks, its Rayleigh
+    # quotient stays about 1e-9 below the upper bound, and the fallback runs
+    M = disconnected_blocks(1.0 - 1e-9)
+    assert _certified_norm(*triples(M)) is None
+    assert qp.spectral_norm(M) == gram_value(M)
+
+
+@pytest.mark.parametrize("seed", [1, 7919])
+def test_net_large_beta_is_a_tight_upper_bound(seed, monkeypatch):
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
+    from workloads import net_large_inputs
+    inputs = net_large_inputs(seed)
+    topo = qp.Topology.from_paths(inputs["capacities"], inputs["paths"])
+    beta = qp.build_num_program(topo, inputs["weights"], inputs["x_max"],
+                                inputs["y_max"]).beta_hint
+    A = topo.stacked_matrix()
+    exact = float(np.sqrt(np.linalg.eigvalsh(A @ A.T)[-1]))
+    assert exact <= beta <= exact * (1.0 + 1e-12)
+    assert beta <= qp.beta_bounds(topo)[0]
 
 
 def test_spectral_norm_keeps_the_dense_product_when_pairs_cost_more():
