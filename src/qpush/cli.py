@@ -115,10 +115,7 @@ def _execute(args, algo, instance, alpha, alpha_rule):
     if program.constraint_terms.is_linear:
         # every linear program the CLI loads carries sigma_max(A) as its hint
         extra["beta_spectral"] = program.beta_hint
-        # rows kept as triples give the norm from their nonzeros, without the dense A
-        terms = program.constraint_terms
-        entries = terms.lin if terms._triples is None else terms._triples[2]
-        extra["beta_frobenius"] = float(np.linalg.norm(entries))
+        extra["beta_frobenius"] = program.constraint_terms.frobenius_norm()
     if instance.f_star_reported is not None:
         extra["f_star_reference"] = instance.f_star_reported
     if alpha_rule == "auto":

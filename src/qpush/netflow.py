@@ -28,8 +28,7 @@ import numpy as np
 
 from .errors import ConfigurationError, NumericalDomainError, _input_errors, _read_json
 from .oracles import LOG_DOMAIN_FLOOR, log_quadratic_minimizer
-from .program import (BoxSet, ConstraintTerms, ConvexProgram, CoordinateTerms, _all_finite,
-                      _sparse_norm, spectral_norm)
+from .program import BoxSet, ConstraintTerms, ConvexProgram, CoordinateTerms, _all_finite
 from .solver import _drive
 
 __all__ = [
@@ -155,12 +154,8 @@ class Topology:
 
     @cached_property
     def _sigma(self):
-        """Spectral norm of the stacked matrix, computed once, from its
-        nonzeros when the constraints hold them as triples."""
-        terms = self._num_constraints
-        if terms._triples is None:
-            return spectral_norm(terms.lin)
-        return _sparse_norm(*terms._triples, terms.shape)
+        """Spectral norm of the stacked matrix, computed once."""
+        return self._num_constraints.spectral_norm()
 
     @classmethod
     def from_paths(cls, capacities, paths):

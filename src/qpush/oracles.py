@@ -112,9 +112,8 @@ class SeparableOracle:
     The class index sets, the log weights and the box with its log floor
     are taken once, and the per-class multiples of the curvature
     obj_quad + alpha are kept for the last alpha seen, so a solve does
-    only the arithmetic that depends on the weights.  A^T W is a product
-    with the transposed A, or one ``np.bincount`` segment sum by column
-    over the nonzero triples that the constraint terms keep of a sparse A.
+    only the arithmetic that depends on the weights.  A^T W is the
+    constraint terms' ``rmatvec``, bound when they were built.
 
     At alpha = 0 a coordinate with no curvature is flat or log-shaped:
     it goes to the endpoint its slope points to, or to the stationary
@@ -135,8 +134,7 @@ class SeparableOracle:
         self.obj_lin = obj.lin
         self._has_obj_lin = bool(obj.lin.any())
         self.logw = obj.log_weight
-        self._triples = cons._triples
-        self.lin_T = np.ascontiguousarray(cons.lin.T) if self._triples is None else None
+        self._rmatvec = cons.rmatvec
         self.has_cons_quad = cons._has_quad
         self.quad_T = np.ascontiguousarray(cons.quad.T) if self.has_cons_quad else None
         nl_cols = cons.neglog1p.any(axis=0) if cons._has_nl else np.zeros(program.n, dtype=bool)
@@ -175,11 +173,7 @@ class SeparableOracle:
         return neg_two_a, log_c, nl_c
 
     def solve(self, weights, x_prev, alpha):
-        if self._triples is None:
-            lin = self.lin_T.dot(weights)
-        else:
-            rows, cols, vals = self._triples
-            lin = np.bincount(cols, vals * weights[rows], x_prev.shape[0])
+        lin = self._rmatvec(weights)
         if self._has_obj_lin:
             lin = self.obj_lin + lin
         lin = lin - (2.0 * alpha) * x_prev

@@ -19,23 +19,21 @@ Separable structure is expressed per coordinate / per constraint row:
 with quad, Qc, logw, U all nonnegative (this keeps f and g convex on the
 box by construction).
 
-An A with fewer than one nonzero in 32 entries (large flow networks; not
-fig1 or the QP) is also kept as nonzero triples, and A x and A^T W become
-segment sums over them: a bincount entry costs about 5.5 ns and a dense BLAS
-entry 0.21 ns (2 vCPUs, numpy 2.4), a ratio of 26, and 32 keeps a margin.
+Only :class:`ConstraintTerms` knows how A is stored.  An A with fewer
+than one nonzero in 32 entries (large flow networks; not fig1 or the QP) is
+also kept as nonzero triples, and A x and A^T W become segment sums over
+them: a bincount entry costs about 5.5 ns and a dense BLAS entry 0.21 ns
+(2 vCPUs, numpy 2.4), a ratio of 26, and 32 keeps a margin.
 
 A matrix that is sparse by the same rule gets its :func:`spectral_norm` from
-its nonzeros alone: a certified upper bound on sigma_max from a few dozen
-segment-sum power steps, or, when that bound is not tight, the exact Gram
-eigenvalue.  That Gram matrix is summed from pairs of nonzeros that share a
-column (or a row), unless the pairs cost more than the dense product: a pair
-costs about 30 ns through repeat, gather, multiply and ``np.add.at``, and a
-multiply-add of the dense A A^T about 0.018 ns (700 x 1500 and 300 x 3000,
-2 vCPUs, numpy 2.4, OpenBLAS), a ratio near 1700, and 2048 keeps a margin.
+its nonzeros: a certified upper bound on sigma_max from a few dozen
+segment-sum power steps, or, when that bound is not tight, the exact
+eigenvalue of the dense Gram matrix.
 """
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -65,8 +63,6 @@ def _vector(x, n=None, name="vector"):
 
 # A x and A^T W run on nonzero triples when 32 * nnz < m * n (module docstring)
 _SPARSE_RATIO = 32
-# spectral_norm's Gram matrix comes from nonzero pairs when 2048 * pairs < s * s * l
-_GRAM_RATIO = 2048
 # the certified sparse bound: at most this many power steps, taken once it
 # lies within this relative gap of a lower bound on sigma_max^2, for entries
 # within this range of magnitudes (_certified_norm)
@@ -181,47 +177,36 @@ class CoordinateTerms:
         return grad
 
 
-@dataclass(frozen=True)
+def _segment_sum(out, into, vals, size, v):
+    """The length-``size`` vector whose entry i sums ``vals * v[into]`` over
+    the triples with ``out`` i: A x from (rows, cols) and A^T W from (cols,
+    rows).  bincount adds in input order, so on row-major triples each
+    column's sum runs down its rows as a column-sorted copy would;
+    ``np.add.reduceat`` would give an empty row a neighbour's value."""
+    return np.bincount(out, vals * v[into], size)
+
+
 class ConstraintTerms:
     """Separable constraint rows g_k(x) = A_k.x + Qc_k.x^2 - U_k.log(1+x) - b_k.
 
     An absent ``quad`` or ``neglog1p`` stays ``None``, and an all-zero one
-    is never scanned.  When 32 * nnz(A) < m * n, A is also kept as read-only
-    (row, col, value) triples in row-major order, and A x (here) and A^T W
-    (in the oracle) are ``np.bincount`` segment sums over them.  bincount
-    adds in input order, so each column's sum runs down its rows as a
-    column-sorted copy would; ``np.add.reduceat`` would give an empty row
-    a neighbour's value.  Linear rows built :meth:`from_triples` hold no
-    dense ``lin`` until it is read (by the Jacobian, for one).
+    is never scanned.  These terms alone know how A is stored: they bind
+    ``matvec`` (A x) and ``rmatvec`` (A^T W) once, at construction, and
+    give A's norms.  A dense A gives ``ndarray.dot`` of A and of a
+    C-contiguous copy of A^T.  When 32 * nnz(A) < m * n, A is also kept as
+    read-only (row, col, value) triples in row-major order, and both
+    products are :func:`_segment_sum` over them.  Linear rows built
+    :meth:`from_triples` hold no dense ``lin`` until it is read (by the
+    Jacobian, for one).
     """
 
-    lin: np.ndarray
-    offset: np.ndarray
-    quad: np.ndarray = None
-    neglog1p: np.ndarray = None
-
-    def __post_init__(self):
-        lin = np.atleast_2d(np.asarray(self.lin, dtype=float))
+    def __init__(self, lin, offset, quad=None, neglog1p=None):
+        lin = np.atleast_2d(np.asarray(lin, dtype=float))
         m, n = lin.shape
-        offset = _vector(self.offset, m, name="offset")
-        quad = None if self.quad is None else np.asarray(self.quad, dtype=float)
-        nl = None if self.neglog1p is None else np.asarray(self.neglog1p, dtype=float)
-        given = [a for a in (quad, nl) if a is not None]
-        if any(a.shape != (m, n) for a in given):
-            raise ValueError("quad/neglog1p must match the linear part's shape")
-        if not all(np.all(a >= 0) for a in given):
-            raise ConfigurationError("quad and neglog1p coefficients must be nonnegative")
-        object.__setattr__(self, "lin", lin)
-        object.__setattr__(self, "offset", offset)
-        object.__setattr__(self, "quad", quad)
-        object.__setattr__(self, "neglog1p", nl)
-        object.__setattr__(self, "_has_quad", quad is not None and bool(quad.any()))
-        object.__setattr__(self, "_has_nl", nl is not None and bool(nl.any()))
-        object.__setattr__(self, "_shape", (m, n))
         flat = lin.ravel()
         nz = np.flatnonzero(flat != 0)  # 5x faster than np.flatnonzero(lin) at 1e6 entries
         triples = (*np.divmod(nz, n), flat[nz]) if _sparse(nz.size, m, n) else None
-        object.__setattr__(self, "_triples", _read_only(triples))
+        self._init((m, n), offset, lin, triples, quad, neglog1p)
 
     @classmethod
     def from_triples(cls, rows, cols, vals, shape, offset):
@@ -230,38 +215,64 @@ class ConstraintTerms:
         The triples are kept in row-major order, the order of a scan of the
         dense A; an A too dense for triples is built at once."""
         m, n = shape
-        if not _sparse(vals.size, m, n):
-            return cls(_dense(rows, cols, vals, shape), offset)
-        order = np.argsort(rows * n + cols)
-        terms = cls.__new__(cls)  # every attribute but lin, as __post_init__ sets them
-        terms.__dict__.update(offset=_vector(offset, m, name="offset"), quad=None,
-                              neglog1p=None, _has_quad=False, _has_nl=False, _shape=(m, n),
-                              _triples=_read_only((rows[order], cols[order], vals[order])))
+        terms = cls.__new__(cls)
+        if _sparse(vals.size, m, n):
+            order = np.argsort(rows * n + cols)
+            terms._init((m, n), offset, None, (rows[order], cols[order], vals[order]))
+        else:
+            terms._init((m, n), offset, _dense(rows, cols, vals, shape), None)
         return terms
 
-    def __getattr__(self, name):
-        # reached only for an attribute the instance lacks: the dense A of
-        # rows built from triples, built on first read and kept
-        if name != "lin" or "_triples" not in self.__dict__:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        lin = _dense(*self._triples, self._shape)
-        object.__setattr__(self, "lin", lin)
-        return lin
+    def _init(self, shape, offset, lin, triples, quad=None, neglog1p=None):
+        """The one initializer: A comes as the dense ``lin``, as row-major
+        ``triples``, or as both; the products use the triples when given."""
+        m, n = shape
+        offset = _vector(offset, m, name="offset")
+        quad = None if quad is None else np.asarray(quad, dtype=float)
+        nl = None if neglog1p is None else np.asarray(neglog1p, dtype=float)
+        given = [a for a in (quad, nl) if a is not None]
+        if any(a.shape != shape for a in given):
+            raise ValueError("quad/neglog1p must match the linear part's shape")
+        if not all(np.all(a >= 0) for a in given):
+            raise ConfigurationError("quad and neglog1p coefficients must be nonnegative")
+        self.shape = shape
+        self.offset = offset
+        self.quad = quad
+        self.neglog1p = nl
+        self._has_quad = quad is not None and bool(quad.any())
+        self._has_nl = nl is not None and bool(nl.any())
+        self._triples = _read_only(triples)
+        if lin is not None:
+            self.lin = lin
+        if triples is None:
+            self.matvec, self.rmatvec = lin.dot, np.ascontiguousarray(lin.T).dot
+        else:
+            rows, cols, vals = triples
+            self.matvec = partial(_segment_sum, rows, cols, vals, m)
+            self.rmatvec = partial(_segment_sum, cols, rows, vals, n)
 
-    @property
-    def shape(self):
-        return self._shape
+    @cached_property
+    def lin(self):
+        """The dense A of rows built from triples, built on first read."""
+        return _dense(*self._triples, self.shape)
 
     @property
     def is_linear(self):
         return not (self._has_quad or self._has_nl)
 
-    def values(self, x):
+    def spectral_norm(self):
+        """sigma_max(A), as :func:`spectral_norm` gives it, from the triples
+        when A is kept as triples."""
         if self._triples is None:
-            g = self.lin.dot(x) - self.offset
-        else:
-            rows, cols, vals = self._triples
-            g = np.bincount(rows, vals * x[cols], self.offset.shape[0]) - self.offset
+            return spectral_norm(self.lin)
+        return _sparse_norm(*self._triples, self.shape)
+
+    def frobenius_norm(self):
+        """||A||_F, from the triples' values when A is kept as triples."""
+        return float(np.linalg.norm(self.lin if self._triples is None else self._triples[2]))
+
+    def values(self, x):
+        g = self.matvec(x) - self.offset
         if self._has_quad:
             g = g + self.quad.dot(x * x)
         if self._has_nl:
@@ -428,10 +439,11 @@ def spectral_norm(A):
         return 0.0
     if _sparse(nz.size, m, n):
         return _sparse_norm(*np.divmod(nz, n), vals, (m, n))
-    return _gram_norm(A @ A.T if m <= n else A.T @ A)
+    return _gram_norm(A)
 
 
-def _gram_norm(gram):
+def _gram_norm(A):
+    gram = A @ A.T if A.shape[0] <= A.shape[1] else A.T @ A
     return float(np.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0)))
 
 
@@ -440,17 +452,15 @@ def _sparse_norm(rows, cols, vals, shape):
     (``rows``, ``cols``) in row-major order.
 
     The certified bound of :func:`_certified_norm` when it holds, else
-    the Gram eigenvalue, with the Gram matrix summed from nonzero pairs
-    when they cost less than the dense product.
+    the eigenvalue of the dense Gram matrix.  Every flow-network A holds
+    the bound: negating its source rows and y columns turns
+    A = [[R, 0], [-T, I]] into |A|, so its mixed signs never reach the
+    dense fallback.
     """
     bound = _certified_norm(rows, cols, vals, shape)
     if bound is not None:
         return bound
-    gram = _pair_gram(rows, cols, vals, shape)
-    if gram is None:
-        A = _dense(rows, cols, vals, shape)
-        gram = A @ A.T if shape[0] <= shape[1] else A.T @ A
-    return _gram_norm(gram)
+    return _gram_norm(_dense(rows, cols, vals, shape))
 
 
 def _certified_norm(rows, cols, vals, shape):
@@ -514,40 +524,6 @@ def _certified_norm(rows, cols, vals, shape):
     return None
 
 
-def _pair_gram(rows, cols, vals, shape):
-    """The smaller Gram matrix of the m x n matrix with nonzeros ``vals``
-    at (``rows``, ``cols``) in row-major order, or None when the dense
-    product is cheaper.
-
-    Entry (i, j) is the sum over long-side indices k of A_ik A_jk: the
-    entries are grouped by k (a stable sort keeps each group in
-    short-side order), every ordered pair inside a group adds its product
-    to entry i * s + j, and ``np.add.at`` adds them in increasing k, so
-    (i, j) and (j, i) get the same bits.  The sums go into a buffer that
-    is written once first: ``np.bincount`` would add into a fresh
-    calloc'd buffer, whose pages then fault twice, on the read and on the
-    write (8 ms against 3 ms for the 700 x 700 Gram matrix of the
-    net-large benchmark, 2 vCPUs).
-    """
-    m, n = shape
-    short, long_, s, l = (rows, cols, m, n) if m <= n else (cols, rows, n, m)
-    h = np.bincount(long_, minlength=l)
-    if _GRAM_RATIO * int(h.dot(h)) >= s * s * l:
-        return None
-    order = np.argsort(long_, kind="stable")
-    short, vals, long_ = short[order], vals[order], long_[order]
-    group = h[long_]
-    # entry e pairs with its group's h entries: left repeats e, right runs
-    # from the group's first position to its last
-    first = np.cumsum(h)[long_] - group
-    left = np.repeat(np.arange(vals.size), group)
-    right = np.arange(left.size) - np.repeat(np.cumsum(group) - group - first, group)
-    gram = np.empty(s * s)
-    gram.fill(0.0)
-    np.add.at(gram, short[left] * s + short[right], vals[left] * vals[right])
-    return gram.reshape(s, s)
-
-
 _OBJECTIVE_KINDS = ("linear", "diag-quadratic", "neg-log-utility")
 
 
@@ -566,7 +542,7 @@ def load_program(source):
 
     Scalars are broadcast over box bounds, and ``linear.A`` may be ``[]``
     when m = 0.  A file that cannot be read or is not JSON, a missing or
-    mistyped field, or a non-finite entry of b, c, p or the weights,
+    mistyped field, or a non-finite entry of A, b, c, p or the weights,
     raises ConfigurationError.
     """
     spec = _read_json(source, "problem file")
@@ -601,6 +577,7 @@ def load_program(source):
         A = A.reshape(0, n)
     if A.shape != (m, n):
         raise ConfigurationError(f"linear.A has shape {A.shape}, expected ({m}, {n})")
+    if not np.isfinite(A).all():
+        raise ConfigurationError("linear.A must be finite")
     cons = ConstraintTerms(A, b)
-    beta = spectral_norm(A)
-    return ConvexProgram.from_terms(terms, cons, box, beta_hint=beta)
+    return ConvexProgram.from_terms(terms, cons, box, beta_hint=cons.spectral_norm())

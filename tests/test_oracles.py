@@ -1,3 +1,4 @@
+import math
 import time
 
 import numpy as np
@@ -127,16 +128,21 @@ def test_projected_gradient_raises_at_a_non_finite_gradient():
         solve_projected_gradient(prog, [np.nan], [0.1, 0.1], 2.0)
 
 
-def _dense_twin(program):
-    """The same program with its constraint terms forced onto the dense path."""
+def _dense_twin(program, monkeypatch):
+    """The same program with its constraint terms built on the dense path:
+    no density makes A sparse while they are built."""
     cons = program.constraint_terms
-    twin = ConstraintTerms(cons.lin, cons.offset, cons.quad)
-    object.__setattr__(twin, "_triples", None)
+    with monkeypatch.context() as patch:
+        patch.setattr("qpush.program._SPARSE_RATIO", math.inf)
+        twin = ConstraintTerms(cons.lin, cons.offset, cons.quad)
+    # A x and A^T W are products with A and with a copy of A^T
+    assert twin._triples is None and twin.matvec == twin.lin.dot
+    assert np.array_equal(twin.rmatvec.__self__, cons.lin.T)
     return ConvexProgram.from_terms(program.objective_terms, twin, program.box,
                                     beta_hint=program.beta_hint)
 
 
-def test_sparse_and_dense_paths_give_the_same_traces():
+def test_sparse_and_dense_paths_give_the_same_traces(monkeypatch):
     rng = np.random.default_rng(43)
     A = random_sparse_matrix(rng, density=1.0)
     m, n = A.shape
@@ -151,7 +157,7 @@ def test_sparse_and_dense_paths_give_the_same_traces():
     obj = CoordinateTerms(rng.uniform(0.5, 2.0, n), rng.normal(size=n), logw)
     sparse = ConvexProgram.from_terms(obj, cons, box, beta_hint=np.linalg.norm(A) + 4.0)
     assert sparse.constraint_terms._triples is not None
-    dense = _dense_twin(sparse)
+    dense = _dense_twin(sparse, monkeypatch)
     keys = ("x", "x_bar", "Q", "f_x", "f_xbar", "g_x", "g_xbar", "cum_g")
     alpha = 0.5 * sparse.beta_hint ** 2
     pairs = [[qp.run(p, mid, alpha, 500, record_every=1) for p in (sparse, dense)],

@@ -5,6 +5,7 @@ import math
 import pkgutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import qpush
@@ -107,7 +108,8 @@ def test_every_option_has_a_caller_outside_the_tests():
 # the per-iteration code of the VQ step, the DSG step and the agent round
 HOT_PATHS = ("solver.step", "solver._check_block", "solver.queue_update",
              "program.evaluate", "program.CoordinateTerms.value",
-             "program.ConstraintTerms.values", "oracles.SeparableOracle.solve",
+             "program.ConstraintTerms.values", "program._segment_sum",
+             "oracles.SeparableOracle.solve",
              "baseline.dual_step", "baseline.dsg_run", "netflow.simulate_decentralized")
 SLOW_FORMS = (" @ ", ".any()", ".all()", "np.any(", "np.all(", "logical_and.reduce",
               "logical_or.reduce")
@@ -129,3 +131,21 @@ def test_hot_paths_use_the_cheapest_numpy_entry_points():
         if slow:
             found[path] = slow
     assert found == {}
+
+
+# how ConstraintTerms keeps A; its products and norms are what others read
+A_STORAGE = {"_triples"}
+
+
+def test_only_program_reads_how_constraint_rows_keep_A():
+    """No module but program.py reads how ConstraintTerms stores A: the
+    others call its ``matvec``, ``rmatvec`` and norms.  A private
+    attribute the terms gain must be listed in A_STORAGE or be one of
+    the flags for the quadratic and log1p parts."""
+    package = ROOT / "src" / "qpush"
+    readers = sorted(path.name for path in package.glob("*.py")
+                     if path.name != "program.py" and A_STORAGE & _loaded_names([path]))
+    assert readers == []
+    sparse = qpush.ConstraintTerms(np.eye(40), np.zeros(40))  # 40 nonzeros in 1600
+    flags = {"_has_quad", "_has_nl"}
+    assert {name for name in vars(sparse) if name.startswith("_")} == A_STORAGE | flags

@@ -1,5 +1,6 @@
 import math
 import os
+import pickle
 import warnings
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 import qpush as qp
 from qpush import BoxSet, ConstraintTerms, ConvexProgram, CoordinateTerms
 from qpush.errors import ConfigurationError
-from qpush.program import _all_finite, _certified_norm, _pair_gram, _selector
+from qpush.program import _all_finite, _certified_norm, _selector
 
 from helpers import (FINITENESS_CASES, FINITENESS_IDS, UNREADABLE_INPUTS, random_network,
                      random_separable_program, random_sparse_matrix, unreadable_input)
@@ -119,6 +120,22 @@ def test_terms_from_triples_match_the_dense_constructor():
         assert not hasattr(terms, "lin_T")
 
 
+@pytest.mark.parametrize("name", ["fig1-num", "qp", "random-network"])
+def test_a_pickled_program_runs_the_same_trace(name):
+    if name == "random-network":
+        topo = random_network(np.random.default_rng(67))
+        program = qp.build_num_program(topo, np.ones(topo.S), 1.0, 1.0)
+        assert program.constraint_terms._triples is not None
+    else:
+        program = qp.get_problem(name).program
+    twin = pickle.loads(pickle.dumps(program))
+    alpha = 0.5 * program.beta_hint ** 2 + 1.0
+    got, want = (qp.run(p, 0.5 * program.box.hi, alpha, 200, record_every=1)
+                 for p in (twin, program))
+    for key in ("x", "x_bar", "Q", "f_x", "f_xbar", "g_x", "g_xbar", "cum_g", "drift"):
+        assert np.array_equal(getattr(got, key), getattr(want, key)), key
+
+
 def test_bundled_programs_take_their_path(monkeypatch):
     # a change of the density threshold must not move fig1 or the QP off
     # the dense path their pinned values were read from
@@ -214,18 +231,11 @@ def triples(M):
     return rows, cols, M[rows, cols], M.shape
 
 
-def pair_gram(M):
-    """The Gram matrix spectral_norm's fallback builds from M's nonzero
-    pairs, or None."""
-    return _pair_gram(*triples(M))
-
-
 def gram_value(M):
-    """The fallback's value: the root of the largest eigenvalue of the pair
-    Gram matrix, or of the dense product when the pairs cost more."""
-    gram = pair_gram(M)
-    if gram is None:
-        gram = M @ M.T if M.shape[0] <= M.shape[1] else M.T @ M
+    """The fallback's value: the root of the largest eigenvalue of the
+    smaller Gram matrix of M, held row-major as the fallback holds it."""
+    M = np.ascontiguousarray(M)
+    gram = M @ M.T if M.shape[0] <= M.shape[1] else M.T @ M
     return float(np.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0)))
 
 
@@ -240,14 +250,11 @@ def sparse_with_dense_column(rng):
     return M[rng.permutation(s)][:, rng.permutation(l)]
 
 
-def test_spectral_norm_from_nonzero_pairs_matches_svd():
+def test_sparse_spectral_norm_matches_svd():
     rng = np.random.default_rng(23)
     for _ in range(3):
         M = sparse_with_dense_column(rng)
         for A in (M, M.T):
-            gram = pair_gram(A)
-            assert gram is not None  # the pair path, not the dense product
-            assert np.array_equal(gram, gram.T)
             exact = np.linalg.norm(A, 2)
             assert abs(qp.spectral_norm(A) - exact) <= 1e-12 * exact
 
@@ -258,7 +265,6 @@ def test_spectral_norm_of_an_incidence_matrix_is_a_certified_bound():
     A = random_network(np.random.default_rng(29)).stacked_matrix()
     for M in (A, A.T):
         dense = M @ M.T if M.shape[0] <= M.shape[1] else M.T @ M
-        assert np.array_equal(pair_gram(M), dense)  # integers, exact either way
         exact = float(np.sqrt(max(np.linalg.eigvalsh(dense)[-1], 0.0)))
         beta = qp.spectral_norm(M)
         assert beta == _certified_norm(*triples(M))
@@ -329,17 +335,10 @@ def test_net_large_beta_is_a_tight_upper_bound(seed, monkeypatch):
     assert beta <= qp.beta_bounds(topo)[0]
 
 
-def test_spectral_norm_keeps_the_dense_product_when_pairs_cost_more():
-    M = np.zeros((100, 3300))
-    M[:, :3] = 1.0  # full columns: 3 * 100^2 pairs > 100 * 100 * 3300 / 2048
-    assert pair_gram(M) is None
-    assert qp.spectral_norm(M) == pytest.approx(np.linalg.norm(M, 2), rel=1e-12)
-
-
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_spectral_norm_rejects_a_non_finite_entry_of_a_sparse_matrix(bad):
     M = sparse_with_dense_column(np.random.default_rng(31))
-    assert pair_gram(M) is not None
+    assert 32 * np.count_nonzero(M) < M.size  # the sparse branch
     M[3, 7] = bad
     with pytest.raises(ValueError, match="finite"):
         qp.spectral_norm(M)
@@ -408,6 +407,19 @@ def test_load_program_of_an_unreadable_file_raises_configuration_error(tmp_path,
     with pytest.raises(ConfigurationError) as err:
         qp.load_program(path)
     assert str(err.value).startswith(f"{UNREADABLE_INPUTS[kind]} problem file {str(path)!r}: ")
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("n", [2, 120], ids=["dense", "sparse"])
+def test_load_program_refuses_a_non_finite_entry_of_A(bad, n):
+    A = np.zeros((3, n))
+    A[0, :2], A[2, 1] = 1.0, bad
+    assert (32 * np.count_nonzero(A) < A.size) == (n == 120)
+    spec = {"n": n, "m": 3, "box": {"lo": 0, "hi": 1}, "linear": {"A": A.tolist(), "b": [1] * 3},
+            "objective": {"kind": "linear", "c": [1] * n}}
+    with pytest.raises(ConfigurationError) as err:
+        qp.load_program(spec)
+    assert str(err.value) == "linear.A must be finite"
 
 
 def test_load_program_reads_an_empty_A_as_no_rows():
