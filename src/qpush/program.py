@@ -261,10 +261,10 @@ class ConstraintTerms:
         return not (self._has_quad or self._has_nl)
 
     def spectral_norm(self):
-        """sigma_max(A), as :func:`spectral_norm` gives it, from the triples
-        when A is kept as triples."""
+        """sigma_max(A) of a finite A, as :func:`spectral_norm` gives it,
+        from the triples when A is kept as triples."""
         if self._triples is None:
-            return spectral_norm(self.lin)
+            return _gram_norm(self.lin)
         return _sparse_norm(*self._triples, self.shape)
 
     def frobenius_norm(self):
@@ -435,8 +435,6 @@ def spectral_norm(A):
     vals = flat[nz]
     if not np.isfinite(vals).all():
         raise ValueError("matrix entries must be finite")
-    if not nz.size:
-        return 0.0
     if _sparse(nz.size, m, n):
         return _sparse_norm(*np.divmod(nz, n), vals, (m, n))
     return _gram_norm(A)
@@ -444,7 +442,7 @@ def spectral_norm(A):
 
 def _gram_norm(A):
     gram = A @ A.T if A.shape[0] <= A.shape[1] else A.T @ A
-    return float(np.sqrt(max(np.linalg.eigvalsh(gram)[-1], 0.0)))
+    return float(np.sqrt(np.linalg.eigvalsh(gram).max(initial=0.0)))
 
 
 def _sparse_norm(rows, cols, vals, shape):
@@ -465,7 +463,8 @@ def _sparse_norm(rows, cols, vals, shape):
 
 def _certified_norm(rows, cols, vals, shape):
     """An upper bound on sigma_max within a relative 1e-12 of
-    sigma_max^2, or None when none is found in 64 power steps.
+    sigma_max^2 (0 when A has no nonzeros), or None when none is found in
+    64 power steps.
 
     For every matrix sigma_max(A) <= sigma_max(|A|), and for a positive
     v the Collatz-Wielandt formula bounds the Perron root of the
@@ -491,6 +490,8 @@ def _certified_norm(rows, cols, vals, shape):
     stay apart: mixed signs that |A| does not preserve, or slow
     convergence.
     """
+    if not vals.size:
+        return 0.0
     m, n = shape
     if m > n:  # iterate on the shorter side
         rows, cols, m, n = cols, rows, n, m

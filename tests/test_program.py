@@ -191,6 +191,17 @@ def test_spectral_norm_zero_matrix():
     assert qp.spectral_norm(np.zeros((3, 4))) == 0.0
 
 
+@pytest.mark.parametrize("shape", [(1, 1), (2, 100), (3, 4), (0, 3), (3, 0)])
+def test_spectral_norm_of_a_matrix_without_nonzeros_is_zero(shape):
+    # an all-zero A with entries is kept as empty triples, one without
+    # entries is kept dense; both are 0 from the terms and the function
+    A = np.zeros(shape)
+    terms = ConstraintTerms(A, np.zeros(shape[0]))
+    assert (terms._triples is None) == (A.size == 0)
+    assert terms.spectral_norm() == qp.spectral_norm(A) == 0.0
+    assert terms.frobenius_norm() == 0.0
+
+
 def test_spectral_norm_start_orthogonal_to_top_space():
     # the all-ones start lies in the null space of this Gram matrix
     A = np.array([[1.0, -1.0], [-1.0, 1.0]])
@@ -420,6 +431,16 @@ def test_load_program_refuses_a_non_finite_entry_of_A(bad, n):
     with pytest.raises(ConfigurationError) as err:
         qp.load_program(spec)
     assert str(err.value) == "linear.A must be finite"
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (2, 100)])
+def test_load_program_of_an_all_zero_A_has_beta_zero(m, n):
+    spec = {"n": n, "m": m, "box": {"lo": 0, "hi": 1},
+            "linear": {"A": np.zeros((m, n)).tolist(), "b": [1] * m},
+            "objective": {"kind": "linear", "c": [1] * n}}
+    prog = qp.load_program(spec)
+    assert prog.beta_hint == 0.0
+    assert np.array_equal(qp.evaluate(prog, np.zeros(n))[1], -np.ones(m))
 
 
 def test_load_program_reads_an_empty_A_as_no_rows():
