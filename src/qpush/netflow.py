@@ -154,8 +154,14 @@ class Topology:
 
     @cached_property
     def _sigma(self):
-        """Spectral norm of the stacked matrix, computed once."""
-        return self._num_constraints.spectral_norm()
+        """Spectral norm of the stacked matrix, computed once.
+
+        Negating the source rows and the y columns of A = [[R, 0], [-T, I]]
+        gives |A| = [[R, 0], [T, I]].  Those negations are orthogonal, so A
+        and |A| have the same singular values, and the certified bound
+        comes from the nonnegative |A| with no signed iterate, in the same
+        bits as from A."""
+        return self._num_constraints.unsigned_spectral_norm()
 
     @classmethod
     def from_paths(cls, capacities, paths):

@@ -267,6 +267,20 @@ class ConstraintTerms:
             return _gram_norm(self.lin)
         return _sparse_norm(*self._triples, self.shape)
 
+    def unsigned_spectral_norm(self):
+        """:meth:`spectral_norm` of an A that negating some rows and
+        columns turns into |A|, whose singular values it shares.  From
+        triples it is the certified bound on sigma_max(|A|), which needs no
+        signed iterate and for such an A equals the signed route's value
+        bit for bit.  For any other A it is still an upper bound on
+        sigma_max(A), which never exceeds sigma_max(|A|)."""
+        if self._triples is not None:
+            rows, cols, vals = self._triples
+            bound = _certified_norm(rows, cols, np.abs(vals), self.shape)
+            if bound is not None:
+                return bound
+        return self.spectral_norm()
+
     def frobenius_norm(self):
         """||A||_F, from the triples' values when A is kept as triples."""
         return float(np.linalg.norm(self.lin if self._triples is None else self._triples[2]))
@@ -450,10 +464,10 @@ def _sparse_norm(rows, cols, vals, shape):
     (``rows``, ``cols``) in row-major order.
 
     The certified bound of :func:`_certified_norm` when it holds, else
-    the eigenvalue of the dense Gram matrix.  Every flow-network A holds
-    the bound: negating its source rows and y columns turns
-    A = [[R, 0], [-T, I]] into |A|, so its mixed signs never reach the
-    dense fallback.
+    the eigenvalue of the dense Gram matrix.  A nonnegative matrix needs
+    no signed iterate, so its bound costs half the work of a mixed-sign
+    one; a flow network's A gets its bound from |A|
+    (:meth:`ConstraintTerms.unsigned_spectral_norm`).
     """
     bound = _certified_norm(rows, cols, vals, shape)
     if bound is not None:
@@ -473,8 +487,11 @@ def _certified_norm(rows, cols, vals, shape):
     v = 1 make that bound tight.  The same steps on the signed A A^T give
     u, whose Rayleigh quotient ||A^T u||^2 / ||u||^2 is a lower bound on
     sigma_max^2; the upper bound is taken once it is within 1e-12 of it
-    (relative).  Both iterates are one vector, so a step is two bincounts
-    over the triples and their signed twins.
+    (relative).  When A has a negative entry, v and u are one vector of
+    length 2m, and a step is two bincounts over the triples and their
+    signed twins.  When A >= 0, u would repeat v bit for bit, so the
+    iterate is v alone, of length m, and gives both bounds: the same
+    result from half the work.
 
     Rounding is allowed for outward.  Every term of M v is nonnegative,
     so the computed (M v)_i is at least (1 - gamma_k) times the exact one,
@@ -504,21 +521,26 @@ def _certified_norm(rows, cols, vals, shape):
         rows, counts, m = np.searchsorted(used, rows), counts[used], used.size
     k = int(counts.max()) + int(np.bincount(cols).max())
     slack = 1.0 + (k + 4) * np.finfo(float).eps
-    rows2, cols2 = np.concatenate([rows, rows + m]), np.concatenate([cols, cols + n])
-    vals2 = np.concatenate([mags, vals])
-    x = np.ones(2 * m)  # v (for |A|) then u (for A), each scaled to a largest entry of 1
+    # u starts at x[hm:] and A^T u at w[hn:]: after v when A has a negative
+    # entry, else they are v and |A|^T v themselves
+    hm, hn = (m, n) if (vals < 0).any() else (0, 0)
+    if hm:
+        rows, cols = np.concatenate([rows, rows + m]), np.concatenate([cols, cols + n])
+        mags = np.concatenate([mags, vals])
+    x = np.ones(m + hm)  # each iterate scaled to a largest entry of 1
     for _ in range(_BOUND_STEPS):
-        w = np.bincount(cols2, vals2 * x[rows2], 2 * n)
-        y = np.bincount(rows2, vals2 * w[cols2], 2 * m)
+        w = np.bincount(cols, mags * x[rows], n + hn)
+        y = np.bincount(rows, mags * w[cols], m + hm)
         upper = float((y[:m] / x[:m]).max()) * slack
-        lower = float(w[n:].dot(w[n:])) / float(x[m:].dot(x[m:]))
+        lower = float(w[hn:].dot(w[hn:])) / float(x[hm:].dot(x[hm:]))
         if upper <= lower * (1.0 + _BOUND_GAP):
             return math.nextafter(math.sqrt(upper), math.inf)
-        top = np.abs(y[m:]).max()
+        top = np.abs(y[hm:]).max()
         if not top > 0:
             return None
-        y[:m] /= y[:m].max()
-        y[m:] /= top
+        if hm:
+            y[:m] /= y[:m].max()
+        y[hm:] /= top
         x = y
         if not x[:m].min() >= _BOUND_RANGE ** -1:
             return None

@@ -160,6 +160,20 @@ def test_a_link_without_paths_leaves_the_sparse_beta_unchanged():
     assert idle._sigma == _certified_norm(*terms._triples, terms.shape) == topo._sigma
 
 
+def test_beta_from_the_unsigned_matrix_keeps_the_signed_bits(fig1_instance):
+    # negating the source rows and y columns turns A into |A|, so the bound
+    # from |A| alone is the signed route's value, bit for bit
+    rng = np.random.default_rng(71)
+    topologies = [fig1_instance.topology] + [random_topology(rng) for _ in range(50)]
+    networks = [random_network(rng) for _ in range(5)]
+    for topo in topologies + networks:
+        assert topo._sigma == topo._num_constraints.spectral_norm()
+    for topo in networks:
+        A = topo.stacked_matrix()
+        exact = float(np.sqrt(np.linalg.eigvalsh(A @ A.T)[-1]))
+        assert exact <= topo._sigma <= exact * (1.0 + 1e-12)
+
+
 def test_zero_weight_source_ignored_in_objective():
     topo = single_link_topology()
     prog = qp.build_num_program(topo, [0.0], [1.0], [1.0])

@@ -11,8 +11,9 @@ from qpush import BoxSet, ConstraintTerms, ConvexProgram, CoordinateTerms
 from qpush.errors import ConfigurationError
 from qpush.program import _all_finite, _certified_norm, _selector
 
-from helpers import (FINITENESS_CASES, FINITENESS_IDS, UNREADABLE_INPUTS, random_network,
-                     random_separable_program, random_sparse_matrix, unreadable_input)
+from helpers import (FINITENESS_CASES, FINITENESS_IDS, UNREADABLE_INPUTS, fused_certified_norm,
+                     random_network, random_separable_program, random_sparse_matrix,
+                     unreadable_input)
 
 
 def linear_program(A, b, c, lo, hi):
@@ -330,6 +331,35 @@ def test_sparse_spectral_norm_of_disconnected_blocks():
     M = disconnected_blocks(1.0 - 1e-9)
     assert _certified_norm(*triples(M)) is None
     assert qp.spectral_norm(M) == gram_value(M)
+
+
+def test_certified_norm_of_a_nonnegative_matrix_iterates_on_its_nonzeros_once(monkeypatch):
+    # A >= 0 needs no signed twin: every bincount runs over nnz entries, not
+    # 2 nnz, and the bound keeps the bits of the fused two-half loop,
+    # None included; mixed signs keep the twin and the same bits as well
+    lengths = []
+
+    def counted(a, *args, **kwargs):
+        lengths.append(len(a))
+        return bincount(a, *args, **kwargs)
+
+    bincount = np.bincount
+    rng = np.random.default_rng(67)
+    cases = [random_sparse_matrix(rng) for _ in range(20)]  # empty rows and columns
+    cases += [disconnected_blocks(1.0), disconnected_blocks(1.0 - 1e-9),
+              random_network(rng).stacked_matrix()]
+    for A in cases:
+        for M in (np.abs(A), np.abs(A).T):
+            rows, cols, vals, shape = triples(M)
+            expected = fused_certified_norm(rows, cols, vals, shape)
+            monkeypatch.setattr(np, "bincount", counted)
+            lengths.clear()
+            assert _certified_norm(rows, cols, vals, shape) == expected
+            monkeypatch.undo()
+            assert lengths and set(lengths) == {vals.size}
+        assert _certified_norm(*triples(A)) == fused_certified_norm(*triples(A))
+    assert _certified_norm(*triples(disconnected_blocks(1.0))) is not None
+    assert _certified_norm(*triples(disconnected_blocks(1.0 - 1e-9))) is None
 
 
 @pytest.mark.parametrize("seed", [1, 7919])
