@@ -138,18 +138,24 @@ class Topology:
         first call and shared."""
         return self._num_constraints.lin
 
-    @cached_property
-    def _num_constraints(self):
-        """g(z) = A z - (cap, 0) of the rate-allocation program, built once
-        from the incidence index arrays and shared by every program on this
-        topology."""
+    def _stacked_triples(self):
+        """(rows, cols, values) of the nonzeros of A = [[R, 0], [-T, I]]:
+        R's, then -T's, then I's."""
         L, K, S = self.L, self.K, self.S
         diag = np.arange(S)
         rows = np.concatenate([self._pl_link, L + self._sp_source, L + diag])
         cols = np.concatenate([self._pl_path, self._sp_path, K + diag])
         vals = np.ones(rows.size)
         vals[self._pl_link.size:self._pl_link.size + K] = -1.0
-        return ConstraintTerms.from_triples(rows, cols, vals, (L + S, K + S),
+        return rows, cols, vals
+
+    @cached_property
+    def _num_constraints(self):
+        """g(z) = A z - (cap, 0) of the rate-allocation program, built once
+        from the incidence index arrays and shared by every program on this
+        topology."""
+        L, K, S = self.L, self.K, self.S
+        return ConstraintTerms.from_triples(*self._stacked_triples(), (L + S, K + S),
                                             np.concatenate([self.cap, np.zeros(S)]))
 
     @cached_property
@@ -350,7 +356,11 @@ def simulate_decentralized(topology, utilities, x_max, y_max, alpha,
         Q_before = Q
         Q = np.maximum(-g_z, Q + g_z)
         price = Q + g_z
-        x_bar = z.copy() if x_bar is None else x_bar * (t / (t + 1.0)) + z / (t + 1.0)
+        if x_bar is None:
+            x_bar = z.copy()
+        else:
+            x_bar *= t / (t + 1.0)
+            x_bar += z / (t + 1.0)
         if not _all_finite(g_z, g_z.dot(zeros_g)):
             raise NumericalDomainError(f"constraint value is not finite at iteration {t}")
         cum_g += g_z

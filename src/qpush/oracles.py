@@ -118,6 +118,9 @@ class SeparableOracle:
     At alpha = 0 a coordinate with no curvature is flat or log-shaped:
     it goes to the endpoint its slope points to, or to the stationary
     point of its log term, and to the low endpoint on an exact zero slope.
+    There x_prev is not read, and with no quadratic constraint rows the
+    flat coordinates and their class constants are kept with the
+    curvature.
     """
 
     name = "separable-closed-form"
@@ -151,9 +154,13 @@ class SeparableOracle:
         # the box, with log coordinates raised to the domain floor
         self._lo_eff = self.lo.copy()
         self._lo_eff[self.idx_log] = np.maximum(self.lo[self.idx_log], LOG_DOMAIN_FLOOR)
-        # (alpha, obj_quad + alpha, its class constants), one tuple so that a
-        # reader never pairs one alpha's curvature with another's constants
-        self._curvature = (None, None, None)
+        # (alpha, obj_quad + alpha, its class constants, its flat split), one
+        # tuple so that a reader never pairs one alpha's curvature with
+        # another's constants
+        self._curvature = (None, None, None, None)
+        # copied into by the flat closed forms where the slope points outward
+        self._inf_log = np.full(self.idx_log.size, np.inf)
+        self._inf_nl1p = np.full(self.idx_nl1p.size, np.inf)
 
     def _class_constants(self, quad):
         """Curvature multiples the closed forms use: -2a (quadratic), (8a)w
@@ -172,48 +179,64 @@ class SeparableOracle:
             neg_two_a[self._sel_nl1p] = -1.0
         return neg_two_a, log_c, nl_c
 
+    def _flat_split(self, quad):
+        """The coordinates of the curvature ``quad`` that have none, at
+        alpha = 0: None when there are none, else their mask and the class
+        constants with 1.0 standing in for 0 on the flat ones (any positive
+        stand-in keeps the closed forms finite there), None when every
+        coordinate is flat."""
+        if np.count_nonzero(quad) == quad.shape[0]:
+            return None
+        flat = quad == 0
+        if np.count_nonzero(flat) == flat.shape[0]:
+            return flat, None
+        return flat, self._class_constants(np.where(flat, 1.0, quad))
+
     def solve(self, weights, x_prev, alpha):
         lin = self._rmatvec(weights)
         if self._has_obj_lin:
             lin = self.obj_lin + lin
-        lin = lin - (2.0 * alpha) * x_prev
+        if alpha != 0:
+            lin = lin - (2.0 * alpha) * x_prev
         curvature = self._curvature
         if alpha != curvature[0]:
             quad = self.obj_quad + alpha
-            curvature = self._curvature = (alpha, quad, self._class_constants(quad))
-        quad = curvature[1]
+            curvature = self._curvature = (alpha, quad, self._class_constants(quad),
+                                           None if alpha > 0 else self._flat_split(quad))
+        quad, split = curvature[1], curvature[3]
         if self.has_cons_quad:
             wq = self.quad_T.dot(weights)
             if np.count_nonzero(wq < 0):
                 # negative weights on quadratic rows would break convexity
                 raise ConfigurationError("negative weight on a quadratic constraint row")
             quad = quad + wq
-        il, ip = self.idx_log, self.idx_nl1p
+            if not alpha > 0:
+                split = self._flat_split(quad)
+        ip = self.idx_nl1p
         sl, sp = self._sel_log, self._sel_nl1p
         if ip.size:
             d = self.nl1p_T.dot(weights)
             if np.count_nonzero(d < 0):
                 raise ConfigurationError("negative weight on a log(1+z) constraint row")
-        flat = None
-        if not (alpha > 0 or np.count_nonzero(quad) == quad.shape[0]):
-            flat = quad == 0
+        if split is not None:
+            flat, constants = split
             # -inf and inf clip to the low and high endpoints
             target = np.where(lin < 0, np.inf, -np.inf)
-            w_over_b = np.divide(self._logw_l, lin[sl], out=np.full(il.size, np.inf),
-                                 where=lin[sl] > 0)
+            b = lin[sl]
+            w_over_b = np.divide(self._logw_l, b, out=self._inf_log.copy(), where=b > 0)
             target[sl] = np.maximum(w_over_b, LOG_DOMAIN_FLOOR)
             if ip.size:
-                target[sp] = np.divide(d, lin[sp], out=np.full(ip.size, np.inf),
-                                       where=lin[sp] > 0) - 1.0
-            x_flat = np.minimum(np.maximum(target, self.lo), self.hi)
-            if np.count_nonzero(flat) == flat.shape[0]:
+                b = lin[sp]
+                target[sp] = np.divide(d, b, out=self._inf_nl1p.copy(), where=b > 0) - 1.0
+            x_flat = np.maximum(target, self.lo, out=target)
+            np.minimum(x_flat, self.hi, out=x_flat)
+            if constants is None:
                 return x_flat
-            # any positive stand-in keeps the closed forms below finite
-            quad = np.where(flat, 1.0, quad)
-        if flat is None and not self.has_cons_quad:
-            neg_two_a, log_c, nl_c = curvature[2]
-        else:
+            neg_two_a, log_c, nl_c = constants
+        elif self.has_cons_quad:
             neg_two_a, log_c, nl_c = self._class_constants(quad)
+        else:
+            neg_two_a, log_c, nl_c = curvature[2]
         # unconstrained stationary point of each class, then one clip to the
         # box: every coordinate starts from the quadratic one, -b / 2a (IEEE
         # division is sign-symmetric, so b / (-2a) has its bits), and the log
@@ -243,7 +266,7 @@ class SeparableOracle:
             x[sp] = root
         np.maximum(x, self._lo_eff, out=x)
         np.minimum(x, self.hi, out=x)
-        if flat is not None:
+        if split is not None:
             x[flat] = x_flat[flat]
         return x
 

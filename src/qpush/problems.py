@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigurationError
 from .netflow import NumProblem, Topology, load_topology
-from .program import BoxSet, ConstraintTerms, ConvexProgram, CoordinateTerms, spectral_norm
+from .program import BoxSet, ConstraintTerms, ConvexProgram, CoordinateTerms
 from .solver import kkt_residual
 
 __all__ = [
@@ -103,7 +103,9 @@ def build_flow_power_program(topology, utilities, y_max):
     objective gains the linear power cost POWER_COST p_l.  The Lipschitz
     hint is the spectral norm of the slope-bound pattern matrix
     [[R, 0, I], [-T, I, 0]] (the log slope is at most 1 at p = 0,
-    entrywise domination does the rest).
+    entrywise domination does the rest), built from the topology's index
+    arrays.  Negating its source rows and y columns makes it nonnegative,
+    so its norm is the unsigned one.
 
     A path rate is capped at log(1 + P_MAX), the largest capacity a link
     can reach, so the box never cuts off the optimum.
@@ -123,10 +125,13 @@ def build_flow_power_program(topology, utilities, y_max):
     neglog1p[:L, K + S:] = np.eye(L)
     cons = ConstraintTerms(lin, np.zeros(L + S), neglog1p=neglog1p)
     box = BoxSet(np.zeros(n), np.concatenate([num.x_max, num.y_max, np.full(L, P_MAX)]))
-    pattern = lin.copy()
-    pattern[:L, K + S:] = np.eye(L)
-    beta = spectral_norm(pattern)
-    return ConvexProgram.from_terms(obj, cons, box, beta_hint=beta)
+    rows, cols, vals = topology._stacked_triples()
+    link = np.arange(L)
+    pattern = ConstraintTerms.from_triples(
+        np.concatenate([rows, link]), np.concatenate([cols, K + S + link]),
+        np.concatenate([vals, np.ones(L)]), (L + S, n), np.zeros(L + S))
+    return ConvexProgram.from_terms(obj, cons, box,
+                                    beta_hint=pattern.unsigned_spectral_norm())
 
 
 @dataclass(frozen=True)

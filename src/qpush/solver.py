@@ -37,7 +37,8 @@ the first failing (step, check) looked up, so the error is that of the
 earliest failing step, raised at most 31 steps later, before any error of
 a later step.  ``step`` called on its own tests its own row at once, as a
 one-row block.  A failure raises InvariantViolation, an AssertionError
-carrying the invariant's name, t and margin.
+carrying the invariant's name, t and margin.  The dual subgradient
+baseline hands the same block pass its multiplier and drift rows.
 
 Every step, validated or not, tests the oracle's iterate and then the
 evaluated f and g for finiteness, and raises NumericalDomainError naming
@@ -86,7 +87,12 @@ _INVARIANTS = (
     ("drift", "drift exceeded its upper bound"),
     ("cumulative", "queue fell below the cumulative constraint sum"),
 )
-# steps whose invariants ``run`` tests together in one block pass
+# those of a dual subgradient step (baseline.dual_step)
+_DUAL_INVARIANTS = (
+    ("multiplier", "multiplier projection failed"),
+    ("drift", "drift exceeded its upper bound"),
+)
+# steps whose invariants a runner tests together in one block pass
 _BLOCK = 32
 
 
@@ -127,17 +133,22 @@ def queue_update(Q, g_now):
 class _Workspace:
     """Per-run state of a step: the block of steps whose invariants wait
     for their test, the zero vector of the iterate's finiteness test and
-    the last step's Q(t+1) with its 0.5||Q(t+1)||^2."""
+    the last step's Q(t+1) with its 0.5||Q(t+1)||^2.  A ``dual`` workspace
+    serves the dual subgradient step, whose Q is the multiplier lambda."""
 
-    __slots__ = ("deferred", "t0", "vectors", "scalars", "zeros", "Q_next", "half_qq")
+    __slots__ = ("dual", "deferred", "t0", "vectors", "scalars", "zeros", "Q_next",
+                 "half_qq")
 
-    def __init__(self, n):
-        # True while ``run`` collects steps for a block test; False tests
+    def __init__(self, n, dual=False):
+        self.dual = dual
+        # True while a runner collects steps for a block test; False tests
         # each step at once
         self.deferred = False
         # the block: its first step t0; Q, g(x_prev) and the running sum
         # that t0 started from, then Q(t+1), g(x(t)) and the running sum of
-        # each step; each step's drift, bound, 0.5||Q||^2 and ||g||^2
+        # each step (a dual block: lambda(t+1) of each step alone); each
+        # step's drift, bound, 0.5||Q||^2 and ||g||^2 (a dual step's
+        # ||gamma g||^2)
         self.t0 = 0
         self.vectors = []
         self.scalars = []
@@ -187,32 +198,41 @@ def _check_block(work):
 
     Row i of the stacked queues, constraint values and running sums is
     what step t0 + i starts from, so rows i and i + 1 hold all that step's
-    checks read; W is recomputed with the step's own addition.  Each check
-    writes a contiguous section of one flag buffer, (k, m) for the vector
-    checks and (k,) for the drift.  The drift flags are a screen at the
-    absolute tolerance, which the scale-aware one only widens; on a hit the
-    flagged drifts are tested again at their own tolerance.  The earliest
-    step with a flag left is reported, by its first check in the order of
-    ``_INVARIANTS``, with its margin recomputed from that step alone.
+    checks read; W is recomputed with the step's own addition.  A dual
+    block has one row per step, lambda(t+1).  Each check writes a
+    contiguous section of one flag buffer, (k, m) for the vector checks
+    and (k,) for the drift.  The drift flags are a screen at the absolute
+    tolerance, which the scale-aware one only widens; on a hit the flagged
+    drifts are tested again at their own tolerance.  The earliest step with
+    a flag left is reported, by its first check in the order of
+    ``_INVARIANTS`` (``_DUAL_INVARIANTS``), with its margin recomputed from
+    that step alone.
     """
-    t0, scalars = work.t0, work.scalars
+    t0, scalars, dual = work.t0, work.scalars, work.dual
     m = work.vectors[0].shape[0]
-    k = len(work.vectors) // 3 - 1
-    # k + 1 rows, given explicitly: a -1 cannot be inferred when m = 0
-    Qs, gs, cums = np.concatenate(work.vectors).reshape(k + 1, 3, m).transpose(1, 0, 2).copy()
+    k = len(scalars) // 4
+    rows = np.concatenate(work.vectors)
     work.vectors.clear()
     work.scalars = []
     drift, bound, L, gg = np.array(scalars).reshape(k, 4).T
-    flags = np.empty(k * (4 * m + 1), dtype=bool)
-    # sections: queue, weight, lower, cumulative (k, m each), then drift (k)
-    vector_flags = flags[:4 * k * m].reshape(4, k, m)
-    drift_flags = flags[4 * k * m:]
-    Q, Qn, g = Qs[:-1], Qs[1:], gs[1:]
-    np.less(Q, 0.0, out=vector_flags[0])
-    np.less(Q + gs[:-1], -INVARIANT_TOL, out=vector_flags[1])
-    np.less(np.abs(Qn), np.abs(g) - INVARIANT_TOL, out=vector_flags[2])
-    cum_tol = np.arange(t0 + 1, t0 + k + 1) * 1e-12
-    np.less(Qn, (cums[1:] - cum_tol[:, None]) - INVARIANT_TOL, out=vector_flags[3])
+    c = 1 if dual else 4
+    flags = np.empty(k * (c * m + 1), dtype=bool)
+    # sections: queue, weight, lower, cumulative (k, m each), or the
+    # multiplier's, then drift (k)
+    vector_flags = flags[:c * k * m].reshape(c, k, m)
+    drift_flags = flags[c * k * m:]
+    if dual:
+        lams = rows.reshape(k, m)
+        np.less(lams, 0.0, out=vector_flags[0])
+    else:
+        # k + 1 rows, given explicitly: a -1 cannot be inferred when m = 0
+        Qs, gs, cums = rows.reshape(k + 1, 3, m).transpose(1, 0, 2).copy()
+        Q, Qn, g = Qs[:-1], Qs[1:], gs[1:]
+        np.less(Q, 0.0, out=vector_flags[0])
+        np.less(Q + gs[:-1], -INVARIANT_TOL, out=vector_flags[1])
+        np.less(np.abs(Qn), np.abs(g) - INVARIANT_TOL, out=vector_flags[2])
+        cum_tol = np.arange(t0 + 1, t0 + k + 1) * 1e-12
+        np.less(Qn, (cums[1:] - cum_tol[:, None]) - INVARIANT_TOL, out=vector_flags[3])
     np.greater(drift, bound + INVARIANT_TOL, out=drift_flags)
     if not np.count_nonzero(flags):
         return
@@ -221,19 +241,22 @@ def _check_block(work):
     np.logical_and(drift_flags, drift > bound + drift_tol, out=drift_flags)
     if not np.count_nonzero(flags):
         return
-    # (k, 5) hits per step, in the order of _INVARIANTS
+    # (k, 5) or (k, 2) hits per step, in the order of the invariants: the
+    # drift follows the first three vector checks
     counts = np.count_nonzero(vector_flags, axis=2)
-    hits = np.vstack((counts[:3], drift_flags, counts[3])).T
-    r, i = divmod(int(np.flatnonzero(hits)[0]), len(_INVARIANTS))
+    hits = np.vstack((counts[:3], drift_flags, counts[3:])).T
+    invariants = _DUAL_INVARIANTS if dual else _INVARIANTS
+    r, i = divmod(int(np.flatnonzero(hits)[0]), len(invariants))
     t = t0 + r
-    name, message = _INVARIANTS[i]
-    if i == 3:
-        delta, bound, L, gg = scalars[4 * r:4 * r + 4]
-        tol = max(INVARIANT_TOL, (m + 4) * _EPS * (delta + 3.0 * L + 1.5 * gg))
-        raise InvariantViolation(message, name, t, bound + tol - delta)
-    Q, Qn, g = Qs[r], Qs[r + 1], gs[r + 1]
-    margin = (Q, Q + gs[r] + INVARIANT_TOL, np.abs(Qn) - (np.abs(g) - INVARIANT_TOL),
-              None, Qn - ((cums[r + 1] - (t + 1) * 1e-12) - INVARIANT_TOL))[i]
+    name, message = invariants[i]
+    if name == "drift":
+        raise InvariantViolation(message, name, t, float(bound[r] + drift_tol[r] - drift[r]))
+    if dual:
+        margin = lams[r]
+    else:
+        Q, Qn, g = Qs[r], Qs[r + 1], gs[r + 1]
+        margin = (Q, Q + gs[r] + INVARIANT_TOL, np.abs(Qn) - (np.abs(g) - INVARIANT_TOL),
+                  None, Qn - ((cums[r + 1] - (t + 1) * 1e-12) - INVARIANT_TOL))[i]
     failed = vector_flags[min(i, 3), r]
     raise InvariantViolation(message, name, t, float(margin[failed].min()))
 
@@ -244,7 +267,8 @@ def step(state, program, oracle=None, validate=True):
     The cached g(x(t-1)) is reused for the weights so the subproblem and
     the previous queue update see exactly the same numbers, and 0.5||Q(t)||^2
     is the previous step's 0.5||Q(t+1)||^2 while ``state.Q`` is the array
-    that step made: to change the queues, assign a new array.
+    that step made: to change the queues, assign a new array.  From t = 1
+    on, ``state.x_bar`` is updated in place.
     """
     if oracle is None:
         oracle = make_oracle(program)
@@ -289,7 +313,8 @@ def step(state, program, oracle=None, validate=True):
     if state.x_bar is None:
         state.x_bar = x_new.copy()
     else:
-        state.x_bar = state.x_bar * (t / (t + 1.0)) + x_new / (t + 1.0)
+        state.x_bar *= t / (t + 1.0)
+        state.x_bar += x_new / (t + 1.0)
     state.cum_g = cum_g
     state.drift = delta
     state.drift_bound = bound
@@ -301,7 +326,7 @@ def step(state, program, oracle=None, validate=True):
     return state
 
 
-def _drive(T, record_every, advance, row, **config):
+def _drive(T, record_every, advance, row, work=None, **config):
     """The iteration loop shared by every runner.
 
     ``advance(t)`` performs iteration t (t iterations done before it)
@@ -309,28 +334,42 @@ def _drive(T, record_every, advance, row, **config):
     drift_bound) for the trace row it leaves.  Rows are recorded on the
     recorder's schedule together with the evaluation at xbar; on
     NonConvergenceError the rows recorded so far are attached to the
-    exception as ``partial_report``.  ``config`` goes to the report and
-    names the ``program``.
+    exception as ``partial_report``.  The steps' invariants wait in the
+    block of the workspace ``work``, when given, which is tested every
+    ``_BLOCK`` steps, after the last step and before any other exception
+    leaves.  ``config`` goes to the report and names the ``program``.
     """
     if T < 1:
         raise ValueError("T must be at least 1")
     program = config["program"]
     recorder = TraceRecorder(T, record_every)
+    full = 4 * _BLOCK
+    if work is not None:
+        work.deferred = True
     started = time.perf_counter()
-    for t in range(T):
-        try:
-            advance(t)
-        except NonConvergenceError as exc:
-            # hand back whatever was recorded up to the failure
-            if recorder.rows:
-                exc.partial_report = recorder.build(
-                    iterations=t, wall_time=time.perf_counter() - started, **config)
-            raise
-        if recorder.wants(t + 1):
-            x, x_bar, Q, f_x, g_x, cum_g, drift, drift_bound = row()
-            f_xbar, g_xbar = evaluate(program, x_bar)
-            recorder.add(t + 1, x, x_bar, Q, f_x, g_x, f_xbar, g_xbar, cum_g,
-                         drift, drift_bound)
+    try:
+        for t in range(T):
+            try:
+                advance(t)
+            except NonConvergenceError as exc:
+                # hand back whatever was recorded up to the failure
+                if recorder.rows:
+                    exc.partial_report = recorder.build(
+                        iterations=t, wall_time=time.perf_counter() - started, **config)
+                raise
+            if work is not None and (len(work.scalars) == full
+                                     or (t == T - 1 and work.scalars)):
+                _check_block(work)
+            if recorder.wants(t + 1):
+                x, x_bar, Q, f_x, g_x, cum_g, drift, drift_bound = row()
+                f_xbar, g_xbar = evaluate(program, x_bar)
+                recorder.add(t + 1, x, x_bar, Q, f_x, g_x, f_xbar, g_xbar, cum_g,
+                             drift, drift_bound)
+    except Exception:
+        # an earlier step's failed check outranks a later step's error
+        if work is not None and work.scalars:
+            _check_block(work)
+        raise
     return recorder.build(iterations=T, wall_time=time.perf_counter() - started,
                           **config)
 
@@ -347,30 +386,18 @@ def run(program, x_init, alpha, T, oracle=None, record_every=None, validate=True
     if oracle is None:
         oracle = make_oracle(program)
     state = init(program, x_init, alpha)
-    work = state._work
-    work.deferred = True
-    pending = work.vectors
-    full = 3 * (_BLOCK + 1)
 
     def advance(t):
         step(state, program, oracle, validate=validate)
-        if len(pending) == full or (pending and t == T - 1):
-            _check_block(work)
 
     def row():
         return (state.x_prev, state.x_bar, state.Q, state.f_prev, state.g_prev,
                 state.cum_g, state.drift, state.drift_bound)
 
-    try:
-        return _drive(T, record_every, advance, row,
-                      algorithm="vq", problem=label, alpha=alpha,
-                      oracle=getattr(oracle, "name", type(oracle).__name__),
-                      x_init=np.asarray(x_init, dtype=float).copy(), program=program)
-    except Exception:
-        # an earlier step's failed check outranks a later step's error
-        if pending:
-            _check_block(work)
-        raise
+    return _drive(T, record_every, advance, row, work=state._work,
+                  algorithm="vq", problem=label, alpha=alpha,
+                  oracle=getattr(oracle, "name", type(oracle).__name__),
+                  x_init=np.asarray(x_init, dtype=float).copy(), program=program)
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,12 @@ from types import SimpleNamespace
 import numpy as np
 
 from qpush import (AlphaBelowCurvatureWarning, BoxSet, ConstraintTerms,
-                   ConvexProgram, CoordinateTerms, Topology, kkt_residual, run)
-from qpush.errors import NumericalDomainError
+                   ConvexProgram, CoordinateTerms, SeparableOracle, Topology, evaluate,
+                   kkt_residual, run)
+from qpush.errors import ConfigurationError, NumericalDomainError
+from qpush.oracles import LOG_DOMAIN_FLOOR
 from qpush.program import _BOUND_GAP, _BOUND_RANGE, _BOUND_STEPS
+from qpush.solver import _drive
 
 SCALAR_TOL = 1e-12
 
@@ -89,6 +92,107 @@ def fused_certified_norm(rows, cols, vals, shape):
         if not x[:m].min() >= _BOUND_RANGE ** -1:
             return None
     return None
+
+
+def reference_separable_solve(oracle, weights, x_prev, alpha):
+    """``SeparableOracle.solve`` as it read before its alpha = 0 constants
+    were kept on the oracle: the prox term subtracted at every alpha, and
+    the flat mask, the inf outputs and every class constant built on each
+    call.  Reads only what the oracle fixes at construction."""
+    lin = oracle._rmatvec(weights)
+    if oracle._has_obj_lin:
+        lin = oracle.obj_lin + lin
+    lin = lin - (2.0 * alpha) * x_prev
+    quad = oracle.obj_quad + alpha
+    if oracle.has_cons_quad:
+        wq = oracle.quad_T.dot(weights)
+        if np.count_nonzero(wq < 0):
+            # negative weights on quadratic rows would break convexity
+            raise ConfigurationError("negative weight on a quadratic constraint row")
+        quad = quad + wq
+    il, ip = oracle.idx_log, oracle.idx_nl1p
+    sl, sp = oracle._sel_log, oracle._sel_nl1p
+    if ip.size:
+        d = oracle.nl1p_T.dot(weights)
+        if np.count_nonzero(d < 0):
+            raise ConfigurationError("negative weight on a log(1+z) constraint row")
+    flat = None
+    if not (alpha > 0 or np.count_nonzero(quad) == quad.shape[0]):
+        flat = quad == 0
+        # -inf and inf clip to the low and high endpoints
+        target = np.where(lin < 0, np.inf, -np.inf)
+        w_over_b = np.divide(oracle._logw_l, lin[sl], out=np.full(il.size, np.inf),
+                             where=lin[sl] > 0)
+        target[sl] = np.maximum(w_over_b, LOG_DOMAIN_FLOOR)
+        if ip.size:
+            target[sp] = np.divide(d, lin[sp], out=np.full(ip.size, np.inf),
+                                   where=lin[sp] > 0) - 1.0
+        x_flat = np.minimum(np.maximum(target, oracle.lo), oracle.hi)
+        if np.count_nonzero(flat) == flat.shape[0]:
+            return x_flat
+        # any positive stand-in keeps the closed forms below finite
+        quad = np.where(flat, 1.0, quad)
+    neg_two_a, log_c, nl_c = oracle._class_constants(quad)
+    # unconstrained stationary point of each class, then one clip to the
+    # box: every coordinate starts from the quadratic one, -b / 2a (IEEE
+    # division is sign-symmetric, so b / (-2a) has its bits), and the log
+    # and log1p classes overwrite theirs
+    x = lin / neg_two_a
+    if log_c is not None:
+        # positive root of 2a z^2 + b z - w = 0, as in log_quadratic_minimizer,
+        # in one buffer (s - b has the bits of -b + s)
+        eight_aw, four_a = log_c
+        b = lin[sl]
+        r = b * b
+        r += eight_aw
+        np.sqrt(r, out=r)
+        r -= b
+        r /= four_a
+        x[sl] = r
+    if nl_c is not None:
+        # larger root of 2a z^2 + (2a+b) z + (b-d) = 0, the unique stationary
+        # point on (-1, inf): its discriminant (2a-b)^2 + 8ad is never
+        # negative; the cancellation-free form where 2a+b > 0
+        two_a, eight_a, four_a = nl_c
+        b = lin[sp]
+        s = two_a + b
+        sq = np.sqrt((two_a - b) ** 2 + eight_a * d)
+        root = (sq - s) / four_a
+        np.divide(2.0 * (d - b), s + sq, out=root, where=s > 0)
+        x[sp] = root
+    np.maximum(x, oracle._lo_eff, out=x)
+    np.minimum(x, oracle.hi, out=x)
+    if flat is not None:
+        x[flat] = x_flat[flat]
+    return x
+
+
+def reference_dsg_run(program, gamma, T, record_every=None):
+    """``dsg_run`` from the former dual step: the reference solve, both
+    0.5||lambda||^2 from their multipliers and a fresh average each step.
+    Checks nothing; it gives the values every output must keep."""
+    oracle = SeparableOracle(program)
+    center = np.zeros(program.n)
+    s = SimpleNamespace(lam=np.zeros(program.m), x_bar=None, cum_g=np.zeros(program.m),
+                        x=None, g=None, f=math.nan, drift=math.nan, bound=math.nan)
+
+    def advance(t):
+        x = reference_separable_solve(oracle, s.lam, center, 0.0)
+        f, g = evaluate(program, x)
+        gg = float(g.dot(g))
+        lam_next = np.maximum(s.lam + gamma * g, 0.0)
+        s.drift = 0.5 * float(lam_next.dot(lam_next)) - 0.5 * float(s.lam.dot(s.lam))
+        s.bound = gamma * float(s.lam.dot(g)) + 0.5 * gamma * gamma * gg
+        s.x_bar = x.copy() if s.x_bar is None else s.x_bar * (t / (t + 1.0)) + x / (t + 1.0)
+        s.cum_g += g
+        s.lam, s.x, s.g, s.f = lam_next, x, g, f
+
+    def row():
+        return s.x, s.x_bar, s.lam, s.f, s.g, s.cum_g, s.drift, s.bound
+
+    return _drive(T, record_every, advance, row, algorithm="dsg", problem="program",
+                  alpha=None, gamma=float(gamma), oracle="lagrangian-closed-form",
+                  x_init=np.zeros(program.n), program=program)
 
 
 def random_box(rng, n):

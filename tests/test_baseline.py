@@ -1,12 +1,16 @@
+import math
+
 import numpy as np
 import pytest
 
 import qpush as qp
-from qpush import BoxSet, ConstraintTerms, ConvexProgram, CoordinateTerms
+from qpush import BoxSet, ConstraintTerms, ConvexProgram, CoordinateTerms, baseline, solver
 from qpush.baseline import DualState, LagrangianOracle, dual_step
 from qpush.report import TRACE_COLUMNS, write_trace_csv
+from qpush.solver import INVARIANT_TOL
 
-from helpers import grid_minimize, overflow_network
+from helpers import (grid_minimize, overflow_network, random_network,
+                     reference_dsg_run, reference_separable_solve)
 
 
 def one_dim_program():
@@ -210,3 +214,182 @@ def test_report_schema_identical_to_solver(tmp_path, fig1_instance):
     assert h1 == h2 == ",".join(TRACE_COLUMNS)
     assert dsg.algorithm == "dsg" and dsg.gamma == 0.01 and dsg.alpha is None
     assert np.all(dsg.drift <= dsg.drift_bound + 1e-9)
+
+
+# ---------------------------------------------------------------------------
+# The lean dual step keeps the bits of the former one (tests/helpers.py).
+
+REPORT_ARRAYS = ("t", "x", "x_bar", "Q", "f_x", "g_x", "f_xbar", "g_xbar", "cum_g",
+                 "drift", "drift_bound")
+
+
+def _network_program():
+    topo = random_network(np.random.default_rng(19))
+    return qp.build_num_program(topo, np.ones(topo.S), 1.0, 2.0)
+
+
+@pytest.mark.parametrize("name", ["fig1-num", "fig1-flow-power", "qp", "network"])
+def test_dsg_run_keeps_the_bits_of_the_former_step(name):
+    # qp's quadratic row takes the uncached flat split; the network is
+    # kept as constraint triples
+    prog = _network_program() if name == "network" else qp.get_problem(name).program
+    rep = qp.dsg_run(prog, None, 0.01, 300, record_every=1)
+    ref = reference_dsg_run(prog, 0.01, 300, record_every=1)
+    for array in REPORT_ARRAYS:
+        assert getattr(rep, array).tobytes() == getattr(ref, array).tobytes(), array
+
+
+def _flat_and_curved_program(with_quad_row):
+    # curved plain (0, 6), flat slopes (1-3), log (4, 7), log1p (5, 8); with
+    # the quadratic row coordinate 6 is curved only by it
+    n = 9
+    obj = CoordinateTerms(
+        quad=np.array([1.0, 0, 0, 0, 0, 0, 0 if with_quad_row else 0.5, 0, 0]),
+        lin=np.array([-1.0, 2.0, -1.5, 0.0, 0.0, 0.25, -1.0, 0.0, 0.0]),
+        log_weight=np.array([0, 0, 0, 0, 1.0, 0, 0, 2.0, 0]),
+    )
+    lin = np.zeros((3, n))
+    lin[0, [0, 4]] = [0.5, 1.0]
+    lin[2, [1, 2, 3, 6]] = [-1.0, 0.5, 1.0, -0.5]
+    quad = np.zeros((3, n))
+    quad[0, 6] = 0.5 if with_quad_row else 0.0
+    neglog1p = np.zeros((3, n))
+    neglog1p[1, [5, 8]] = 1.0
+    box = BoxSet([-1.0, -0.5, -0.5, -0.5, 0.0, 0.0, -1.0, 0.0, 0.0],
+                 [2.0, 1.0, 1.0, 0.5, 3.0, 5.0, 2.0, 3.0, 5.0])
+    return ConvexProgram.from_terms(
+        obj, ConstraintTerms(lin, np.array([1.0, 0.0, 0.5]), quad=quad, neglog1p=neglog1p),
+        box, beta_hint=1.0)
+
+
+@pytest.mark.parametrize("with_quad_row", [False, True])
+def test_lagrangian_solve_at_a_nonzero_prox_center_matches_the_former_solve(with_quad_row):
+    # at alpha = 0 the prox center is not read; the former solve subtracted
+    # 0 * x_prev, which leaves every nonzero slope's bits
+    prog = _flat_and_curved_program(with_quad_row)
+    oracle = qp.SeparableOracle(prog)
+    rng = np.random.default_rng(23)
+    for _ in range(200):
+        W = rng.uniform(0.0, 3.0, prog.m) * (rng.random(prog.m) < 0.8)
+        x_prev = rng.uniform(-1.0, 1.0, prog.n)
+        for alpha in (0.0, 0.7):
+            out = oracle.solve(W, x_prev, alpha)
+            assert np.array_equal(out, reference_separable_solve(oracle, W, x_prev, alpha))
+
+
+# ---------------------------------------------------------------------------
+# Invariants of the dual step: a seeded fault must surface as the earliest
+# failing step's (name, t, margin), through dsg_run, which tests blocks of
+# solver._BLOCK steps, and through a loop of dual_step calls, which test
+# each step at once.
+
+def _dual_fault_at(monkeypatch, t_bad, fault):
+    """Let call t_bad of multiplier_update run ``fault(lam, g, gamma)``,
+    which may change lam before the update and returns a function of the
+    update's result that may change it and returns the expected margin.
+    Returns the list that receives that margin and the call counter."""
+    real_update = baseline.multiplier_update
+    calls, expected = [0], []
+
+    def faulty(lam, g, gamma):
+        after = fault(lam, g, gamma) if calls[0] == t_bad else None
+        out = real_update(lam, g, gamma)
+        if after is not None:
+            expected.append(after(out))
+        calls[0] += 1
+        return out
+
+    monkeypatch.setattr(baseline, "multiplier_update", faulty)
+    return expected, calls
+
+
+def _negate_largest(lam, g, gamma):
+    def after(lam_next):
+        k = int(np.argmax(lam_next))
+        assert lam_next[k] > 0
+        lam_next[k] = -lam_next[k]
+        return float(lam_next[k])
+    return after
+
+
+def _double_in_place(lam, g, gamma):
+    # lambda(t) doubles behind the carried 0.5||lambda(t)||^2, which the
+    # drift then reads stale
+    L = 0.5 * float(lam.dot(lam))
+    assert L > 0
+    lam *= 2.0
+
+    def after(lam_next):
+        gg = float(g.dot(g))
+        delta = 0.5 * float(lam_next.dot(lam_next)) - L
+        bound = gamma * float(lam.dot(g)) + 0.5 * gamma * gamma * gg
+        tol = max(INVARIANT_TOL, (lam.shape[0] + 4) * np.finfo(float).eps
+                  * (delta + 3.0 * L + 1.5 * (gamma * gamma * gg)))
+        return bound + tol - delta
+    return after
+
+
+DUAL_FAULTS = {"multiplier": _negate_largest, "drift": _double_in_place}
+
+
+def _first_dual_violation(monkeypatch, program, T, t_bad, fault, through_run):
+    with monkeypatch.context() as patch:
+        expected, calls = _dual_fault_at(patch, t_bad, fault)
+        with pytest.raises(qp.InvariantViolation) as err:
+            if through_run:
+                qp.dsg_run(program, None, 0.01, T)
+            else:
+                state = fresh_state(program.m)
+                oracle = LagrangianOracle(program)
+                for _ in range(T):
+                    dual_step(state, program, oracle)
+    return (err.value.name, err.value.t, err.value.margin), expected[0], calls[0]
+
+
+@pytest.mark.parametrize("invariant", sorted(DUAL_FAULTS))
+@pytest.mark.parametrize("T, t_bad", [(10, 3), (100, 40), (100, 99)])
+def test_dual_faults_trip_their_invariant_at_the_earliest_step(monkeypatch, fig1_instance,
+                                                               invariant, T, t_bad):
+    # t_bad inside the first block, inside a later one, last of the last partial one
+    prog = fig1_instance.program
+    block = solver._BLOCK
+    for through_run, steps in ((False, t_bad + 1), (True, min(T, (t_bad // block + 1) * block))):
+        raised, margin, done = _first_dual_violation(monkeypatch, prog, T, t_bad,
+                                                     DUAL_FAULTS[invariant], through_run)
+        assert raised == (invariant, t_bad, margin) and margin < 0
+        assert done == steps
+
+
+def test_dsg_run_raises_a_violation_before_a_later_steps_error(monkeypatch, fig1_instance):
+    prog = fig1_instance.program
+    good = LagrangianOracle(prog)
+    calls = [0]
+
+    def oracle(lam):
+        calls[0] += 1
+        if calls[0] == 43:  # step 42
+            return np.full(prog.n, np.nan)
+        return good(lam)
+
+    _dual_fault_at(monkeypatch, 40, _negate_largest)
+    with pytest.raises(qp.InvariantViolation) as err:
+        qp.dsg_run(prog, None, 0.01, 100, oracle=oracle)
+    assert (err.value.name, err.value.t) == ("multiplier", 40)
+    assert isinstance(err.value.__context__, qp.NumericalDomainError)
+
+
+@pytest.mark.parametrize("scale", [1e0, 1e3, 1e6, 1e9])
+def test_dual_drift_tolerance_follows_the_scale_of_the_terms(scale):
+    # both rows stay active, so lambda ~ scale never clips and the drift
+    # meets its bound up to rounding: from scale 1e3 on that rounding
+    # exceeds the absolute tolerance, which would false-alarm
+    rng = np.random.default_rng(5)
+    worst = -math.inf
+    for _ in range(6):
+        prog = ConvexProgram.from_terms(
+            CoordinateTerms.linear(-rng.uniform(0.5, 1.5, 3) * scale),
+            ConstraintTerms(rng.uniform(0.2, 1.0, (2, 3)), rng.uniform(0.5, 1.5, 2)),
+            BoxSet(np.zeros(3), np.full(3, 3.0)), beta_hint=2.0)
+        rep = qp.dsg_run(prog, None, rng.uniform(0.5, 1.5) * scale, 1000, record_every=1)
+        worst = max(worst, float((rep.drift - rep.drift_bound).max()))
+    assert (worst > INVARIANT_TOL) == (scale >= 1e3)

@@ -106,11 +106,12 @@ def test_every_option_has_a_caller_outside_the_tests():
 
 
 # the per-iteration code of the VQ step, the DSG step and the agent round
-HOT_PATHS = ("solver.step", "solver._check_block", "solver.queue_update",
+HOT_PATHS = ("solver.step", "solver._check_block", "solver.queue_update", "solver._drive",
              "program.evaluate", "program.CoordinateTerms.value",
              "program.ConstraintTerms.values", "program._segment_sum",
              "oracles.SeparableOracle.solve",
-             "baseline.dual_step", "baseline.dsg_run", "netflow.simulate_decentralized")
+             "baseline.dual_step", "baseline.multiplier_update", "baseline.dsg_run",
+             "netflow.simulate_decentralized")
 SLOW_FORMS = (" @ ", ".any()", ".all()", "np.any(", "np.all(", "logical_and.reduce",
               "logical_or.reduce")
 

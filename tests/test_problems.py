@@ -7,7 +7,7 @@ from qpush.oracles import SeparableOracle
 from qpush.problems import FIG1_ALPHA, FLOW_POWER_OPTIMUM, P_MAX
 
 from helpers import (auglag_pg_qp_reference, link_path_incidence, qp_coordinate_update,
-                     random_point_in, source_path_incidence)
+                     random_network, random_point_in, source_path_incidence)
 
 QP_SEED1_F_STAR = -169.06884345592948
 QP_SEED1_LAMBDA = 5.236228571646279
@@ -55,6 +55,21 @@ def test_flow_power_program_structure():
     assert prog.box.hi[0] == pytest.approx(np.log(11.0))
     assert np.array_equal(prog.box.hi[10:], np.full(9, P_MAX))
     assert prog.beta_hint == pytest.approx(2.5229, abs=1e-3)
+
+
+def test_flow_power_beta_is_the_norm_of_its_pattern():
+    # the pattern [[R, 0, I], [-T, I, 0]] comes from the topology's index
+    # arrays: the fixture keeps its dense route's bits, and a network kept
+    # as triples gets a certified bound within 1e-12 of the dense eigenvalue
+    topo, w, xm, ym = qp.fig1_topology()
+    assert repr(qp.build_flow_power_program(topo, w, y_max=ym).beta_hint) == "2.522957226298509"
+    net = random_network(np.random.default_rng(29))
+    L, K, S = net.L, net.K, net.S
+    beta = qp.build_flow_power_program(net, np.ones(S), y_max=2.0).beta_hint
+    pattern = np.block([[link_path_incidence(net), np.zeros((L, S)), np.eye(L)],
+                        [-source_path_incidence(net), np.eye(S), np.zeros((S, L))]])
+    exact = float(np.sqrt(np.linalg.eigvalsh(pattern @ pattern.T)[-1]))
+    assert exact <= beta <= exact * (1.0 + 1e-12)
 
 
 def test_flow_power_constraints_convex():
