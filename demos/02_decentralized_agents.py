@@ -6,9 +6,12 @@ price per round; each source only sees the prices of links its paths
 use and keeps its rates, queue and price private.  The simulator holds
 all agents of a kind as arrays and runs a phase as one segment sum over
 the topology's incidence arrays, one segment per agent, so each agent
-still reads only its neighbours.  The synchronous message-passing
-dynamics agree with the centralized solver on the assembled program to
-rounding (well inside 1e-9).
+still reads only its neighbours.  The two phases are the oracle and the
+constraint evaluator that the solver's own ``run`` calls, so the agents'
+queues and prices get every runtime invariant check of the centralized
+solver.  The synchronous message-passing dynamics agree with the
+centralized solver on the assembled program to rounding (well inside
+1e-9).
 
 Run:  python3 demos/02_decentralized_agents.py
 """

@@ -17,19 +17,21 @@ per-source agents exchanging messages in synchronous rounds, as the
 method deploys in a network: a link sums only the rates of the paths
 crossing it, a source only the prices of the links its paths use.  Each
 such sum is one segment of an incidence index array of the topology.
+The two phases of a round are the oracle and the constraint evaluator
+that :func:`solver.run` calls, so the queues, the prices, the averaging
+and every runtime invariant are the solver's own.
 """
 
 import itertools
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigurationError, NumericalDomainError, _input_errors, _read_json
+from . import solver
+from .errors import ConfigurationError, _input_errors, _read_json
 from .oracles import LOG_DOMAIN_FLOOR, log_quadratic_minimizer
-from .program import BoxSet, ConstraintTerms, ConvexProgram, CoordinateTerms, _all_finite
-from .solver import _drive
+from .program import BoxSet, ConstraintTerms, ConvexProgram, CoordinateTerms
 
 __all__ = [
     "Topology",
@@ -299,85 +301,72 @@ def simulate_decentralized(topology, utilities, x_max, y_max, alpha,
 
     Each round has two phases with a barrier between them.  First every
     source reads the previous round's prices of the links on its paths,
-    moves its path rates by the closed-form prox step, solves its scalar
-    rate problem and updates its own queue and price.  Then every link
-    sums the new rates of the paths through it, applies the queue
-    transition and publishes its next price.  A phase is one array
-    operation over all agents, each reading only its own segments of the
-    topology's incidence arrays, so no processing order exists.
+    moves its path rates by the closed-form prox step and solves its
+    scalar rate problem.  Then every link sums the new rates of the paths
+    through it, and every source the rates of its own paths.  A phase is
+    one array operation over all agents, each reading only its own
+    segments of the topology's incidence arrays, so no processing order
+    exists.
 
-    The trace row at t records exactly what the centralized solver would
-    record: z(t-1) = (x(t-1), y(t-1)) and the stacked queue vector Q(t).
-    Its g is the loads that the agents summed, which equal the program's
-    g(z) up to rounding.
-    ``extras`` counts one price and one rate message per (link, path)
-    pair and round.  Non-finite rates or constraint values in a round, or
-    a non-finite recorded objective, raise NumericalDomainError naming t.
+    The sources' phase is the oracle and the links' phase the constraint
+    evaluator of a program with the NUM program's box, objective, Jacobian
+    and beta, and :func:`solver.run` does the rest: the queues, the prices
+    W = Q + g, the running average, the drift, the finiteness tests and
+    the runtime invariants, all as for the centralized solver.  So the
+    trace row at t records z(t-1) = (x(t-1), y(t-1)) and the stacked
+    queue vector Q(t), and its g and g(xbar) are the loads that the agents
+    sum, which equal the NUM program's g up to rounding.  ``extras``
+    counts one price and one rate message per (link, path) pair and round.
+
+    The errors are ``run``'s: a start outside the boxes or an alpha that is
+    not positive and finite is a ValueError; a non-finite load at the
+    start, or a non-finite rate, objective or load in a round, raises
+    NumericalDomainError naming the initial point or the round; a failed
+    invariant raises InvariantViolation (exit 3 of the CLI).  An alpha
+    below beta^2/2 warns AlphaBelowCurvatureWarning.
     """
-    program = build_num_program(topology, utilities, x_max, y_max)
+    num = build_num_program(topology, utilities, x_max, y_max)
     L, K, S = topology.L, topology.K, topology.S
-    x = np.broadcast_to(np.asarray(x_init, dtype=float), (K,)).copy()
-    y = np.broadcast_to(np.asarray(y_init, dtype=float), (S,)).copy()
-    z_init = np.concatenate([x, y])
-    if not program.box.contains(z_init):
-        raise ValueError("initial rates lie outside their boxes")
-    if not 0 < alpha < math.inf:  # NaN fails both comparisons
-        raise ValueError(f"alpha must be positive and finite, got {alpha}")
-    cap, x_max, y_max = topology.cap, program.box.hi[:K], program.box.hi[K:]
-    w = program.objective_terms.log_weight[K:]
+    pl_path, pl_link = topology._pl_path, topology._pl_link
+    sp_source, sp_path = topology._sp_source, topology._sp_path
+    cap, x_max, y_max = topology.cap, num.box.hi[:K], num.box.hi[K:]
+    w = num.objective_terms.log_weight[K:]
     # the row of each path's source in the stacked price vector
     source_row = np.empty(K, dtype=np.intp)
-    source_row[topology._sp_path] = L + topology._sp_source
-    two_alpha = 2.0 * alpha
-    # finiteness screens: v.dot(0) is finite exactly when v is
-    zeros_z, zeros_g = np.zeros(K + S), np.zeros(L + S)
+    source_row[sp_path] = L + sp_source
 
-    def loads(x, y):
+    def sources(W, z_prev, alpha):
+        """Each source's path prices from the links on its paths, its
+        clipped rate steps and its scalar rate problem."""
+        z = np.empty(K + S)
+        two_alpha = 2.0 * alpha
+        path_price = np.bincount(pl_path, W[pl_link], K)
+        np.minimum(np.maximum(z_prev[:K] - (path_price - W[source_row]) / two_alpha, 0.0),
+                   x_max, out=z[:K])
+        z[K:] = log_quadratic_minimizer(alpha, W[L:] - two_alpha * z_prev[K:], w,
+                                        LOG_DOMAIN_FLOOR, y_max)
+        return z
+
+    sources.name = "agent-message-passing"
+
+    def links(z):
         """R x - c and y - T x: one segment sum per link and per source."""
-        return np.concatenate([
-            np.bincount(topology._pl_link, x[topology._pl_path], L) - cap,
-            y - np.bincount(topology._sp_source, x[topology._sp_path], S)])
+        g = np.empty(L + S)
+        x = z[:K]
+        np.subtract(np.bincount(pl_link, x[pl_path], L), cap, out=g[:L])
+        np.subtract(z[K:], np.bincount(sp_source, x[sp_path], S), out=g[L:])
+        return g
 
-    load = loads(x, y)
-    Q = np.maximum(0.0, -load)
-    price = Q + load
-    cum_g = np.zeros(L + S)
-    x_bar = z = g_z = Q_before = last_t = None
-
-    def advance(t):
-        nonlocal x, y, Q, price, x_bar, z, g_z, cum_g, Q_before, last_t
-        path_price = np.bincount(topology._pl_path, price[topology._pl_link], K)
-        x = np.minimum(np.maximum(x - (path_price - price[source_row]) / two_alpha, 0.0), x_max)
-        y = log_quadratic_minimizer(alpha, price[L:] - two_alpha * y, w, LOG_DOMAIN_FLOOR, y_max)
-        z = np.concatenate([x, y])
-        if not _all_finite(z, z.dot(zeros_z)):
-            raise NumericalDomainError(f"agents computed a non-finite rate at iteration {t}")
-        g_z = loads(x, y)
-        Q_before = Q
-        Q = np.maximum(-g_z, Q + g_z)
-        price = Q + g_z
-        if x_bar is None:
-            x_bar = z.copy()
-        else:
-            x_bar *= t / (t + 1.0)
-            x_bar += z / (t + 1.0)
-        if not _all_finite(g_z, g_z.dot(zeros_g)):
-            raise NumericalDomainError(f"constraint value is not finite at iteration {t}")
-        cum_g += g_z
-        last_t = t
-
-    def row():
-        f_z = program.objective_value(z)
-        if not math.isfinite(f_z):
-            raise NumericalDomainError(f"objective value is not finite at iteration {last_t}")
-        delta = 0.5 * float(Q.dot(Q)) - 0.5 * float(Q_before.dot(Q_before))
-        dbound = float(Q_before.dot(g_z)) + float(g_z.dot(g_z))
-        return z, x_bar, Q, f_z, g_z, cum_g, delta, dbound
-
-    per_round = int(topology._pl_link.size)
-    return _drive(T, record_every, advance, row, algorithm="vq-decentralized", problem="num",
-                  alpha=float(alpha), oracle="agent-message-passing",
-                  x_init=z_init, program=program,
-                  extras={"price_messages": T * per_round, "rate_messages": T * per_round,
-                          "price_messages_per_round": per_round,
-                          "rate_messages_per_round": per_round})
+    program = ConvexProgram(K + S, L + S, num.box, num.objective_terms.value,
+                            num.objective_terms.gradient, links, num.constraint_jacobian,
+                            objective_terms=num.objective_terms, beta_hint=num.beta_hint)
+    z_init = np.concatenate([np.broadcast_to(np.asarray(x_init, dtype=float), (K,)),
+                             np.broadcast_to(np.asarray(y_init, dtype=float), (S,))])
+    report = solver.run(program, z_init, float(alpha), T, oracle=sources,
+                        record_every=record_every, label="num")
+    per_round = int(pl_link.size)
+    report.algorithm = "vq-decentralized"
+    report.extras = {"price_messages": T * per_round, "rate_messages": T * per_round,
+                     "price_messages_per_round": per_round,
+                     "rate_messages_per_round": per_round}
+    return report

@@ -38,16 +38,20 @@ earliest failing step, raised at most 31 steps later, before any error of
 a later step.  ``step`` called on its own tests its own row at once, as a
 one-row block.  A failure raises InvariantViolation, an AssertionError
 carrying the invariant's name, t and margin.  The dual subgradient
-baseline hands the same block pass its multiplier and drift rows.
+baseline hands the same block pass its multiplier and drift rows.  The
+decentralized agents (``netflow.simulate_decentralized``) run through
+``run`` itself: their sources' phase is the oracle and their links' phase
+the constraint evaluator, so every check here covers them too.
 
-Every step, validated or not, tests the oracle's iterate and then the
-evaluated f and g for finiteness, and raises NumericalDomainError naming
-the iteration that produced a non-finite value, before it can reach the
-queues.  The tests are screens on dots, exact in their decision: x.dot(0)
-is finite exactly when x is, and a finite ||g||^2, which the drift bound
-needs anyway, proves g finite; only a non-finite ||g||^2 (a NaN or inf, or
-a finite g whose squares overflow) takes the exact mask.  On an infinite
-iterate numpy also warns "invalid value encountered in dot".
+``init`` tests g(x_init) for finiteness, and every step, validated or
+not, tests the oracle's iterate and then the evaluated f and g; a
+non-finite value raises NumericalDomainError naming the initial point or
+the iteration that produced it, before it can reach the queues.  A
+step's tests are screens on dots, exact in their decision: x.dot(0) is
+finite exactly when x is, and a finite ||g||^2, which the drift bound
+needs anyway, proves g finite; only a non-finite ||g||^2 (a NaN or inf,
+or a finite g whose squares overflow) takes the exact mask.  On an
+infinite iterate numpy also warns "invalid value encountered in dot".
 """
 
 import math
@@ -163,7 +167,8 @@ def init(program, x_init, alpha):
     """Set up a solver state at t = 0.
 
     ``x_init`` plays the role of the initial guess x(-1) and must lie in
-    the box.  The queues start at max(0, -g_k(x_init)).
+    the box.  The queues start at max(0, -g_k(x_init)); a non-finite
+    g(x_init) raises NumericalDomainError naming the initial point.
     """
     x_init = np.asarray(x_init, dtype=float)
     if x_init.shape != (program.n,):
@@ -181,6 +186,8 @@ def init(program, x_init, alpha):
             f"alpha={alpha:g} < beta^2/2={0.5 * beta * beta:g}; convergence "
             "guarantees are not certified", AlphaBelowCurvatureWarning, stacklevel=2)
     g0 = program.constraint_values(x_init)
+    if not _all_finite(g0):
+        raise NumericalDomainError("constraint value is not finite at the initial point x_init")
     return SolverState(
         t=0,
         x_prev=x_init.copy(),
@@ -326,8 +333,8 @@ def step(state, program, oracle=None, validate=True):
     return state
 
 
-def _drive(T, record_every, advance, row, work=None, **config):
-    """The iteration loop shared by every runner.
+def _drive(T, record_every, advance, row, work, **config):
+    """The iteration loop of ``run`` and ``dsg_run``.
 
     ``advance(t)`` performs iteration t (t iterations done before it)
     and ``row()`` returns (x, xbar, Q, f(x), g(x), cum_g, drift,
@@ -335,17 +342,16 @@ def _drive(T, record_every, advance, row, work=None, **config):
     recorder's schedule together with the evaluation at xbar; on
     NonConvergenceError the rows recorded so far are attached to the
     exception as ``partial_report``.  The steps' invariants wait in the
-    block of the workspace ``work``, when given, which is tested every
-    ``_BLOCK`` steps, after the last step and before any other exception
-    leaves.  ``config`` goes to the report and names the ``program``.
+    block of the workspace ``work``, which is tested every ``_BLOCK``
+    steps, after the last step and before any other exception leaves.
+    ``config`` goes to the report and names the ``program``.
     """
     if T < 1:
         raise ValueError("T must be at least 1")
     program = config["program"]
     recorder = TraceRecorder(T, record_every)
     full = 4 * _BLOCK
-    if work is not None:
-        work.deferred = True
+    work.deferred = True
     started = time.perf_counter()
     try:
         for t in range(T):
@@ -357,8 +363,7 @@ def _drive(T, record_every, advance, row, work=None, **config):
                     exc.partial_report = recorder.build(
                         iterations=t, wall_time=time.perf_counter() - started, **config)
                 raise
-            if work is not None and (len(work.scalars) == full
-                                     or (t == T - 1 and work.scalars)):
+            if len(work.scalars) == full or (t == T - 1 and work.scalars):
                 _check_block(work)
             if recorder.wants(t + 1):
                 x, x_bar, Q, f_x, g_x, cum_g, drift, drift_bound = row()
@@ -367,7 +372,7 @@ def _drive(T, record_every, advance, row, work=None, **config):
                              drift, drift_bound)
     except Exception:
         # an earlier step's failed check outranks a later step's error
-        if work is not None and work.scalars:
+        if work.scalars:
             _check_block(work)
         raise
     return recorder.build(iterations=T, wall_time=time.perf_counter() - started,

@@ -1,5 +1,6 @@
 import itertools
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ from qpush.oracles import LOG_DOMAIN_FLOOR
 from qpush.program import _certified_norm
 
 from helpers import (TOPOLOGY_SPEC, UNREADABLE_INPUTS, link_path_incidence, link_paths,
-                     overflow_network, random_network, random_topology, source_path_incidence,
-                     unreadable_input)
+                     overflow_network, quiet_alpha_warnings, random_network, random_topology,
+                     source_path_incidence, unreadable_input)
 
 
 def single_link_topology():
@@ -398,10 +399,14 @@ def test_simulation_input_validation():
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_round_raises(monkeypatch, bad):
-    # both paths start at their 1e308 caps, so the link's load overflows
-    topo, x_max, y_max = overflow_network()
-    with pytest.raises(qp.NumericalDomainError, match="non-finite rate at iteration 0"):
-        qp.simulate_decentralized(topo, [1.0], x_max, y_max, 1.0, x_max, [0.5], 5)
+    # from path rates 0 and a source rate of 1e308, the source's price 1e308
+    # moves both paths up by 1e308 / (2 alpha), which overflows, so round 0
+    # clips them to their 1e308 caps and the link's load overflows
+    topo, x_max, _ = overflow_network()
+    with quiet_alpha_warnings(), pytest.raises(
+            qp.NumericalDomainError,
+            match="objective or constraint value is not finite at iteration 0"):
+        qp.simulate_decentralized(topo, [1.0], x_max, [1e308], 0.25, [0.0, 0.0], [1e308], 5)
     # a source rate that turns non-finite in round 2
     real_minimizer = netflow.log_quadratic_minimizer
     calls = []
@@ -412,8 +417,34 @@ def test_non_finite_round_raises(monkeypatch, bad):
         return np.full_like(y, bad) if len(calls) == 3 else y
 
     monkeypatch.setattr(netflow, "log_quadratic_minimizer", faulty)
-    with pytest.raises(qp.NumericalDomainError, match="non-finite rate at iteration 2"):
+    with pytest.raises(qp.NumericalDomainError,
+                       match="primal oracle returned a non-finite iterate at iteration 2"):
         qp.simulate_decentralized(single_link_topology(), [1.0], [2.0], [4.0], 2.0, 0.0, 0.0, 5)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_a_non_finite_start_raises_naming_the_initial_point():
+    # both paths start at their 1e308 caps, so the link's load overflows
+    # before the first round: g(z_init) = (inf, -inf)
+    topo, x_max, y_max = overflow_network()
+    z_init = np.concatenate([x_max, [0.5]])
+    program = qp.build_num_program(topo, [1.0], x_max, y_max)
+    assert not np.isfinite(program.constraint_values(z_init)).any()
+    with pytest.raises(qp.NumericalDomainError, match="not finite at the initial point"):
+        qp.run(program, z_init, 4.0, 5)
+    with pytest.raises(qp.NumericalDomainError, match="not finite at the initial point"):
+        qp.simulate_decentralized(topo, [1.0], x_max, y_max, 4.0, x_max, [0.5], 5)
+
+
+def test_agents_warn_below_the_curvature_bound_as_run_does():
+    num = qp.fig1_num_instance()
+    half_beta_sq = 0.5 * num.program().beta_hint ** 2
+    args = (num.topology, num.utility_weights, num.x_max, num.y_max)
+    with pytest.warns(qp.AlphaBelowCurvatureWarning, match="convergence guarantees"):
+        qp.simulate_decentralized(*args, 0.5 * half_beta_sq, np.zeros(7), np.zeros(3), 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", qp.AlphaBelowCurvatureWarning)
+        qp.simulate_decentralized(*args, half_beta_sq, np.zeros(7), np.zeros(3), 2)
 
 
 def test_a_nan_utility_weight_is_rejected():

@@ -114,14 +114,16 @@ def test_projected_gradient_matches_closed_form():
 
 def test_projected_gradient_raises_at_a_non_finite_gradient():
     # g is NaN right of x0 = 0.5; the fallback used to run its 1e5 inner
-    # iterations on NaN before giving up with NonConvergenceError
+    # iterations on NaN before giving up with NonConvergenceError.  A run
+    # started there now stops at once, before any weight reaches the
+    # fallback: its g(x_init) is not finite
     box = BoxSet(np.zeros(2), np.ones(2))
     prog = ConvexProgram(
         2, 1, box, lambda x: float(x @ x), lambda x: 2 * x,
         lambda x: np.array([np.nan if x[0] > 0.5 else x.sum() - 1.0]),
         lambda x: np.ones((1, 2)), beta_hint=1.5)
     started = time.perf_counter()
-    with pytest.raises(NumericalDomainError, match="iteration 0"):
+    with pytest.raises(NumericalDomainError, match="initial point"):
         qp.run(prog, np.array([0.9, 0.1]), 2.0, 5)
     assert time.perf_counter() - started < 0.1
     with pytest.raises(NumericalDomainError):

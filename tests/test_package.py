@@ -76,8 +76,9 @@ def _calls(paths):
     return calls
 
 
-# the hook through which tests hand in a faulty oracle
-OPTION_HOOKS = {("solver", "run", "oracle"), ("baseline", "dsg_run", "oracle")}
+# the hook through which tests hand in a faulty oracle (the agents hand
+# ``run`` theirs)
+OPTION_HOOKS = {("baseline", "dsg_run", "oracle")}
 
 
 def test_every_option_has_a_caller_outside_the_tests():

@@ -433,18 +433,24 @@ BLOCK_FAULTS = {
 }
 
 
-def _first_violation(monkeypatch, program, T, t_bad, fault, through_run):
+def _first_violation(monkeypatch, program, T, t_bad, fault, route):
+    """Run ``T`` iterations of fig1-num ``program`` from 0 at alpha 10 by
+    ``route``: a loop of ``step`` calls, ``run``, or the fig1 agents."""
     x0 = np.zeros(program.n)
     with monkeypatch.context() as patch:
         expected, calls = _fault_at(patch, t_bad, fault)
         with pytest.raises(qp.InvariantViolation) as err:
-            if through_run:
-                qp.run(program, x0, 10.0, T)
-            else:
+            if route == "step":
                 state = qp.init(program, x0, 10.0)
                 oracle = qp.make_oracle(program)
                 for _ in range(T):
                     qp.step(state, program, oracle)
+            elif route == "run":
+                qp.run(program, x0, 10.0, T)
+            else:
+                num = qp.fig1_num_instance()
+                qp.simulate_decentralized(num.topology, num.utility_weights, num.x_max,
+                                          num.y_max, 10.0, np.zeros(7), np.zeros(3), T)
     return (err.value.name, err.value.t, err.value.margin), expected[0], calls[0]
 
 
@@ -454,9 +460,11 @@ def test_run_raises_what_a_loop_of_steps_raises(monkeypatch, fig1_instance, inva
     # t_bad inside the first block, inside a later one, last of the last partial one
     prog = fig1_instance.program
     fault = BLOCK_FAULTS[invariant]
-    block = solver._BLOCK
-    for through_run, steps in ((False, t_bad + 1), (True, min(T, (t_bad // block + 1) * block))):
-        raised, margin, done = _first_violation(monkeypatch, prog, T, t_bad, fault, through_run)
+    block_end = min(T, (t_bad // solver._BLOCK + 1) * solver._BLOCK)
+    # the agents' margin is worked out from their own loads, which may sit
+    # an ulp from the dense A z - b that the other routes evaluate
+    for route, steps in (("step", t_bad + 1), ("run", block_end), ("agents", block_end)):
+        raised, margin, done = _first_violation(monkeypatch, prog, T, t_bad, fault, route)
         assert raised == (invariant, t_bad, margin) and margin < 0
         # run tests a block once its last step is done
         assert done == steps
@@ -469,8 +477,8 @@ def test_a_step_reports_its_first_failing_check(monkeypatch, fig1_instance):
         return _halve_largest(t, Q, Q_next, g, cum)
 
     prog = fig1_instance.program
-    for through_run in (False, True):
-        raised, margin, _ = _first_violation(monkeypatch, prog, 50, 40, both, through_run)
+    for route in ("step", "run", "agents"):
+        raised, margin, _ = _first_violation(monkeypatch, prog, 50, 40, both, route)
         assert raised == ("lower", 40, margin)
 
 
