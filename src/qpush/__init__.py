@@ -12,7 +12,7 @@ per-coordinate closed forms, which is what the decentralized network
 flow-control simulator exploits.
 """
 
-from .baseline import DualState, dsg_run, dual_step
+from .baseline import dsg_run, dual_init
 from .errors import (ConfigurationError, InvariantViolation, NonConvergenceError,
                      NumericalDomainError)
 from .netflow import (NumProblem, Topology, beta_bounds, build_num_program,

@@ -9,20 +9,26 @@ and report the running average of the primal iterates.  At a fixed step
 size gamma the averaged iterate approaches the optimum only up to an
 error floor set by gamma.
 
+It runs on the virtual-queue solver's ``step``, which differs from it in
+four places only; the multiplier law here supplies them: the weights
+lambda(t) against Q(t) + g(x(t-1)), the prox term alpha = 0, the update
+above and the drift bound of the projected step,
+
+    ||lambda(t+1)||^2/2 - ||lambda(t)||^2/2 <= gamma lambda(t).g + gamma^2 ||g||^2/2
+
+(Nedic & Ozdaglar, SIAM J. Optim. 19(4), 2009).  ``dual_init`` builds a
+``SolverState`` with lambda(0) = 0 whose Q is lambda, and ``dsg_run`` runs
+it through the solver's loop.
+
 Without a prox term the Lagrangian can be flat in some coordinates (a
 linear objective over a box); the convention here is the low endpoint
 when a coordinate's coefficient is exactly zero.
 
 Every step tests the iterate, f, g and the next multiplier for
-finiteness, and raises NumericalDomainError naming the iteration.  Its
-runtime invariants, lambda(t+1) >= 0 and the drift bound of the
-projected step,
-
-    ||lambda(t+1)||^2/2 - ||lambda(t)||^2/2 <= gamma lambda(t).g + gamma^2 ||g||^2/2
-
-(Nedic & Ozdaglar, SIAM J. Optim. 19(4), 2009), go to the block pass of
-the virtual-queue solver, which ``dsg_run`` runs every 32 steps, after
-the last step and before any other exception leaves it; ``dual_step``
+finiteness, and raises NumericalDomainError naming the iteration.  The
+runtime invariants, lambda(t+1) >= 0 and the drift bound, go to the
+solver's block pass, which ``dsg_run`` runs every 32 steps, after the
+last step and before any other exception leaves it; ``solver.step``
 called on its own tests its step at once.  The drift is allowed the
 scale-aware rounding tolerance of the solver's drift check, with
 ||gamma g||^2 in the place of ||g||^2.  A failure raises
@@ -30,33 +36,20 @@ InvariantViolation for the earliest failing step.
 """
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NumericalDomainError
 from .oracles import SeparableOracle
-from .program import _all_finite, evaluate
-from .solver import _Workspace, _check_block, _drive
+from .solver import SolverState, _drive, _Workspace
 
-__all__ = ["DualState", "multiplier_update", "dual_step", "dsg_run"]
+__all__ = ["multiplier_update", "dual_init", "dsg_run"]
 
-
-@dataclass
-class DualState:
-    """Multiplier vector, running primal average, and the step size."""
-
-    t: int
-    lam: np.ndarray
-    x_bar: np.ndarray
-    step: float
-    cum_g: np.ndarray
-    x_last: np.ndarray = None
-    g_last: np.ndarray = None
-    f_last: float = float("nan")
-    drift: float = float("nan")
-    drift_bound: float = float("nan")
-    _work: object = field(default=None, repr=False, compare=False)
+# names and messages of the invariants, in the order a step's failures are
+# reported in
+_DUAL_INVARIANTS = (
+    ("multiplier", "multiplier projection failed"),
+    ("drift", "drift exceeded its upper bound"),
+)
 
 
 def multiplier_update(lam, g, gamma):
@@ -66,74 +59,48 @@ def multiplier_update(lam, g, gamma):
     return np.maximum(lam_next, 0.0, out=lam_next)
 
 
+class _Multipliers:
+    """The multiplier law of ``solver.step``: the weights lambda(t), the
+    update max(lambda + gamma g, 0) and the drift bound
+    gamma lambda.g + gamma^2 ||g||^2 / 2, with ||gamma g||^2 as the drift
+    tolerance's term.  The update goes through the module's
+    ``multiplier_update``, so a replacement of it takes effect."""
+
+    __slots__ = ("gamma",)
+    invariants = _DUAL_INVARIANTS
+    noun = "multiplier"
+
+    def __init__(self, gamma):
+        self.gamma = gamma
+
+    @staticmethod
+    def weights(lam, g_prev):
+        return lam
+
+    def update(self, lam, g):
+        return multiplier_update(lam, g, self.gamma)
+
+    def bound(self, lam, g, gg):
+        gamma = self.gamma
+        # ||max(lam + gamma g, 0)||^2 <= ||lam + gamma g||^2
+        return gamma * float(lam.dot(g)) + 0.5 * gamma * gamma * gg, gamma * gamma * gg
+
+
 class LagrangianOracle(SeparableOracle):
-    """Per-coordinate minimizer of f(x) + lambda.g(x) over the box: the
-    separable oracle at alpha = 0, with no quadratic pushback."""
+    """The separable oracle, which minimizes f(x) + lambda.g(x) over the
+    box when ``step`` calls it at alpha = 0, under the baseline's name."""
 
     name = "lagrangian-closed-form"
 
-    def __init__(self, program):
-        super().__init__(program)
-        self.center = np.zeros(program.n)
 
-    def __call__(self, lam):
-        return self.solve(lam, self.center, 0.0)
-
-
-def dual_step(state, program, oracle=None):
-    """One dual subgradient iteration; returns the mutated state.  A
-    non-finite iterate, f, g or next multiplier raises NumericalDomainError
-    naming t, and a failed invariant InvariantViolation (see the module
-    docstring).  0.5||lambda(t)||^2 is the previous step's
-    0.5||lambda(t+1)||^2 while ``state.lam`` is the array that step made,
-    and from t = 1 on ``state.x_bar`` is updated in place."""
-    if oracle is None:
-        oracle = LagrangianOracle(program)
-    work = state._work
-    if work is None:
-        work = state._work = _Workspace(program.n, dual=True)
-    t = state.t
-    lam = state.lam
-    x = oracle(lam)
-    if not _all_finite(x, x.dot(work.zeros)):
-        raise NumericalDomainError(
-            f"Lagrangian oracle returned a non-finite iterate at iteration {t}")
-    f, g = evaluate(program, x)
-    gg = float(g.dot(g))
-    if not (math.isfinite(f) and _all_finite(g, gg)):
-        raise NumericalDomainError(
-            f"objective or constraint value is not finite at iteration {t}")
-    gamma = state.step
-    lam_next = multiplier_update(lam, g, gamma)
-    half_next = 0.5 * float(lam_next.dot(lam_next))
-    if not _all_finite(lam_next, half_next):
-        raise NumericalDomainError(f"multiplier is not finite at iteration {t}")
-    L = work.half_qq if lam is work.Q_next else 0.5 * float(lam.dot(lam))
-    work.Q_next, work.half_qq = lam_next, half_next
-    delta = half_next - L
-    # ||max(lam + gamma g, 0)||^2 <= ||lam + gamma g||^2
-    bound = gamma * float(lam.dot(g)) + 0.5 * gamma * gamma * gg
-    vectors = work.vectors
-    if not vectors:
-        work.t0 = t
-    vectors.append(lam_next)
-    work.scalars += (delta, bound, L, gamma * gamma * gg)
-    if not work.deferred:
-        _check_block(work)
-    if state.x_bar is None:
-        state.x_bar = x.copy()
-    else:
-        state.x_bar *= t / (t + 1.0)
-        state.x_bar += x / (t + 1.0)
-    state.cum_g += g
-    state.lam = lam_next
-    state.x_last = x
-    state.g_last = g
-    state.f_last = f
-    state.drift = delta
-    state.drift_bound = bound
-    state.t = t + 1
-    return state
+def dual_init(program, gamma):
+    """A solver state for the dual subgradient law at t = 0: lambda(0) = 0
+    in ``Q``, alpha = 0, and zero x_prev and g_prev, which that law does
+    not read (the separable oracle reads no x_prev at alpha = 0)."""
+    n, m = program.n, program.m
+    return SolverState(t=0, x_prev=np.zeros(n), g_prev=np.zeros(m), Q=np.zeros(m),
+                       x_bar=None, alpha=0.0, cum_g=np.zeros(m),
+                       _work=_Workspace(n, _Multipliers(float(gamma))))
 
 
 def dsg_run(program, x_init_ignored, gamma, T, oracle=None, record_every=None,
@@ -152,18 +119,7 @@ def dsg_run(program, x_init_ignored, gamma, T, oracle=None, record_every=None,
         raise ValueError(f"gamma must be positive and finite, got {gamma}")
     if oracle is None:
         oracle = LagrangianOracle(program)
-    state = DualState(t=0, lam=np.zeros(program.m), x_bar=None, step=float(gamma),
-                      cum_g=np.zeros(program.m), _work=_Workspace(program.n, dual=True))
-
-    def advance(t):
-        dual_step(state, program, oracle)
-
-    def row():
-        return (state.x_last, state.x_bar, state.lam, state.f_last, state.g_last,
-                state.cum_g, state.drift, state.drift_bound)
-
     x_init = np.zeros(program.n) if x_init_ignored is None else np.asarray(x_init_ignored, dtype=float)
-    return _drive(T, record_every, advance, row, work=state._work, algorithm="dsg",
-                  problem=label, alpha=None, gamma=float(gamma),
-                  oracle=getattr(oracle, "name", type(oracle).__name__),
-                  x_init=x_init, program=program)
+    return _drive(dual_init(program, gamma), program, oracle, T, record_every, True,
+                  algorithm="dsg", problem=label, alpha=None, gamma=float(gamma),
+                  x_init=x_init)

@@ -38,20 +38,26 @@ earliest failing step, raised at most 31 steps later, before any error of
 a later step.  ``step`` called on its own tests its own row at once, as a
 one-row block.  A failure raises InvariantViolation, an AssertionError
 carrying the invariant's name, t and margin.  The dual subgradient
-baseline hands the same block pass its multiplier and drift rows.  The
+baseline runs on this same ``step`` and loop: the four places where it
+differs (the weights, the prox term, the update and the drift bound) come
+from a law that the state's workspace carries, ``_Queues`` from ``init``
+or the multipliers of ``baseline.dual_init`` (whose alpha is 0), and the
+law's ``invariants`` name the checks the block pass runs.  The
 decentralized agents (``netflow.simulate_decentralized``) run through
 ``run`` itself: their sources' phase is the oracle and their links' phase
 the constraint evaluator, so every check here covers them too.
 
 ``init`` tests g(x_init) for finiteness, and every step, validated or
-not, tests the oracle's iterate and then the evaluated f and g; a
-non-finite value raises NumericalDomainError naming the initial point or
-the iteration that produced it, before it can reach the queues.  A
-step's tests are screens on dots, exact in their decision: x.dot(0) is
-finite exactly when x is, and a finite ||g||^2, which the drift bound
-needs anyway, proves g finite; only a non-finite ||g||^2 (a NaN or inf,
-or a finite g whose squares overflow) takes the exact mask.  On an
-infinite iterate numpy also warns "invalid value encountered in dot".
+not, tests the oracle's iterate, then the evaluated f and g, then the
+updated Q(t+1), which overflows when a queue does; a non-finite value
+raises NumericalDomainError naming the initial point or the iteration
+that produced it, before it can reach the state.  A step's tests are
+screens on dots, exact in their decision: x.dot(0) is finite exactly
+when x is, and a finite ||g||^2 (||Q(t+1)||^2), which the drift needs
+anyway, proves g (Q(t+1)) finite; only a non-finite sum of squares (a
+NaN or inf, or finite entries whose squares overflow) takes the exact
+mask.  On an infinite iterate numpy also warns "invalid value encountered
+in dot".
 """
 
 import math
@@ -91,11 +97,6 @@ _INVARIANTS = (
     ("drift", "drift exceeded its upper bound"),
     ("cumulative", "queue fell below the cumulative constraint sum"),
 )
-# those of a dual subgradient step (baseline.dual_step)
-_DUAL_INVARIANTS = (
-    ("multiplier", "multiplier projection failed"),
-    ("drift", "drift exceeded its upper bound"),
-)
 # steps whose invariants a runner tests together in one block pass
 _BLOCK = 32
 
@@ -134,25 +135,50 @@ def queue_update(Q, g_now):
     return np.maximum(-g_now, Q + g_now)
 
 
+class _Queues:
+    """The virtual-queue law of ``step``: the weights Q(t) + g(x(t-1)), the
+    update max(-g, Q + g) and the drift bound Q.g + ||g||^2, whose ||g||^2
+    is also the drift tolerance's term; the baseline's multiplier law
+    supplies its own four.  The update goes through the module's
+    ``queue_update``, so a replacement of it takes effect."""
+
+    __slots__ = ()
+    invariants = _INVARIANTS
+    noun = "queue"
+
+    @staticmethod
+    def weights(Q, g_prev):
+        return Q + g_prev
+
+    @staticmethod
+    def update(Q, g):
+        return queue_update(Q, g)
+
+    @staticmethod
+    def bound(Q, g, gg):
+        return float(Q.dot(g)) + gg, gg
+
+
+_QUEUES = _Queues()
+
+
 class _Workspace:
-    """Per-run state of a step: the block of steps whose invariants wait
-    for their test, the zero vector of the iterate's finiteness test and
-    the last step's Q(t+1) with its 0.5||Q(t+1)||^2.  A ``dual`` workspace
-    serves the dual subgradient step, whose Q is the multiplier lambda."""
+    """Per-run state of a step: its law (``_Queues`` or the baseline's
+    multipliers), the block of steps whose invariants wait for their test,
+    the zero vector of the iterate's finiteness test and the last step's
+    Q(t+1) with its 0.5||Q(t+1)||^2."""
 
-    __slots__ = ("dual", "deferred", "t0", "vectors", "scalars", "zeros", "Q_next",
-                 "half_qq")
+    __slots__ = ("law", "deferred", "t0", "vectors", "scalars", "zeros", "Q_next", "half_qq")
 
-    def __init__(self, n, dual=False):
-        self.dual = dual
+    def __init__(self, n, law):
+        self.law = law
         # True while a runner collects steps for a block test; False tests
         # each step at once
         self.deferred = False
         # the block: its first step t0; Q, g(x_prev) and the running sum
         # that t0 started from, then Q(t+1), g(x(t)) and the running sum of
-        # each step (a dual block: lambda(t+1) of each step alone); each
-        # step's drift, bound, 0.5||Q||^2 and ||g||^2 (a dual step's
-        # ||gamma g||^2)
+        # each step; each step's drift, bound, 0.5||Q||^2 and the law's
+        # term of the drift tolerance
         self.t0 = 0
         self.vectors = []
         self.scalars = []
@@ -196,7 +222,7 @@ def init(program, x_init, alpha):
         x_bar=None,
         alpha=float(alpha),
         cum_g=np.zeros(program.m),
-        _work=_Workspace(program.n),
+        _work=_Workspace(program.n, _QUEUES),
     )
 
 
@@ -205,36 +231,37 @@ def _check_block(work):
 
     Row i of the stacked queues, constraint values and running sums is
     what step t0 + i starts from, so rows i and i + 1 hold all that step's
-    checks read; W is recomputed with the step's own addition.  A dual
-    block has one row per step, lambda(t+1).  Each check writes a
-    contiguous section of one flag buffer, (k, m) for the vector checks
-    and (k,) for the drift.  The drift flags are a screen at the absolute
-    tolerance, which the scale-aware one only widens; on a hit the flagged
-    drifts are tested again at their own tolerance.  The earliest step with
-    a flag left is reported, by its first check in the order of
-    ``_INVARIANTS`` (``_DUAL_INVARIANTS``), with its margin recomputed from
-    that step alone.
+    checks read; W is recomputed with the step's own addition.  The law's
+    ``invariants`` name the checks: the queue law's four vector checks
+    and the drift, or the multiplier law's lambda(t+1) >= 0 and the drift.
+    Each check writes a contiguous section of one flag buffer, (k, m) for
+    the vector checks and (k,) for the drift.  The drift flags are a
+    screen at the absolute tolerance, which the scale-aware one only
+    widens; on a hit the flagged drifts are tested again at their own
+    tolerance.  The earliest step with a flag left is reported, by its
+    first check in the order of the law's ``invariants``, with its margin
+    recomputed from that step alone.
     """
-    t0, scalars, dual = work.t0, work.scalars, work.dual
+    t0, scalars, invariants = work.t0, work.scalars, work.law.invariants
     m = work.vectors[0].shape[0]
     k = len(scalars) // 4
     rows = np.concatenate(work.vectors)
     work.vectors.clear()
     work.scalars = []
     drift, bound, L, gg = np.array(scalars).reshape(k, 4).T
-    c = 1 if dual else 4
+    # k + 1 rows, given explicitly: a -1 cannot be inferred when m = 0
+    Qs, gs, cums = rows.reshape(k + 1, 3, m).transpose(1, 0, 2).copy()
+    Q, Qn, g = Qs[:-1], Qs[1:], gs[1:]
+    # the vector checks; the drift is the law's other invariant
+    c = len(invariants) - 1
     flags = np.empty(k * (c * m + 1), dtype=bool)
     # sections: queue, weight, lower, cumulative (k, m each), or the
     # multiplier's, then drift (k)
     vector_flags = flags[:c * k * m].reshape(c, k, m)
     drift_flags = flags[c * k * m:]
-    if dual:
-        lams = rows.reshape(k, m)
-        np.less(lams, 0.0, out=vector_flags[0])
+    if c == 1:
+        np.less(Qn, 0.0, out=vector_flags[0])
     else:
-        # k + 1 rows, given explicitly: a -1 cannot be inferred when m = 0
-        Qs, gs, cums = rows.reshape(k + 1, 3, m).transpose(1, 0, 2).copy()
-        Q, Qn, g = Qs[:-1], Qs[1:], gs[1:]
         np.less(Q, 0.0, out=vector_flags[0])
         np.less(Q + gs[:-1], -INVARIANT_TOL, out=vector_flags[1])
         np.less(np.abs(Qn), np.abs(g) - INVARIANT_TOL, out=vector_flags[2])
@@ -252,18 +279,15 @@ def _check_block(work):
     # drift follows the first three vector checks
     counts = np.count_nonzero(vector_flags, axis=2)
     hits = np.vstack((counts[:3], drift_flags, counts[3:])).T
-    invariants = _DUAL_INVARIANTS if dual else _INVARIANTS
     r, i = divmod(int(np.flatnonzero(hits)[0]), len(invariants))
     t = t0 + r
     name, message = invariants[i]
     if name == "drift":
         raise InvariantViolation(message, name, t, float(bound[r] + drift_tol[r] - drift[r]))
-    if dual:
-        margin = lams[r]
-    else:
-        Q, Qn, g = Qs[r], Qs[r + 1], gs[r + 1]
-        margin = (Q, Q + gs[r] + INVARIANT_TOL, np.abs(Qn) - (np.abs(g) - INVARIANT_TOL),
-                  None, Qn - ((cums[r + 1] - (t + 1) * 1e-12) - INVARIANT_TOL))[i]
+    Q, Qn, g = Qs[r], Qs[r + 1], gs[r + 1]
+    margin = (Qn if c == 1 else
+              (Q, Q + gs[r] + INVARIANT_TOL, np.abs(Qn) - (np.abs(g) - INVARIANT_TOL), None,
+               Qn - ((cums[r + 1] - (t + 1) * 1e-12) - INVARIANT_TOL))[i])
     failed = vector_flags[min(i, 3), r]
     raise InvariantViolation(message, name, t, float(margin[failed].min()))
 
@@ -271,20 +295,23 @@ def _check_block(work):
 def step(state, program, oracle=None, validate=True):
     """Advance one iteration in place and return the state.
 
-    The cached g(x(t-1)) is reused for the weights so the subproblem and
-    the previous queue update see exactly the same numbers, and 0.5||Q(t)||^2
-    is the previous step's 0.5||Q(t+1)||^2 while ``state.Q`` is the array
-    that step made: to change the queues, assign a new array.  From t = 1
-    on, ``state.x_bar`` is updated in place.
+    The state's law (the queues of ``init`` or the multipliers of
+    ``baseline.dual_init``) gives the weights, the update and the drift
+    bound.  The cached g(x(t-1)) is reused for the weights so the
+    subproblem and the previous queue update see exactly the same
+    numbers, and 0.5||Q(t)||^2 is the previous step's 0.5||Q(t+1)||^2
+    while ``state.Q`` is the array that step made: to change the queues,
+    assign a new array.  From t = 1 on, ``state.x_bar`` is updated in place.
     """
     if oracle is None:
         oracle = make_oracle(program)
     work = state._work
     if work is None:
-        work = state._work = _Workspace(program.n)
+        work = state._work = _Workspace(program.n, _QUEUES)
+    law = work.law
     t = state.t
     Q = state.Q
-    W = Q + state.g_prev
+    W = law.weights(Q, state.g_prev)
     try:
         x_new = oracle(W, state.x_prev, state.alpha)
     except NonConvergenceError as exc:
@@ -301,12 +328,14 @@ def step(state, program, oracle=None, validate=True):
     if not (math.isfinite(f_new) and _all_finite(g_new, gg)):
         raise NumericalDomainError(
             f"objective or constraint value is not finite at iteration {t}")
-    Q_next = queue_update(Q, g_new)
-    L = work.half_qq if Q is work.Q_next else 0.5 * float(Q.dot(Q))
+    Q_next = law.update(Q, g_new)
     half_qq = 0.5 * float(Q_next.dot(Q_next))
+    if not _all_finite(Q_next, half_qq):
+        raise NumericalDomainError(f"{law.noun} is not finite at iteration {t}")
+    L = work.half_qq if Q is work.Q_next else 0.5 * float(Q.dot(Q))
     work.Q_next, work.half_qq = Q_next, half_qq
     delta = half_qq - L
-    bound = float(Q.dot(g_new)) + gg
+    bound, tol_term = law.bound(Q, g_new, gg)
     cum_g = state.cum_g + g_new
     if validate:
         vectors = work.vectors
@@ -314,7 +343,7 @@ def step(state, program, oracle=None, validate=True):
             work.t0 = t
             vectors += (Q, state.g_prev, state.cum_g)
         vectors += (Q_next, g_new, cum_g)
-        work.scalars += (delta, bound, L, gg)
+        work.scalars += (delta, bound, L, tol_term)
         if not work.deferred:
             _check_block(work)
     if state.x_bar is None:
@@ -333,30 +362,30 @@ def step(state, program, oracle=None, validate=True):
     return state
 
 
-def _drive(T, record_every, advance, row, work, **config):
-    """The iteration loop of ``run`` and ``dsg_run``.
+def _drive(state, program, solve, T, record_every, validate, **config):
+    """The iteration loop of ``run`` and ``dsg_run``: ``T`` calls of
+    ``step(state, program, solve, validate)``.
 
-    ``advance(t)`` performs iteration t (t iterations done before it)
-    and ``row()`` returns (x, xbar, Q, f(x), g(x), cum_g, drift,
-    drift_bound) for the trace row it leaves.  Rows are recorded on the
-    recorder's schedule together with the evaluation at xbar; on
+    Each trace row is read from the state the step leaves and recorded on
+    the recorder's schedule together with the evaluation at xbar; on
     NonConvergenceError the rows recorded so far are attached to the
     exception as ``partial_report``.  The steps' invariants wait in the
-    block of the workspace ``work``, which is tested every ``_BLOCK``
+    block of the state's workspace, which is tested every ``_BLOCK``
     steps, after the last step and before any other exception leaves.
-    ``config`` goes to the report and names the ``program``.
+    ``config`` goes to the report, with the program and the oracle's name.
     """
     if T < 1:
         raise ValueError("T must be at least 1")
-    program = config["program"]
+    config.update(program=program, oracle=getattr(solve, "name", type(solve).__name__))
     recorder = TraceRecorder(T, record_every)
+    work = state._work
     full = 4 * _BLOCK
     work.deferred = True
     started = time.perf_counter()
     try:
         for t in range(T):
             try:
-                advance(t)
+                step(state, program, solve, validate)
             except NonConvergenceError as exc:
                 # hand back whatever was recorded up to the failure
                 if recorder.rows:
@@ -366,10 +395,10 @@ def _drive(T, record_every, advance, row, work, **config):
             if len(work.scalars) == full or (t == T - 1 and work.scalars):
                 _check_block(work)
             if recorder.wants(t + 1):
-                x, x_bar, Q, f_x, g_x, cum_g, drift, drift_bound = row()
-                f_xbar, g_xbar = evaluate(program, x_bar)
-                recorder.add(t + 1, x, x_bar, Q, f_x, g_x, f_xbar, g_xbar, cum_g,
-                             drift, drift_bound)
+                f_xbar, g_xbar = evaluate(program, state.x_bar)
+                recorder.add(t + 1, state.x_prev, state.x_bar, state.Q, state.f_prev,
+                             state.g_prev, f_xbar, g_xbar, state.cum_g, state.drift,
+                             state.drift_bound)
     except Exception:
         # an earlier step's failed check outranks a later step's error
         if work.scalars:
@@ -391,18 +420,8 @@ def run(program, x_init, alpha, T, oracle=None, record_every=None, validate=True
     if oracle is None:
         oracle = make_oracle(program)
     state = init(program, x_init, alpha)
-
-    def advance(t):
-        step(state, program, oracle, validate=validate)
-
-    def row():
-        return (state.x_prev, state.x_bar, state.Q, state.f_prev, state.g_prev,
-                state.cum_g, state.drift, state.drift_bound)
-
-    return _drive(T, record_every, advance, row, work=state._work,
-                  algorithm="vq", problem=label, alpha=alpha,
-                  oracle=getattr(oracle, "name", type(oracle).__name__),
-                  x_init=np.asarray(x_init, dtype=float).copy(), program=program)
+    return _drive(state, program, oracle, T, record_every, validate, algorithm="vq",
+                  problem=label, alpha=alpha, x_init=np.asarray(x_init, dtype=float).copy())
 
 
 # ---------------------------------------------------------------------------

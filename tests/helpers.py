@@ -13,7 +13,7 @@ from qpush import (AlphaBelowCurvatureWarning, BoxSet, ConstraintTerms,
 from qpush.errors import ConfigurationError, NumericalDomainError
 from qpush.oracles import LOG_DOMAIN_FLOOR
 from qpush.program import _BOUND_GAP, _BOUND_RANGE, _BOUND_STEPS
-from qpush.solver import _Workspace, _drive
+from qpush.report import TraceRecorder
 
 SCALAR_TOL = 1e-12
 
@@ -169,9 +169,9 @@ def reference_separable_solve(oracle, weights, x_prev, alpha):
 
 def reference_dsg_run(program, gamma, T, record_every=None):
     """``dsg_run`` from the former dual step: the reference solve, both
-    0.5||lambda||^2 from their multipliers and a fresh average each step.
-    Checks nothing (its workspace stays empty); it gives the values every
-    output must keep."""
+    0.5||lambda||^2 from their multipliers and a fresh average each step,
+    recorded on the recorder's schedule by its own loop, not the solver's.
+    Checks nothing; it gives the values every output must keep."""
     oracle = SeparableOracle(program)
     center = np.zeros(program.n)
     s = SimpleNamespace(lam=np.zeros(program.m), x_bar=None, cum_g=np.zeros(program.m),
@@ -191,10 +191,16 @@ def reference_dsg_run(program, gamma, T, record_every=None):
     def row():
         return s.x, s.x_bar, s.lam, s.f, s.g, s.cum_g, s.drift, s.bound
 
-    return _drive(T, record_every, advance, row, _Workspace(program.n), algorithm="dsg",
-                  problem="program", alpha=None, gamma=float(gamma),
-                  oracle="lagrangian-closed-form", x_init=np.zeros(program.n),
-                  program=program)
+    recorder = TraceRecorder(T, record_every)
+    for t in range(T):
+        advance(t)
+        if recorder.wants(t + 1):
+            x, x_bar, lam, f, g, cum_g, drift, bound = row()
+            f_xbar, g_xbar = evaluate(program, x_bar)
+            recorder.add(t + 1, x, x_bar, lam, f, g, f_xbar, g_xbar, cum_g, drift, bound)
+    return recorder.build(iterations=T, wall_time=0.0, algorithm="dsg", problem="program",
+                          alpha=None, gamma=float(gamma), oracle="lagrangian-closed-form",
+                          x_init=np.zeros(program.n), program=program)
 
 
 def random_box(rng, n):

@@ -5,7 +5,7 @@ import pytest
 
 import qpush as qp
 from qpush import BoxSet, ConstraintTerms, ConvexProgram, CoordinateTerms, baseline, solver
-from qpush.baseline import DualState, LagrangianOracle, dual_step
+from qpush.baseline import LagrangianOracle, dual_init
 from qpush.report import TRACE_COLUMNS, write_trace_csv
 from qpush.solver import INVARIANT_TOL
 
@@ -22,19 +22,22 @@ def one_dim_program():
     )
 
 
-def fresh_state(m, gamma=0.01, lam=None):
-    return DualState(t=0, lam=np.zeros(m) if lam is None else np.asarray(lam, float),
-                     x_bar=None, step=gamma, cum_g=np.zeros(m))
+def fresh_state(program, gamma=0.01, lam=None):
+    """A dual subgradient state at t = 0 with multipliers ``lam`` (zero)."""
+    state = dual_init(program, gamma)
+    if lam is not None:
+        state.Q = np.asarray(lam, float)
+    return state
 
 
 def test_dual_step_linear_example():
     prog = one_dim_program()
-    state = fresh_state(1)
-    dual_step(state, prog)
+    state = fresh_state(prog)
+    qp.step(state, prog)
     # positive coefficient picks the low endpoint; lambda projects at zero
-    assert state.x_last[0] == 0.0
-    assert state.lam[0] == 0.0
-    assert state.g_last[0] == -1.0
+    assert state.x_prev[0] == 0.0
+    assert state.Q[0] == 0.0
+    assert state.g_prev[0] == -1.0
 
 
 def test_dual_projection_active():
@@ -45,9 +48,9 @@ def test_dual_projection_active():
         BoxSet([0.0], [1.0]),
         beta_hint=0.0,
     )
-    state = fresh_state(1, lam=[5.0])
-    dual_step(state, prog)
-    assert state.lam[0] == 0.0  # max(5 - 6, 0)
+    state = fresh_state(prog, lam=[5.0])
+    qp.step(state, prog)
+    assert state.Q[0] == 0.0  # max(5 - 6, 0)
 
 
 def test_zero_step_keeps_unconstrained_minimizer():
@@ -57,13 +60,13 @@ def test_zero_step_keeps_unconstrained_minimizer():
         BoxSet(np.zeros(2), np.ones(2)),
         beta_hint=np.sqrt(2.0),
     )
-    state = fresh_state(1, gamma=0.0)
+    state = fresh_state(prog, gamma=0.0)
     for _ in range(5):
-        dual_step(state, prog)
+        qp.step(state, prog)
         # argmin of f over the box: vertex 1/2 for the quadratic coordinate,
         # low endpoint for the positive linear one
-        assert np.array_equal(state.x_last, [0.5, 0.0])
-        assert np.all(state.lam == 0.0)
+        assert np.array_equal(state.x_prev, [0.5, 0.0])
+        assert np.all(state.Q == 0.0)
 
 
 def test_flat_coordinate_tie_breaks_low():
@@ -73,7 +76,7 @@ def test_flat_coordinate_tie_breaks_low():
         BoxSet([-1.0], [1.0]),
         beta_hint=0.0,
     )
-    assert LagrangianOracle(prog)(np.zeros(1))[0] == -1.0
+    assert LagrangianOracle(prog)(np.zeros(1), np.zeros(1), 0.0)[0] == -1.0
 
 
 def test_lagrangian_oracle_matches_grid_search():
@@ -99,7 +102,7 @@ def test_lagrangian_oracle_matches_grid_search():
         obj, ConstraintTerms(lin, np.array([1.0, 0.0]), quad=quad, neglog1p=neglog1p),
         box, beta_hint=1.0)
     lam = np.array([0.8, 1.2])
-    out = LagrangianOracle(prog)(lam)
+    out = LagrangianOracle(prog)(lam, np.zeros(n), 0.0)
     assert out[3] == -0.5  # exact zero slope: low endpoint
     assert (out[1], out[2], out[7], out[8]) == (-0.5, 1.0, 3.0, 5.0)
 
@@ -146,9 +149,9 @@ def test_dsg_raises_on_the_first_non_finite_iteration(bad):
     with pytest.raises(qp.NumericalDomainError,
                        match="constraint value is not finite at iteration 1"):
         qp.dsg_run(prog, None, 1.0, 5)
-    state = fresh_state(prog.m, gamma=1.0, lam=[0.0, 1.0])
+    state = fresh_state(prog, gamma=1.0, lam=[0.0, 1.0])
     with pytest.raises(qp.NumericalDomainError, match="non-finite iterate at iteration 0"):
-        dual_step(state, prog, oracle=lambda lam: np.full(prog.n, bad))
+        qp.step(state, prog, oracle=lambda W, x_prev, alpha: np.full(prog.n, bad))
 
 
 @pytest.mark.parametrize("gamma", [float("nan"), float("inf")])
@@ -164,9 +167,9 @@ def test_dual_step_raises_on_a_non_finite_multiplier(lam, gamma):
     prog = ConvexProgram.from_terms(CoordinateTerms.linear([0.0]),
                                     ConstraintTerms([[0.0]], [-2.0]),
                                     BoxSet([0.0], [1.0]), beta_hint=0.0)
-    state = fresh_state(1, gamma=gamma, lam=lam)
+    state = fresh_state(prog, gamma=gamma, lam=lam)
     with pytest.raises(qp.NumericalDomainError, match="multiplier is not finite at iteration 0"):
-        dual_step(state, prog, oracle=lambda lam: np.zeros(1))
+        qp.step(state, prog, oracle=lambda W, x_prev, alpha: np.zeros(1))
     assert state.t == 0
 
 
@@ -192,13 +195,13 @@ def test_dsg_log_utility_uses_scalar_solver(fig1_instance):
     oracle = LagrangianOracle(prog)
     lam = np.zeros(12)
     lam[9:] = 2.0  # price the three source rows
-    x = oracle(lam)
+    x = oracle(lam, np.zeros(10), 0.0)
     # y_s = argmin -w log y + lam y on [0, 3]: w/lam
     assert x[7] == pytest.approx(1.0 / 2.0)
     assert x[8] == pytest.approx(2.0 / 2.0)
     assert x[9] == pytest.approx(2.0 / 2.0)
     # with zero multipliers the sources max out
-    x0 = oracle(np.zeros(12))
+    x0 = oracle(np.zeros(12), np.zeros(10), 0.0)
     assert np.array_equal(x0[7:], [3.0, 3.0, 3.0])
 
 
@@ -217,7 +220,8 @@ def test_report_schema_identical_to_solver(tmp_path, fig1_instance):
 
 
 # ---------------------------------------------------------------------------
-# The lean dual step keeps the bits of the former one (tests/helpers.py).
+# The DSG run on solver.step keeps the bits of the former dual step
+# (tests/helpers.py).
 
 REPORT_ARRAYS = ("t", "x", "x_bar", "Q", "f_x", "g_x", "f_xbar", "g_xbar", "cum_g",
                  "drift", "drift_bound")
@@ -280,8 +284,8 @@ def test_lagrangian_solve_at_a_nonzero_prox_center_matches_the_former_solve(with
 # ---------------------------------------------------------------------------
 # Invariants of the dual step: a seeded fault must surface as the earliest
 # failing step's (name, t, margin), through dsg_run, which tests blocks of
-# solver._BLOCK steps, and through a loop of dual_step calls, which test
-# each step at once.
+# solver._BLOCK steps, and through a loop of step calls on a dual_init
+# state, which test each step at once.
 
 def _dual_fault_at(monkeypatch, t_bad, fault):
     """Let call t_bad of multiplier_update run ``fault(lam, g, gamma)``,
@@ -339,10 +343,10 @@ def _first_dual_violation(monkeypatch, program, T, t_bad, fault, through_run):
             if through_run:
                 qp.dsg_run(program, None, 0.01, T)
             else:
-                state = fresh_state(program.m)
+                state = fresh_state(program)
                 oracle = LagrangianOracle(program)
                 for _ in range(T):
-                    dual_step(state, program, oracle)
+                    qp.step(state, program, oracle)
     return (err.value.name, err.value.t, err.value.margin), expected[0], calls[0]
 
 
@@ -365,11 +369,11 @@ def test_dsg_run_raises_a_violation_before_a_later_steps_error(monkeypatch, fig1
     good = LagrangianOracle(prog)
     calls = [0]
 
-    def oracle(lam):
+    def oracle(W, x_prev, alpha):
         calls[0] += 1
         if calls[0] == 43:  # step 42
             return np.full(prog.n, np.nan)
-        return good(lam)
+        return good(W, x_prev, alpha)
 
     _dual_fault_at(monkeypatch, 40, _negate_largest)
     with pytest.raises(qp.InvariantViolation) as err:

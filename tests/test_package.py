@@ -106,12 +106,15 @@ def test_every_option_has_a_caller_outside_the_tests():
     assert unset == []
 
 
-# the per-iteration code of the VQ step, the DSG step and the agent round
+# the per-iteration code of the VQ step, the DSG step and the agent round:
+# the one step with the weights, update and drift bound of both its laws
 HOT_PATHS = ("solver.step", "solver._check_block", "solver.queue_update", "solver._drive",
+             "solver._Queues.weights", "solver._Queues.update", "solver._Queues.bound",
              "program.evaluate", "program.CoordinateTerms.value",
              "program.ConstraintTerms.values", "program._segment_sum",
              "oracles.SeparableOracle.solve",
-             "baseline.dual_step", "baseline.multiplier_update", "baseline.dsg_run",
+             "baseline._Multipliers.weights", "baseline._Multipliers.update",
+             "baseline._Multipliers.bound", "baseline.multiplier_update", "baseline.dsg_run",
              "netflow.simulate_decentralized")
 SLOW_FORMS = (" @ ", ".any()", ".all()", "np.any(", "np.all(", "logical_and.reduce",
               "logical_or.reduce")

@@ -605,14 +605,40 @@ def test_non_finite_evaluation_raises_at_the_step_that_makes_it():
         qp.run(prog, np.zeros(2), 1.0, 50, validate=False)
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_non_finite_iterate_raises_before_evaluation(bad):
+# the iterate screen's cases under the queue law (ids nan, inf, -inf) and
+# the multiplier law (ids dual-nan, dual-inf, dual--inf)
+NON_FINITE_ITERATES = [pytest.param(dual, bad, id=("dual-" if dual else "") + str(bad))
+                       for dual in (False, True) for bad in (math.nan, math.inf, -math.inf)]
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered in dot:RuntimeWarning")
+@pytest.mark.parametrize("dual, bad", NON_FINITE_ITERATES)
+def test_non_finite_iterate_raises_before_evaluation(dual, bad):
+    # the one iterate screen of step, from init and from dual_init
     prog = one_dim_program()
-    state = qp.init(prog, np.array([0.0]), 1.0)
+    state = qp.dual_init(prog, 0.01) if dual else qp.init(prog, np.array([0.0]), 1.0)
     qp.step(state, prog)
     with pytest.raises(qp.NumericalDomainError, match="non-finite iterate at iteration 1"):
         qp.step(state, prog, oracle=lambda W, x_prev, alpha: np.array([bad]))
     assert state.t == 1
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_an_overflowing_queue_raises_at_the_step_that_makes_it():
+    # minimize x on [0, 1] s.t. x + 1.5e308 <= 0: Q(1) = g = 1.5e308, and
+    # step 1 adds g to it again, which overflows with or without validation
+    prog = ConvexProgram.from_terms(CoordinateTerms.linear([1.0]),
+                                    ConstraintTerms([[1.0]], [-1.5e308]),
+                                    BoxSet([0.0], [1.0]), beta_hint=1.0)
+    message = "queue is not finite at iteration 1"
+    for validate in (True, False):
+        with pytest.raises(qp.NumericalDomainError, match=message):
+            qp.run(prog, np.zeros(1), 1.0, 5, validate=validate)
+    state = qp.init(prog, np.zeros(1), 1.0)
+    with pytest.raises(qp.NumericalDomainError, match=message):
+        for _ in range(5):
+            qp.step(state, prog)
+    assert state.t == 1 and state.Q.tolist() == [1.5e308]
 
 
 # Final values of two runs at a fixed alpha, as the kernel produced them
