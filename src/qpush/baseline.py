@@ -39,7 +39,7 @@ import math
 
 import numpy as np
 
-from .oracles import SeparableOracle
+from .oracles import SeparableOracle, _require_separable
 from .solver import SolverState, _drive, _Workspace
 
 __all__ = ["multiplier_update", "dual_init", "dsg_run"]
@@ -96,7 +96,10 @@ class LagrangianOracle(SeparableOracle):
 def dual_init(program, gamma):
     """A solver state for the dual subgradient law at t = 0: lambda(0) = 0
     in ``Q``, alpha = 0, and zero x_prev and g_prev, which that law does
-    not read (the separable oracle reads no x_prev at alpha = 0)."""
+    not read (the separable oracle reads no x_prev at alpha = 0).  The law
+    needs that closed-form Lagrangian oracle, so a program without separable
+    descriptors raises ConfigurationError, as ``dsg_run`` does."""
+    _require_separable(program)
     n, m = program.n, program.m
     return SolverState(t=0, x_prev=np.zeros(n), g_prev=np.zeros(m), Q=np.zeros(m),
                        x_bar=None, alpha=0.0, cum_g=np.zeros(m),

@@ -99,6 +99,11 @@ def solve_projected_gradient(program, weights, x_prev, alpha, tol=1e-9, max_iter
         iterate=x, residual=residual, iterations=max_iter)
 
 
+def _require_separable(program):
+    if not program.separable:
+        raise ConfigurationError("program carries no separable descriptors")
+
+
 class SeparableOracle:
     """Closed-form per-coordinate subproblem solver for separable programs.
 
@@ -112,8 +117,9 @@ class SeparableOracle:
     The class index sets, the log weights and the box with its log floor
     are taken once, and the per-class multiples of the curvature
     obj_quad + alpha are kept for the last alpha seen, so a solve does
-    only the arithmetic that depends on the weights.  A^T W is the
-    constraint terms' ``rmatvec``, bound when they were built.
+    only the arithmetic that depends on the weights.  A^T W, Qc^T W and
+    U^T W are the constraint terms' ``rmatvec``, ``quad_rmatvec`` and
+    ``nl_rmatvec``, bound when they were built.
 
     At alpha = 0 a coordinate with no curvature is flat or log-shaped:
     it goes to the endpoint its slope points to, or to the stationary
@@ -126,8 +132,7 @@ class SeparableOracle:
     name = "separable-closed-form"
 
     def __init__(self, program):
-        if not program.separable:
-            raise ConfigurationError("program carries no separable descriptors")
+        _require_separable(program)
         obj = program.objective_terms
         cons = program.constraint_terms
         self.program = program
@@ -137,19 +142,15 @@ class SeparableOracle:
         self.obj_lin = obj.lin
         self._has_obj_lin = bool(obj.lin.any())
         self.logw = obj.log_weight
-        self._rmatvec = cons.rmatvec
-        self.has_cons_quad = cons._has_quad
-        self.quad_T = np.ascontiguousarray(cons.quad.T) if self.has_cons_quad else None
-        nl_cols = cons.neglog1p.any(axis=0) if cons._has_nl else np.zeros(program.n, dtype=bool)
-        log_cols = self.logw > 0
-        if np.any(nl_cols & log_cols):
+        self._rmatvec, self._quad_rmatvec = cons.rmatvec, cons.quad_rmatvec
+        self._nl_rmatvec = cons.nl_rmatvec
+        self.idx_nl1p = cons.nl_cols
+        if np.any(self.logw[self.idx_nl1p] > 0):
             raise ConfigurationError("a coordinate cannot carry both log and log1p terms")
-        self.idx_log = np.flatnonzero(log_cols)
-        self.idx_nl1p = np.flatnonzero(nl_cols)
+        self.idx_log = np.flatnonzero(self.logw > 0)
         # each class as a slice when its coordinates are one run (as on every
         # bundled and benchmark program), so that reading lin copies nothing
         self._sel_log, self._sel_nl1p = _selector(self.idx_log), _selector(self.idx_nl1p)
-        self.nl1p_T = np.ascontiguousarray(cons.neglog1p[:, self.idx_nl1p].T) if self.idx_nl1p.size else None
         self._logw_l = self.logw[self.idx_log]
         # the box, with log coordinates raised to the domain floor
         self._lo_eff = self.lo.copy()
@@ -204,8 +205,8 @@ class SeparableOracle:
             curvature = self._curvature = (alpha, quad, self._class_constants(quad),
                                            None if alpha > 0 else self._flat_split(quad))
         quad, split = curvature[1], curvature[3]
-        if self.has_cons_quad:
-            wq = self.quad_T.dot(weights)
+        if self._quad_rmatvec is not None:
+            wq = self._quad_rmatvec(weights)
             if np.count_nonzero(wq < 0):
                 # negative weights on quadratic rows would break convexity
                 raise ConfigurationError("negative weight on a quadratic constraint row")
@@ -215,7 +216,7 @@ class SeparableOracle:
         ip = self.idx_nl1p
         sl, sp = self._sel_log, self._sel_nl1p
         if ip.size:
-            d = self.nl1p_T.dot(weights)
+            d = self._nl_rmatvec(weights)
             if np.count_nonzero(d < 0):
                 raise ConfigurationError("negative weight on a log(1+z) constraint row")
         if split is not None:
@@ -233,7 +234,7 @@ class SeparableOracle:
             if constants is None:
                 return x_flat
             neg_two_a, log_c, nl_c = constants
-        elif self.has_cons_quad:
+        elif self._quad_rmatvec is not None:
             neg_two_a, log_c, nl_c = self._class_constants(quad)
         else:
             neg_two_a, log_c, nl_c = curvature[2]

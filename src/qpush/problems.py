@@ -103,9 +103,10 @@ def build_flow_power_program(topology, utilities, y_max):
     objective gains the linear power cost POWER_COST p_l.  The Lipschitz
     hint is the spectral norm of the slope-bound pattern matrix
     [[R, 0, I], [-T, I, 0]] (the log slope is at most 1 at p = 0,
-    entrywise domination does the rest), built from the topology's index
-    arrays.  Negating its source rows and y columns makes it nonnegative,
-    so its norm is the unsigned one.
+    entrywise domination does the rest).  Negating its source rows and y
+    columns makes it nonnegative, so its norm is the unsigned one.  The
+    constraint rows and the pattern are built from the topology's index
+    arrays and the L power entries, with no dense array.
 
     A path rate is capped at log(1 + P_MAX), the largest capacity a link
     can reach, so the box never cuts off the optimum.
@@ -119,17 +120,14 @@ def build_flow_power_program(topology, utilities, y_max):
         lin=np.concatenate([np.zeros(K + S), np.full(L, POWER_COST)]),
         log_weight=np.concatenate([np.zeros(K), num.utility_weights, np.zeros(L)]),
     )
-    lin = np.zeros((L + S, n))
-    lin[:, :K + S] = topology.stacked_matrix()
-    neglog1p = np.zeros((L + S, n))
-    neglog1p[:L, K + S:] = np.eye(L)
-    cons = ConstraintTerms(lin, np.zeros(L + S), neglog1p=neglog1p)
-    box = BoxSet(np.zeros(n), np.concatenate([num.x_max, num.y_max, np.full(L, P_MAX)]))
     rows, cols, vals = topology._stacked_triples()
     link = np.arange(L)
+    power = (link, K + S + link, np.ones(L))
+    cons = ConstraintTerms.from_triples(rows, cols, vals, (L + S, n), np.zeros(L + S),
+                                        neglog1p=power)
+    box = BoxSet(np.zeros(n), np.concatenate([num.x_max, num.y_max, np.full(L, P_MAX)]))
     pattern = ConstraintTerms.from_triples(
-        np.concatenate([rows, link]), np.concatenate([cols, K + S + link]),
-        np.concatenate([vals, np.ones(L)]), (L + S, n), np.zeros(L + S))
+        *map(np.concatenate, zip((rows, cols, vals), power)), (L + S, n), np.zeros(L + S))
     return ConvexProgram.from_terms(obj, cons, box,
                                     beta_hint=pattern.unsigned_spectral_norm())
 

@@ -19,11 +19,13 @@ Separable structure is expressed per coordinate / per constraint row:
 with quad, Qc, logw, U all nonnegative (this keeps f and g convex on the
 box by construction).
 
-Only :class:`ConstraintTerms` knows how A is stored.  An A with fewer
-than one nonzero in 32 entries (large flow networks; not fig1 or the QP) is
-also kept as nonzero triples, and A x and A^T W become segment sums over
-them: a bincount entry costs about 5.5 ns and a dense BLAS entry 0.21 ns
-(2 vCPUs, numpy 2.4), a ratio of 26, and 32 keeps a margin.
+Only :class:`ConstraintTerms` knows how its parts are stored: A, and Qc
+and U when given, each once, as read-only nonzero triples.  An A with
+fewer than one nonzero in 32 entries (large flow networks; not fig1 or the
+QP) makes every product a segment sum over the triples: a bincount entry
+costs about 5.5 ns and a dense BLAS entry 0.21 ns (2 vCPUs, numpy 2.4), a
+ratio of 26, and 32 keeps a margin.  A denser A makes them ``ndarray.dot``
+on dense arrays built once from the triples.
 
 A matrix that is sparse by the same rule gets its :func:`spectral_norm` from
 its nonzeros: a certified upper bound on sigma_max from a few dozen
@@ -61,7 +63,7 @@ def _vector(x, n=None, name="vector"):
     return v
 
 
-# A x and A^T W run on nonzero triples when 32 * nnz < m * n (module docstring)
+# the products run on nonzero triples when 32 * nnz(A) < m * n (module docstring)
 _SPARSE_RATIO = 32
 # the certified sparse bound: at most this many power steps, taken once it
 # lies within this relative gap of a lower bound on sigma_max^2, for entries
@@ -80,6 +82,13 @@ def _read_only(triples):
     for a in triples or ():
         a.flags.writeable = False
     return triples
+
+
+def _nonzeros(a):
+    """Row-major (row, col, value) triples of the nonzeros of the matrix ``a``."""
+    flat = a.ravel()
+    nz = np.flatnonzero(flat != 0)  # 5x faster than np.flatnonzero(a) at 1e6 entries
+    return (*np.divmod(nz, a.shape[1]), flat[nz])
 
 
 def _dense(rows, cols, vals, shape):
@@ -186,118 +195,140 @@ def _segment_sum(out, into, vals, size, v):
     return np.bincount(out, vals * v[into], size)
 
 
+def _products(triples, shape, dense):
+    """(M x, M^T W) of the m x n matrix M kept as row-major ``triples``:
+    ``ndarray.dot`` of the ``dense`` M and of a C-contiguous copy of M^T,
+    or segment sums over the triples when ``dense`` is None."""
+    if dense is not None:
+        return dense.dot, np.ascontiguousarray(dense.T).dot
+    rows, cols, vals = triples
+    return (partial(_segment_sum, rows, cols, vals, shape[0]),
+            partial(_segment_sum, cols, rows, vals, shape[1]))
+
+
 class ConstraintTerms:
     """Separable constraint rows g_k(x) = A_k.x + Qc_k.x^2 - U_k.log(1+x) - b_k.
 
-    An absent ``quad`` or ``neglog1p`` stays ``None``, and an all-zero one
-    is never scanned.  These terms alone know how A is stored: they bind
-    ``matvec`` (A x) and ``rmatvec`` (A^T W) once, at construction, and
-    give A's norms.  A dense A gives ``ndarray.dot`` of A and of a
-    C-contiguous copy of A^T.  When 32 * nnz(A) < m * n, A is also kept as
-    read-only (row, col, value) triples in row-major order, and both
-    products are :func:`_segment_sum` over them.  Linear rows built
-    :meth:`from_triples` hold no dense ``lin`` until it is read (by the
-    Jacobian, for one).
+    Each part, A and the ``quad`` Qc and ``neglog1p`` U when given, is
+    kept once, as read-only (row, col, value) triples of its nonzeros in
+    row-major order, and these terms alone know how.  An absent Qc or U
+    stays ``None``, and an all-zero one is never scanned.  A's density
+    picks one product route for every part, once, at construction: when
+    32 * nnz(A) < m * n the products are :func:`_segment_sum` over the
+    triples, else ``ndarray.dot`` of dense arrays built then from the
+    triples and of C-contiguous copies of their transposes.  The terms
+    bind ``matvec`` (A x) and ``rmatvec`` (A^T W), ``quad_matvec`` and
+    ``quad_rmatvec`` (Qc x, Qc^T W), ``nl_matvec`` (U x) and
+    ``nl_rmatvec`` (U^T W on the log1p columns ``nl_cols``), a part's
+    None when it has no nonzero, and give A's norms.  On the segment-sum
+    route the dense ``lin``, ``quad`` and ``neglog1p`` are built on first
+    read (by the Jacobian, for one).
     """
 
     def __init__(self, lin, offset, quad=None, neglog1p=None):
         lin = np.atleast_2d(np.asarray(lin, dtype=float))
-        m, n = lin.shape
-        flat = lin.ravel()
-        nz = np.flatnonzero(flat != 0)  # 5x faster than np.flatnonzero(lin) at 1e6 entries
-        triples = (*np.divmod(nz, n), flat[nz]) if _sparse(nz.size, m, n) else None
-        self._init((m, n), offset, lin, triples, quad, neglog1p)
+        parts = [None if a is None else np.asarray(a, dtype=float) for a in (quad, neglog1p)]
+        if any(a.shape != lin.shape for a in parts if a is not None):
+            raise ValueError("quad/neglog1p must match the linear part's shape")
+        self._init(lin.shape, offset, *(None if a is None else _nonzeros(a) for a in (lin, *parts)))
 
     @classmethod
-    def from_triples(cls, rows, cols, vals, shape, offset):
+    def from_triples(cls, rows, cols, vals, shape, offset, neglog1p=None):
         """Linear rows A x - offset, from the nonzeros ``vals`` of the m x n
-        matrix A at (``rows``, ``cols``), each position once, in any order.
-        The triples are kept in row-major order, the order of a scan of the
-        dense A; an A too dense for triples is built at once."""
-        m, n = shape
+        matrix A at (``rows``, ``cols``), each position once, in any order,
+        minus U log(1+x) when ``neglog1p`` gives U's nonzeros the same way,
+        as (rows, cols, vals).  The triples are kept in row-major order, the
+        order of a scan of the dense matrix."""
+        def row_major(rows, cols, vals):
+            order = np.argsort(rows * shape[1] + cols)
+            return rows[order], cols[order], vals[order]
+
         terms = cls.__new__(cls)
-        if _sparse(vals.size, m, n):
-            order = np.argsort(rows * n + cols)
-            terms._init((m, n), offset, None, (rows[order], cols[order], vals[order]))
-        else:
-            terms._init((m, n), offset, _dense(rows, cols, vals, shape), None)
+        terms._init(shape, offset, row_major(rows, cols, vals), None,
+                    None if neglog1p is None else row_major(*neglog1p))
         return terms
 
-    def _init(self, shape, offset, lin, triples, quad=None, neglog1p=None):
-        """The one initializer: A comes as the dense ``lin``, as row-major
-        ``triples``, or as both; the products use the triples when given."""
+    def _init(self, shape, offset, lin, quad, neglog1p):
+        """The one initializer, from the row-major triples of A and of the
+        Qc and U given (None for one not given)."""
         m, n = shape
-        offset = _vector(offset, m, name="offset")
-        quad = None if quad is None else np.asarray(quad, dtype=float)
-        nl = None if neglog1p is None else np.asarray(neglog1p, dtype=float)
-        given = [a for a in (quad, nl) if a is not None]
-        if any(a.shape != shape for a in given):
-            raise ValueError("quad/neglog1p must match the linear part's shape")
-        if not all(np.all(a >= 0) for a in given):
-            raise ConfigurationError("quad and neglog1p coefficients must be nonnegative")
         self.shape = shape
-        self.offset = offset
-        self.quad = quad
-        self.neglog1p = nl
-        self._has_quad = quad is not None and bool(quad.any())
-        self._has_nl = nl is not None and bool(nl.any())
-        self._triples = _read_only(triples)
-        if lin is not None:
-            self.lin = lin
-        if triples is None:
-            self.matvec, self.rmatvec = lin.dot, np.ascontiguousarray(lin.T).dot
-        else:
-            rows, cols, vals = triples
-            self.matvec = partial(_segment_sum, rows, cols, vals, m)
-            self.rmatvec = partial(_segment_sum, cols, rows, vals, n)
+        self.offset = _vector(offset, m, name="offset")
+        if not all((part[2] >= 0).all() for part in (quad, neglog1p) if part is not None):
+            raise ConfigurationError("quad and neglog1p coefficients must be nonnegative")
+        self._parts = tuple(map(_read_only, (lin, quad, neglog1p)))
+        dense = not _sparse(lin[2].size, m, n)
+        self.matvec, self.rmatvec = _products(lin, shape, self.lin if dense else None)
+        self.quad_matvec = self.quad_rmatvec = self.nl_matvec = self.nl_rmatvec = None
+        if quad is not None and quad[2].size:
+            self.quad_matvec, self.quad_rmatvec = _products(quad, shape, self.quad if dense else None)
+        self.nl_cols = (np.empty(0, np.intp) if neglog1p is None
+                        else np.flatnonzero(np.bincount(neglog1p[1], minlength=n)))
+        if self.nl_cols.size:
+            rows, cols, vals = neglog1p
+            self.nl_matvec = self.neglog1p.dot if dense else partial(_segment_sum, rows, cols, vals, m)
+            # U^T W on the log1p columns: the products of U's columns there
+            used = (rows, np.searchsorted(self.nl_cols, cols), vals)
+            self.nl_rmatvec = _products(used, (m, self.nl_cols.size),
+                                        self.neglog1p[:, self.nl_cols] if dense else None)[1]
 
-    @cached_property
-    def lin(self):
-        """The dense A of rows built from triples, built on first read."""
-        return _dense(*self._triples, self.shape)
+    def _dense_part(self, i):
+        part = self._parts[i]
+        return None if part is None else _dense(*part, self.shape)
+
+    # the dense A, Qc and U (None when absent), built from the triples on
+    # first read: at construction on the ndarray.dot route
+    lin = cached_property(lambda self: self._dense_part(0))
+    quad = cached_property(lambda self: self._dense_part(1))
+    neglog1p = cached_property(lambda self: self._dense_part(2))
+
+    @property
+    def _segment_sums(self):
+        """True when the products are segment sums over the triples."""
+        return isinstance(self.matvec, partial)
 
     @property
     def is_linear(self):
-        return not (self._has_quad or self._has_nl)
+        return self.quad_matvec is None and self.nl_matvec is None
 
     def spectral_norm(self):
         """sigma_max(A) of a finite A, as :func:`spectral_norm` gives it,
-        from the triples when A is kept as triples."""
-        if self._triples is None:
-            return _gram_norm(self.lin)
-        return _sparse_norm(*self._triples, self.shape)
+        from the triples on the segment-sum route."""
+        if self._segment_sums:
+            return _sparse_norm(*self._parts[0], self.shape)
+        return _gram_norm(self.lin)
 
     def unsigned_spectral_norm(self):
         """:meth:`spectral_norm` of an A that negating some rows and
-        columns turns into |A|, whose singular values it shares.  From
-        triples it is the certified bound on sigma_max(|A|), which needs no
-        signed iterate and for such an A equals the signed route's value
-        bit for bit.  For any other A it is still an upper bound on
-        sigma_max(A), which never exceeds sigma_max(|A|)."""
-        if self._triples is not None:
-            rows, cols, vals = self._triples
+        columns turns into |A|, whose singular values it shares.  On the
+        segment-sum route it is the certified bound on sigma_max(|A|),
+        which needs no signed iterate and for such an A equals the signed
+        route's value bit for bit.  For any other A it is still an upper
+        bound on sigma_max(A), which never exceeds sigma_max(|A|)."""
+        if self._segment_sums:
+            rows, cols, vals = self._parts[0]
             bound = _certified_norm(rows, cols, np.abs(vals), self.shape)
             if bound is not None:
                 return bound
         return self.spectral_norm()
 
     def frobenius_norm(self):
-        """||A||_F, from the triples' values when A is kept as triples."""
-        return float(np.linalg.norm(self.lin if self._triples is None else self._triples[2]))
+        """||A||_F, from the values of A's triples."""
+        return float(np.linalg.norm(self._parts[0][2]))
 
     def values(self, x):
         g = self.matvec(x) - self.offset
-        if self._has_quad:
-            g = g + self.quad.dot(x * x)
-        if self._has_nl:
-            g = g - self.neglog1p.dot(np.log1p(x))
+        if self.quad_matvec is not None:
+            g = g + self.quad_matvec(x * x)
+        if self.nl_matvec is not None:
+            g = g - self.nl_matvec(np.log1p(x))
         return g
 
     def jacobian(self, x):
         jac = self.lin.copy()
-        if self._has_quad:
+        if self.quad_matvec is not None:
             jac += 2.0 * self.quad * x[None, :]
-        if self._has_nl:
+        if self.nl_matvec is not None:
             jac -= self.neglog1p / (1.0 + x)[None, :]
         return jac
 
@@ -433,25 +464,21 @@ def _selector(idx):
 def spectral_norm(A):
     """sigma_max(A), the largest singular value of a finite matrix.
 
-    A dense A gives the square root of the largest eigenvalue of its
-    smaller Gram matrix (A A^T or A^T A), from a symmetric eigensolver:
-    exact up to rounding, unlike an iterative estimate that approaches
-    sigma_max from below.  When 32 * nnz(A) < m * n the value comes from
-    A's nonzeros (:func:`_sparse_norm`): a certified upper bound within
-    a relative 1e-12 of sigma_max^2, or else the same Gram eigenvalue.
+    A's rows as :class:`ConstraintTerms` give it.  A dense A gives the
+    square root of the largest eigenvalue of its smaller Gram matrix (A A^T
+    or A^T A), from a symmetric eigensolver: exact up to rounding, unlike
+    an iterative estimate that approaches sigma_max from below.  When
+    32 * nnz(A) < m * n the value comes from A's nonzeros
+    (:func:`_sparse_norm`): a certified upper bound within a relative
+    1e-12 of sigma_max^2, or else the same Gram eigenvalue.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2:
         raise ValueError(f"expected a matrix, got shape {A.shape}")
-    m, n = A.shape
-    flat = A.ravel()
-    nz = np.flatnonzero(flat != 0)  # NaN and +-inf are nonzero
-    vals = flat[nz]
-    if not np.isfinite(vals).all():
+    terms = ConstraintTerms(A, np.zeros(A.shape[0]))
+    if not np.isfinite(terms._parts[0][2]).all():  # NaN and +-inf are nonzero
         raise ValueError("matrix entries must be finite")
-    if _sparse(nz.size, m, n):
-        return _sparse_norm(*np.divmod(nz, n), vals, (m, n))
-    return _gram_norm(A)
+    return terms.spectral_norm()
 
 
 def _gram_norm(A):

@@ -98,14 +98,16 @@ def reference_separable_solve(oracle, weights, x_prev, alpha):
     """``SeparableOracle.solve`` as it read before its alpha = 0 constants
     were kept on the oracle: the prox term subtracted at every alpha, and
     the flat mask, the inf outputs and every class constant built on each
-    call.  Reads only what the oracle fixes at construction."""
+    call.  Reads only what the oracle fixes at construction, and the column
+    sums of its program's constraint terms."""
+    cons = oracle.program.constraint_terms
     lin = oracle._rmatvec(weights)
     if oracle._has_obj_lin:
         lin = oracle.obj_lin + lin
     lin = lin - (2.0 * alpha) * x_prev
     quad = oracle.obj_quad + alpha
-    if oracle.has_cons_quad:
-        wq = oracle.quad_T.dot(weights)
+    if cons.quad_rmatvec is not None:
+        wq = cons.quad_rmatvec(weights)
         if np.count_nonzero(wq < 0):
             # negative weights on quadratic rows would break convexity
             raise ConfigurationError("negative weight on a quadratic constraint row")
@@ -113,7 +115,7 @@ def reference_separable_solve(oracle, weights, x_prev, alpha):
     il, ip = oracle.idx_log, oracle.idx_nl1p
     sl, sp = oracle._sel_log, oracle._sel_nl1p
     if ip.size:
-        d = oracle.nl1p_T.dot(weights)
+        d = cons.nl_rmatvec(weights)
         if np.count_nonzero(d < 0):
             raise ConfigurationError("negative weight on a log(1+z) constraint row")
     flat = None

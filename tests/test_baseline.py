@@ -6,6 +6,7 @@ import pytest
 import qpush as qp
 from qpush import BoxSet, ConstraintTerms, ConvexProgram, CoordinateTerms, baseline, solver
 from qpush.baseline import LagrangianOracle, dual_init
+from qpush.errors import ConfigurationError
 from qpush.report import TRACE_COLUMNS, write_trace_csv
 from qpush.solver import INVARIANT_TOL
 
@@ -38,6 +39,21 @@ def test_dual_step_linear_example():
     assert state.x_prev[0] == 0.0
     assert state.Q[0] == 0.0
     assert state.g_prev[0] == -1.0
+
+
+def test_dual_init_refuses_a_program_without_separable_descriptors():
+    # the multiplier law needs the closed-form Lagrangian oracle: a step from
+    # dual_init raises what dsg_run raises, not the projected gradient's error
+    prog = ConvexProgram(1, 1, BoxSet([0.0], [1.0]), lambda x: float(x[0]),
+                         lambda x: np.ones(1), lambda x: x - 0.5, lambda x: np.ones((1, 1)),
+                         beta_hint=1.0)
+    messages = []
+    for route in (lambda: qp.step(qp.dual_init(prog, 0.1), prog),
+                  lambda: qp.dsg_run(prog, None, 0.1, 10)):
+        with pytest.raises(ConfigurationError) as exc:
+            route()
+        messages.append(str(exc.value))
+    assert messages == ["program carries no separable descriptors"] * 2
 
 
 def test_dual_projection_active():

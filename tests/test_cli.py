@@ -121,14 +121,14 @@ def test_run_problem_file(tmp_path):
 
 
 def test_frobenius_line_of_a_sparse_problem_file(tmp_path):
-    # 32 * nnz < m * n: the rows are kept as triples, and the norm comes from their values
+    # 32 * nnz < m * n: the products are segment sums, and the norm comes from the values
     A = np.zeros((3, 120))
     A[0, :2], A[1, 5], A[2, 7:9] = 1.0, 2.0, [-3.0, 0.5]
     pf = tmp_path / "sparse.json"
     pf.write_text(json.dumps({"n": 120, "m": 3, "box": {"lo": 0, "hi": 1},
                               "linear": {"A": A.tolist(), "b": [1, 1, 1]},
                               "objective": {"kind": "linear", "c": [-1] * 120}}))
-    assert qp.load_program(str(pf)).constraint_terms._triples is not None
+    assert qp.load_program(str(pf)).constraint_terms._segment_sums
     out = tmp_path / "out"
     assert main(["run", "--problem-file", str(pf), "--alpha", "auto", "--T", "20",
                  "--out", str(out)]) == 0

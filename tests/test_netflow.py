@@ -149,7 +149,7 @@ def test_num_set_up_of_a_large_network_builds_no_dense_matrix():
     # the triples run in row-major order, as a scan of the dense matrix finds them
     flat = A.ravel()
     nz = np.flatnonzero(flat)
-    rows, cols, vals = terms._triples
+    rows, cols, vals = terms._parts[0]
     assert np.array_equal(rows * full[1] + cols, nz) and np.array_equal(vals, flat[nz])
 
 
@@ -158,7 +158,7 @@ def test_a_link_without_paths_leaves_the_sparse_beta_unchanged():
     topo = random_network(np.random.default_rng(61))
     idle = Topology(np.append(topo.cap, 1.0), topo.path_links, topo.source_paths)
     terms = idle._num_constraints
-    assert idle._sigma == _certified_norm(*terms._triples, terms.shape) == topo._sigma
+    assert idle._sigma == _certified_norm(*terms._parts[0], terms.shape) == topo._sigma
 
 
 def test_beta_from_the_unsigned_matrix_keeps_the_signed_bits(fig1_instance):

@@ -138,7 +138,7 @@ def _dense_twin(program, monkeypatch):
         patch.setattr("qpush.program._SPARSE_RATIO", math.inf)
         twin = ConstraintTerms(cons.lin, cons.offset, cons.quad)
     # A x and A^T W are products with A and with a copy of A^T
-    assert twin._triples is None and twin.matvec == twin.lin.dot
+    assert not twin._segment_sums and twin.matvec == twin.lin.dot
     assert np.array_equal(twin.rmatvec.__self__, cons.lin.T)
     return ConvexProgram.from_terms(program.objective_terms, twin, program.box,
                                     beta_hint=program.beta_hint)
@@ -158,7 +158,7 @@ def test_sparse_and_dense_paths_give_the_same_traces(monkeypatch):
     logw = np.where(rng.random(n) < 0.3, 1.0, 0.0)
     obj = CoordinateTerms(rng.uniform(0.5, 2.0, n), rng.normal(size=n), logw)
     sparse = ConvexProgram.from_terms(obj, cons, box, beta_hint=np.linalg.norm(A) + 4.0)
-    assert sparse.constraint_terms._triples is not None
+    assert sparse.constraint_terms._segment_sums
     dense = _dense_twin(sparse, monkeypatch)
     keys = ("x", "x_bar", "Q", "f_x", "f_xbar", "g_x", "g_xbar", "cum_g")
     alpha = 0.5 * sparse.beta_hint ** 2

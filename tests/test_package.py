@@ -138,19 +138,44 @@ def test_hot_paths_use_the_cheapest_numpy_entry_points():
     assert found == {}
 
 
-# how ConstraintTerms keeps A; its products and norms are what others read
-A_STORAGE = {"_triples"}
+# how ConstraintTerms keeps A, Qc and U, and the dense arrays it builds from
+# them; its products, column sums and norms are what others read
+STORAGE = {"_parts"}
+DENSE_PARTS = {"lin", "quad", "neglog1p"}
+
+
+def _constraint_term_reads(path):
+    """Attributes read in ``path`` off constraint terms: off an
+    ``x.constraint_terms``, a ``ConstraintTerms`` call or a name bound to
+    either."""
+    nodes = list(ast.walk(ast.parse(path.read_text())))
+
+    def is_terms(node):
+        return ((isinstance(node, ast.Attribute) and node.attr == "constraint_terms")
+                or (isinstance(node, ast.Call) and "ConstraintTerms" in ast.unparse(node.func)))
+
+    names = {target.id for node in nodes if isinstance(node, ast.Assign) and is_terms(node.value)
+             for target in node.targets if isinstance(target, ast.Name)}
+    return {node.attr for node in nodes
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and (is_terms(node.value) or isinstance(node.value, ast.Name) and node.value.id in names)}
 
 
 def test_only_program_reads_how_constraint_rows_keep_A():
-    """No module but program.py reads how ConstraintTerms stores A: the
-    others call its ``matvec``, ``rmatvec`` and norms.  A private
-    attribute the terms gain must be listed in A_STORAGE or be one of
-    the flags for the quadratic and log1p parts."""
+    """No module but program.py reads how ConstraintTerms stores its
+    parts: the others call its products, column sums and norms.  The
+    oracle and the problem builders read none of the dense parts either,
+    so a program on the segment-sum route never builds them.  A private
+    attribute the terms gain must be listed in STORAGE."""
     package = ROOT / "src" / "qpush"
     readers = sorted(path.name for path in package.glob("*.py")
-                     if path.name != "program.py" and A_STORAGE & _loaded_names([path]))
+                     if path.name != "program.py" and STORAGE & _loaded_names([path]))
     assert readers == []
-    sparse = qpush.ConstraintTerms(np.eye(40), np.zeros(40))  # 40 nonzeros in 1600
-    flags = {"_has_quad", "_has_nl"}
-    assert {name for name in vars(sparse) if name.startswith("_")} == A_STORAGE | flags
+    reads = {name: _constraint_term_reads(package / name) for name in ("oracles.py", "problems.py")}
+    assert "nl_rmatvec" in reads["oracles.py"]  # the reads are found at all
+    assert {name: names & DENSE_PARTS for name, names in reads.items()} == {
+        "oracles.py": set(), "problems.py": set()}
+    eye = np.eye(40)  # 40 nonzeros in 1600 entries: segment sums
+    sparse = qpush.ConstraintTerms(eye, np.zeros(40), quad=eye, neglog1p=eye)
+    assert {name for name in vars(sparse) if name.startswith("_")} == STORAGE
+    assert DENSE_PARTS.isdisjoint(vars(sparse))

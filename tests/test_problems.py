@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -70,6 +72,31 @@ def test_flow_power_beta_is_the_norm_of_its_pattern():
                         [-source_path_incidence(net), np.eye(S), np.zeros((S, L))]])
     exact = float(np.sqrt(np.linalg.eigvalsh(pattern @ pattern.T)[-1]))
     assert exact <= beta <= exact * (1.0 + 1e-12)
+
+
+def test_flow_power_at_network_scale_builds_no_dense_matrix(monkeypatch):
+    # the rows come from the topology's index arrays and the L power entries,
+    # and the oracle reads the terms' column sums: no (L+S) x (K+S+L) array
+    monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
+    from workloads import net_large_inputs
+    inputs = net_large_inputs(1)
+    topo = qp.Topology.from_paths(inputs["capacities"], inputs["paths"])
+    prog = qp.build_flow_power_program(topo, inputs["weights"], inputs["y_max"])
+    oracle = SeparableOracle(prog)
+    full = (topo.L + topo.S, prog.n)
+    assert full == (700, 1900)
+
+    def dense_arrays():
+        return [name for obj in (topo, prog.constraint_terms, oracle)
+                for name, v in vars(obj).items() if isinstance(v, np.ndarray) and v.shape == full]
+
+    assert dense_arrays() == []
+    alpha = 0.5 * prog.beta_hint ** 2 + 1.0
+    rep = qp.run(prog, 0.5 * prog.box.hi, alpha, 1000, oracle=oracle)
+    assert dense_arrays() == []
+    for key in ("x", "x_bar", "Q", "f_xbar", "g_xbar"):
+        assert np.isfinite(getattr(rep, key)).all(), key
+    assert prog.box.contains(rep.x_bar[-1]) and prog.box.contains(rep.x[-1])
 
 
 def test_flow_power_constraints_convex():

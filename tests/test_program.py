@@ -88,8 +88,8 @@ def test_sparse_rows_match_dense_products():
         A = random_sparse_matrix(rng)
         m, n = A.shape
         cons = ConstraintTerms(A, rng.normal(size=m))
-        assert cons._triples is not None
-        assert not (cons._triples[0].flags.writeable or cons._triples[2].flags.writeable)
+        assert cons._segment_sums
+        assert not (cons._parts[0][0].flags.writeable or cons._parts[0][2].flags.writeable)
         x = rng.uniform(-3.0, 3.0, n)
         want = A @ x - cons.offset
         scale = np.abs(A) @ np.abs(x) + np.abs(cons.offset)
@@ -114,11 +114,27 @@ def test_terms_from_triples_match_the_dense_constructor():
         dense = ConstraintTerms(A, b)
         terms = ConstraintTerms.from_triples(rows, cols, A[rows, cols], A.shape, b)
         assert terms.shape == A.shape and terms.is_linear
-        assert (terms._triples is None) == (dense._triples is None)
+        assert terms._segment_sums == dense._segment_sums
         x = rng.normal(size=A.shape[1])
         assert np.array_equal(terms.values(x), dense.values(x))
         assert np.array_equal(terms.jacobian(x), A) and not terms.lin.flags.writeable
         assert not hasattr(terms, "lin_T")
+        # U's triples, in any order, give the rows of a dense U
+        U = np.abs(A) * (rng.random(A.shape) < 0.5)
+        urows, ucols = np.nonzero(U)
+        order = rng.permutation(urows.size)
+        dense = ConstraintTerms(A, b, neglog1p=U)
+        terms = ConstraintTerms.from_triples(rows, cols, A[rows, cols], A.shape, b,
+                                             neglog1p=(urows[order], ucols[order],
+                                                       U[urows, ucols][order]))
+        assert terms._segment_sums == dense._segment_sums and not terms.is_linear
+        assert np.array_equal(terms.nl_cols, np.flatnonzero(U.any(axis=0)))
+        x = rng.uniform(0.0, 2.0, A.shape[1])
+        W = rng.uniform(0.0, 1.0, A.shape[0])
+        assert np.array_equal(terms.values(x), dense.values(x))
+        assert np.array_equal(terms.jacobian(x), dense.jacobian(x))
+        assert np.array_equal(terms.nl_rmatvec(W), dense.nl_rmatvec(W))
+        assert np.allclose(terms.nl_rmatvec(W), U[:, terms.nl_cols].T @ W, rtol=1e-14, atol=0)
 
 
 @pytest.mark.parametrize("name", ["fig1-num", "qp", "random-network"])
@@ -126,7 +142,7 @@ def test_a_pickled_program_runs_the_same_trace(name):
     if name == "random-network":
         topo = random_network(np.random.default_rng(67))
         program = qp.build_num_program(topo, np.ones(topo.S), 1.0, 1.0)
-        assert program.constraint_terms._triples is not None
+        assert program.constraint_terms._segment_sums
     else:
         program = qp.get_problem(name).program
     twin = pickle.loads(pickle.dumps(program))
@@ -142,11 +158,11 @@ def test_bundled_programs_take_their_path(monkeypatch):
     # the dense path their pinned values were read from
     A = np.zeros((4, 16))
     A[0, :2] = 1.0  # 32 * nnz == m * n: dense
-    assert ConstraintTerms(A, np.zeros(4))._triples is None
+    assert not ConstraintTerms(A, np.zeros(4))._segment_sums
     A[0, 1] = 0.0
-    assert ConstraintTerms(A, np.zeros(4))._triples is not None
+    assert ConstraintTerms(A, np.zeros(4))._segment_sums
     for name in ("fig1-num", "fig1-flow-power", "qp"):
-        assert qp.get_problem(name).program.constraint_terms._triples is None
+        assert not qp.get_problem(name).program.constraint_terms._segment_sums
     monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
     from workloads import net_large_inputs
     inputs = net_large_inputs(1)
@@ -154,7 +170,7 @@ def test_bundled_programs_take_their_path(monkeypatch):
     cons = qp.build_num_program(topo, inputs["weights"], inputs["x_max"],
                                 inputs["y_max"]).constraint_terms
     assert cons.shape == (700, 1500)
-    assert cons._triples[0].size == np.count_nonzero(cons.lin) == 6264
+    assert cons._segment_sums and cons._parts[0][0].size == np.count_nonzero(cons.lin) == 6264
 
 
 def test_clamp_to_box():
@@ -194,11 +210,12 @@ def test_spectral_norm_zero_matrix():
 
 @pytest.mark.parametrize("shape", [(1, 1), (2, 100), (3, 4), (0, 3), (3, 0)])
 def test_spectral_norm_of_a_matrix_without_nonzeros_is_zero(shape):
-    # an all-zero A with entries is kept as empty triples, one without
-    # entries is kept dense; both are 0 from the terms and the function
+    # an all-zero A with entries takes the segment-sum route over empty
+    # triples, one without entries the dense route; both are 0 from the
+    # terms and the function
     A = np.zeros(shape)
     terms = ConstraintTerms(A, np.zeros(shape[0]))
-    assert (terms._triples is None) == (A.size == 0)
+    assert terms._segment_sums == (A.size != 0)
     assert terms.spectral_norm() == qp.spectral_norm(A) == 0.0
     assert terms.frobenius_norm() == 0.0
 
