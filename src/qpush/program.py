@@ -20,12 +20,18 @@ with quad, Qc, logw, U all nonnegative (this keeps f and g convex on the
 box by construction).
 
 Only :class:`ConstraintTerms` knows how its parts are stored: A, and Qc
-and U when given, each once, as read-only nonzero triples.  An A with
-fewer than one nonzero in 32 entries (large flow networks; not fig1 or the
-QP) makes every product a segment sum over the triples: a bincount entry
-costs about 5.5 ns and a dense BLAS entry 0.21 ns (2 vCPUs, numpy 2.4), a
-ratio of 26, and 32 keeps a margin.  A denser A makes them ``ndarray.dot``
-on dense arrays built once from the triples.
+and U when given, each once, as read-only row-major nonzero triples.  An
+A with fewer than one nonzero in 32 entries (large flow networks; not
+fig1 or the QP) makes every product a segment sum over two slot-major
+copies of each part's triples, one by rows for M x and one by columns for
+M^T W: the first nonzero of every row (column), then the second, and so
+on.  Each row still adds its terms in column order and each column in row
+order, so the sums keep the bits of a scan of the row-major triples,
+while consecutive adds go to different entries and need not wait on one
+another.  A segment-sum entry costs about 0.93 ns and a dense BLAS entry
+0.039 ns (net-large A x, 6264 nonzeros in 700 x 1500; timeit, best of 5,
+2 vCPUs, numpy 2.4), a ratio of 24, and 32 keeps a margin.  A denser A makes
+the products ``ndarray.dot`` on dense arrays built once from the triples.
 
 A matrix that is sparse by the same rule gets its :func:`spectral_norm` from
 its nonzeros: a certified upper bound on sigma_max from a few dozen
@@ -188,22 +194,63 @@ class CoordinateTerms:
 
 def _segment_sum(out, into, vals, size, v):
     """The length-``size`` vector whose entry i sums ``vals * v[into]`` over
-    the triples with ``out`` i: A x from (rows, cols) and A^T W from (cols,
-    rows).  bincount adds in input order, so on row-major triples each
-    column's sum runs down its rows as a column-sorted copy would;
+    the triples with ``out`` i: A x from A's copy by rows (out the rows)
+    and A^T W from its copy by columns (out the columns), each slot-major
+    (:func:`_slot_orders`).  bincount adds in input order, so each row
+    adds its terms in column order and each column in row order, as on
+    row-major and column-major triples, while consecutive adds go to
+    different entries and need not wait for one another.
     ``np.add.reduceat`` would give an empty row a neighbour's value."""
     return np.bincount(out, vals * v[into], size)
 
 
-def _products(triples, shape, dense):
-    """(M x, M^T W) of the m x n matrix M kept as row-major ``triples``:
-    ``ndarray.dot`` of the ``dense`` M and of a C-contiguous copy of M^T,
-    or segment sums over the triples when ``dense`` is None."""
+def _zeros(size, v):
+    """The products of a matrix without nonzeros, as float zeros: bincount
+    over no triples gives integer ones."""
+    return np.zeros(size)
+
+
+def _sort_key(a, bound):
+    """``a``, whose entries lie below ``bound``, as uint16 when they fit:
+    numpy's stable sort of 16-bit keys is a radix sort."""
+    return a.astype(np.uint16) if bound <= 1 << 16 else a
+
+
+def _slot_major(out, into, vals, size, grouped):
+    """The triples (``out``, ``into``, ``vals``) reordered slot-major: the
+    first triple of every ``out`` in 0..size-1, then the second of every
+    ``out``, and so on, each ``out``'s triples in their given order.  Two
+    stable sorts: by ``out`` (left out when the triples are ``grouped``
+    by it already), then by rank within ``out``."""
+    order = None if grouped else np.argsort(_sort_key(out, size), kind="stable")
+    grouped_out = out if order is None else out[order]
+    counts = np.bincount(grouped_out, minlength=size)
+    rank = np.arange(out.size) - (np.cumsum(counts) - counts)[grouped_out]
+    slots = np.argsort(_sort_key(rank, counts.max(initial=0)), kind="stable")
+    if order is not None:
+        slots = order[slots]
+    return _read_only((out[slots], into[slots], vals[slots]))
+
+
+def _slot_orders(rows, cols, vals, shape):
+    """The two copies of an m x n matrix's row-major triples that its
+    segment sums read: by rows (rows, cols, vals) and by columns (cols,
+    rows, vals), each slot-major (:func:`_slot_major`), so each row keeps
+    its column order and each column its row order."""
+    return (_slot_major(rows, cols, vals, shape[0], True),
+            _slot_major(cols, rows, vals, shape[1], False))
+
+
+def _products(orders, shape, dense):
+    """(M x, M^T W) of the m x n matrix M: ``ndarray.dot`` of the ``dense``
+    M and of a C-contiguous copy of M^T, or segment sums over M's two
+    slot-major ``orders`` (:func:`_slot_orders`) when ``dense`` is None."""
     if dense is not None:
         return dense.dot, np.ascontiguousarray(dense.T).dot
-    rows, cols, vals = triples
-    return (partial(_segment_sum, rows, cols, vals, shape[0]),
-            partial(_segment_sum, cols, rows, vals, shape[1]))
+    by_rows, by_cols = orders
+    if not by_rows[2].size:
+        return partial(_zeros, shape[0]), partial(_zeros, shape[1])
+    return partial(_segment_sum, *by_rows, shape[0]), partial(_segment_sum, *by_cols, shape[1])
 
 
 class ConstraintTerms:
@@ -214,9 +261,13 @@ class ConstraintTerms:
     row-major order, and these terms alone know how.  An absent Qc or U
     stays ``None``, and an all-zero one is never scanned.  A's density
     picks one product route for every part, once, at construction: when
-    32 * nnz(A) < m * n the products are :func:`_segment_sum` over the
-    triples, else ``ndarray.dot`` of dense arrays built then from the
-    triples and of C-contiguous copies of their transposes.  The terms
+    32 * nnz(A) < m * n the products are :func:`_segment_sum` over two
+    slot-major copies of each part's triples (:func:`_slot_orders`), by
+    rows for M x and by columns for M^T W, which add every entry's terms
+    in the order of the row-major triples; A's copies also feed its
+    certified norm.  Else the products are ``ndarray.dot`` of dense
+    arrays built then from the triples and of C-contiguous copies of
+    their transposes.  The terms
     bind ``matvec`` (A x) and ``rmatvec`` (A^T W), ``quad_matvec`` and
     ``quad_rmatvec`` (Qc x, Qc^T W), ``nl_matvec`` (U x) and
     ``nl_rmatvec`` (U^T W on the log1p columns ``nl_cols``), a part's
@@ -258,19 +309,25 @@ class ConstraintTerms:
             raise ConfigurationError("quad and neglog1p coefficients must be nonnegative")
         self._parts = tuple(map(_read_only, (lin, quad, neglog1p)))
         dense = not _sparse(lin[2].size, m, n)
-        self.matvec, self.rmatvec = _products(lin, shape, self.lin if dense else None)
+        # A's two copies stay for its norms; Qc's and U's live in their products
+        self._orders = None if dense else _slot_orders(*lin, shape)
+        self.matvec, self.rmatvec = _products(self._orders, shape, self.lin if dense else None)
         self.quad_matvec = self.quad_rmatvec = self.nl_matvec = self.nl_rmatvec = None
         if quad is not None and quad[2].size:
-            self.quad_matvec, self.quad_rmatvec = _products(quad, shape, self.quad if dense else None)
+            self.quad_matvec, self.quad_rmatvec = _products(
+                None if dense else _slot_orders(*quad, shape), shape, self.quad if dense else None)
         self.nl_cols = (np.empty(0, np.intp) if neglog1p is None
                         else np.flatnonzero(np.bincount(neglog1p[1], minlength=n)))
         if self.nl_cols.size:
-            rows, cols, vals = neglog1p
-            self.nl_matvec = self.neglog1p.dot if dense else partial(_segment_sum, rows, cols, vals, m)
-            # U^T W on the log1p columns: the products of U's columns there
-            used = (rows, np.searchsorted(self.nl_cols, cols), vals)
-            self.nl_rmatvec = _products(used, (m, self.nl_cols.size),
-                                        self.neglog1p[:, self.nl_cols] if dense else None)[1]
+            # U^T W on the log1p columns: the products of U's columns there,
+            # renumbered in order
+            if dense:
+                self.nl_matvec = self.neglog1p.dot
+                self.nl_rmatvec = np.ascontiguousarray(self.neglog1p[:, self.nl_cols].T).dot
+            else:
+                by_rows, (cols, rows, vals) = _slot_orders(*neglog1p, shape)
+                used = (by_rows, (np.searchsorted(self.nl_cols, cols), rows, vals))
+                self.nl_matvec, self.nl_rmatvec = _products(used, (m, self.nl_cols.size), None)
 
     def _dense_part(self, i):
         part = self._parts[i]
@@ -285,18 +342,24 @@ class ConstraintTerms:
     @property
     def _segment_sums(self):
         """True when the products are segment sums over the triples."""
-        return isinstance(self.matvec, partial)
+        return self._orders is not None
 
     @property
     def is_linear(self):
         return self.quad_matvec is None and self.nl_matvec is None
 
     def spectral_norm(self):
-        """sigma_max(A) of a finite A, as :func:`spectral_norm` gives it,
-        from the triples on the segment-sum route."""
-        if self._segment_sums:
-            return _sparse_norm(*self._parts[0], self.shape)
-        return _gram_norm(self.lin)
+        """sigma_max(A) of a finite A, as :func:`spectral_norm` gives it.
+        On the segment-sum route it is the certified bound of
+        :func:`_certified_norm` on A's two copies, or, when none is found,
+        the eigenvalue of the Gram matrix of a dense A built for the
+        purpose and not kept."""
+        if not self._segment_sums:
+            return _gram_norm(self.lin)
+        bound = _certified_norm(*self._orders, self.shape)
+        if bound is None:
+            return _gram_norm(_dense(*self._parts[0], self.shape))
+        return bound
 
     def unsigned_spectral_norm(self):
         """:meth:`spectral_norm` of an A that negating some rows and
@@ -306,8 +369,8 @@ class ConstraintTerms:
         route's value bit for bit.  For any other A it is still an upper
         bound on sigma_max(A), which never exceeds sigma_max(|A|)."""
         if self._segment_sums:
-            rows, cols, vals = self._parts[0]
-            bound = _certified_norm(rows, cols, np.abs(vals), self.shape)
+            by_rows, by_cols = ((out, into, np.abs(vals)) for out, into, vals in self._orders)
+            bound = _certified_norm(by_rows, by_cols, self.shape)
             if bound is not None:
                 return bound
         return self.spectral_norm()
@@ -317,11 +380,13 @@ class ConstraintTerms:
         return float(np.linalg.norm(self._parts[0][2]))
 
     def values(self, x):
-        g = self.matvec(x) - self.offset
+        # the products are fresh arrays, so the other parts add in place
+        g = self.matvec(x)
+        g -= self.offset
         if self.quad_matvec is not None:
-            g = g + self.quad_matvec(x * x)
+            g += self.quad_matvec(x * x)
         if self.nl_matvec is not None:
-            g = g - self.nl_matvec(np.log1p(x))
+            g -= self.nl_matvec(np.log1p(x))
         return g
 
     def jacobian(self, x):
@@ -469,7 +534,7 @@ def spectral_norm(A):
     or A^T A), from a symmetric eigensolver: exact up to rounding, unlike
     an iterative estimate that approaches sigma_max from below.  When
     32 * nnz(A) < m * n the value comes from A's nonzeros
-    (:func:`_sparse_norm`): a certified upper bound within a relative
+    (:func:`_certified_norm`): a certified upper bound within a relative
     1e-12 of sigma_max^2, or else the same Gram eigenvalue.
     """
     A = np.asarray(A, dtype=float)
@@ -486,26 +551,11 @@ def _gram_norm(A):
     return float(np.sqrt(np.linalg.eigvalsh(gram).max(initial=0.0)))
 
 
-def _sparse_norm(rows, cols, vals, shape):
-    """sigma_max of the m x n matrix with the finite nonzeros ``vals`` at
-    (``rows``, ``cols``) in row-major order.
-
-    The certified bound of :func:`_certified_norm` when it holds, else
-    the eigenvalue of the dense Gram matrix.  A nonnegative matrix needs
-    no signed iterate, so its bound costs half the work of a mixed-sign
-    one; a flow network's A gets its bound from |A|
-    (:meth:`ConstraintTerms.unsigned_spectral_norm`).
-    """
-    bound = _certified_norm(rows, cols, vals, shape)
-    if bound is not None:
-        return bound
-    return _gram_norm(_dense(rows, cols, vals, shape))
-
-
-def _certified_norm(rows, cols, vals, shape):
-    """An upper bound on sigma_max within a relative 1e-12 of
-    sigma_max^2 (0 when A has no nonzeros), or None when none is found in
-    64 power steps.
+def _certified_norm(by_rows, by_cols, shape):
+    """An upper bound on sigma_max of the m x n matrix A whose finite
+    nonzeros ``by_rows`` and ``by_cols`` hold as :func:`_slot_orders`
+    gives them, within a relative 1e-12 of sigma_max^2 (0 when A has no
+    nonzeros), or None when none is found in 64 power steps.
 
     For every matrix sigma_max(A) <= sigma_max(|A|), and for a positive
     v the Collatz-Wielandt formula bounds the Perron root of the
@@ -518,7 +568,11 @@ def _certified_norm(rows, cols, vals, shape):
     length 2m, and a step is two bincounts over the triples and their
     signed twins.  When A >= 0, u would repeat v bit for bit, so the
     iterate is v alone, of length m, and gives both bounds: the same
-    result from half the work.
+    result from half the work.  The sums by columns read the copy by
+    columns and those by rows the copy by rows, so each adds in the order
+    of the row-major triples; the empty-row drop, the swap that iterates
+    on the shorter side and the signed twin act on both copies alike
+    (the twin's entries go to entries of their own).
 
     Rounding is allowed for outward.  Every term of M v is nonnegative,
     so the computed (M v)_i is at least (1 - gamma_k) times the exact one,
@@ -534,29 +588,33 @@ def _certified_norm(rows, cols, vals, shape):
     stay apart: mixed signs that |A| does not preserve, or slow
     convergence.
     """
-    if not vals.size:
-        return 0.0
     m, n = shape
     if m > n:  # iterate on the shorter side
-        rows, cols, m, n = cols, rows, n, m
-    mags = np.abs(vals)
+        by_rows, by_cols, m, n = by_cols, by_rows, n, m
+    # (rows, cols) bins by the iterated side, (cols_t, rows_t) by the other
+    (rows, cols, vals), (cols_t, rows_t, vals_t) = by_rows, by_cols
+    if not vals.size:
+        return 0.0
+    mags, mags_t = np.abs(vals), np.abs(vals_t)
     if not (mags.min() >= _BOUND_RANGE ** -1 and mags.max() <= _BOUND_RANGE):
         return None
     counts = np.bincount(rows, minlength=m)
     if not counts.min() > 0:
         used = np.flatnonzero(counts)
-        rows, counts, m = np.searchsorted(used, rows), counts[used], used.size
+        rows, rows_t = np.searchsorted(used, rows), np.searchsorted(used, rows_t)
+        counts, m = counts[used], used.size
     k = int(counts.max()) + int(np.bincount(cols).max())
     slack = 1.0 + (k + 4) * np.finfo(float).eps
     # u starts at x[hm:] and A^T u at w[hn:]: after v when A has a negative
     # entry, else they are v and |A|^T v themselves
     hm, hn = (m, n) if (vals < 0).any() else (0, 0)
     if hm:
-        rows, cols = np.concatenate([rows, rows + m]), np.concatenate([cols, cols + n])
-        mags = np.concatenate([mags, vals])
+        rows, rows_t = np.concatenate([rows, rows + m]), np.concatenate([rows_t, rows_t + m])
+        cols, cols_t = np.concatenate([cols, cols + n]), np.concatenate([cols_t, cols_t + n])
+        mags, mags_t = np.concatenate([mags, vals]), np.concatenate([mags_t, vals_t])
     x = np.ones(m + hm)  # each iterate scaled to a largest entry of 1
     for _ in range(_BOUND_STEPS):
-        w = np.bincount(cols, mags * x[rows], n + hn)
+        w = np.bincount(cols_t, mags_t * x[rows_t], n + hn)
         y = np.bincount(rows, mags * w[cols], m + hm)
         upper = float((y[:m] / x[:m]).max()) * slack
         lower = float(w[hn:].dot(w[hn:])) / float(x[hm:].dot(x[hm:]))

@@ -233,27 +233,30 @@ def _check_block(work):
     what step t0 + i starts from, so rows i and i + 1 hold all that step's
     checks read; W is recomputed with the step's own addition.  The law's
     ``invariants`` name the checks: the queue law's four vector checks
-    and the drift, or the multiplier law's lambda(t+1) >= 0 and the drift.
-    Each check writes a contiguous section of one flag buffer, (k, m) for
-    the vector checks and (k,) for the drift.  The drift flags are a
-    screen at the absolute tolerance, which the scale-aware one only
-    widens; on a hit the flagged drifts are tested again at their own
-    tolerance.  The earliest step with a flag left is reported, by its
-    first check in the order of the law's ``invariants``, with its margin
-    recomputed from that step alone.
+    and the drift, or the multiplier law's lambda(t+1) >= 0 and the drift,
+    for which only the lambda(t+1) rows are stacked.  Each check writes a
+    contiguous section of one flag buffer, (k, m) for the vector checks
+    and (k,) for the drift.  The drift flags are a screen at the absolute
+    tolerance, which the scale-aware one only widens; on a hit the
+    flagged drifts are tested again at their own tolerance.  The earliest
+    step with a flag left is reported, by its first check in the order of
+    the law's ``invariants``, with its margin recomputed from that step
+    alone.
     """
-    t0, scalars, invariants = work.t0, work.scalars, work.law.invariants
-    m = work.vectors[0].shape[0]
+    t0, scalars, invariants, vectors = work.t0, work.scalars, work.law.invariants, work.vectors
+    m = vectors[0].shape[0]
     k = len(scalars) // 4
-    rows = np.concatenate(work.vectors)
-    work.vectors.clear()
-    work.scalars = []
     drift, bound, L, gg = np.array(scalars).reshape(k, 4).T
-    # k + 1 rows, given explicitly: a -1 cannot be inferred when m = 0
-    Qs, gs, cums = rows.reshape(k + 1, 3, m).transpose(1, 0, 2).copy()
-    Q, Qn, g = Qs[:-1], Qs[1:], gs[1:]
     # the vector checks; the drift is the law's other invariant
     c = len(invariants) - 1
+    if c == 1:  # the multiplier law reads lambda(t+1) alone
+        Qn = np.array(vectors[3::3]).reshape(k, m)
+    else:
+        # k + 1 rows, given explicitly: a -1 cannot be inferred when m = 0
+        Qs, gs, cums = np.concatenate(vectors).reshape(k + 1, 3, m).transpose(1, 0, 2).copy()
+        Q, Qn, g = Qs[:-1], Qs[1:], gs[1:]
+    vectors.clear()
+    work.scalars = []
     flags = np.empty(k * (c * m + 1), dtype=bool)
     # sections: queue, weight, lower, cumulative (k, m each), or the
     # multiplier's, then drift (k)
@@ -284,10 +287,12 @@ def _check_block(work):
     name, message = invariants[i]
     if name == "drift":
         raise InvariantViolation(message, name, t, float(bound[r] + drift_tol[r] - drift[r]))
-    Q, Qn, g = Qs[r], Qs[r + 1], gs[r + 1]
-    margin = (Qn if c == 1 else
-              (Q, Q + gs[r] + INVARIANT_TOL, np.abs(Qn) - (np.abs(g) - INVARIANT_TOL), None,
-               Qn - ((cums[r + 1] - (t + 1) * 1e-12) - INVARIANT_TOL))[i])
+    if c == 1:
+        margin = Qn[r]
+    else:
+        Q, Qn, g = Qs[r], Qs[r + 1], gs[r + 1]
+        margin = (Q, Q + gs[r] + INVARIANT_TOL, np.abs(Qn) - (np.abs(g) - INVARIANT_TOL), None,
+                  Qn - ((cums[r + 1] - (t + 1) * 1e-12) - INVARIANT_TOL))[i]
     failed = vector_flags[min(i, 3), r]
     raise InvariantViolation(message, name, t, float(margin[failed].min()))
 

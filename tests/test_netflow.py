@@ -158,7 +158,7 @@ def test_a_link_without_paths_leaves_the_sparse_beta_unchanged():
     topo = random_network(np.random.default_rng(61))
     idle = Topology(np.append(topo.cap, 1.0), topo.path_links, topo.source_paths)
     terms = idle._num_constraints
-    assert idle._sigma == _certified_norm(*terms._parts[0], terms.shape) == topo._sigma
+    assert idle._sigma == _certified_norm(*terms._orders, terms.shape) == topo._sigma
 
 
 def test_beta_from_the_unsigned_matrix_keeps_the_signed_bits(fig1_instance):

@@ -140,7 +140,7 @@ def test_hot_paths_use_the_cheapest_numpy_entry_points():
 
 # how ConstraintTerms keeps A, Qc and U, and the dense arrays it builds from
 # them; its products, column sums and norms are what others read
-STORAGE = {"_parts"}
+STORAGE = {"_parts", "_orders"}
 DENSE_PARTS = {"lin", "quad", "neglog1p"}
 
 

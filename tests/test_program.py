@@ -9,7 +9,7 @@ import pytest
 import qpush as qp
 from qpush import BoxSet, ConstraintTerms, ConvexProgram, CoordinateTerms
 from qpush.errors import ConfigurationError
-from qpush.program import _all_finite, _certified_norm, _selector
+from qpush.program import _all_finite, _certified_norm, _selector, _slot_orders
 
 from helpers import (FINITENESS_CASES, FINITENESS_IDS, UNREADABLE_INPUTS, fused_certified_norm,
                      random_network, random_separable_program, random_sparse_matrix,
@@ -260,6 +260,11 @@ def triples(M):
     return rows, cols, M[rows, cols], M.shape
 
 
+def certified(M):
+    """``_certified_norm`` of M, on the slot-major copies of its triples."""
+    return _certified_norm(*_slot_orders(*triples(M)), M.shape)
+
+
 def gram_value(M):
     """The fallback's value: the root of the largest eigenvalue of the
     smaller Gram matrix of M, held row-major as the fallback holds it."""
@@ -296,7 +301,7 @@ def test_spectral_norm_of_an_incidence_matrix_is_a_certified_bound():
         dense = M @ M.T if M.shape[0] <= M.shape[1] else M.T @ M
         exact = float(np.sqrt(max(np.linalg.eigvalsh(dense)[-1], 0.0)))
         beta = qp.spectral_norm(M)
-        assert beta == _certified_norm(*triples(M))
+        assert beta == certified(M)
         assert exact <= beta <= exact * (1.0 + 1e-12)
 
 
@@ -309,7 +314,7 @@ def test_sparse_spectral_norm_falls_back_on_mixed_signs():
         M = np.zeros((40, 400))
         M[:, :10] = rng.choice([-1.0, 1.0], (40, 10)) * rng.uniform(0.5, 2.0, (40, 10))
         M = M[rng.permutation(40)][:, rng.permutation(400)]
-        assert _certified_norm(*triples(M)) is None
+        assert certified(M) is None
         for A in (M, M.T):
             assert qp.spectral_norm(A) == gram_value(A)
 
@@ -320,7 +325,7 @@ def test_sparse_spectral_norm_falls_back_when_the_signed_iterate_vanishes():
     M = np.zeros((200, 200))
     M[np.arange(200), np.arange(200)] = 1.0
     M[(np.arange(200) + 1) % 200, np.arange(200)] = -1.0
-    assert _certified_norm(*triples(M)) is None
+    assert certified(M) is None
     assert qp.spectral_norm(M) == gram_value(M) == pytest.approx(2.0, rel=1e-12)
 
 
@@ -341,12 +346,12 @@ def test_sparse_spectral_norm_of_disconnected_blocks():
     # rate, so blocks of equal norm get the certified bound
     M = disconnected_blocks(1.0)
     exact = gram_value(M)
-    assert qp.spectral_norm(M) == _certified_norm(*triples(M))
+    assert qp.spectral_norm(M) == certified(M)
     assert exact <= qp.spectral_norm(M) <= exact * (1.0 + 1e-12)
     # norms 1e-9 apart: the signed iterate keeps both blocks, its Rayleigh
     # quotient stays about 1e-9 below the upper bound, and the fallback runs
     M = disconnected_blocks(1.0 - 1e-9)
-    assert _certified_norm(*triples(M)) is None
+    assert certified(M) is None
     assert qp.spectral_norm(M) == gram_value(M)
 
 
@@ -369,14 +374,15 @@ def test_certified_norm_of_a_nonnegative_matrix_iterates_on_its_nonzeros_once(mo
         for M in (np.abs(A), np.abs(A).T):
             rows, cols, vals, shape = triples(M)
             expected = fused_certified_norm(rows, cols, vals, shape)
+            orders = _slot_orders(rows, cols, vals, shape)
             monkeypatch.setattr(np, "bincount", counted)
             lengths.clear()
-            assert _certified_norm(rows, cols, vals, shape) == expected
+            assert _certified_norm(*orders, shape) == expected
             monkeypatch.undo()
             assert lengths and set(lengths) == {vals.size}
-        assert _certified_norm(*triples(A)) == fused_certified_norm(*triples(A))
-    assert _certified_norm(*triples(disconnected_blocks(1.0))) is not None
-    assert _certified_norm(*triples(disconnected_blocks(1.0 - 1e-9))) is None
+        assert certified(A) == fused_certified_norm(*triples(A))
+    assert certified(disconnected_blocks(1.0)) is not None
+    assert certified(disconnected_blocks(1.0 - 1e-9)) is None
 
 
 @pytest.mark.parametrize("seed", [1, 7919])
