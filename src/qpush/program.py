@@ -20,18 +20,19 @@ with quad, Qc, logw, U all nonnegative (this keeps f and g convex on the
 box by construction).
 
 Only :class:`ConstraintTerms` knows how its parts are stored: A, and Qc
-and U when given, each once, as read-only row-major nonzero triples.  An
-A with fewer than one nonzero in 32 entries (large flow networks; not
-fig1 or the QP) makes every product a segment sum over two slot-major
-copies of each part's triples, one by rows for M x and one by columns for
-M^T W: the first nonzero of every row (column), then the second, and so
-on.  Each row still adds its terms in column order and each column in row
-order, so the sums keep the bits of a scan of the row-major triples,
-while consecutive adds go to different entries and need not wait on one
-another.  A segment-sum entry costs about 0.93 ns and a dense BLAS entry
-0.039 ns (net-large A x, 6264 nonzeros in 700 x 1500; timeit, best of 5,
-2 vCPUs, numpy 2.4), a ratio of 24, and 32 keeps a margin.  A denser A makes
-the products ``ndarray.dot`` on dense arrays built once from the triples.
+and U when given, each as read-only row-major nonzero triples.  An A with
+fewer than one nonzero in 32 entries (large flow networks; not fig1 or
+the QP) makes every product a segment sum.  M x reads a slot-major copy
+of the part's triples by rows: the first nonzero of every row, then the
+second, and so on.  M^T W reads the row-major triples themselves, by
+columns.  Each row still adds its terms in column order and
+each column in row order, so the sums keep the bits of a scan of the
+row-major triples, while consecutive adds go to different entries and
+need not wait on one another.  A segment-sum entry costs about 2.9 ns
+and a dense BLAS entry 0.13 ns (net-large A x, 6264 nonzeros in
+700 x 1500; timeit, best of 5, 2 vCPUs, numpy 2.4), a ratio of 22, and
+32 keeps a margin.  A denser A makes the products ``ndarray.dot`` on dense
+arrays built once from the triples.
 
 A matrix that is sparse by the same rule gets its :func:`spectral_norm` from
 its nonzeros: a certified upper bound on sigma_max from a few dozen
@@ -194,62 +195,42 @@ class CoordinateTerms:
 
 def _segment_sum(out, into, vals, size, v):
     """The length-``size`` vector whose entry i sums ``vals * v[into]`` over
-    the triples with ``out`` i: A x from A's copy by rows (out the rows)
-    and A^T W from its copy by columns (out the columns), each slot-major
-    (:func:`_slot_orders`).  bincount adds in input order, so each row
-    adds its terms in column order and each column in row order, as on
-    row-major and column-major triples, while consecutive adds go to
-    different entries and need not wait for one another.
-    ``np.add.reduceat`` would give an empty row a neighbour's value."""
+    the triples with ``out`` i: A x from A's slot-major copy by rows
+    (:func:`_slot_major`) and A^T W from (cols, rows) of the row-major
+    triples.  bincount adds in input order, so each row adds its terms in
+    column order and each column in row order, as a scan of the dense
+    matrix would, while consecutive adds go to different entries and need
+    not wait for one another.  ``np.add.reduceat`` would give an empty row
+    a neighbour's value."""
     return np.bincount(out, vals * v[into], size)
 
 
-def _zeros(size, v):
-    """The products of a matrix without nonzeros, as float zeros: bincount
-    over no triples gives integer ones."""
-    return np.zeros(size)
-
-
-def _sort_key(a, bound):
-    """``a``, whose entries lie below ``bound``, as uint16 when they fit:
-    numpy's stable sort of 16-bit keys is a radix sort."""
-    return a.astype(np.uint16) if bound <= 1 << 16 else a
-
-
-def _slot_major(out, into, vals, size, grouped):
-    """The triples (``out``, ``into``, ``vals``) reordered slot-major: the
-    first triple of every ``out`` in 0..size-1, then the second of every
-    ``out``, and so on, each ``out``'s triples in their given order.  Two
-    stable sorts: by ``out`` (left out when the triples are ``grouped``
-    by it already), then by rank within ``out``."""
-    order = None if grouped else np.argsort(_sort_key(out, size), kind="stable")
-    grouped_out = out if order is None else out[order]
-    counts = np.bincount(grouped_out, minlength=size)
-    rank = np.arange(out.size) - (np.cumsum(counts) - counts)[grouped_out]
-    slots = np.argsort(_sort_key(rank, counts.max(initial=0)), kind="stable")
-    if order is not None:
-        slots = order[slots]
-    return _read_only((out[slots], into[slots], vals[slots]))
+def _slot_major(rows, cols, vals, m):
+    """A copy of the row-major triples (``rows``, ``cols``, ``vals``) of an
+    m-row matrix, reordered slot-major: the first triple of every row,
+    then the second of every row, and so on, each row's triples in column
+    order.  One stable sort, by rank within the row."""
+    counts = np.bincount(rows, minlength=m)
+    slots = np.argsort(np.arange(rows.size) - (np.cumsum(counts) - counts)[rows], kind="stable")
+    return _read_only((rows[slots], cols[slots], vals[slots]))
 
 
 def _slot_orders(rows, cols, vals, shape):
-    """The two copies of an m x n matrix's row-major triples that its
-    segment sums read: by rows (rows, cols, vals) and by columns (cols,
-    rows, vals), each slot-major (:func:`_slot_major`), so each row keeps
-    its column order and each column its row order."""
-    return (_slot_major(rows, cols, vals, shape[0], True),
-            _slot_major(cols, rows, vals, shape[1], False))
+    """The two orders of an m x n matrix's row-major triples that its
+    segment sums read: the slot-major copy by rows (rows, cols, vals) for
+    the sums by rows, and the triples themselves as (cols, rows, vals) for
+    the sums by columns, where consecutive terms already go to different
+    columns."""
+    return _slot_major(rows, cols, vals, shape[0]), (cols, rows, vals)
 
 
 def _products(orders, shape, dense):
     """(M x, M^T W) of the m x n matrix M: ``ndarray.dot`` of the ``dense``
     M and of a C-contiguous copy of M^T, or segment sums over M's two
-    slot-major ``orders`` (:func:`_slot_orders`) when ``dense`` is None."""
+    ``orders`` (:func:`_slot_orders`) when ``dense`` is None."""
     if dense is not None:
         return dense.dot, np.ascontiguousarray(dense.T).dot
     by_rows, by_cols = orders
-    if not by_rows[2].size:
-        return partial(_zeros, shape[0]), partial(_zeros, shape[1])
     return partial(_segment_sum, *by_rows, shape[0]), partial(_segment_sum, *by_cols, shape[1])
 
 
@@ -261,13 +242,13 @@ class ConstraintTerms:
     row-major order, and these terms alone know how.  An absent Qc or U
     stays ``None``, and an all-zero one is never scanned.  A's density
     picks one product route for every part, once, at construction: when
-    32 * nnz(A) < m * n the products are :func:`_segment_sum` over two
-    slot-major copies of each part's triples (:func:`_slot_orders`), by
-    rows for M x and by columns for M^T W, which add every entry's terms
-    in the order of the row-major triples; A's copies also feed its
-    certified norm.  Else the products are ``ndarray.dot`` of dense
-    arrays built then from the triples and of C-contiguous copies of
-    their transposes.  The terms
+    32 * nnz(A) < m * n the products are :func:`_segment_sum` over each
+    part's two orders (:func:`_slot_orders`): a slot-major copy of its
+    triples by rows for M x, the row-major triples by columns for M^T W.
+    Both add every entry's terms in the order of the row-major triples;
+    A's orders, kept as ``_orders``, also feed its certified norm.  Else
+    the products are ``ndarray.dot`` of dense arrays built then from the
+    triples and of C-contiguous copies of their transposes.  The terms
     bind ``matvec`` (A x) and ``rmatvec`` (A^T W), ``quad_matvec`` and
     ``quad_rmatvec`` (Qc x, Qc^T W), ``nl_matvec`` (U x) and
     ``nl_rmatvec`` (U^T W on the log1p columns ``nl_cols``), a part's
@@ -309,7 +290,7 @@ class ConstraintTerms:
             raise ConfigurationError("quad and neglog1p coefficients must be nonnegative")
         self._parts = tuple(map(_read_only, (lin, quad, neglog1p)))
         dense = not _sparse(lin[2].size, m, n)
-        # A's two copies stay for its norms; Qc's and U's live in their products
+        # A's orders stay for its norms; Qc's and U's live in their products
         self._orders = None if dense else _slot_orders(*lin, shape)
         self.matvec, self.rmatvec = _products(self._orders, shape, self.lin if dense else None)
         self.quad_matvec = self.quad_rmatvec = self.nl_matvec = self.nl_rmatvec = None
@@ -351,7 +332,7 @@ class ConstraintTerms:
     def spectral_norm(self):
         """sigma_max(A) of a finite A, as :func:`spectral_norm` gives it.
         On the segment-sum route it is the certified bound of
-        :func:`_certified_norm` on A's two copies, or, when none is found,
+        :func:`_certified_norm` on A's two orders, or, when none is found,
         the eigenvalue of the Gram matrix of a dense A built for the
         purpose and not kept."""
         if not self._segment_sums:
@@ -380,13 +361,11 @@ class ConstraintTerms:
         return float(np.linalg.norm(self._parts[0][2]))
 
     def values(self, x):
-        # the products are fresh arrays, so the other parts add in place
-        g = self.matvec(x)
-        g -= self.offset
+        g = self.matvec(x) - self.offset
         if self.quad_matvec is not None:
-            g += self.quad_matvec(x * x)
+            g = g + self.quad_matvec(x * x)
         if self.nl_matvec is not None:
-            g -= self.nl_matvec(np.log1p(x))
+            g = g - self.nl_matvec(np.log1p(x))
         return g
 
     def jacobian(self, x):
@@ -553,9 +532,9 @@ def _gram_norm(A):
 
 def _certified_norm(by_rows, by_cols, shape):
     """An upper bound on sigma_max of the m x n matrix A whose finite
-    nonzeros ``by_rows`` and ``by_cols`` hold as :func:`_slot_orders`
-    gives them, within a relative 1e-12 of sigma_max^2 (0 when A has no
-    nonzeros), or None when none is found in 64 power steps.
+    nonzeros ``by_rows`` and ``by_cols`` hold in the two orders of
+    :func:`_slot_orders`, within a relative 1e-12 of sigma_max^2 (0 when A
+    has no nonzeros), or None when none is found in 64 power steps.
 
     For every matrix sigma_max(A) <= sigma_max(|A|), and for a positive
     v the Collatz-Wielandt formula bounds the Perron root of the
@@ -568,11 +547,11 @@ def _certified_norm(by_rows, by_cols, shape):
     length 2m, and a step is two bincounts over the triples and their
     signed twins.  When A >= 0, u would repeat v bit for bit, so the
     iterate is v alone, of length m, and gives both bounds: the same
-    result from half the work.  The sums by columns read the copy by
-    columns and those by rows the copy by rows, so each adds in the order
-    of the row-major triples; the empty-row drop, the swap that iterates
-    on the shorter side and the signed twin act on both copies alike
-    (the twin's entries go to entries of their own).
+    result from half the work.  The sums by rows read the slot-major copy
+    and those by columns the row-major triples, in either orientation, so
+    each adds in the order of the row-major triples; the empty-row drop,
+    the swap that iterates on the shorter side and the signed twin act on
+    both orders alike (the twin's entries go to entries of their own).
 
     Rounding is allowed for outward.  Every term of M v is nonnegative,
     so the computed (M v)_i is at least (1 - gamma_k) times the exact one,

@@ -261,7 +261,7 @@ def triples(M):
 
 
 def certified(M):
-    """``_certified_norm`` of M, on the slot-major copies of its triples."""
+    """``_certified_norm`` of M, on the two orders of its triples."""
     return _certified_norm(*_slot_orders(*triples(M)), M.shape)
 
 

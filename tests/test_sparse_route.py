@@ -1,5 +1,6 @@
-"""The segment-sum route of ConstraintTerms: its two slot-major copies of
-the triples, and the state bits it gives on any BLAS kernel or SIMD target.
+"""The segment-sum route of ConstraintTerms: the slot-major copy of the
+triples by rows beside the row-major triples by columns, and the state
+bits it gives on any BLAS kernel or SIMD target.
 
 Every number on this route comes from bincount, elementwise ufuncs and
 the separable closed forms, none of which depends on the BLAS kernel or
@@ -74,8 +75,8 @@ def test_net_large_sparse_route_state_is_pinned(seed, monkeypatch):
 
 def order_cases():
     """Sparse matrices with empty rows and columns, one full row and one
-    full column, both orientations, mixed or one sign, the 0 x 3 and 3 x 0
-    shapes, and a row longer than 2^16 (whose sort keys do not fit uint16)."""
+    full column, both orientations, mixed or one sign, and the 0 x 3 and
+    3 x 0 shapes."""
     rng = np.random.default_rng(73)
     cases = [np.zeros((0, 3)), np.zeros((3, 0)), np.zeros((4, 5))]
     for m, n in ((60, 300), (300, 60), (200, 200)):
@@ -88,10 +89,7 @@ def order_cases():
         M[:, rng.integers(n)] = 0.0
         signs = rng.choice([-1.0, 1.0], M.shape)
         cases += [M, M * signs]
-    wide = np.zeros((2, 70000))
-    wide[0] = rng.uniform(-2.0, 2.0, 70000)
-    wide[1, ::700] = 1.0
-    return cases + [wide, wide.T]
+    return cases
 
 
 def row_major(M):
@@ -125,8 +123,8 @@ def test_slot_orders_keep_each_sum_in_order(M):
     rows, cols, vals = row_major(M)
     by_rows, by_cols = _slot_orders(rows, cols, vals, M.shape)
     assert_slot_major(by_rows, m, (rows, cols, vals))
-    by_col = np.argsort(cols, kind="stable")
-    assert_slot_major(by_cols, n, (cols[by_col], rows[by_col], vals[by_col]))
+    # the sums by columns read the row-major triples themselves
+    assert all(got is want for got, want in zip(by_cols, (cols, rows, vals)))
     # the segment sums add each entry's terms in the order of a bincount over
     # the row-major triples, on vectors spanning 1e-5..1e5 of both signs
     x = rng.choice([-1.0, 1.0], n) * 10.0 ** rng.uniform(-5.0, 5.0, n)
@@ -135,13 +133,13 @@ def test_slot_orders_keep_each_sum_in_order(M):
     want_x = np.bincount(rows, vals * x[cols], m)
     want_w = np.bincount(cols, vals * w[rows], n)
     for got, want in ((matvec(x), want_x), (rmatvec(w), want_w)):
-        assert got.dtype == np.float64 and np.array_equal(got, want)
-    # the certified bound iterates on the same copies, None included
+        assert np.array_equal(got, want)
+    # the certified bound iterates on the same orders, None included
     for signed in (M, np.abs(M)):
         r, c, v = row_major(signed)
         assert _certified_norm(*_slot_orders(r, c, v, M.shape), M.shape) == \
             fused_certified_norm(r, c, v, M.shape)
-    # the terms bind every part's products to such copies on this route
+    # the terms bind every part's products to such orders on this route
     if 0 < 32 * vals.size < M.size:
         A = np.abs(M)
         terms = ConstraintTerms(M, np.zeros(m), quad=A, neglog1p=A)
