@@ -28,24 +28,27 @@ allows max(1e-9, (m+4) eps M), M = 0.5||Q(t+1)||^2 + ||Q(t)||^2 + 1.5||g||^2
 bounding the dot products it is built from (Higham, Accuracy and
 Stability of Numerical Algorithms, ch. 3); at desk scale that is 1e-9.
 
-A validated step hands its row of the checks (Q(t+1), g(x(t)), the running
-sum and the four drift scalars, all kept by reference) to a pending block.
-``run`` tests the block every 32 steps, at the end of the run and before
-any other exception leaves it: one 2-D pass writes every check of every
-row into one boolean buffer, one reduction tests it, and only on a hit is
-the first failing (step, check) looked up, so the error is that of the
-earliest failing step, raised at most 31 steps later, before any error of
-a later step.  ``step`` called on its own tests its own row at once, as a
-one-row block.  A failure raises InvariantViolation, an AssertionError
-carrying the invariant's name, t and margin.  The dual subgradient
-baseline runs on this same ``step`` and loop: the four places where it
-differs (the weights, the prox term, the update and the drift bound) come
-from a law that the state's workspace carries, ``_Queues`` from ``init``
-or the multipliers of ``baseline.dual_init`` (whose alpha is 0), and the
-law's ``invariants`` name the checks the block pass runs.  The
-decentralized agents (``netflow.simulate_decentralized``) run through
-``run`` itself: their sources' phase is the oracle and their links' phase
-the constraint evaluator, so every check here covers them too.
+A validated step copies its row of the checks (Q(t+1), g(x(t)) and the
+running sum) into a block that the state's workspace allocates once, at
+the first validated step, and hands its four drift scalars to the same
+pending block; the state's own arrays are fresh each step and never alias
+the block.  ``run`` tests the block every 32 steps, at the end of the run
+and before any other exception leaves it: one 2-D pass over views of the
+block writes every check of every row into the workspace's boolean
+buffer, one reduction tests it, and only on a hit is the first failing
+(step, check) looked up, so the error is that of the earliest failing
+step, raised at most 31 steps later, before any error of a later step.
+``step`` called on its own tests its own row at once, as a one-row block.
+A failure raises InvariantViolation, an AssertionError carrying the
+invariant's name, t and margin.  The dual subgradient baseline runs on
+this same ``step`` and loop: the four places where it differs (the
+weights, the prox term, the update and the drift bound) come from a law
+that the state's workspace carries, ``_Queues`` from ``init`` or the
+multipliers of ``baseline.dual_init`` (whose alpha is 0), and the law's
+``invariants`` name the checks the block pass runs.  The decentralized
+agents (``netflow.simulate_decentralized``) run through ``run`` itself:
+their sources' phase is the oracle and their links' phase the constraint
+evaluator, so every check here covers them too.
 
 ``init`` tests g(x_init) for finiteness, and every step, validated or
 not, tests the oracle's iterate, then the evaluated f and g, then the
@@ -165,28 +168,47 @@ _QUEUES = _Queues()
 class _Workspace:
     """Per-run state of a step: its law (``_Queues`` or the baseline's
     multipliers), the block of steps whose invariants wait for their test,
-    the zero vector of the iterate's finiteness test and the last step's
-    Q(t+1) with its 0.5||Q(t+1)||^2."""
+    the buffers of that test, the zero vector of the iterate's finiteness
+    test and the last step's Q(t+1) with its 0.5||Q(t+1)||^2.
 
-    __slots__ = ("law", "deferred", "t0", "vectors", "scalars", "zeros", "Q_next", "half_qq")
+    The block is three (_BLOCK + 1, m) row stacks, views of one array:
+    the queues, g(x_prev) and the running sums.  Row 0 holds what the
+    block's first step t0 started from and row i + 1 what step t0 + i
+    left, copied there by the step; the multiplier law writes only its
+    lambda(t+1) rows, the only rows its check reads.  The block, the
+    pass's two (_BLOCK, m) temporaries and its flag buffer are allocated
+    at the first validated step (``buffers``) and reused for every block
+    after it."""
+
+    __slots__ = ("law", "deferred", "t0", "block", "temps", "flags", "scalars", "zeros",
+                 "Q_next", "half_qq")
 
     def __init__(self, n, law):
         self.law = law
         # True while a runner collects steps for a block test; False tests
         # each step at once
         self.deferred = False
-        # the block: its first step t0; Q, g(x_prev) and the running sum
-        # that t0 started from, then Q(t+1), g(x(t)) and the running sum of
-        # each step; each step's drift, bound, 0.5||Q||^2 and the law's
-        # term of the drift tolerance
+        # the block's first step t0 and rows (None until the first validated
+        # step), and each step's drift, bound, 0.5||Q||^2 and the law's term
+        # of the drift tolerance
         self.t0 = 0
-        self.vectors = []
+        self.block = self.temps = self.flags = None
         self.scalars = []
         self.zeros = np.zeros(n)
         # 0.5||Q(t)||^2 is the last step's 0.5||Q(t+1)||^2 while state.Q is
         # still the array that step made
         self.Q_next = None
         self.half_qq = math.nan
+
+    def buffers(self, m):
+        """Allocate the block, the temporaries and the flags for m rows of
+        constraints; returns the block."""
+        self.block = tuple(np.empty((3, _BLOCK + 1, m)))
+        # the second is used only when a screen is hit
+        self.temps = tuple(np.empty((2, _BLOCK, m)))
+        # four (k, m) vector sections and the k drift flags at most
+        self.flags = np.empty(_BLOCK * (4 * m + 1), dtype=bool)
+        return self.block
 
 
 def init(program, x_init, alpha):
@@ -229,50 +251,59 @@ def init(program, x_init, alpha):
 def _check_block(work):
     """Test every runtime invariant of the pending steps with one reduction.
 
-    Row i of the stacked queues, constraint values and running sums is
+    Row i of the block's queues, constraint values and running sums is
     what step t0 + i starts from, so rows i and i + 1 hold all that step's
-    checks read; W is recomputed with the step's own addition.  The law's
-    ``invariants`` name the checks: the queue law's four vector checks
-    and the drift, or the multiplier law's lambda(t+1) >= 0 and the drift,
-    for which only the lambda(t+1) rows are stacked.  Each check writes a
-    contiguous section of one flag buffer, (k, m) for the vector checks
-    and (k,) for the drift.  The drift flags are a screen at the absolute
-    tolerance, which the scale-aware one only widens; on a hit the
-    flagged drifts are tested again at their own tolerance.  The earliest
-    step with a flag left is reported, by its first check in the order of
-    the law's ``invariants``, with its margin recomputed from that step
-    alone.
+    checks read; the pass reads them as views of the workspace's block and
+    recomputes W with the step's own addition.  The law's ``invariants``
+    name the checks: the queue law's four vector checks and the drift, or
+    the multiplier law's lambda(t+1) >= 0 and the drift, which reads only
+    the lambda(t+1) rows.  Each check writes a contiguous section of the
+    workspace's flag buffer, (k, m) for the vector checks and (k,) for the
+    drift, through the workspace's temporaries, so a pass allocates no
+    (k, m) array.  Three checks are first tested by screens whose flags
+    are a superset of theirs: the lower bound by Q' < |g| without its
+    tolerance, the running sum by Q' < cum - 1e-9 without its step term,
+    and the drift at the absolute tolerance, which the scale-aware one
+    only widens.  On a hit the checks themselves replace the screens'
+    flags.  The earliest step with a flag left is reported, by its first
+    check in the order of the law's ``invariants``, with its margin
+    recomputed from that step alone.
     """
-    t0, scalars, invariants, vectors = work.t0, work.scalars, work.law.invariants, work.vectors
-    m = vectors[0].shape[0]
+    t0, scalars, invariants = work.t0, work.scalars, work.law.invariants
+    Qs, gs, cums = work.block
+    m = Qs.shape[1]
     k = len(scalars) // 4
     drift, bound, L, gg = np.array(scalars).reshape(k, 4).T
+    work.scalars = []
     # the vector checks; the drift is the law's other invariant
     c = len(invariants) - 1
-    if c == 1:  # the multiplier law reads lambda(t+1) alone
-        Qn = np.array(vectors[3::3]).reshape(k, m)
-    else:
-        # k + 1 rows, given explicitly: a -1 cannot be inferred when m = 0
-        Qs, gs, cums = np.concatenate(vectors).reshape(k + 1, 3, m).transpose(1, 0, 2).copy()
-        Q, Qn, g = Qs[:-1], Qs[1:], gs[1:]
-    vectors.clear()
-    work.scalars = []
-    flags = np.empty(k * (c * m + 1), dtype=bool)
+    flags = work.flags[:k * (c * m + 1)]
     # sections: queue, weight, lower, cumulative (k, m each), or the
     # multiplier's, then drift (k)
     vector_flags = flags[:c * k * m].reshape(c, k, m)
     drift_flags = flags[c * k * m:]
+    Qn = Qs[1:k + 1]
     if c == 1:
         np.less(Qn, 0.0, out=vector_flags[0])
     else:
+        Q, g, cum = Qs[:k], gs[1:k + 1], cums[1:k + 1]
+        a, b = work.temps[0][:k], work.temps[1][:k]
         np.less(Q, 0.0, out=vector_flags[0])
-        np.less(Q + gs[:-1], -INVARIANT_TOL, out=vector_flags[1])
-        np.less(np.abs(Qn), np.abs(g) - INVARIANT_TOL, out=vector_flags[2])
-        cum_tol = np.arange(t0 + 1, t0 + k + 1) * 1e-12
-        np.less(Qn, (cums[1:] - cum_tol[:, None]) - INVARIANT_TOL, out=vector_flags[3])
+        np.less(np.add(Q, gs[:k], out=a), -INVARIANT_TOL, out=vector_flags[1])
+        # the screens: rounding is monotone, so fl(|g| - tol) <= |g| and
+        # fl(fl(cum - s) - tol) <= fl(cum - tol) for s >= 0, and Q' <= |Q'|
+        np.less(Qn, np.abs(g, out=a), out=vector_flags[2])
+        np.less(Qn, np.subtract(cum, INVARIANT_TOL, out=a), out=vector_flags[3])
     np.greater(drift, bound + INVARIANT_TOL, out=drift_flags)
     if not np.count_nonzero(flags):
         return
+    if c > 1:
+        # the lower and cumulative checks themselves
+        np.subtract(np.abs(g, out=b), INVARIANT_TOL, out=b)
+        np.less(np.abs(Qn, out=a), b, out=vector_flags[2])
+        cum_tol = np.arange(t0 + 1, t0 + k + 1) * 1e-12
+        np.subtract(np.subtract(cum, cum_tol[:, None], out=a), INVARIANT_TOL, out=a)
+        np.less(Qn, a, out=vector_flags[3])
     # |Q.g| <= L + gg/2, so M = 0.5||Q'||^2 + 2L + 1.5gg bounds the terms
     drift_tol = np.fmax(INVARIANT_TOL, (m + 4) * _EPS * (drift + 3.0 * L + 1.5 * gg))
     np.logical_and(drift_flags, drift > bound + drift_tol, out=drift_flags)
@@ -343,12 +374,19 @@ def step(state, program, oracle=None, validate=True):
     bound, tol_term = law.bound(Q, g_new, gg)
     cum_g = state.cum_g + g_new
     if validate:
-        vectors = work.vectors
-        if not vectors:
+        # copies into the block: the state's arrays never alias it
+        Qs, gs, cums = work.block or work.buffers(Q_next.shape[0])
+        scalars = work.scalars
+        i = len(scalars) // 4
+        full = len(law.invariants) > 2  # the multiplier law reads lambda(t+1) alone
+        if not i:
             work.t0 = t
-            vectors += (Q, state.g_prev, state.cum_g)
-        vectors += (Q_next, g_new, cum_g)
-        work.scalars += (delta, bound, L, tol_term)
+            if full:
+                Qs[0], gs[0], cums[0] = Q, state.g_prev, state.cum_g
+        Qs[i + 1] = Q_next
+        if full:
+            gs[i + 1], cums[i + 1] = g_new, cum_g
+        scalars += (delta, bound, L, tol_term)
         if not work.deferred:
             _check_block(work)
     if state.x_bar is None:

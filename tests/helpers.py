@@ -291,6 +291,16 @@ def random_network(rng, L=300, K=900, S=200, max_hops=6):
     return Topology.from_paths(rng.uniform(0.5, 2.0, L), paths)
 
 
+def random_num_network(seed):
+    """The agents' inputs (topology, utility weights, x_max, y_max) of a
+    seeded ``random_network``: 500 constraint rows and 1100 columns, whose
+    NUM program takes the segment-sum route."""
+    rng = np.random.default_rng(seed)
+    topo = random_network(rng)
+    return (topo, rng.uniform(0.5, 2.0, topo.S), rng.uniform(0.5, 2.0, topo.K),
+            rng.uniform(1.0, 4.0, topo.S))
+
+
 def link_path_incidence(topology):
     """R: the L x K 0/1 link-path incidence, from ``path_links``."""
     R = np.zeros((topology.L, topology.K))

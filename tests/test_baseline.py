@@ -10,7 +10,7 @@ from qpush.errors import ConfigurationError
 from qpush.report import TRACE_COLUMNS, write_trace_csv
 from qpush.solver import INVARIANT_TOL
 
-from helpers import (grid_minimize, overflow_network, random_network,
+from helpers import (grid_minimize, overflow_network, random_network, random_num_network,
                      reference_dsg_run, reference_separable_solve)
 
 
@@ -366,18 +366,43 @@ def _first_dual_violation(monkeypatch, program, T, t_bad, fault, through_run):
     return (err.value.name, err.value.t, err.value.margin), expected[0], calls[0]
 
 
+def _assert_dual_faults_raise_alike(monkeypatch, prog, T, t_bad, invariant):
+    """dsg_run and a loop of steps raise the (name, t, margin) of the fault
+    on ``invariant``, after the calls that each is expected to make."""
+    block = solver._BLOCK
+    raised = {}
+    for through_run, steps in ((False, t_bad + 1), (True, min(T, (t_bad // block + 1) * block))):
+        raised[through_run], margin, done = _first_dual_violation(
+            monkeypatch, prog, T, t_bad, DUAL_FAULTS[invariant], through_run)
+        assert raised[through_run] == (invariant, t_bad, margin) and margin < 0
+        assert done == steps
+    assert raised[True] == raised[False]
+
+
 @pytest.mark.parametrize("invariant", sorted(DUAL_FAULTS))
-@pytest.mark.parametrize("T, t_bad", [(10, 3), (100, 40), (100, 99)])
+@pytest.mark.parametrize("T, t_bad", [(10, 3), (100, 31), (100, 32), (100, 40), (100, 63),
+                                      (100, 64), (100, 99)])
 def test_dual_faults_trip_their_invariant_at_the_earliest_step(monkeypatch, fig1_instance,
                                                                invariant, T, t_bad):
-    # t_bad inside the first block, inside a later one, last of the last partial one
-    prog = fig1_instance.program
-    block = solver._BLOCK
-    for through_run, steps in ((False, t_bad + 1), (True, min(T, (t_bad // block + 1) * block))):
-        raised, margin, done = _first_dual_violation(monkeypatch, prog, T, t_bad,
-                                                     DUAL_FAULTS[invariant], through_run)
-        assert raised == (invariant, t_bad, margin) and margin < 0
-        assert done == steps
+    # t_bad inside the first block, last of a block and first of the next,
+    # inside a later one, last of the last partial one
+    _assert_dual_faults_raise_alike(monkeypatch, fig1_instance.program, T, t_bad, invariant)
+
+
+@pytest.fixture(scope="module")
+def sparse_num_program():
+    prog = qp.build_num_program(*random_num_network(41))
+    assert prog.constraint_terms._segment_sums and prog.m == 500
+    return prog
+
+
+@pytest.mark.parametrize("invariant", sorted(DUAL_FAULTS))
+@pytest.mark.parametrize("t_bad", [31, 32])
+def test_dual_faults_at_sparse_scale_trip_at_the_earliest_step(monkeypatch, sparse_num_program,
+                                                               invariant, t_bad):
+    # the last step of the first block and the first of the second, on a
+    # program of 500 rows
+    _assert_dual_faults_raise_alike(monkeypatch, sparse_num_program, 40, t_bad, invariant)
 
 
 def test_dsg_run_raises_a_violation_before_a_later_steps_error(monkeypatch, fig1_instance):

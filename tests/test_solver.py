@@ -9,7 +9,7 @@ from qpush.report import record_schedule
 from qpush.solver import INVARIANT_TOL, AlphaBelowCurvatureWarning
 
 from helpers import (FINITENESS_CASES, FINITENESS_IDS, derive_reference, grid_minimize,
-                     quiet_alpha_warnings, random_alpha, random_point_in,
+                     quiet_alpha_warnings, random_alpha, random_num_network, random_point_in,
                      random_separable_program)
 
 
@@ -433,31 +433,37 @@ BLOCK_FAULTS = {
 }
 
 
-def _first_violation(monkeypatch, program, T, t_bad, fault, route):
-    """Run ``T`` iterations of fig1-num ``program`` from 0 at alpha 10 by
-    ``route``: a loop of ``step`` calls, ``run``, or the fig1 agents."""
+def _first_violation(monkeypatch, program, T, t_bad, fault, route, alpha=10.0, network=None):
+    """Run ``T`` iterations of the NUM ``program`` from 0 at ``alpha`` by
+    ``route``: a loop of ``step`` calls, ``run``, or the agents of
+    ``network`` (topology, utility weights, x_max, y_max; fig1's if None)."""
     x0 = np.zeros(program.n)
     with monkeypatch.context() as patch:
         expected, calls = _fault_at(patch, t_bad, fault)
         with pytest.raises(qp.InvariantViolation) as err:
             if route == "step":
-                state = qp.init(program, x0, 10.0)
+                state = qp.init(program, x0, alpha)
                 oracle = qp.make_oracle(program)
                 for _ in range(T):
                     qp.step(state, program, oracle)
             elif route == "run":
-                qp.run(program, x0, 10.0, T)
+                qp.run(program, x0, alpha, T)
             else:
-                num = qp.fig1_num_instance()
-                qp.simulate_decentralized(num.topology, num.utility_weights, num.x_max,
-                                          num.y_max, 10.0, np.zeros(7), np.zeros(3), T)
+                if network is None:
+                    num = qp.fig1_num_instance()
+                    network = (num.topology, num.utility_weights, num.x_max, num.y_max)
+                topo = network[0]
+                qp.simulate_decentralized(*network, alpha, np.zeros(topo.K), np.zeros(topo.S), T)
     return (err.value.name, err.value.t, err.value.margin), expected[0], calls[0]
 
 
 @pytest.mark.parametrize("invariant", sorted(BLOCK_FAULTS))
-@pytest.mark.parametrize("T, t_bad", [(10, 3), (100, 40), (100, 99)])
+@pytest.mark.parametrize("T, t_bad", [(10, 3), (100, 31), (100, 32), (100, 40), (100, 63),
+                                      (100, 64), (100, 99)])
 def test_run_raises_what_a_loop_of_steps_raises(monkeypatch, fig1_instance, invariant, T, t_bad):
-    # t_bad inside the first block, inside a later one, last of the last partial one
+    # t_bad inside the first block, last of a block and first of the next
+    # (whose start row is carried over), inside a later one, last of the
+    # last partial one
     prog = fig1_instance.program
     fault = BLOCK_FAULTS[invariant]
     block_end = min(T, (t_bad // solver._BLOCK + 1) * solver._BLOCK)
@@ -470,6 +476,34 @@ def test_run_raises_what_a_loop_of_steps_raises(monkeypatch, fig1_instance, inva
         assert done == steps
 
 
+@pytest.fixture(scope="module")
+def sparse_network():
+    network = random_num_network(41)
+    program = qp.build_num_program(*network)
+    assert program.constraint_terms._segment_sums and program.m == 500
+    return program, network
+
+
+@pytest.mark.parametrize("invariant", sorted(BLOCK_FAULTS))
+@pytest.mark.parametrize("t_bad", [31, 32])
+def test_faults_at_sparse_scale_raise_alike_on_every_route(monkeypatch, sparse_network,
+                                                          invariant, t_bad):
+    # the last step of the first block and the first of the second, on a
+    # program of 500 rows and its agents
+    program, network = sparse_network
+    alpha = 0.5 * program.beta_hint ** 2 + 1.0
+    T = 40
+    block_end = min(T, (t_bad // solver._BLOCK + 1) * solver._BLOCK)
+    fault = BLOCK_FAULTS[invariant]
+    raised = {}
+    for route, steps in (("step", t_bad + 1), ("run", block_end), ("agents", block_end)):
+        raised[route], margin, done = _first_violation(monkeypatch, program, T, t_bad, fault,
+                                                       route, alpha, network)
+        assert raised[route] == (invariant, t_bad, margin) and margin < 0
+        assert done == steps
+    assert raised["run"] == raised["step"]
+
+
 def test_a_step_reports_its_first_failing_check(monkeypatch, fig1_instance):
     # both the lower bound and the drift fail at t = 40; lower comes first
     def both(t, Q, Q_next, g, cum):
@@ -480,6 +514,72 @@ def test_a_step_reports_its_first_failing_check(monkeypatch, fig1_instance):
     for route in ("step", "run", "agents"):
         raised, margin, _ = _first_violation(monkeypatch, prog, 50, 40, both, route)
         assert raised == ("lower", 40, margin)
+
+
+def _first_failing_check(law, t0, Qs, gs, cums, scalars):
+    """(name, t, margin) of the earliest failing check of the block's steps,
+    each step tested on its own from the invariants' definitions, or None."""
+    eps = np.finfo(float).eps
+    for r, (drift, bound, L, gg) in enumerate(scalars):
+        t = t0 + r
+        Q, Qn, g_prev, g, cum = Qs[r], Qs[r + 1], gs[r], gs[r + 1], cums[r + 1]
+        tol = max(INVARIANT_TOL, (Q.shape[0] + 4) * eps * (drift + 3.0 * L + 1.5 * gg))
+        if law is solver._QUEUES:
+            margins = (Q, Q + g_prev + INVARIANT_TOL, np.abs(Qn) - (np.abs(g) - INVARIANT_TOL),
+                       bound + tol - drift, Qn - ((cum - (t + 1) * 1e-12) - INVARIANT_TOL))
+        else:
+            margins = (Qn, bound + tol - drift)
+        for (name, _), margin in zip(law.invariants, margins):
+            failed = np.atleast_1d(margin < 0)
+            if failed.any():
+                return name, t, float(np.atleast_1d(margin)[failed].min())
+    return None
+
+
+@pytest.mark.parametrize("law", ["queues", "multipliers"])
+def test_a_block_pass_reports_what_each_steps_own_checks_report(law):
+    # entries at either side of every check's bound, and of each screen's:
+    # |Q'| < |g| without |Q'| < |g| - tol, and Q' < cum - tol without
+    # Q' < (cum - (t + 1) 1e-12) - tol; rows past the block hold -1, which
+    # fails every check that reads them
+    from qpush.baseline import _Multipliers
+    law = solver._QUEUES if law == "queues" else _Multipliers(0.01)
+    rng = np.random.default_rng(83)
+    m, tol = 4, INVARIANT_TOL
+    work = solver._Workspace(1, law)
+    block = work.buffers(m)
+    outcomes = set()
+    for _ in range(400):
+        k = int(rng.integers(1, solver._BLOCK + 1))
+        t0 = int(rng.choice([0, 31, 10**6]))
+        ct = (t0 + np.arange(k + 1))[:, None] * 1e-12  # the step term of each row's sum
+        for rows in block:
+            rows[...] = -1.0
+        Qs, gs, cums = (rows[:k + 1] for rows in block)
+        Qs[...] = rng.uniform(0.5, 2.0, (k + 1, m))
+        near = rng.choice([-2.0, -0.5, 0.0, 0.5, 1.5, 2.0, -1e9], (k + 1, m),
+                          p=[.01, .01, .01, .01, .01, .01, .94])
+        gs[...] = rng.choice([-1.0, 1.0], (k + 1, m)) * (Qs + near * tol)
+        gs[0] = -np.abs(gs[0])  # the weight check of step t0 is the first to read it
+        Qs[rng.random((k + 1, m)) < 0.003] = -1e-300
+        above = rng.choice([-0.5, 1.0, 1.0 + 0.5 / tol * 1e-12, 1.5, 2.0, -1e9], (k + 1, m),
+                           p=[.01, .01, .01, .01, .01, .95])
+        cums[...] = Qs + above * tol + np.where(above == 2.0, 0.5 * ct, 0.0)
+        L = rng.uniform(0.5, 2.0, k)
+        bound = rng.uniform(0.5, 2.0, k)
+        drift = bound + rng.choice([-1.0, 0.5, 2.0, 1e6], k, p=[.9, .04, .03, .03]) * tol
+        scalars = np.column_stack((drift, bound, L, rng.uniform(0.0, 1.0, k)))
+        work.t0, work.scalars = t0, scalars.ravel().tolist()
+        want = _first_failing_check(law, t0, Qs, gs, cums, scalars)
+        if want is None:
+            solver._check_block(work)
+        else:
+            with pytest.raises(qp.InvariantViolation) as err:
+                solver._check_block(work)
+            assert (err.value.name, err.value.t, err.value.margin) == want
+        assert work.scalars == []
+        outcomes.add(None if want is None else want[0])
+    assert outcomes == {None} | {name for name, _ in law.invariants}
 
 
 def test_run_raises_a_violation_before_a_later_steps_error(monkeypatch, fig1_instance):

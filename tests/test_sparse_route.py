@@ -1,6 +1,7 @@
 """The segment-sum route of ConstraintTerms: the slot-major copy of the
-triples by rows beside the row-major triples by columns, and the state
-bits it gives on any BLAS kernel or SIMD target.
+triples by rows beside the row-major triples by columns, the state bits
+it gives on any BLAS kernel or SIMD target, and the memory a net-large
+run's block pass allocates.
 
 Every number on this route comes from bincount, elementwise ufuncs and
 the separable closed forms, none of which depends on the BLAS kernel or
@@ -12,12 +13,13 @@ through ``ddot`` and SIMD ``log``.
 
 import hashlib
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import qpush as qp
-from qpush import ConstraintTerms
+from qpush import ConstraintTerms, solver
 from qpush.program import _certified_norm, _products, _slot_orders
 
 from helpers import fused_certified_norm
@@ -53,14 +55,45 @@ NET_LARGE_PINS = {
 }
 
 
-@pytest.mark.parametrize("seed", sorted(NET_LARGE_PINS))
-def test_net_large_sparse_route_state_is_pinned(seed, monkeypatch):
+# sha256 of the bytes of each recorded column of the net-large agents at
+# T = 40, alpha = beta^2/2 + 1, from zero
+NET_LARGE_AGENT_PINS = {
+    1: {
+        "x": "4ebd28a9a2d9e24f0cc941b30231f64db1c6b7994e6c49b5ee85465d7069dc27",
+        "Q": "d29ca0b76526c801d021d55535f2489441666a5a3d193cc8d2e7759ee08f84f7",
+        "g_x": "e65cdc8877901bed7ec5c00ec9fe98383c670e85944f009bb25ec16725194606",
+        "x_bar": "0f80d549bd63a91a9112218c2c6f7e84aa48a145c65885bafa3730afb094f985",
+        "cum_g": "0b5f33e9f88fe5d9789cb18e84e4da9c7945d842363613654802c46c4e857473",
+    },
+    7919: {
+        "x": "c8b170c0f0618c895046fb68773223c1e4230eb7be2aaec66722b88f2cca9873",
+        "Q": "36d0b475c39fdacca997324867773dc9ab2585c889e61ed12e861d8faab579b0",
+        "g_x": "08b4541b41405225cedf7de1f1155bb3c8cf6c9bbb9dd7446d144ea8f1dcc01b",
+        "x_bar": "2f8c53e33e78292678ca39c30fce48b0d67f0c41de29ade3c0272b04828abcc5",
+        "cum_g": "da8443002e08870726853a029e38ba4d5b002e55bf67043de7d7fd8f4088d67b",
+    },
+}
+
+
+def net_large(seed, monkeypatch):
+    """The inputs, topology and NUM program of the net-large benchmark
+    workload at ``seed``, from ``perfbench/workloads.net_large_inputs``."""
     monkeypatch.syspath_prepend(os.path.join(os.path.dirname(__file__), os.pardir, "perfbench"))
     from workloads import net_large_inputs
     inputs = net_large_inputs(seed)
     topo = qp.Topology.from_paths(inputs["capacities"], inputs["paths"])
     program = qp.build_num_program(topo, inputs["weights"], inputs["x_max"], inputs["y_max"])
     assert program.constraint_terms._segment_sums
+    return inputs, topo, program
+
+
+def sha256_of(report, column):
+    return hashlib.sha256(np.ascontiguousarray(getattr(report, column)).tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("seed", sorted(NET_LARGE_PINS))
+def test_net_large_sparse_route_state_is_pinned(seed, monkeypatch):
+    _, _, program = net_large(seed, monkeypatch)
     beta = program.beta_hint
     vq = qp.run(program, np.zeros(program.n), 0.5 * beta * beta + 1.0, 300)
     dsg = qp.dsg_run(program, None, 0.01, 300)
@@ -68,9 +101,56 @@ def test_net_large_sparse_route_state_is_pinned(seed, monkeypatch):
     for name, report, columns in (("vq", vq, ("x", "x_bar", "Q", "g_x", "g_xbar", "cum_g")),
                                   ("dsg", dsg, ("x_bar", "Q", "g_x"))):
         for column in columns:
-            data = np.ascontiguousarray(getattr(report, column)).tobytes()
-            got[f"{name} {column}"] = hashlib.sha256(data).hexdigest()
+            got[f"{name} {column}"] = sha256_of(report, column)
     assert got == NET_LARGE_PINS[seed]
+
+
+@pytest.mark.parametrize("seed", sorted(NET_LARGE_AGENT_PINS))
+def test_net_large_agents_state_is_pinned(seed, monkeypatch):
+    inputs, topo, program = net_large(seed, monkeypatch)
+    alpha = 0.5 * program.beta_hint ** 2 + 1.0
+    agents = qp.simulate_decentralized(topo, inputs["weights"], inputs["x_max"], inputs["y_max"],
+                                       alpha, np.zeros(topo.K), np.zeros(topo.S), 40)
+    got = {column: sha256_of(agents, column) for column in NET_LARGE_AGENT_PINS[seed]}
+    assert got == NET_LARGE_AGENT_PINS[seed]
+
+
+def test_a_block_pass_allocates_less_than_one_block_of_rows(monkeypatch):
+    """Each block pass of a net-large run reads views of the workspace's
+    block and writes into its temporaries and flags: its traced peak stays
+    under one (32, m) float array, and every block is the same buffer.  A
+    standalone step's arrays never alias that buffer."""
+    _, _, program = net_large(1, monkeypatch)
+    alpha = 0.5 * program.beta_hint ** 2 + 1.0
+    x0 = np.zeros(program.n)
+    real_check = solver._check_block
+    peaks, blocks = [], []
+
+    def traced(work):
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        try:
+            return real_check(work)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+            blocks.append(work.block)
+
+    monkeypatch.setattr(solver, "_check_block", traced)
+    tracemalloc.start()
+    try:
+        qp.run(program, x0, alpha, 3 * solver._BLOCK + 4)
+    finally:
+        tracemalloc.stop()
+    assert len(peaks) == 4
+    assert max(peaks) < solver._BLOCK * program.m * 8
+    assert all(block is blocks[0] for block in blocks)
+    state = qp.init(program, x0, alpha)
+    oracle = qp.make_oracle(program)
+    for _ in range(3):
+        qp.step(state, program, oracle)
+    buffer = state._work.block[0].base
+    assert not any(np.shares_memory(array, buffer)
+                   for array in (state.Q, state.g_prev, state.cum_g, state.x_prev, state.x_bar))
 
 
 def order_cases():
