@@ -174,8 +174,7 @@ class _Workspace:
     The block is three (_BLOCK + 1, m) row stacks, views of one array:
     the queues, g(x_prev) and the running sums.  Row 0 holds what the
     block's first step t0 started from and row i + 1 what step t0 + i
-    left, copied there by the step; the multiplier law writes only its
-    lambda(t+1) rows, the only rows its check reads.  The block, the
+    left, copied there by the step under either law.  The block, the
     pass's two (_BLOCK, m) temporaries and its flag buffer are allocated
     at the first validated step (``buffers``) and reused for every block
     after it."""
@@ -204,7 +203,6 @@ class _Workspace:
         """Allocate the block, the temporaries and the flags for m rows of
         constraints; returns the block."""
         self.block = tuple(np.empty((3, _BLOCK + 1, m)))
-        # the second is used only when a screen is hit
         self.temps = tuple(np.empty((2, _BLOCK, m)))
         # four (k, m) vector sections and the k drift flags at most
         self.flags = np.empty(_BLOCK * (4 * m + 1), dtype=bool)
@@ -256,18 +254,16 @@ def _check_block(work):
     checks read; the pass reads them as views of the workspace's block and
     recomputes W with the step's own addition.  The law's ``invariants``
     name the checks: the queue law's four vector checks and the drift, or
-    the multiplier law's lambda(t+1) >= 0 and the drift, which reads only
-    the lambda(t+1) rows.  Each check writes a contiguous section of the
+    the multiplier law's lambda(t+1) >= 0, which reads only the
+    lambda(t+1) rows, and the drift.  Each check writes a contiguous section of the
     workspace's flag buffer, (k, m) for the vector checks and (k,) for the
     drift, through the workspace's temporaries, so a pass allocates no
-    (k, m) array.  Three checks are first tested by screens whose flags
-    are a superset of theirs: the lower bound by Q' < |g| without its
-    tolerance, the running sum by Q' < cum - 1e-9 without its step term,
-    and the drift at the absolute tolerance, which the scale-aware one
-    only widens.  On a hit the checks themselves replace the screens'
-    flags.  The earliest step with a flag left is reported, by its first
-    check in the order of the law's ``invariants``, with its margin
-    recomputed from that step alone.
+    (k, m) array.  The drift flags are a screen at the absolute
+    tolerance, which the scale-aware one only widens; on a hit the
+    flagged drifts are tested again at their own tolerance.  The earliest
+    step with a flag left is reported, by its first check in the order of
+    the law's ``invariants``, with its margin recomputed from that step
+    alone.
     """
     t0, scalars, invariants = work.t0, work.scalars, work.law.invariants
     Qs, gs, cums = work.block
@@ -290,20 +286,14 @@ def _check_block(work):
         a, b = work.temps[0][:k], work.temps[1][:k]
         np.less(Q, 0.0, out=vector_flags[0])
         np.less(np.add(Q, gs[:k], out=a), -INVARIANT_TOL, out=vector_flags[1])
-        # the screens: rounding is monotone, so fl(|g| - tol) <= |g| and
-        # fl(fl(cum - s) - tol) <= fl(cum - tol) for s >= 0, and Q' <= |Q'|
-        np.less(Qn, np.abs(g, out=a), out=vector_flags[2])
-        np.less(Qn, np.subtract(cum, INVARIANT_TOL, out=a), out=vector_flags[3])
-    np.greater(drift, bound + INVARIANT_TOL, out=drift_flags)
-    if not np.count_nonzero(flags):
-        return
-    if c > 1:
-        # the lower and cumulative checks themselves
         np.subtract(np.abs(g, out=b), INVARIANT_TOL, out=b)
         np.less(np.abs(Qn, out=a), b, out=vector_flags[2])
         cum_tol = np.arange(t0 + 1, t0 + k + 1) * 1e-12
         np.subtract(np.subtract(cum, cum_tol[:, None], out=a), INVARIANT_TOL, out=a)
         np.less(Qn, a, out=vector_flags[3])
+    np.greater(drift, bound + INVARIANT_TOL, out=drift_flags)
+    if not np.count_nonzero(flags):
+        return
     # |Q.g| <= L + gg/2, so M = 0.5||Q'||^2 + 2L + 1.5gg bounds the terms
     drift_tol = np.fmax(INVARIANT_TOL, (m + 4) * _EPS * (drift + 3.0 * L + 1.5 * gg))
     np.logical_and(drift_flags, drift > bound + drift_tol, out=drift_flags)
@@ -378,14 +368,10 @@ def step(state, program, oracle=None, validate=True):
         Qs, gs, cums = work.block or work.buffers(Q_next.shape[0])
         scalars = work.scalars
         i = len(scalars) // 4
-        full = len(law.invariants) > 2  # the multiplier law reads lambda(t+1) alone
         if not i:
             work.t0 = t
-            if full:
-                Qs[0], gs[0], cums[0] = Q, state.g_prev, state.cum_g
-        Qs[i + 1] = Q_next
-        if full:
-            gs[i + 1], cums[i + 1] = g_new, cum_g
+            Qs[0], gs[0], cums[0] = Q, state.g_prev, state.cum_g
+        Qs[i + 1], gs[i + 1], cums[i + 1] = Q_next, g_new, cum_g
         scalars += (delta, bound, L, tol_term)
         if not work.deferred:
             _check_block(work)

@@ -538,10 +538,9 @@ def _first_failing_check(law, t0, Qs, gs, cums, scalars):
 
 @pytest.mark.parametrize("law", ["queues", "multipliers"])
 def test_a_block_pass_reports_what_each_steps_own_checks_report(law):
-    # entries at either side of every check's bound, and of each screen's:
-    # |Q'| < |g| without |Q'| < |g| - tol, and Q' < cum - tol without
-    # Q' < (cum - (t + 1) 1e-12) - tol; rows past the block hold -1, which
-    # fails every check that reads them
+    # entries at either side of every check's bound, within its tolerance
+    # and, for the running sum, within its step term (t + 1) 1e-12; rows
+    # past the block hold -1, which fails every check that reads them
     from qpush.baseline import _Multipliers
     law = solver._QUEUES if law == "queues" else _Multipliers(0.01)
     rng = np.random.default_rng(83)
