@@ -222,8 +222,10 @@ def load_topology(source):
 
 @dataclass(frozen=True)
 class NumProblem:
-    """A topology with utilities and rate caps; ``program()`` assembles the
-    rate-allocation program."""
+    """A topology with per-source utility weights and per-path and
+    per-source rate caps, validated and copied once; ``program()``
+    assembles the rate-allocation program from them, and
+    :func:`build_num_program` goes through it."""
 
     topology: Topology
     utility_weights: np.ndarray
@@ -244,31 +246,34 @@ class NumProblem:
         object.__setattr__(self, "y_max", y_max)
 
     def program(self):
-        return build_num_program(self.topology, self.utility_weights,
-                                 self.x_max, self.y_max)
+        """Assemble the rate-allocation program on z = (x, y).
+
+        The objective is sum_s -w_s log(y_s) and the box 0 <= (x, y) <=
+        (x_max, y_max).  The constraint terms are the topology's linear
+        g(z) = Az - b, shared by every program on it, and the Lipschitz
+        hint is the spectral norm of A: on a network whose A has fewer than
+        one nonzero in 32 entries, a certified upper bound within 1e-12 of
+        it (``program.spectral_norm``).
+        """
+        topo = self.topology
+        K, S = topo.K, topo.S
+        obj = CoordinateTerms(
+            quad=np.zeros(K + S),
+            lin=np.zeros(K + S),
+            log_weight=np.concatenate([np.zeros(K), self.utility_weights]),
+        )
+        box = BoxSet(np.zeros(K + S), np.concatenate([self.x_max, self.y_max]))
+        return ConvexProgram.from_terms(obj, topo._num_constraints, box, beta_hint=topo._sigma)
 
 
 def build_num_program(topology, utilities, x_max, y_max):
-    """Assemble the rate-allocation program on z = (x, y).
-
-    ``utilities`` is the per-source weight vector of w_s log(y_s) terms.
-    Its constraint terms are linear, g(z) = Az - b, and it carries the
-    spectral norm of A as its Lipschitz hint: on a network whose A has
-    fewer than one nonzero in 32 entries, a certified upper bound within
-    1e-12 of it (``program.spectral_norm``).
-    """
-    num = NumProblem(topology, utilities,
-                     np.broadcast_to(np.asarray(x_max, dtype=float), (topology.K,)),
-                     np.broadcast_to(np.asarray(y_max, dtype=float), (topology.S,)))
-    K, S = topology.K, topology.S
-    obj = CoordinateTerms(
-        quad=np.zeros(K + S),
-        lin=np.zeros(K + S),
-        log_weight=np.concatenate([np.zeros(K), num.utility_weights]),
-    )
-    box = BoxSet(np.zeros(K + S), np.concatenate([num.x_max, num.y_max]))
-    return ConvexProgram.from_terms(obj, topology._num_constraints, box,
-                                    beta_hint=topology._sigma)
+    """The rate-allocation program of :meth:`NumProblem.program`, with
+    ``utilities`` the per-source weights of the w_s log(y_s) terms and a
+    scalar ``x_max`` or ``y_max`` standing for the same cap on every path
+    or source."""
+    return NumProblem(topology, utilities,
+                      np.broadcast_to(np.asarray(x_max, dtype=float), (topology.K,)),
+                      np.broadcast_to(np.asarray(y_max, dtype=float), (topology.S,))).program()
 
 
 def beta_bounds(topology):

@@ -140,18 +140,18 @@ class SeparableOracle:
         self.hi = program.box.hi
         self.obj_quad = obj.quad
         self.obj_lin = obj.lin
-        self._has_obj_lin = bool(obj.lin.any())
-        self.logw = obj.log_weight
         self._rmatvec, self._quad_rmatvec = cons.rmatvec, cons.quad_rmatvec
         self._nl_rmatvec = cons.nl_rmatvec
         self.idx_nl1p = cons.nl_cols
-        if np.any(self.logw[self.idx_nl1p] > 0):
+        if np.any(obj.log_weight[self.idx_nl1p] > 0):
             raise ConfigurationError("a coordinate cannot carry both log and log1p terms")
-        self.idx_log = np.flatnonzero(self.logw > 0)
-        # each class as a slice when its coordinates are one run (as on every
-        # bundled and benchmark program), so that reading lin copies nothing
-        self._sel_log, self._sel_nl1p = _selector(self.idx_log), _selector(self.idx_nl1p)
-        self._logw_l = self.logw[self.idx_log]
+        # the log class, its weights and whether lin has a nonzero, as the
+        # objective terms hold them; each class as a slice when its
+        # coordinates are one run (as on every bundled and benchmark
+        # program), so that reading lin copies nothing
+        self.idx_log, self._sel_log, self._logw_l = obj._log_idx, obj._log_sel, obj._log_w
+        self._has_obj_lin = obj._has_lin
+        self._sel_nl1p = _selector(self.idx_nl1p)
         # the box, with log coordinates raised to the domain floor
         self._lo_eff = self.lo.copy()
         self._lo_eff[self.idx_log] = np.maximum(self.lo[self.idx_log], LOG_DOMAIN_FLOOR)

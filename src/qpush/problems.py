@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError
-from .netflow import NumProblem, Topology, load_topology
+from .netflow import NumProblem, Topology, build_num_program, load_topology
 from .program import BoxSet, ConstraintTerms, ConvexProgram, CoordinateTerms
 from .solver import kkt_residual
 
@@ -69,8 +69,7 @@ def fig1_topology():
 
 def fig1_num_instance():
     """NumProblem for the fixture network."""
-    topo, weights, x_max, y_max = fig1_topology()
-    return NumProblem(topo, weights, x_max, y_max)
+    return NumProblem(*fig1_topology())
 
 
 def half_hop_alpha(topology):
@@ -264,28 +263,10 @@ PROBLEM_NAMES = ("fig1-num", "fig1-flow-power", "qp")
 
 
 def get_problem(name, seed=1):
-    """Look up a named experiment instance."""
-    if name == "fig1-num":
-        num = fig1_num_instance()
-        return ExperimentProblem(
-            name=name,
-            program=num.program(),
-            sense="max",
-            f_star=-FIG1_UTILITY_OPTIMUM,
-            default_alpha=FIG1_ALPHA,
-            topology=num.topology,
-        )
-    if name == "fig1-flow-power":
-        topo, weights, _, y_max = fig1_topology()
-        program = build_flow_power_program(topo, weights, y_max=y_max)
-        return ExperimentProblem(
-            name=name,
-            program=program,
-            sense="max",
-            f_star=-FLOW_POWER_OPTIMUM,
-            default_alpha=10.0,
-            topology=topo,
-        )
+    """Look up a named experiment instance: the two fig1 programs are
+    built from one load of the fixture network."""
+    if name not in PROBLEM_NAMES:
+        raise ConfigurationError(f"unknown problem {name!r}; expected one of {PROBLEM_NAMES}")
     if name == "qp":
         qp = generate_qp(seed)
         program = qp.program()
@@ -296,4 +277,16 @@ def get_problem(name, seed=1):
             f_star=None,
             default_alpha=0.5 * program.beta_hint ** 2 + 1.0,
         )
-    raise ConfigurationError(f"unknown problem {name!r}; expected one of {PROBLEM_NAMES}")
+    topo, weights, x_max, y_max = fig1_topology()
+    if name == "fig1-num":
+        program, f_star = build_num_program(topo, weights, x_max, y_max), -FIG1_UTILITY_OPTIMUM
+    else:
+        program, f_star = build_flow_power_program(topo, weights, y_max), -FLOW_POWER_OPTIMUM
+    return ExperimentProblem(
+        name=name,
+        program=program,
+        sense="max",
+        f_star=f_star,
+        default_alpha=FIG1_ALPHA,
+        topology=topo,
+    )
