@@ -12,7 +12,11 @@ Three problems back the numerical studies:
 
 Each registry entry carries the program, the reporting sense (the two
 network problems are maximizations reported as utilities), a reference
-optimum, and the default penalty parameter.
+optimum, and the default penalty parameter.  ``get_problem`` loads the
+fixture network once per call and builds the two network programs from
+it, ``fig1-num`` with ``netflow.build_num_program`` and
+``fig1-flow-power`` with :func:`build_flow_power_program`, both at
+``FIG1_ALPHA`` and with the topology attached.
 """
 
 import importlib.resources
@@ -263,8 +267,8 @@ PROBLEM_NAMES = ("fig1-num", "fig1-flow-power", "qp")
 
 
 def get_problem(name, seed=1):
-    """Look up a named experiment instance: the two fig1 programs are
-    built from one load of the fixture network."""
+    """Look up a named experiment instance; an unknown name raises
+    ConfigurationError before anything is built."""
     if name not in PROBLEM_NAMES:
         raise ConfigurationError(f"unknown problem {name!r}; expected one of {PROBLEM_NAMES}")
     if name == "qp":

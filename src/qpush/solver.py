@@ -18,7 +18,8 @@ alpha is legitimate.
 Runtime invariants (checked for every step when ``validate`` is on,
 with absolute tolerance 1e-9 at desk scale):
 
-* queues stay nonnegative and the weights W stay nonnegative,
+* queues stay nonnegative, Q(t) for every step t and, in ``run``, the
+  last queues Q(T), and the weights W stay nonnegative,
 * |Q_k(t)| >= |g_k(x(t-1))| for t >= 1 (reversed at t = 0),
 * the Lyapunov drift of 0.5||Q||^2 never exceeds Q(t).g(x(t)) + ||g(x(t))||^2,
 * Q_k(t) >= sum_{tau<t} g_k(x(tau)).
@@ -39,6 +40,8 @@ buffer, one reduction tests it, and only on a hit is the first failing
 (step, check) looked up, so the error is that of the earliest failing
 step, raised at most 31 steps later, before any error of a later step.
 ``step`` called on its own tests its own row at once, as a one-row block.
+A block tests the Q(t) that its steps start from, so after the last
+block ``run`` tests Q(T) >= 0 on its own, at t = T.
 A failure raises InvariantViolation, an AssertionError carrying the
 invariant's name, t and margin.  The dual subgradient baseline runs on
 this same ``step`` and loop: the four places where it differs (the
@@ -400,7 +403,8 @@ def _drive(state, program, solve, T, record_every, validate, **config):
     NonConvergenceError the rows recorded so far are attached to the
     exception as ``partial_report``.  The steps' invariants wait in the
     block of the state's workspace, which is tested every ``_BLOCK``
-    steps, after the last step and before any other exception leaves.
+    steps, after the last step and before any other exception leaves;
+    after the last block the final queues Q(T) are tested on their own.
     ``config`` goes to the report, with the program and the oracle's name.
     """
     if T < 1:
@@ -433,6 +437,11 @@ def _drive(state, program, solve, T, record_every, validate, **config):
         if work.scalars:
             _check_block(work)
         raise
+    # a queue-law block tests the Q(t) its steps start from, never Q(T);
+    # the multiplier law's blocks test lambda(t+1), so this never fires there
+    if validate and np.count_nonzero(state.Q < 0):
+        name, message = work.law.invariants[0]
+        raise InvariantViolation(message, name, T, float(state.Q.min()))
     return recorder.build(iterations=T, wall_time=time.perf_counter() - started,
                           **config)
 

@@ -208,6 +208,24 @@ def test_registry():
     assert inst.reported_objective(inst.f_star) == pytest.approx(1.65687, abs=1e-5)
     fp = qp.get_problem("fig1-flow-power")
     assert fp.f_star == pytest.approx(-FLOW_POWER_OPTIMUM)
+    # both fig1 problems are their builders' programs on the fixture network
+    topo, weights, x_max, y_max = qp.fig1_topology()
+    for got, want in ((inst, qp.build_num_program(topo, weights, x_max, y_max)),
+                      (fp, qp.build_flow_power_program(topo, weights, y_max))):
+        assert got.default_alpha == FIG1_ALPHA
+        assert got.topology.path_links == topo.path_links
+        assert got.topology.source_paths == topo.source_paths
+        assert np.array_equal(got.topology.cap, topo.cap)
+        prog = got.program
+        assert repr(prog.beta_hint) == repr(want.beta_hint)
+        assert np.array_equal(prog.box.lo, want.box.lo)
+        assert np.array_equal(prog.box.hi, want.box.hi)
+        terms, want_terms = prog.constraint_terms, want.constraint_terms
+        assert np.array_equal(terms.offset, want_terms.offset)
+        for part, want_part in zip(terms._parts, want_terms._parts):
+            assert (part is None) == (want_part is None)
+            if part is not None:
+                assert all(map(np.array_equal, part, want_part))
     qp1 = qp.get_problem("qp", seed=1)
     assert qp1.sense == "min"
     assert qp1.default_alpha == pytest.approx(0.5 * qp.generate_qp(1).beta() ** 2 + 1.0)

@@ -504,6 +504,28 @@ def test_faults_at_sparse_scale_raise_alike_on_every_route(monkeypatch, sparse_n
     assert raised["run"] == raised["step"]
 
 
+def _negate_largest_queue(t, Q, Q_next, g, cum):
+    # Q_k(t+1) = -Q_k(t+1) on the row with the largest Q_k(t+1); |Q| keeps
+    # its value, so step t's lower and drift checks still pass
+    k = int(np.argmax(Q_next))
+    assert Q_next[k] > 1e-3
+    Q_next[k] = -Q_next[k]
+    return float(Q_next.min())
+
+
+@pytest.mark.parametrize("problem, route, T", [("qp", "run", 200), ("fig1-num", "run", 32),
+                                               ("fig1-num", "run", 33),
+                                               ("fig1-num", "agents", 32)])
+def test_a_negative_final_queue_raises_at_T(monkeypatch, problem, route, T):
+    # the last queue update flips a queue's sign; no block tests Q(T), the
+    # run tests it after its last block, at the problem's default alpha
+    inst = qp.get_problem(problem)
+    raised, margin, done = _first_violation(monkeypatch, inst.program, T, T - 1,
+                                            _negate_largest_queue, route, inst.default_alpha)
+    assert raised == ("queue", T, margin) and margin < 0
+    assert done == T
+
+
 def test_a_step_reports_its_first_failing_check(monkeypatch, fig1_instance):
     # both the lower bound and the drift fail at t = 40; lower comes first
     def both(t, Q, Q_next, g, cum):

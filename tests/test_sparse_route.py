@@ -7,8 +7,10 @@ Every number on this route comes from bincount, elementwise ufuncs and
 the separable closed forms, none of which depends on the BLAS kernel or
 the SIMD width: the pins below hold under ``OPENBLAS_CORETYPE=Haswell``,
 ``OPENBLAS_CORETYPE=Sandybridge`` and ``NPY_ENABLE_CPU_FEATURES=X86_V2``
-as under the default settings.  f and the drift are left out: they go
-through ``ddot`` and SIMD ``log``.
+as under the default settings.  So do the pins of the agents on fig1,
+whose rounds are segment sums over the topology's index arrays on a
+network of any size.  f and the drift are left out: they go through
+``ddot`` and SIMD ``log``.
 """
 
 import hashlib
@@ -55,9 +57,16 @@ NET_LARGE_PINS = {
 }
 
 
-# sha256 of the bytes of each recorded column of the net-large agents at
-# T = 40, alpha = beta^2/2 + 1, from zero
-NET_LARGE_AGENT_PINS = {
+# sha256 of the bytes of each recorded column of the agents from zero: on
+# fig1 at T = 4000, alpha = 10, on net-large at T = 40, alpha = beta^2/2 + 1
+AGENT_PINS = {
+    "fig1": {
+        "x": "38733bd6a170a5b3d6c947b80292765d1bf218f0c608d5f68c0e574540447c66",
+        "Q": "fd273c4b5a42dc5fdf51c63e3a9b17c5a05cd5a4e9ed2627e09683ddc4a8d727",
+        "g_x": "6b524aeb68a20603195ba8b24d77f6f8737e4470860fd89227b71fb30c7fbcf8",
+        "x_bar": "6d049d5f8e76bcda428d9be4e4ecb2c6845b81d3610af7ee1c67b5454116b90c",
+        "cum_g": "0b64c983b59ce381ed9489fef6ec897bf04c7376d89e342e80e9d82e0c049c32",
+    },
     1: {
         "x": "4ebd28a9a2d9e24f0cc941b30231f64db1c6b7994e6c49b5ee85465d7069dc27",
         "Q": "d29ca0b76526c801d021d55535f2489441666a5a3d193cc8d2e7759ee08f84f7",
@@ -105,14 +114,19 @@ def test_net_large_sparse_route_state_is_pinned(seed, monkeypatch):
     assert got == NET_LARGE_PINS[seed]
 
 
-@pytest.mark.parametrize("seed", sorted(NET_LARGE_AGENT_PINS))
-def test_net_large_agents_state_is_pinned(seed, monkeypatch):
-    inputs, topo, program = net_large(seed, monkeypatch)
-    alpha = 0.5 * program.beta_hint ** 2 + 1.0
-    agents = qp.simulate_decentralized(topo, inputs["weights"], inputs["x_max"], inputs["y_max"],
-                                       alpha, np.zeros(topo.K), np.zeros(topo.S), 40)
-    got = {column: sha256_of(agents, column) for column in NET_LARGE_AGENT_PINS[seed]}
-    assert got == NET_LARGE_AGENT_PINS[seed]
+@pytest.mark.parametrize("network", list(AGENT_PINS))
+def test_agents_state_is_pinned(network, monkeypatch):
+    if network == "fig1":
+        num = qp.fig1_num_instance()
+        args, alpha, T = (num.topology, num.utility_weights, num.x_max, num.y_max), 10.0, 4000
+    else:
+        inputs, topo, program = net_large(network, monkeypatch)
+        args = (topo, inputs["weights"], inputs["x_max"], inputs["y_max"])
+        alpha, T = 0.5 * program.beta_hint ** 2 + 1.0, 40
+    topo = args[0]
+    agents = qp.simulate_decentralized(*args, alpha, np.zeros(topo.K), np.zeros(topo.S), T)
+    got = {column: sha256_of(agents, column) for column in AGENT_PINS[network]}
+    assert got == AGENT_PINS[network]
 
 
 def test_a_block_pass_allocates_less_than_one_block_of_rows(monkeypatch):
