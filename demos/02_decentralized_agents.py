@@ -4,14 +4,13 @@
 Each link only sees the rates of paths crossing it and publishes one
 price per round; each source only sees the prices of links its paths
 use and keeps its rates, queue and price private.  The simulator holds
-all agents of a kind as arrays and runs a phase as one segment sum over
-the topology's incidence arrays, one segment per agent, so each agent
-still reads only its neighbours.  The two phases are the oracle and the
-constraint evaluator that the solver's own ``run`` calls, so the agents'
-queues and prices get every runtime invariant check of the centralized
-solver.  The synchronous message-passing dynamics agree with the
-centralized solver on the assembled program to rounding (well inside
-1e-9).
+all agents of a kind as arrays: the agents are the solver's own ``run``
+on the assembled program's rows with every product a segment sum, one
+segment per agent, so each agent still reads only its neighbours, and
+the agents' queues and prices get every runtime invariant check of the
+centralized solver.  The synchronous message-passing dynamics agree
+with the centralized solver, whose products on this small network are
+dense, to rounding (well inside 1e-9).
 
 Run:  python3 demos/02_decentralized_agents.py
 """

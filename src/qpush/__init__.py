@@ -17,8 +17,7 @@ from .errors import (ConfigurationError, InvariantViolation, NonConvergenceError
                      NumericalDomainError)
 from .netflow import (NumProblem, Topology, beta_bounds, build_num_program,
                       load_topology, simulate_decentralized)
-from .oracles import (SeparableOracle, log_quadratic_minimizer, make_oracle,
-                      solve_projected_gradient)
+from .oracles import SeparableOracle, make_oracle, solve_projected_gradient
 from .problems import (ExperimentProblem, QpInstance, build_flow_power_program,
                        fig1_num_instance, fig1_reference, fig1_topology,
                        generate_qp, get_problem, half_hop_alpha,

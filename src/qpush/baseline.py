@@ -106,8 +106,7 @@ def dual_init(program, gamma):
                        _work=_Workspace(n, _Multipliers(float(gamma))))
 
 
-def dsg_run(program, x_init_ignored, gamma, T, oracle=None, record_every=None,
-            label="program"):
+def dsg_run(program, x_init_ignored, gamma, T, record_every=None, label="program"):
     """Run the baseline for ``T`` iterations with multiplier start zero.
 
     The primal initial guess is unused (the first iterate is determined
@@ -120,9 +119,7 @@ def dsg_run(program, x_init_ignored, gamma, T, oracle=None, record_every=None,
     """
     if not 0 < gamma < math.inf:  # NaN fails both comparisons
         raise ValueError(f"gamma must be positive and finite, got {gamma}")
-    if oracle is None:
-        oracle = LagrangianOracle(program)
     x_init = np.zeros(program.n) if x_init_ignored is None else np.asarray(x_init_ignored, dtype=float)
-    return _drive(dual_init(program, gamma), program, oracle, T, record_every, True,
-                  algorithm="dsg", problem=label, alpha=None, gamma=float(gamma),
-                  x_init=x_init)
+    return _drive(dual_init(program, gamma), program, LagrangianOracle(program), T,
+                  record_every, True, algorithm="dsg", problem=label, alpha=None,
+                  gamma=float(gamma), x_init=x_init)

@@ -16,10 +16,10 @@ L x K link-path and T the S x K source-path 0/1 incidence.
 per-source agents exchanging messages in synchronous rounds, as the
 method deploys in a network: a link sums only the rates of the paths
 crossing it, a source only the prices of the links its paths use.  Each
-such sum is one segment of an incidence index array of the topology.
-The two phases of a round are the oracle and the constraint evaluator
-that :func:`solver.run` calls, so the queues, the prices, the averaging
-and every runtime invariant are the solver's own.
+such sum is one segment of the NUM rows' segment sums
+(:meth:`ConstraintTerms.as_segment_sums`), and the agents are
+:func:`solver.run` on those rows, so the closed forms, the queues, the
+prices, the averaging and every runtime invariant are the solver's own.
 """
 
 import itertools
@@ -30,7 +30,6 @@ import numpy as np
 
 from . import solver
 from .errors import ConfigurationError, _input_errors, _read_json
-from .oracles import LOG_DOMAIN_FLOOR, log_quadratic_minimizer
 from .program import BoxSet, ConstraintTerms, ConvexProgram, CoordinateTerms
 
 __all__ = [
@@ -78,9 +77,10 @@ class Topology:
     path indices.  The incidence is also kept as read-only index arrays:
     ``_pl_path``, ``_pl_link`` hold the (path, link) pairs sorted by path,
     then link (R^T in CSR form); ``_sp_source``, ``_sp_path`` each
-    source's paths in ``source_paths`` order (T in CSR form).  A segment
-    sum per link is a bincount over ``_pl_link``, which adds each link's
-    paths in increasing path order.
+    source's paths in increasing order (T in CSR form), the order in which
+    ``source_paths`` keeps them, as ``path_links`` keeps each path's links.
+    A segment sum per link or per source adds its paths in increasing
+    path order.
     """
 
     cap: np.ndarray
@@ -104,7 +104,7 @@ class Topology:
         pl_path = np.repeat(np.arange(K), hops)
         _check_paths(hops, pl_path, pl_link, L)  # so pl_link holds indices from here on
         _require_indices(self.source_paths, "source {} has path {!r}, not an integer index")
-        source_paths = tuple(tuple(map(int, ks)) for ks in self.source_paths)
+        source_paths = tuple(tuple(sorted(map(int, ks))) for ks in self.source_paths)
         seen = [k for ks in source_paths for k in ks]
         if sorted(seen) != list(range(K)):
             raise ConfigurationError("source path sets must partition the path indices")
@@ -310,18 +310,21 @@ def simulate_decentralized(topology, utilities, x_max, y_max, alpha,
     scalar rate problem.  Then every link sums the new rates of the paths
     through it, and every source the rates of its own paths.  A phase is
     one array operation over all agents, each reading only its own
-    segments of the topology's incidence arrays, so no processing order
-    exists.
+    segments of the NUM rows' triples, so no processing order exists.
 
-    The sources' phase is the oracle and the links' phase the constraint
-    evaluator of a program with the NUM program's box, objective, Jacobian
-    and beta, and :func:`solver.run` does the rest: the queues, the prices
-    W = Q + g, the running average, the drift, the finiteness tests and
-    the runtime invariants, all as for the centralized solver.  So the
-    trace row at t records z(t-1) = (x(t-1), y(t-1)) and the stacked
-    queue vector Q(t), and its g and g(xbar) are the loads that the agents
-    sum, which equal the NUM program's g up to rounding.  ``extras``
-    counts one price and one rate message per (link, path) pair and round.
+    The agents are :func:`solver.run` on the NUM program's objective, box
+    and beta over its rows' segment sums
+    (:meth:`ConstraintTerms.as_segment_sums`): the sources' phase is the
+    separable oracle, whose column sums A^T W give each path's price, and
+    the links' phase the rows' values.  The solver does the rest: the
+    queues, the prices W = Q + g, the running average, the drift, the
+    finiteness tests and the runtime invariants.  So the trace row at t
+    records z(t-1) = (x(t-1), y(t-1)) and the stacked queue vector Q(t).
+    Where the NUM program's own products are segment sums (fewer than one
+    nonzero of A in 32 entries) the agents' run is the central run bit for
+    bit; on a denser network, such as fig1, it equals it up to rounding.
+    ``extras`` counts one price and one rate message per (link, path) pair
+    and round.
 
     The errors are ``run``'s: a start outside the boxes or an alpha that is
     not positive and finite is a ValueError; a non-finite load at the
@@ -331,45 +334,13 @@ def simulate_decentralized(topology, utilities, x_max, y_max, alpha,
     below beta^2/2 warns AlphaBelowCurvatureWarning.
     """
     num = build_num_program(topology, utilities, x_max, y_max)
-    L, K, S = topology.L, topology.K, topology.S
-    pl_path, pl_link = topology._pl_path, topology._pl_link
-    sp_source, sp_path = topology._sp_source, topology._sp_path
-    cap, x_max, y_max = topology.cap, num.box.hi[:K], num.box.hi[K:]
-    w = num.objective_terms.log_weight[K:]
-    # the row of each path's source in the stacked price vector
-    source_row = np.empty(K, dtype=np.intp)
-    source_row[sp_path] = L + sp_source
-
-    def sources(W, z_prev, alpha):
-        """Each source's path prices from the links on its paths, its
-        clipped rate steps and its scalar rate problem."""
-        z = np.empty(K + S)
-        two_alpha = 2.0 * alpha
-        path_price = np.bincount(pl_path, W[pl_link], K)
-        np.minimum(np.maximum(z_prev[:K] - (path_price - W[source_row]) / two_alpha, 0.0),
-                   x_max, out=z[:K])
-        z[K:] = log_quadratic_minimizer(alpha, W[L:] - two_alpha * z_prev[K:], w,
-                                        LOG_DOMAIN_FLOOR, y_max)
-        return z
-
-    sources.name = "agent-message-passing"
-
-    def links(z):
-        """R x - c and y - T x: one segment sum per link and per source."""
-        g = np.empty(L + S)
-        x = z[:K]
-        np.subtract(np.bincount(pl_link, x[pl_path], L), cap, out=g[:L])
-        np.subtract(z[K:], np.bincount(sp_source, x[sp_path], S), out=g[L:])
-        return g
-
-    program = ConvexProgram(K + S, L + S, num.box, num.objective_terms.value,
-                            num.objective_terms.gradient, links, num.constraint_jacobian,
-                            objective_terms=num.objective_terms, beta_hint=num.beta_hint)
+    K, S = topology.K, topology.S
+    program = ConvexProgram.from_terms(num.objective_terms, num.constraint_terms.as_segment_sums(),
+                                       num.box, beta_hint=num.beta_hint)
     z_init = np.concatenate([np.broadcast_to(np.asarray(x_init, dtype=float), (K,)),
                              np.broadcast_to(np.asarray(y_init, dtype=float), (S,))])
-    report = solver.run(program, z_init, float(alpha), T, oracle=sources,
-                        record_every=record_every, label="num")
-    per_round = int(pl_link.size)
+    report = solver.run(program, z_init, float(alpha), T, record_every=record_every, label="num")
+    per_round = int(topology._pl_link.size)
     report.algorithm = "vq-decentralized"
     report.extras = {"price_messages": T * per_round, "rate_messages": T * per_round,
                      "price_messages_per_round": per_round,

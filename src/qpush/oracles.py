@@ -21,7 +21,6 @@ from .errors import ConfigurationError, NonConvergenceError, NumericalDomainErro
 from .program import _selector
 
 __all__ = [
-    "log_quadratic_minimizer",
     "solve_projected_gradient",
     "SeparableOracle",
     "make_oracle",
@@ -31,20 +30,6 @@ __all__ = [
 # the domain; the minimizer is interior for positive weight, so brackets
 # start at this floor instead of 0.
 LOG_DOMAIN_FLOOR = 1e-12
-
-
-def log_quadratic_minimizer(a, b, w, lo, hi):
-    """Exact minimizer of a*z^2 + b*z - w*log(z) over [lo, hi], a > 0, w >= 0.
-
-    The stationarity condition 2a z^2 + b z - w = 0 has a single positive
-    root; with w > 0 the minimizer is interior to the left endpoint.
-    Vectorized over numpy inputs.
-    """
-    root = (-b + np.sqrt(b * b + 8.0 * a * w)) / (4.0 * a)
-    # Python's max on a float bound saves a numpy call per agent round
-    floor = (max(lo, LOG_DOMAIN_FLOOR) if isinstance(lo, float)
-             else np.maximum(lo, LOG_DOMAIN_FLOOR))
-    return np.minimum(np.maximum(root, floor), hi)
 
 
 def _objective_curvature(program):
@@ -244,7 +229,7 @@ class SeparableOracle:
         # and log1p classes overwrite theirs
         x = lin / neg_two_a
         if log_c is not None:
-            # positive root of 2a z^2 + b z - w = 0, as in log_quadratic_minimizer,
+            # positive root (-b + sqrt(b^2 + 8aw)) / 4a of 2a z^2 + b z - w = 0,
             # in one buffer (s - b has the bits of -b + s)
             eight_aw, four_a = log_c
             b = lin[sl]

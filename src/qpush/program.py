@@ -254,7 +254,8 @@ class ConstraintTerms:
     ``nl_rmatvec`` (U^T W on the log1p columns ``nl_cols``), a part's
     None when it has no nonzero, and give A's norms.  On the segment-sum
     route the dense ``lin``, ``quad`` and ``neglog1p`` are built on first
-    read (by the Jacobian, for one).
+    read (by the Jacobian, for one).  :meth:`as_segment_sums` gives the
+    same rows on that route whatever A's density.
     """
 
     def __init__(self, lin, offset, quad=None, neglog1p=None):
@@ -280,16 +281,18 @@ class ConstraintTerms:
                     None if neglog1p is None else row_major(*neglog1p))
         return terms
 
-    def _init(self, shape, offset, lin, quad, neglog1p):
+    def _init(self, shape, offset, lin, quad, neglog1p, dense=None):
         """The one initializer, from the row-major triples of A and of the
-        Qc and U given (None for one not given)."""
+        Qc and U given (None for one not given); ``dense`` picks the
+        product route, by A's density when None."""
         m, n = shape
         self.shape = shape
         self.offset = _vector(offset, m, name="offset")
         if not all((part[2] >= 0).all() for part in (quad, neglog1p) if part is not None):
             raise ConfigurationError("quad and neglog1p coefficients must be nonnegative")
         self._parts = tuple(map(_read_only, (lin, quad, neglog1p)))
-        dense = not _sparse(lin[2].size, m, n)
+        if dense is None:
+            dense = not _sparse(lin[2].size, m, n)
         # A's orders stay for its norms; Qc's and U's live in their products
         self._orders = None if dense else _slot_orders(*lin, shape)
         self.matvec, self.rmatvec = _products(self._orders, shape, self.lin if dense else None)
@@ -324,6 +327,17 @@ class ConstraintTerms:
     def _segment_sums(self):
         """True when the products are segment sums over the triples."""
         return self._orders is not None
+
+    def as_segment_sums(self):
+        """These rows with every product a segment sum over the triples:
+        ``self`` on that route, else terms that share the read-only triples
+        and the offset, so that each row and each column adds its terms
+        in the order of the row-major triples on any BLAS kernel."""
+        if self._segment_sums:
+            return self
+        terms = ConstraintTerms.__new__(ConstraintTerms)
+        terms._init(self.shape, self.offset, *self._parts, dense=False)
+        return terms
 
     @property
     def is_linear(self):

@@ -41,7 +41,8 @@ buffer, one reduction tests it, and only on a hit is the first failing
 step, raised at most 31 steps later, before any error of a later step.
 ``step`` called on its own tests its own row at once, as a one-row block.
 A block tests the Q(t) that its steps start from, so after the last
-block ``run`` tests Q(T) >= 0 on its own, at t = T.
+block ``run`` tests Q(T) >= 0 on its own, at t = T, and a ``step`` on its
+own tests its Q(t+1) after its row.
 A failure raises InvariantViolation, an AssertionError carrying the
 invariant's name, t and margin.  The dual subgradient baseline runs on
 this same ``step`` and loop: the four places where it differs (the
@@ -49,9 +50,8 @@ weights, the prox term, the update and the drift bound) come from a law
 that the state's workspace carries, ``_Queues`` from ``init`` or the
 multipliers of ``baseline.dual_init`` (whose alpha is 0), and the law's
 ``invariants`` name the checks the block pass runs.  The decentralized
-agents (``netflow.simulate_decentralized``) run through ``run`` itself:
-their sources' phase is the oracle and their links' phase the constraint
-evaluator, so every check here covers them too.
+agents (``netflow.simulate_decentralized``) are ``run`` itself on the
+NUM rows' segment sums, so every check here covers them too.
 
 ``init`` tests g(x_init) for finiteness, and every step, validated or
 not, tests the oracle's iterate, then the evaluated f and g, then the
@@ -321,6 +321,15 @@ def _check_block(work):
     raise InvariantViolation(message, name, t, float(margin[failed].min()))
 
 
+def _check_queues(work, Q, t):
+    """Q(t) >= 0 for the queues that no block tests: a block tests the Q(t)
+    its steps start from, so not those its last step leaves.  The
+    multiplier law's blocks test lambda(t+1), so this never fires there."""
+    if np.count_nonzero(Q < 0):
+        name, message = work.law.invariants[0]
+        raise InvariantViolation(message, name, t, float(Q.min()))
+
+
 def step(state, program, oracle=None, validate=True):
     """Advance one iteration in place and return the state.
 
@@ -378,6 +387,7 @@ def step(state, program, oracle=None, validate=True):
         scalars += (delta, bound, L, tol_term)
         if not work.deferred:
             _check_block(work)
+            _check_queues(work, Q_next, t + 1)
     if state.x_bar is None:
         state.x_bar = x_new.copy()
     else:
@@ -437,17 +447,13 @@ def _drive(state, program, solve, T, record_every, validate, **config):
         if work.scalars:
             _check_block(work)
         raise
-    # a queue-law block tests the Q(t) its steps start from, never Q(T);
-    # the multiplier law's blocks test lambda(t+1), so this never fires there
-    if validate and np.count_nonzero(state.Q < 0):
-        name, message = work.law.invariants[0]
-        raise InvariantViolation(message, name, T, float(state.Q.min()))
+    if validate:
+        _check_queues(work, state.Q, T)
     return recorder.build(iterations=T, wall_time=time.perf_counter() - started,
                           **config)
 
 
-def run(program, x_init, alpha, T, oracle=None, record_every=None, validate=True,
-        label="program"):
+def run(program, x_init, alpha, T, record_every=None, validate=True, label="program"):
     """Run ``T`` iterations and collect a trace.
 
     Rows are recorded every ``record_every`` iterations (defaults to
@@ -455,8 +461,7 @@ def run(program, x_init, alpha, T, oracle=None, record_every=None, validate=True
     iterate x(t-1), the queue Q(t), the running average xbar(t) and the
     drift of the step that produced them.  Deterministic given inputs.
     """
-    if oracle is None:
-        oracle = make_oracle(program)
+    oracle = make_oracle(program)
     state = init(program, x_init, alpha)
     return _drive(state, program, oracle, T, record_every, validate, algorithm="vq",
                   problem=label, alpha=alpha, x_init=np.asarray(x_init, dtype=float).copy())

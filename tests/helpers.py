@@ -386,6 +386,17 @@ def solve_scalar_convex(derivative, lo, hi, tol=SCALAR_TOL):
     return 0.5 * (lo + hi)
 
 
+def log_quadratic_minimizer(a, b, w, lo, hi):
+    """Exact minimizer of a*z^2 + b*z - w*log(z) over [lo, hi], a > 0, w >= 0.
+
+    The stationarity condition 2a z^2 + b z - w = 0 has a single positive
+    root; with w > 0 the minimizer is interior to the left endpoint, which
+    is raised to the log domain's floor.  Vectorized over numpy inputs.
+    """
+    root = (-b + np.sqrt(b * b + 8.0 * a * w)) / (4.0 * a)
+    return np.minimum(np.maximum(root, np.maximum(lo, LOG_DOMAIN_FLOOR)), hi)
+
+
 def log1p_quadratic_minimizer(a, b, d, lo, hi):
     """Exact minimizer of a*z^2 + b*z - d*log(1+z) over [lo, hi] in [0, inf).
 

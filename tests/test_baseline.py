@@ -417,8 +417,9 @@ def test_dsg_run_raises_a_violation_before_a_later_steps_error(monkeypatch, fig1
         return good(W, x_prev, alpha)
 
     _dual_fault_at(monkeypatch, 40, _negate_largest)
+    monkeypatch.setattr(baseline, "LagrangianOracle", lambda program: oracle)
     with pytest.raises(qp.InvariantViolation) as err:
-        qp.dsg_run(prog, None, 0.01, 100, oracle=oracle)
+        qp.dsg_run(prog, None, 0.01, 100)
     assert (err.value.name, err.value.t) == ("multiplier", 40)
     assert isinstance(err.value.__context__, qp.NumericalDomainError)
 

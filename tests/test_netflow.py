@@ -6,14 +6,15 @@ import numpy as np
 import pytest
 
 import qpush as qp
-from qpush import Topology, netflow
+from qpush import Topology, solver
 from qpush.errors import ConfigurationError
 from qpush.oracles import LOG_DOMAIN_FLOOR
 from qpush.program import _certified_norm
 
 from helpers import (TOPOLOGY_SPEC, UNREADABLE_INPUTS, link_path_incidence, link_paths,
-                     overflow_network, quiet_alpha_warnings, random_network, random_topology,
-                     source_path_incidence, unreadable_input)
+                     log_quadratic_minimizer, overflow_network, quiet_alpha_warnings,
+                     random_network, random_num_network, random_topology, source_path_incidence,
+                     unreadable_input)
 
 
 def single_link_topology():
@@ -38,7 +39,7 @@ def test_incidence_arrays():
     assert topo._pl_path.tolist() == [0, 0, 1, 2]
     assert topo._pl_link.tolist() == [0, 2, 0, 2]
     assert topo._sp_source.tolist() == [0, 0, 1]
-    assert topo._sp_path.tolist() == [2, 0, 1]
+    assert topo._sp_path.tolist() == [0, 2, 1]
     assert link_paths(topo) == ((0, 1), (), (0, 2))
     assert topo.hop_counts.tolist() == [2, 1, 1]
     for name in ("_pl_path", "_pl_link", "_sp_source", "_sp_path"):
@@ -271,6 +272,22 @@ def test_decentralized_equals_centralized_random_topologies():
         assert np.abs(rep_d.Q - rep_c.Q).max() <= 1e-9
 
 
+def test_a_zero_weight_source_runs_as_the_central_solver_runs():
+    # a source with utility weight 0 has no log term: its rate is the
+    # quadratic class's closed form, 0 here, not the log domain's floor
+    topo, w, x_max, y_max = random_num_network(41)
+    w = w.copy()
+    w[0] = 0.0
+    program = qp.build_num_program(topo, w, x_max, y_max)
+    alpha = 0.5 * program.beta_hint ** 2 + 1.0
+    agents = qp.simulate_decentralized(topo, w, x_max, y_max, alpha, np.zeros(topo.K),
+                                       np.zeros(topo.S), 60, record_every=1)
+    central = qp.run(program, np.zeros(program.n), alpha, 60, record_every=1)
+    assert not agents.x[:, topo.K].any()
+    for column in ("x", "Q", "x_bar", "g_x", "cum_g", "f_xbar"):
+        assert np.array_equal(getattr(agents, column), getattr(central, column)), column
+
+
 def loop_agents(topo, w, x_max, y_max, alpha, x, y, T):
     """Each agent in turn, with one Python sum per message set, in path
     and link order: the reference the array rounds must equal bit for bit.
@@ -287,10 +304,9 @@ def loop_agents(topo, w, x_max, y_max, alpha, x, y, T):
     for _ in range(T):
         for s, ks in enumerate(topo.source_paths):
             for k in ks:
-                path_price = sum(link_price[l] for l in topo.path_links[k])
-                x[k] = min(max(x[k] - (path_price - source_price[s]) / (2.0 * alpha), 0.0),
-                           x_max[k])
-            y[s] = float(qp.log_quadratic_minimizer(
+                price = sum(link_price[l] for l in topo.path_links[k]) - source_price[s]
+                x[k] = min(max((price - (2.0 * alpha) * x[k]) / (-2.0 * alpha), 0.0), x_max[k])
+            y[s] = float(log_quadratic_minimizer(
                 alpha, source_price[s] - 2.0 * alpha * y[s], w[s], LOG_DOMAIN_FLOOR, y_max[s]))
             g = y[s] - sum(x[k] for k in ks)
             source_q[s] = max(-g, source_q[s] + g)
@@ -408,15 +424,22 @@ def test_non_finite_round_raises(monkeypatch, bad):
             match="objective or constraint value is not finite at iteration 0"):
         qp.simulate_decentralized(topo, [1.0], x_max, [1e308], 0.25, [0.0, 0.0], [1e308], 5)
     # a source rate that turns non-finite in round 2
-    real_minimizer = netflow.log_quadratic_minimizer
+    real_make_oracle = solver.make_oracle
     calls = []
 
-    def faulty(*args):
-        calls.append(None)
-        y = real_minimizer(*args)
-        return np.full_like(y, bad) if len(calls) == 3 else y
+    def faulty_oracle(program):
+        oracle = real_make_oracle(program)
 
-    monkeypatch.setattr(netflow, "log_quadratic_minimizer", faulty)
+        def faulty(W, z_prev, alpha):
+            calls.append(None)
+            z = oracle(W, z_prev, alpha)
+            if len(calls) == 3:
+                z[-1] = bad
+            return z
+
+        return faulty
+
+    monkeypatch.setattr(solver, "make_oracle", faulty_oracle)
     with pytest.raises(qp.NumericalDomainError,
                        match="primal oracle returned a non-finite iterate at iteration 2"):
         qp.simulate_decentralized(single_link_topology(), [1.0], [2.0], [4.0], 2.0, 0.0, 0.0, 5)

@@ -7,12 +7,11 @@ import pytest
 import qpush as qp
 from qpush import BoxSet, ConstraintTerms, ConvexProgram, CoordinateTerms
 from qpush.errors import NonConvergenceError, NumericalDomainError
-from qpush.oracles import (SeparableOracle, log_quadratic_minimizer, make_oracle,
-                           solve_projected_gradient)
+from qpush.oracles import SeparableOracle, make_oracle, solve_projected_gradient
 
-from helpers import (grid_minimize, log1p_quadratic_minimizer, random_point_in,
-                     random_separable_program, random_sparse_matrix, solve_scalar_convex,
-                     solve_separable_quadratic, subproblem_objective)
+from helpers import (grid_minimize, log1p_quadratic_minimizer, log_quadratic_minimizer,
+                     random_point_in, random_separable_program, random_sparse_matrix,
+                     solve_scalar_convex, solve_separable_quadratic, subproblem_objective)
 
 
 def test_separable_quadratic_examples():

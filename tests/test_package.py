@@ -76,11 +76,6 @@ def _calls(paths):
     return calls
 
 
-# the hook through which tests hand in a faulty oracle (the agents hand
-# ``run`` theirs)
-OPTION_HOOKS = {("baseline", "dsg_run", "oracle")}
-
-
 def test_every_option_has_a_caller_outside_the_tests():
     """Each parameter with a default, of each function in a module's
     ``__all__``, is passed by keyword or by position by some call in the
@@ -96,8 +91,7 @@ def test_every_option_has_a_caller_outside_the_tests():
                 continue
             params = list(inspect.signature(func).parameters.values())
             for position, param in enumerate(params):
-                if (param.default is param.empty
-                        or (module_name, name, param.name) in OPTION_HOOKS):
+                if param.default is param.empty:
                     continue
                 if not any(called == name and (keywords is None or param.name in keywords
                                                 or count > position)
@@ -108,7 +102,8 @@ def test_every_option_has_a_caller_outside_the_tests():
 
 # the per-iteration code of the VQ step, the DSG step and the agent round:
 # the one step with the weights, update and drift bound of both its laws
-HOT_PATHS = ("solver.step", "solver._check_block", "solver.queue_update", "solver._drive",
+HOT_PATHS = ("solver.step", "solver._check_block", "solver._check_queues",
+             "solver.queue_update", "solver._drive",
              "solver._Queues.weights", "solver._Queues.update", "solver._Queues.bound",
              "program.evaluate", "program.CoordinateTerms.value",
              "program.ConstraintTerms.values", "program._segment_sum",

@@ -92,7 +92,8 @@ def test_flow_power_at_network_scale_builds_no_dense_matrix(monkeypatch):
 
     assert dense_arrays() == []
     alpha = 0.5 * prog.beta_hint ** 2 + 1.0
-    rep = qp.run(prog, 0.5 * prog.box.hi, alpha, 1000, oracle=oracle)
+    monkeypatch.setattr(qp.solver, "make_oracle", lambda program: oracle)
+    rep = qp.run(prog, 0.5 * prog.box.hi, alpha, 1000)
     assert dense_arrays() == []
     for key in ("x", "x_bar", "Q", "f_xbar", "g_xbar"):
         assert np.isfinite(getattr(rep, key)).all(), key

@@ -227,7 +227,7 @@ def test_oracle_failure_carries_iteration_index():
         qp.step(state, prog, oracle=bad_oracle)
 
 
-def test_run_returns_partial_trace_on_failure():
+def test_run_returns_partial_trace_on_failure(monkeypatch):
     prog = one_dim_program()
     good = qp.make_oracle(prog)
     calls = {"n": 0}
@@ -239,8 +239,9 @@ def test_run_returns_partial_trace_on_failure():
                                          residual=1.0, iterations=3)
         return good(W, x_prev, alpha)
 
+    monkeypatch.setattr(solver, "make_oracle", lambda program: flaky)
     with pytest.raises(qp.NonConvergenceError) as err:
-        qp.run(prog, np.array([0.0]), 1.0, 20, oracle=flaky, record_every=1)
+        qp.run(prog, np.array([0.0]), 1.0, 20, record_every=1)
     partial = err.value.partial_report
     assert len(partial.t) == 5 and partial.iterations == 5
 
@@ -515,10 +516,12 @@ def _negate_largest_queue(t, Q, Q_next, g, cum):
 
 @pytest.mark.parametrize("problem, route, T", [("qp", "run", 200), ("fig1-num", "run", 32),
                                                ("fig1-num", "run", 33),
-                                               ("fig1-num", "agents", 32)])
+                                               ("fig1-num", "agents", 32),
+                                               ("fig1-num", "step", 32)])
 def test_a_negative_final_queue_raises_at_T(monkeypatch, problem, route, T):
     # the last queue update flips a queue's sign; no block tests Q(T), the
-    # run tests it after its last block, at the problem's default alpha
+    # run tests it after its last block and a step after its own row, at
+    # the problem's default alpha
     inst = qp.get_problem(problem)
     raised, margin, done = _first_violation(monkeypatch, inst.program, T, T - 1,
                                             _negate_largest_queue, route, inst.default_alpha)
@@ -615,13 +618,14 @@ def test_run_raises_a_violation_before_a_later_steps_error(monkeypatch, fig1_ins
         return good(W, x_prev, alpha)
 
     _fault_at(monkeypatch, 40, _halve_largest)
+    monkeypatch.setattr(solver, "make_oracle", lambda program: oracle)
     with pytest.raises(qp.InvariantViolation) as err:
-        qp.run(prog, np.zeros(prog.n), 10.0, 100, oracle=oracle)
+        qp.run(prog, np.zeros(prog.n), 10.0, 100)
     assert (err.value.name, err.value.t) == ("lower", 40)
     assert isinstance(err.value.__context__, qp.NumericalDomainError)
 
 
-def test_run_mid_block_non_convergence_keeps_its_partial_report(fig1_instance):
+def test_run_mid_block_non_convergence_keeps_its_partial_report(monkeypatch, fig1_instance):
     prog = fig1_instance.program
     good = qp.make_oracle(prog)
     calls = [0]
@@ -632,8 +636,10 @@ def test_run_mid_block_non_convergence_keeps_its_partial_report(fig1_instance):
             raise qp.NonConvergenceError("gave up", iterate=x_prev, residual=1.0, iterations=3)
         return good(W, x_prev, alpha)
 
-    with pytest.raises(qp.NonConvergenceError) as err:
-        qp.run(prog, np.zeros(prog.n), 10.0, 100, oracle=flaky, record_every=1)
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "make_oracle", lambda program: flaky)
+        with pytest.raises(qp.NonConvergenceError) as err:
+            qp.run(prog, np.zeros(prog.n), 10.0, 100, record_every=1)
     partial = err.value.partial_report
     clean = qp.run(prog, np.zeros(prog.n), 10.0, 100, record_every=1)
     assert partial.iterations == 40 and partial.t.tolist() == list(range(1, 41))

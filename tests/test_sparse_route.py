@@ -8,9 +8,9 @@ the separable closed forms, none of which depends on the BLAS kernel or
 the SIMD width: the pins below hold under ``OPENBLAS_CORETYPE=Haswell``,
 ``OPENBLAS_CORETYPE=Sandybridge`` and ``NPY_ENABLE_CPU_FEATURES=X86_V2``
 as under the default settings.  So do the pins of the agents on fig1,
-whose rounds are segment sums over the topology's index arrays on a
-network of any size.  f and the drift are left out: they go through
-``ddot`` and SIMD ``log``.
+whose rounds are the same solver on the segment sums of the NUM rows
+(``ConstraintTerms.as_segment_sums``) on a network of any size.  f and
+the drift are left out: they go through ``ddot`` and SIMD ``log``.
 """
 
 import hashlib
@@ -61,25 +61,25 @@ NET_LARGE_PINS = {
 # fig1 at T = 4000, alpha = 10, on net-large at T = 40, alpha = beta^2/2 + 1
 AGENT_PINS = {
     "fig1": {
-        "x": "38733bd6a170a5b3d6c947b80292765d1bf218f0c608d5f68c0e574540447c66",
-        "Q": "fd273c4b5a42dc5fdf51c63e3a9b17c5a05cd5a4e9ed2627e09683ddc4a8d727",
-        "g_x": "6b524aeb68a20603195ba8b24d77f6f8737e4470860fd89227b71fb30c7fbcf8",
-        "x_bar": "6d049d5f8e76bcda428d9be4e4ecb2c6845b81d3610af7ee1c67b5454116b90c",
-        "cum_g": "0b64c983b59ce381ed9489fef6ec897bf04c7376d89e342e80e9d82e0c049c32",
+        "x": "c7284775c9959bb82b0162167bf7e5b815e1f902ba29d00af17dbb19b08ba25a",
+        "Q": "859729c681cea68b2b99e47328936fc29f18d602149ff472213caf0d7b012d4a",
+        "g_x": "7677eabc91a7ba7fa956309196db2383c316901a66b9a7a9ee3cc81f2e2ef9ad",
+        "x_bar": "26d1b9e24457c0982cb6ba3cf7bca6fccda495611b9db1417ce77fd2e2876464",
+        "cum_g": "e70f8a7efeb17114d3588cae84f0633527492ab711884cd8a452a7305aa3029c",
     },
     1: {
-        "x": "4ebd28a9a2d9e24f0cc941b30231f64db1c6b7994e6c49b5ee85465d7069dc27",
-        "Q": "d29ca0b76526c801d021d55535f2489441666a5a3d193cc8d2e7759ee08f84f7",
-        "g_x": "e65cdc8877901bed7ec5c00ec9fe98383c670e85944f009bb25ec16725194606",
-        "x_bar": "0f80d549bd63a91a9112218c2c6f7e84aa48a145c65885bafa3730afb094f985",
-        "cum_g": "0b5f33e9f88fe5d9789cb18e84e4da9c7945d842363613654802c46c4e857473",
+        "x": "c8ce96809a4b9068c181dd40ebaf88ad550d90753f314c58f5a78f8bd7f73ac2",
+        "Q": "1fdf8c1a5fa742c2d8c539dd00c6b7ba053a3e71ed379ae123bc6429ad63dfb0",
+        "g_x": "be3dbd22faa8cc4816fd89741331bb4d874b973cbdae2b7aa8b6ef5f0006bd7e",
+        "x_bar": "2ab4a94f2600a1ccee8841aa6858c99fbfc8cf4f7434bb88dcbea106c7891d03",
+        "cum_g": "f331481b5b44b443fcfeb1cae36a3d3298c23e19aafcc485e69143be7aab5269",
     },
     7919: {
-        "x": "c8b170c0f0618c895046fb68773223c1e4230eb7be2aaec66722b88f2cca9873",
-        "Q": "36d0b475c39fdacca997324867773dc9ab2585c889e61ed12e861d8faab579b0",
-        "g_x": "08b4541b41405225cedf7de1f1155bb3c8cf6c9bbb9dd7446d144ea8f1dcc01b",
-        "x_bar": "2f8c53e33e78292678ca39c30fce48b0d67f0c41de29ade3c0272b04828abcc5",
-        "cum_g": "da8443002e08870726853a029e38ba4d5b002e55bf67043de7d7fd8f4088d67b",
+        "x": "a9ea5f925d130d817437ea8d4c1c99b221e2485422d02207bea4389c44a96f9d",
+        "Q": "2e8663a5ba828aac5a991889e6f36dad1cc41c883a8c6b8f44a7492e85ddb811",
+        "g_x": "c442c81ec5d788774577ca299ab5422ff20ee255bfcc93ee4e734f60eb5871e5",
+        "x_bar": "22372630700529e89159c446f9d007c1c15445e3016338c63ae8fba3b9e95bdc",
+        "cum_g": "e4ac11cfe2681b4d7f2018705e689e57ba822c2e4e373f50c69c8169afcdc890",
     },
 }
 
@@ -127,6 +127,11 @@ def test_agents_state_is_pinned(network, monkeypatch):
     agents = qp.simulate_decentralized(*args, alpha, np.zeros(topo.K), np.zeros(topo.S), T)
     got = {column: sha256_of(agents, column) for column in AGENT_PINS[network]}
     assert got == AGENT_PINS[network]
+    if network != "fig1":
+        # on the segment-sum route the agents' program is the NUM program
+        central = qp.run(program, np.zeros(program.n), alpha, T)
+        for column in AGENT_PINS[network]:
+            assert np.array_equal(getattr(agents, column), getattr(central, column)), column
 
 
 def test_a_block_pass_allocates_less_than_one_block_of_rows(monkeypatch):
