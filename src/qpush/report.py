@@ -3,7 +3,10 @@
 A :class:`RunReport` stores one row per recorded iteration t with the
 iterate, virtual queues, objective/constraint values at the iterate and
 at the running average, the cumulative constraint sums, and the Lyapunov
-drift of the queue vector together with its algebraic upper bound.
+drift of the queue vector together with its algebraic upper bound.  On
+linear constraint rows g at the running average is the cumulative sum
+over t, which equals it in exact arithmetic; any other rows are
+evaluated there.
 
 The scalar CSV schema is fixed::
 
@@ -60,7 +63,16 @@ def record_schedule(T, record_every):
 
 @dataclass
 class RunReport:
-    """Per-iteration trace plus the configuration that produced it."""
+    """Per-iteration trace plus the configuration that produced it.
+
+    Row i holds iteration t[i]: the iterate x(t-1) with f_x and g_x at
+    it, the queues Q(t), the running average x_bar(t) with f_xbar and
+    g_xbar, the running sum cum_g of g(x(tau)) over tau < t, and the
+    drift of the step that produced them.  f_xbar is f evaluated at
+    x_bar.  On linear rows (``constraint_terms.is_linear``) g_xbar is
+    cum_g / t, which is g(x_bar) in exact arithmetic; on quadratic or log
+    rows, where that mean only bounds g(x_bar) from above, and on a
+    callable's rows g_xbar is g evaluated at x_bar."""
 
     algorithm: str
     problem: str

@@ -409,10 +409,17 @@ def _drive(state, program, solve, T, record_every, validate, **config):
     ``step(state, program, solve, validate)``.
 
     Each trace row is read from the state the step leaves and recorded on
-    the recorder's schedule together with the evaluation at xbar; on
+    the recorder's schedule together with f(xbar) and g(xbar); on
     NonConvergenceError the rows recorded so far are attached to the
-    exception as ``partial_report``.  The steps' invariants wait in the
-    block of the state's workspace, which is tested every ``_BLOCK``
+    exception as ``partial_report``.  On linear rows (``constraint_terms``
+    with ``is_linear``) g(xbar(t)) is the mean of g(x(tau)) over tau < t,
+    so g_xbar is the running sum cum_g / t, one correctly rounded division
+    that keeps exact negation, and f_xbar is ``objective_value(xbar)``,
+    the bits of ``evaluate``'s f: no product with the rows.  For convex
+    rows that are not linear (quadratic, log) that mean only bounds
+    g(xbar) from above (Jensen), and a callable's rows are unknown, so
+    there f and g are evaluated at xbar.  The steps' invariants wait in
+    the block of the state's workspace, which is tested every ``_BLOCK``
     steps, after the last step and before any other exception leaves;
     after the last block the final queues Q(T) are tested on their own.
     ``config`` goes to the report, with the program and the oracle's name.
@@ -421,6 +428,8 @@ def _drive(state, program, solve, T, record_every, validate, **config):
         raise ValueError("T must be at least 1")
     config.update(program=program, oracle=getattr(solve, "name", type(solve).__name__))
     recorder = TraceRecorder(T, record_every)
+    terms = program.constraint_terms
+    linear = terms is not None and terms.is_linear
     work = state._work
     full = 4 * _BLOCK
     work.deferred = True
@@ -438,7 +447,10 @@ def _drive(state, program, solve, T, record_every, validate, **config):
             if len(work.scalars) == full or (t == T - 1 and work.scalars):
                 _check_block(work)
             if recorder.wants(t + 1):
-                f_xbar, g_xbar = evaluate(program, state.x_bar)
+                if linear:
+                    f_xbar, g_xbar = program.objective_value(state.x_bar), state.cum_g / (t + 1.0)
+                else:
+                    f_xbar, g_xbar = evaluate(program, state.x_bar)
                 recorder.add(t + 1, state.x_prev, state.x_bar, state.Q, state.f_prev,
                              state.g_prev, f_xbar, g_xbar, state.cum_g, state.drift,
                              state.drift_bound)

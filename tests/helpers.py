@@ -172,7 +172,8 @@ def reference_separable_solve(oracle, weights, x_prev, alpha):
 def reference_dsg_run(program, gamma, T, record_every=None):
     """``dsg_run`` from the former dual step: the reference solve, both
     0.5||lambda||^2 from their multipliers and a fresh average each step,
-    recorded on the recorder's schedule by its own loop, not the solver's.
+    recorded on the recorder's schedule by its own loop, not the solver's,
+    with g at xbar(t) as its own running sum over t on linear rows.
     Checks nothing; it gives the values every output must keep."""
     oracle = SeparableOracle(program)
     center = np.zeros(program.n)
@@ -199,6 +200,8 @@ def reference_dsg_run(program, gamma, T, record_every=None):
         if recorder.wants(t + 1):
             x, x_bar, lam, f, g, cum_g, drift, bound = row()
             f_xbar, g_xbar = evaluate(program, x_bar)
+            if program.constraint_terms.is_linear:
+                g_xbar = cum_g / (t + 1)
             recorder.add(t + 1, x, x_bar, lam, f, g, f_xbar, g_xbar, cum_g, drift, bound)
     return recorder.build(iterations=T, wall_time=0.0, algorithm="dsg", problem="program",
                           alpha=None, gamma=float(gamma), oracle="lagrangian-closed-form",

@@ -36,7 +36,7 @@ NET_LARGE_PINS = {
         "vq x_bar": "2d5165103f614f0d4cda35995f648bf3326441e0990c1ef3748f73e12793c981",
         "vq Q": "fa71d0806306d3755999a64bc049ed873bd5297f644eba79a0079fcd8a963439",
         "vq g_x": "60bc97622171182a29921a4a5c305594638afc7c6b69f41b1266c88d87ed6e24",
-        "vq g_xbar": "3fda8b582c817c9044efa19b007aaab149b125ebb7c29d86aa21aeddaeb18626",
+        "vq g_xbar": "296b570778e151cc6b71500e148b3fd7f7c76ddff8456a388112e52e29c70749",
         "vq cum_g": "88e20c0e7e068819b96f95b241bee428c5d9f096b54f268ee16563a321cfc493",
         "dsg x_bar": "555c3f813140d308b6fb9bae09017bad00a9a4bd399c58b75c022f51fe26aee9",
         "dsg Q": "7a316c2175cb14c7f5bdd7f40df9bc3be72e73721db950dcea33eecf9600aa88",
@@ -48,7 +48,7 @@ NET_LARGE_PINS = {
         "vq x_bar": "b90d47dc5e456be2486643fef05991a620f2c78d238227776fd941ab6ba39bcf",
         "vq Q": "a76ef945d7a674d5a485b79592706546ae53eff09f268f4a6acb68afe220f5ad",
         "vq g_x": "af43c8256d1140c379dc01c7139699f9553ff04a967c48e51fc4e176c91b1b94",
-        "vq g_xbar": "083b447861e748f2a2a337dbf4d76d76953e42840da7173aa5f994ceae5593ca",
+        "vq g_xbar": "e351baaf57ab24b0408a6c24a717eb06e95963dd29b02b6f515f5adb80c04cfc",
         "vq cum_g": "0232208bc3be1b68952e0eb04f80954d26d4f4b27286285ea7d3612adc996f53",
         "dsg x_bar": "1e3cc4c21c986f48b4e92c09af832866ab671d9b26e6dd0a22fd382e586777ff",
         "dsg Q": "d09c41773654103d4b9b18697d43b0b1c7937f29f5a366370ba0ec548d43d074",
