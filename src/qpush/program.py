@@ -227,10 +227,15 @@ def _slot_orders(rows, cols, vals, shape):
 def _products(orders, shape, dense):
     """(M x, M^T W) of the m x n matrix M: ``ndarray.dot`` of the ``dense``
     M and of a C-contiguous copy of M^T, or segment sums over M's two
-    ``orders`` (:func:`_slot_orders`) when ``dense`` is None."""
+    ``orders`` (:func:`_slot_orders`) when ``dense`` is None.  An M with
+    no nonzeros gets fresh float zeros instead, as bincount counts an
+    empty input in int64."""
     if dense is not None:
         return dense.dot, np.ascontiguousarray(dense.T).dot
     by_rows, by_cols = orders
+    if not by_rows[2].size:
+        m, n = shape
+        return (lambda x: np.zeros(m)), (lambda w: np.zeros(n))
     return partial(_segment_sum, *by_rows, shape[0]), partial(_segment_sum, *by_cols, shape[1])
 
 

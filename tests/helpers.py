@@ -12,6 +12,7 @@ from qpush import (AlphaBelowCurvatureWarning, BoxSet, ConstraintTerms,
                    kkt_residual, run)
 from qpush.errors import ConfigurationError, NumericalDomainError
 from qpush.oracles import LOG_DOMAIN_FLOOR
+from qpush.problems import QpReference
 from qpush.program import _BOUND_GAP, _BOUND_RANGE, _BOUND_STEPS
 from qpush.report import TraceRecorder
 
@@ -468,6 +469,47 @@ def auglag_pg_qp_reference(qpi, rho=50.0, outer=40, inner=200000, tol=1e-10):
             break
         lam = lam_new
     return x, lam, float(P @ (x * x) + c @ x)
+
+
+def masked_qp_lagrangian_argmin(qp, lam):
+    """The Lagrangian minimizer of a QpInstance in one masked form for
+    every input, under a switched floating-point state."""
+    a = qp.P + lam * qp.Qm
+    b = qp.c + lam * qp.d
+    with np.errstate(divide="ignore", invalid="ignore"):
+        vertex = np.where(a > 0, -b / (2.0 * a), np.where(b < 0, np.inf, -np.inf))
+    return np.clip(vertex, 0.0, 1.0)
+
+
+def masked_qp_reference_optimum(qp):
+    """Reference for ``problems.qp_reference_optimum``: the same bisection
+    on the dual variable, with :func:`masked_qp_lagrangian_argmin` for
+    every x(lam) and g read through ``ConvexProgram.constraint_values``."""
+    program = qp.program()
+
+    def g_of(lam):
+        return float(program.constraint_values(masked_qp_lagrangian_argmin(qp, lam))[0])
+
+    if g_of(0.0) <= 0.0:
+        x = masked_qp_lagrangian_argmin(qp, 0.0)
+        lam = 0.0
+    else:
+        hi = 1.0
+        while g_of(hi) > 0.0:
+            hi *= 2.0
+            if hi > 1e8:
+                raise ConfigurationError("dual variable exceeded the search range")
+        lo = 0.0
+        while hi - lo > 1e-12 * max(1.0, hi):
+            mid = 0.5 * (lo + hi)
+            if g_of(mid) > 0.0:
+                lo = mid
+            else:
+                hi = mid
+        lam = 0.5 * (lo + hi)
+        x = masked_qp_lagrangian_argmin(qp, lam)
+    f = program.objective_value(x)
+    return QpReference(x=x, lam=lam, f=f, kkt=kkt_residual(program, x, np.array([lam])))
 
 
 def overflow_network():

@@ -1,4 +1,5 @@
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,8 +9,9 @@ from qpush.errors import ConfigurationError
 from qpush.oracles import SeparableOracle
 from qpush.problems import FIG1_ALPHA, FLOW_POWER_OPTIMUM, P_MAX
 
-from helpers import (auglag_pg_qp_reference, link_path_incidence, qp_coordinate_update,
-                     random_network, random_point_in, source_path_incidence)
+from helpers import (auglag_pg_qp_reference, link_path_incidence, masked_qp_reference_optimum,
+                     qp_coordinate_update, random_network, random_point_in,
+                     source_path_incidence)
 
 QP_SEED1_F_STAR = -169.06884345592948
 QP_SEED1_LAMBDA = 5.236228571646279
@@ -188,11 +190,45 @@ def test_qp_reference_optimum(qp_seed1):
     assert ref.f == pytest.approx(QP_SEED1_F_STAR, abs=1e-8)
     assert ref.lam == pytest.approx(QP_SEED1_LAMBDA, abs=1e-6)
     # strictly feasible instances with inactive constraint short-circuit
-    from dataclasses import replace
-
     easy = replace(qp_seed1, c=np.abs(qp_seed1.c))  # minimizer at 0
     ref0 = qp.qp_reference_optimum(easy)
     assert ref0.lam == 0.0 and ref0.f == 0.0
+
+
+def flat_qp(qp_seed1):
+    """qp_seed1 with flat coordinates, P_i = 0: coordinate 0 has c_0 = 0, so
+    at lam = 0 its slope is an exact zero, and coordinate 1 has Qm_1 = 0 and
+    d_1 = 0 too, so its slope is an exact zero at every lam."""
+    P, c, Qm, d = (v.copy() for v in (qp_seed1.P, qp_seed1.c, qp_seed1.Qm, qp_seed1.d))
+    P[:12] = 0.0
+    c[:2] = 0.0
+    Qm[1:4] = 0.0
+    d[1] = 0.0
+    return replace(qp_seed1, P=P, c=c, Qm=Qm, d=d)
+
+
+def reference_bytes(ref):
+    return ref.x.tobytes(), np.array([ref.lam, ref.f, ref.kkt]).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["seeded", "inactive", "flat"])
+def test_qp_reference_has_the_masked_bisections_bytes(kind, qp_seed1):
+    # the reference reads P > 0 once and then divides with no mask; its
+    # x, lam, f and kkt are those of one masked form for every input
+    if kind == "seeded":
+        instances = [qp.generate_qp(seed) for seed in range(1, 25)]
+    elif kind == "inactive":
+        instances = [replace(qp_seed1, c=np.abs(qp_seed1.c))]
+    else:
+        instances = [flat_qp(qp_seed1)]
+    for instance in instances:
+        ref = qp.qp_reference_optimum(instance)
+        assert reference_bytes(ref) == reference_bytes(masked_qp_reference_optimum(instance))
+        assert (ref.lam == 0.0) == (kind == "inactive")
+        assert bool((instance.P > 0).all()) == (kind != "flat")
+    if kind == "flat":
+        # the exact-zero slope of coordinate 1 goes to the low end
+        assert ref.x[1] == 0.0 and ref.kkt < 1e-8
 
 
 def test_qp_penalty_reference_agrees(qp_seed1):

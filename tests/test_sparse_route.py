@@ -254,3 +254,27 @@ def test_slot_orders_keep_each_sum_in_order(M):
             assert np.array_equal(got, want)
         bound = fused_certified_norm(r, c, v, M.shape)  # None: the Gram fallback
         assert terms.unsigned_spectral_norm() == (terms.spectral_norm() if bound is None else bound)
+
+
+@pytest.mark.parametrize("shape, with_quad", [((1, 1), False), ((3, 40), False), ((3, 40), True)],
+                         ids=["1x1", "3x40", "3x40-with-quad"])
+def test_an_all_zero_a_gives_float_zeros(shape, with_quad):
+    # bincount counts an empty input in int64, so such an A's products are
+    # bound to float zeros at construction
+    m, n = shape
+    Qc = np.eye(m, n) if with_quad else None
+    terms = ConstraintTerms(np.zeros(shape), np.zeros(m), quad=Qc)
+    assert terms._segment_sums
+    x, w = np.linspace(0.5, 2.0, n), np.linspace(0.5, 2.0, m)
+    want = {"matvec": np.zeros(m), "rmatvec": np.zeros(n)}
+    if with_quad:
+        want.update(quad_matvec=Qc.dot(x), quad_rmatvec=Qc.T.dot(w))
+    for name in ("matvec", "rmatvec", "quad_matvec", "quad_rmatvec", "nl_matvec", "nl_rmatvec"):
+        product = getattr(terms, name)
+        assert (product is None) == (name not in want), name
+        if product is not None:
+            got = product(w if "rmatvec" in name else x)
+            assert got.dtype == np.float64 and np.array_equal(got, want[name]), name
+    g = terms.values(x)
+    assert g.dtype == np.float64
+    assert np.array_equal(g, Qc.dot(x * x) if with_quad else np.zeros(m))
