@@ -22,6 +22,7 @@ it, ``fig1-num`` with ``netflow.build_num_program`` and
 import importlib.resources
 import json
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -160,6 +161,12 @@ class QpInstance:
         return self.P.shape[0]
 
     def program(self):
+        """The instance's ConvexProgram, built on the first call and the
+        same (immutable) object on every later one."""
+        return self._program
+
+    @cached_property
+    def _program(self):
         obj = CoordinateTerms(self.P, self.c, np.zeros(self.n))
         cons = ConstraintTerms(self.d[None, :], np.array([self.e]),
                                quad=self.Qm[None, :])

@@ -18,9 +18,12 @@ Vectors go to an optional sidecar CSV.  Plots are rendered from parsed
 CSV columns only, so re-plotting a saved trace is byte-identical.
 
 Every CSV writer (the trace, the sidecar and the bound margins) goes
-through one helper: the table is stacked as floats and each row is
-written with one ``%.17g`` template, which round-trips doubles exactly
-and gives the same bytes as formatting each cell with ``.17g``.
+through one helper, which writes each cell of the stacked float table as
+the bytes of ``'%.17g' % v`` (which round-trips doubles), block by block.
+The 17 digits of a cell of magnitude in [1e-4, 1e17), where %.17g writes
+fixed notation, come exactly from Dekker's error-free product of the cell
+and a power of ten on a whole block; every other nonzero cell (NaN, +-inf,
+or outside that range) is written by ``%.17g`` one cell at a time.
 """
 
 import json
@@ -182,15 +185,166 @@ class TraceRecorder:
                          drift_bound=drift_bound, record_every=self.record_every, **config)
 
 
+_BLOCK_CELLS = 4096
+_CELL_BYTES = 32  # the longest %.17g text (24 bytes) and its separator
+_CELL = np.dtype((np.void, _CELL_BYTES))
+_POW10 = 10.0 ** np.arange(21)  # 10**p is an exact double for p <= 22
+_VELTKAMP = 134217729.0  # 2**27 + 1
+
+
+def _split(a):
+    """Veltkamp's split: hi + lo == a exactly, each with at most 26 bits."""
+    c = _VELTKAMP * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+_POW10_HI, _POW10_LO = _split(_POW10)
+# the text of each 4-digit group as 4 bytes, and how many of them are trailing zeros
+_GROUP = np.arange(10000)
+_GROUP_TEXT = ((_GROUP[:, None] // np.array([1000, 100, 10, 1]) % 10 + 48)
+               .astype(np.uint8).view(np.uint32).ravel())
+_GROUP_ZEROS = sum(_GROUP % 10 ** k == 0 for k in (1, 2, 3, 4)).astype(np.uint8)
+# row L keeps the first L + 1 bytes of a cell: its text and its separator
+_KEEP = np.arange(_CELL_BYTES) <= np.arange(_CELL_BYTES)[:, None]
+
+
+def _times_pow10(a, p):
+    """(hi, lo) with hi + lo == a * 10**p exactly: Dekker's product."""
+    p = p.astype(np.intp)
+    hi = a * _POW10[p]
+    a_hi, a_lo = _split(a)
+    b_hi, b_lo = _POW10_HI[p], _POW10_LO[p]
+    return hi, ((a_hi * b_hi - hi) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+
+
+def _off_decade(hi, lo):
+    """-1, 0 or 1 as the exact hi + lo lies below, in or above [1e16, 1e17)."""
+    below = (hi < 1e16) | ((hi == 1e16) & (lo < 0.0))
+    above = (hi > 1e17) | ((hi == 1e17) & (lo >= 0.0))
+    return above.view(np.int8) - below.view(np.int8)
+
+
+def _significands(a):
+    """(D, X) for each ``a`` in [1e-4, 1e17): ``a`` to 17 significant digits,
+    rounded half to even, is D * 10**(X - 16), 10**16 <= D < 10**17.
+
+    X starts at floor(log10(a)) and moves by one while the exact
+    a * 10**(16 - X) = hi + lo lies outside [1e16, 1e17).  Inside it hi is
+    an even integer above 2**53, so hi + rint(lo) rounds hi + lo half to
+    even.  It never rounds up to 1e17: 17 digits tell doubles apart, and
+    the double nearest each 10**k, k = -3..17, is not below it."""
+    x = np.floor(np.log10(a)).astype(np.int8)
+    np.clip(x, -4, 16, out=x)  # log10 may round across 1e-4 or 1e17
+    hi, lo = _times_pow10(a, 16 - x)
+    off = _off_decade(hi, lo)
+    moved = np.flatnonzero(off)
+    while moved.size:
+        x[moved] += off[moved]
+        hi[moved], lo[moved] = _times_pow10(a[moved], 16 - x[moved])
+        off[moved] = _off_decade(hi[moved], lo[moved])
+        moved = moved[off[moved] != 0]
+    return hi.astype(np.int64) + np.rint(lo).astype(np.int64), x
+
+
+def _digits(d):
+    """The 17 decimal digits of each D as a (len(d), 17) uint8 array, and
+    how many of them are trailing zeros."""
+    q = d // 10 ** 8
+    r = d - q * 10 ** 8
+    groups = np.empty((5, d.size), np.intp)  # the first digit, then 4 groups of 4
+    groups[0] = q // 10 ** 8
+    q -= groups[0] * 10 ** 8
+    groups[1] = q // 10 ** 4
+    groups[2] = q - groups[1] * 10 ** 4
+    groups[3] = r // 10 ** 4
+    groups[4] = r - groups[3] * 10 ** 4
+    zeros = np.take(_GROUP_ZEROS, groups[1:])
+    empty = zeros == 4
+    tz = zeros[3] + empty[3] * (zeros[2] + empty[2] * (zeros[1] + empty[1] * zeros[0]))
+    return np.take(_GROUP_TEXT, groups.T).view(np.uint8)[:, 3:], tz
+
+
+def _format_cells(cells, seps):
+    """The bytes of ``'%.17g' % v`` for each of ``cells``, each followed by
+    its byte of ``seps``, as one uint8 array.
+
+    A cell of magnitude in [1e-4, 1e17), where %.17g writes fixed notation,
+    is written from its 17 significant digits (:func:`_significands`).  Its
+    text then depends only on its sign and exponent, so those cells are
+    sorted by that pair and laid out one group at a time with slice copies.
+    Signed zeros are written directly, and NaN, +-inf and every other
+    magnitude by ``%.17g``, one cell at a time."""
+    n = cells.size
+    a = np.abs(cells)
+    neg = np.signbit(cells)
+    text = np.empty((n, _CELL_BYTES), np.uint8)
+    lens = np.empty(n, np.uint8)  # the length of each cell's text
+    fixed = (a >= 1e-4) & (a < 1e17)
+    fast = np.flatnonzero(fixed)
+    d, x = _significands(a[fast])
+    key = x + np.int8(4)  # 0..20, and 21..41 for a negative cell
+    key += neg[fast].view(np.int8) * np.int8(21)
+    order = np.argsort(key, kind="stable")
+    digits, tz = _digits(d[order])
+    x = x[order]
+    fraction = np.maximum(16 - x - tz.astype(np.int8), 0)  # digits kept after the point
+    flen = (key[order] >= 21) + np.maximum(x, 0) + 1 + (fraction > 0) + fraction
+    out = np.empty((fast.size, _CELL_BYTES), np.uint8)
+    counts = np.bincount(key, minlength=42)
+    end = 0
+    for k in np.flatnonzero(counts):
+        rows = slice(end, end + counts[k])
+        end += counts[k]
+        s, e = divmod(int(k), 21)
+        e -= 4
+        # 45, 46 and 48 are the bytes of '-', '.' and '0'
+        out[rows, 0] = 45  # overwritten on a positive cell
+        if e >= 0:
+            out[rows, s:s + e + 1] = digits[rows, :e + 1]
+            out[rows, s + e + 1] = 46
+            out[rows, s + e + 2:s + 18] = digits[rows, e + 1:]
+        else:  # 0.000ddd
+            out[rows, s:s + 1 - e] = 48
+            out[rows, s + 1] = 46
+            out[rows, s + 1 - e:s + 18 - e] = digits[rows]
+    at = fast[order]
+    text.view(_CELL)[at] = out.view(_CELL)
+    lens[at] = flen
+    zero = np.flatnonzero(a == 0.0)
+    text[zero, 0] = np.where(neg[zero], 45, 48)
+    text[zero, 1] = 48
+    lens[zero] = 1 + neg[zero]
+    slow = np.flatnonzero(~fixed & (a != 0.0))
+    if slow.size:
+        texts = [b"%.17g" % v for v in cells[slow].tolist()]
+        lens[slow] = [len(t) for t in texts]
+        text[slow] = np.frombuffer(b"".join(t.ljust(_CELL_BYTES) for t in texts),
+                                   np.uint8).reshape(-1, _CELL_BYTES)
+    text.ravel()[np.arange(0, n * _CELL_BYTES, _CELL_BYTES) + lens] = seps
+    return text[np.take(_KEEP, lens, axis=0)]
+
+
 def _write_table(path, header, columns):
-    """Write ``header`` and the stacked columns (1-D or 2-D blocks), one
-    ``%.17g`` template per row, so memory does not grow with the table."""
-    row_fmt = ",".join(["%.17g"] * len(header)) + "\n"
+    """Write ``header`` and the stacked columns (1-D or 2-D blocks) as CSV,
+    each cell the bytes of ``'%.17g' % v``, in blocks of about 4096 cells,
+    so memory does not grow with the text.
+
+    The bytes are exact: a cell of magnitude in [1e-4, 1e17) is written
+    from its 17 significant digits, computed from Dekker's error-free
+    product of the cell and a power of ten, and every other nonzero cell
+    is written by ``%.17g`` itself."""
     table = np.column_stack(columns)
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in table:
-            fh.write(row_fmt % tuple(row.tolist()))
+    rows, cols = table.shape
+    per = max(1, _BLOCK_CELLS // cols)
+    seps = np.full((per, cols), ord(","), np.uint8)
+    seps[:, -1] = ord("\n")
+    seps = seps.ravel()
+    with open(path, "wb") as fh:
+        fh.write((",".join(header) + "\n").encode())
+        for first in range(0, rows, per):
+            cells = table[first:first + per].ravel()
+            fh.write(_format_cells(cells, seps[:cells.size]))
 
 
 def write_trace_csv(report, path):

@@ -523,6 +523,13 @@ def _cell(v):
     return format(float(v), ".17g")
 
 
+def reference_table_csv(header, columns):
+    """Any table of ``_write_table`` formatted one cell at a time."""
+    lines = [",".join(header)]
+    lines += [",".join(map(_cell, row)) for row in np.column_stack(columns).tolist()]
+    return "\n".join(lines) + "\n"
+
+
 def reference_trace_csv(report):
     """The trace CSV formatted one cell at a time, as a byte reference."""
     from qpush.report import TRACE_COLUMNS

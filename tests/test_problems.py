@@ -142,6 +142,18 @@ def test_generate_qp_deterministic():
     assert not np.array_equal(a.P, c.P)
 
 
+def test_qp_program_is_built_once():
+    # the reference reuses the program its caller built; a replaced
+    # instance builds its own
+    a = qp.generate_qp(1)
+    assert a.program() is a.program()
+    b = replace(a, c=-a.c)
+    assert b.program() is not a.program()
+    x = np.full(100, 0.5)
+    assert b.program().objective_value(x) == pytest.approx(
+        a.program().objective_value(x) - 2.0 * a.c @ x, rel=1e-12)
+
+
 def test_generate_qp_ranges(qp_seed1):
     qpi = qp_seed1
     assert np.all((qpi.P >= 0) & (qpi.P <= 4))

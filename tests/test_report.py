@@ -4,8 +4,8 @@ import pytest
 import qpush as qp
 from qpush.errors import ConfigurationError
 from helpers import (random_network, reference_bounds_csv, reference_full_trace_csv,
-                     reference_trace_csv)
-from qpush.report import (TRACE_COLUMNS, TraceRecorder, default_record_every,
+                     reference_table_csv, reference_trace_csv)
+from qpush.report import (TRACE_COLUMNS, TraceRecorder, _write_table, default_record_every,
                           parse_trace_csv, record_schedule, render_convergence_svg, slope_check,
                           write_full_trace_csv, write_summary, write_trace_csv)
 
@@ -87,9 +87,13 @@ def test_full_trace_sidecar(tmp_path):
 
 
 # doubles whose %.17g text is easy to get wrong: signed zero, subnormals,
-# the largest double, non-finite values and non-terminating binary fractions
+# the largest double, non-finite values, non-terminating binary fractions,
+# the edges of fixed notation with the doubles next to them, an exact tie
+# at the 17th digit and 2**63
 SPECIAL = np.array([np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1e-320,
-                    1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1 / 3, -1 / 3])
+                    1.7976931348623157e308, -1.7976931348623157e308, 0.1, 1 / 3, -1 / 3,
+                    1e-4, np.nextafter(1e-4, 0.0), 1e16, -np.nextafter(1e16, 0.0), 1e17,
+                    np.nextafter(1e17, 0.0), (2 ** 17 + 1) / 2 ** 17, 2.0 ** 63])
 
 
 def _salt(a, rng):
@@ -143,6 +147,84 @@ def test_bounds_csv_matches_per_cell_reference_bytes(tmp_path, beta):
         bounds.objective_margin = _salt(bounds.objective_margin, rng)
     bounds.to_csv(tmp_path / "bounds.csv")
     assert (tmp_path / "bounds.csv").read_bytes() == reference_bounds_csv(bounds).encode()
+
+
+def _ulps_around(values, below, above):
+    """Each positive double in ``values`` and its neighbours, ``below`` under
+    it and ``above`` over it."""
+    bits = np.asarray(values, dtype=float).view(np.int64)[:, None] + np.arange(-below, above + 1)
+    return bits.view(float).ravel()
+
+
+def _kernel_table(kind, rng):
+    """(header, columns) of one table of doubles for the CSV kernel."""
+    cols = 7
+    if kind == "bits":  # every sign and exponent, subnormals and NaN payloads
+        cells = rng.integers(0, 2 ** 64, 40_040, dtype=np.uint64).view(float)
+    elif kind == "ties":
+        # m * 2**(X - 17), m odd, in [10**X, 10**(X + 1)): its digits end in a
+        # 5 one place past the 17th, an exact tie, rounded half to even
+        x = rng.integers(-4, 15, 30_002)
+        lo = 10.0 ** x * 2.0 ** (17 - x)
+        m = np.floor(rng.uniform(lo, 10.0 * lo) / 2.0) * 2.0 + 1.0
+        cells = m * 2.0 ** (x - 17.0) * rng.choice([-1.0, 1.0], x.size)
+    elif kind == "powers":
+        # 10**k and 40 doubles either side, and 2000 below each edge of fixed
+        # notation, where a 17-digit rounding could carry to the next power
+        powers = _ulps_around([float(f"1e{k}") for k in range(-8, 21)], 40, 40)
+        edges = _ulps_around([1e-4, 1e16, 1e17], 2000, 0)
+        cells = np.concatenate([powers, -powers, edges, -edges])
+        cols = 8
+    elif kind == "specials":
+        subnormal = rng.integers(1, 2 ** 52, 2_000, dtype=np.uint64).view(float)
+        cells = np.concatenate([np.resize(SPECIAL, 1_000), subnormal, -subnormal,
+                                [2.2250738585072014e-308, -2.2250738585072014e-308]])
+        cols = 1
+    elif kind == "integers":
+        cells = np.concatenate([np.arange(10_001.0), 2.0 ** np.arange(64),
+                                rng.integers(0, 2 ** 63, 20_000).astype(float),
+                                -rng.integers(0, 2 ** 53, 5_000).astype(float)])
+        cols = 5
+    elif kind == "no rows":
+        cells = np.zeros(0)
+    elif kind == "one column":  # three blocks of one column
+        cells = rng.standard_normal(9_000) * 10.0 ** rng.integers(-6, 18, 9_000)
+        cols = 1
+    else:  # one row wider than a block
+        cells = rng.standard_normal(5_000) * 10.0 ** rng.integers(-6, 18, 5_000)
+        cols = 5_000
+    table = cells.reshape(-1, cols)
+    return [f"c{j}" for j in range(cols)], [table[:, 0], table[:, 1:]]
+
+
+KERNEL_TABLES = ("bits", "ties", "powers", "specials", "integers", "no rows", "one column", "wide")
+
+
+@pytest.mark.parametrize("kind", KERNEL_TABLES)
+def test_write_table_matches_per_cell_reference_bytes(tmp_path, kind):
+    # about 141k cells in all, each against format(v, ".17g")
+    header, columns = _kernel_table(kind, np.random.default_rng(KERNEL_TABLES.index(kind)))
+    _write_table(tmp_path / "table.csv", header, columns)
+    assert (tmp_path / "table.csv").read_bytes() == reference_table_csv(header, columns).encode()
+
+
+def test_write_table_memory_does_not_grow_with_the_rows(tmp_path):
+    import tracemalloc
+
+    rng = np.random.default_rng(3)
+    extra = []
+    for rows in (200, 4_000):
+        x = rng.uniform(0.0, 1.0, (rows, 100))
+        x[x < 0.5] = 0.0
+        columns = [np.arange(1.0, rows + 1.0), x, rng.standard_normal(rows)]
+        tracemalloc.start()
+        _write_table(tmp_path / "table.csv", ["c"] * 102, columns)
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        extra.append(peak - rows * 102 * 8)  # beyond the stacked table's own bytes
+    # one block's work arrays, the same for 20 times the rows
+    assert extra[1] <= extra[0] + 16 * 1024
+    assert extra[1] <= 2 * 1024 * 1024
 
 
 def test_summary_contents(tmp_path):
